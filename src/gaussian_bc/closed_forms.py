@@ -29,8 +29,9 @@ decoded by scalar MMSE at each receiver. This module evaluates:
   witness pair that maximizes the bound and makes it meet the
   achievable curve.
 
-All functions are pure; the two solve-backed ones are memoized because
-the witness sweeps evaluate them at repeated arguments.
+All functions are pure. ``d2_min_at_rx1`` is memoized because the
+witness sweeps evaluate it at repeated arguments; the alpha solve behind
+it is a closed-form quadratic root.
 """
 
 from __future__ import annotations
@@ -75,12 +76,9 @@ __all__ = [
     "uncoded_distortions",
 ]
 
-# Bisection on the d1 residual, in units of sigma2; the solver actually
-# exhausts the alpha interval (see solve_alpha_for_d1), so the residual
-# bound holds with large margin.
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
-_ALPHA_XTOL = 1e-15
+# Residual contract of solve_alpha_for_d1 on the d1 curve, in units of
+# sigma2; also the slack allowed on its range check.
+_RESIDUAL_TOL = 1e-12
 
 # At threshold-equality points a witness component vanishes, and its
 # formula subtracts a square root whose radicand is itself an ulp-level
@@ -232,41 +230,32 @@ def is_uncoded_optimal(source: SourceParams, channel: ChannelParams, d1: float) 
     return channel.power / channel.n1 <= snr_threshold(source, d1)
 
 
-@lru_cache(maxsize=256)
-def _assert_d1_monotone(source: SourceParams, channel: ChannelParams) -> None:
-    # The solver relies on alpha -> D1u(alpha, 1-alpha) being strictly
-    # decreasing; probe a coarse grid before trusting bisection.
-    prev = math.inf
-    for k in range(33):
-        alpha = k / 32.0
-        val = _d1u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
-        if val >= prev:
-            raise InternalInvariantError(
-                "d1 of the uncoded scheme is not strictly decreasing in alpha"
-            )
-        prev = val
-
-
-@lru_cache(maxsize=4096)
 def solve_alpha_for_d1(
     source: SourceParams, channel: ChannelParams, d1_target: float
 ) -> float:
     """Invert the d1 curve: find alpha in [0, 1] with D1u(alpha, 1-alpha) = d1_target.
 
     Valid targets span the closed interval from ``d_min(1)`` (alpha=1) up to
-    ``d1_min_at_d2min`` (alpha=0). Bisection, certified by a monotonicity
-    probe, to an absolute residual of 1e-12 * sigma2 on the distortion.
+    ``d1_min_at_d2min`` (alpha=0). With ``t = 1 - alpha``,
+    ``w = d1/sigma2 - n1/(power + n1)`` and ``c = (1 + rho)*power/(power + n1)``,
+    ``D1u = d1`` is the quadratic
+
+        (1-rho)*(c - 2*w)*t**2 + 2*(1-rho)*w*t - w = 0,
+
+    whose root in [0, 1] is taken in the cancellation-free form
+    ``t = w / ((1-rho)*w + sqrt((1-rho)*w*(c - (1+rho)*w)))``. Only
+    dimensionless ratios enter, so extreme P/n1 cannot overflow it; the
+    d1 residual stays within 1e-12 * sigma2.
     """
     validate_problem(source, channel)
     lo_d = d_min(source, channel, 1)
     hi_d = d1_min_at_d2min(source, channel)
-    edge = _BISECT_TOL * source.sigma2  # tolerate endpoint rounding
+    edge = _RESIDUAL_TOL * source.sigma2  # tolerate endpoint rounding
     if not (lo_d - edge <= d1_target <= hi_d + edge):
         raise OutOfRangeError(
             f"d1_target must lie in [{lo_d!r}, {hi_d!r}], got {d1_target!r}"
         )
     target = min(max(d1_target, lo_d), hi_d)
-    _assert_d1_monotone(source, channel)
     # Snap near-endpoint targets to the alpha endpoints: the d1 curve is
     # quadratically flat at alpha = 1 (and at alpha = 0 when rho = 0), so
     # inverting a target an ulp away from an endpoint would amplify that
@@ -284,34 +273,14 @@ def solve_alpha_for_d1(
         if target == hi_d:
             return 0.0
 
-    def residual(alpha: float) -> float:
-        return (
-            _d1u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
-            - target
-        )
-
-    # Decreasing map: residual(0) >= 0 >= residual(1) up to rounding.
-    if residual(0.0) < 0.0:
-        return 0.0
-    if residual(1.0) > 0.0:
+    rho, p, n1 = source.rho, channel.power, channel.n1
+    w = target / source.sigma2 - n1 / (p + n1)
+    if not w > 0.0:  # rounding below the alpha = 1 end
         return 1.0
-    # Bisect to interval exhaustion rather than stopping at the residual
-    # tolerance: the d1 curve is quadratically flat at alpha = 1, where a
-    # residual exit could leave alpha ~1e-6 off even though d1 is within
-    # tolerance. A zero residual counts as the high side so that plateaus
-    # of float-identical d1 values resolve toward the flat end. The
-    # residual contract (1e-12 * sigma2) holds with orders of magnitude
-    # to spare.
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _ALPHA_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    c = (1.0 + rho) * p / (p + n1)
+    rad = (1.0 - rho) * w * (c - (1.0 + rho) * w)
+    t = w / ((1.0 - rho) * w + math.sqrt(max(rad, 0.0)))
+    return min(max(1.0 - t, 0.0), 1.0)
 
 
 @lru_cache(maxsize=4096)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoefficientsError, ParameterError
+from .closed_forms import _checked_q
+from .errors import ParameterError
 from .params import (
     ChannelParams,
     DistortionPair,
@@ -110,11 +111,7 @@ def mmse_coefficients(
     validate_coeffs(coeffs)
     a, b = coeffs.alpha, coeffs.beta
     s2, rho = source.sigma2, source.rho
-    q = a * a + 2.0 * a * b * rho + b * b
-    if not (q > 0.0) or not math.isfinite(q):
-        raise DegenerateCoefficientsError(
-            "alpha, beta give a degenerate encoder normalization (quadratic form is 0)"
-        )
+    q = _checked_q(rho, a, b)
     gamma = math.sqrt(channel.power / (s2 * q))
     c1 = gamma * s2 * (a + b * rho) / (channel.power + channel.n1)
     c2 = gamma * s2 * (b + a * rho) / (channel.power + channel.n2)
@@ -145,8 +142,21 @@ def _validate_run(source, channel, config) -> None:
         raise ParameterError("seed must be an integer in [0, 2**64)")
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
+def _source_blocks(source: SourceParams, samples: int, seed: int):
+    """Yield ``(rng, s1, s2)`` per block, with the source draws already taken.
+
+    Block ``i`` seeds its own generator and draws ``s1`` then ``u``; a
+    caller that needs noise draws them from ``rng`` next, which keeps the
+    draw order of the reproducibility contract.
+    """
+    s_dev = math.sqrt(source.sigma2)
+    mix = math.sqrt(1.0 - source.rho * source.rho)
+    for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, samples - start)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+        s1 = s_dev * rng.standard_normal(count)
+        u = s_dev * rng.standard_normal(count)
+        yield rng, s1, source.rho * s1 + mix * u
 
 
 def simulate(
@@ -168,8 +178,6 @@ def simulate(
     m = mmse_coefficients(source, channel, config.coeffs)
     c1, c2 = decode_gains if decode_gains is not None else (m.c1, m.c2)
     a, b = config.coeffs.alpha, config.coeffs.beta
-    s_dev = math.sqrt(source.sigma2)
-    mix = math.sqrt(1.0 - source.rho * source.rho)
     z1_dev = math.sqrt(channel.n1)
     z2_dev = math.sqrt(channel.n2)
     flip = -1.0 if sign_flip else 1.0
@@ -181,14 +189,8 @@ def simulate(
     power_sums: list[float] = []
 
     n = config.samples
-    done = 0
-    block = 0
-    while done < n:
-        count = min(BLOCK_SIZE, n - done)
-        rng = _block_rng(config.seed, block)
-        s1 = s_dev * rng.standard_normal(count)
-        u = s_dev * rng.standard_normal(count)
-        s2_arr = source.rho * s1 + mix * u
+    for rng, s1, s2_arr in _source_blocks(source, n, config.seed):
+        count = s1.size
         z1 = z1_dev * rng.standard_normal(count)
         z2 = z2_dev * rng.standard_normal(count)
 
@@ -204,8 +206,6 @@ def simulate(
         e2_sums.append(math.fsum(e2))
         e2_sq_sums.append(math.fsum(e2 * e2))
         power_sums.append(math.fsum(x * x))
-        done += count
-        block += 1
 
     sum_e1 = math.fsum(e1_sums)
     sum_e2 = math.fsum(e2_sums)
@@ -232,30 +232,16 @@ def sample_source_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exact source realization a simulate() run with this seed consumes.
 
-    Replays the per-block draw order (the noise draws come after the source
-    draws, so skipping them leaves the source stream untouched). Intended
-    for sample-statistics checks at test scale.
+    Shares the per-block source draws of simulate() (the noise draws come
+    after the source draws, so skipping them leaves the source stream
+    untouched). Intended for sample-statistics checks at test scale.
     """
     validate_source(source)
     if samples < 1:
         raise ParameterError("samples must be an integer >= 1")
-    s_dev = math.sqrt(source.sigma2)
-    mix = math.sqrt(1.0 - source.rho * source.rho)
     flip = -1.0 if sign_flip else 1.0
-    chunks1: list[np.ndarray] = []
-    chunks2: list[np.ndarray] = []
-    done = 0
-    block = 0
-    while done < samples:
-        count = min(BLOCK_SIZE, samples - done)
-        rng = _block_rng(seed, block)
-        s1 = s_dev * rng.standard_normal(count)
-        u = s_dev * rng.standard_normal(count)
-        chunks1.append(flip * s1)
-        chunks2.append(source.rho * s1 + mix * u)
-        done += count
-        block += 1
-    return np.concatenate(chunks1), np.concatenate(chunks2)
+    _, s1_blocks, s2_blocks = zip(*_source_blocks(source, samples, seed))
+    return flip * np.concatenate(s1_blocks), np.concatenate(s2_blocks)
 
 
 def power_check(report: SimulationReport, channel: ChannelParams, tol_rel: float) -> bool:

@@ -17,12 +17,13 @@ covariance K_E = [[d1, e], [e, d2]] may be any matrix with
 
 so the oracle maximizes det K_E over that feasible set. At the optimum
 at least one diagonal constraint is active, so it suffices to search the
-two boundary segments {d1 = Delta1} and {d2 = Delta2}; on each segment
-the inner maximization over the off-diagonal e runs golden-section on
-the analytically-computed feasible interval, and the outer maximization
-over the free diagonal entry runs a coarse scan plus golden refinement
-(det is quasi-concave on the convex feasible set, hence unimodal along
-lines). Converged well below 1e-6 bits.
+two boundary segments {d1 = Delta1} and {d2 = Delta2}. On each segment
+the inner maximization over the off-diagonal e is exact: det is the
+concave parabola d1*d2 - e**2, maximized at e = 0 clamped into the
+analytically-computed feasible interval. The outer maximization over the
+free diagonal entry runs a coarse scan plus golden refinement (det is
+quasi-concave on the convex feasible set, hence unimodal along lines).
+Converged well below 1e-6 bits.
 
 ``conditional_info_bound`` and ``d2_lower_via_rx1`` are the two
 converse endpoints: the per-symbol cap on what receiver 1's observation
@@ -58,10 +59,8 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Golden-section tolerances for the joint-rate oracle: the off-diagonal
-# search targets 1e-10 on the determinant, the diagonal search is
-# curvature-limited and far below the 1e-6-bit convergence budget.
-_E_XTOL = 1e-10
+# Scan size and golden-section tolerance of the oracle's diagonal search:
+# it is curvature-limited and far below the 1e-6-bit convergence budget.
 _D_SCAN = 256
 _D_XTOL_REL = 1e-8
 
@@ -124,8 +123,10 @@ def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
 
     Feasible e lie in [-sqrt(d1*d2), sqrt(d1*d2)] intersected with
     [rho_sig - s, rho_sig + s] where s = sqrt((sigma2-d1)*(sigma2-d2));
-    both intervals follow from the 2x2 PSD determinant conditions.
-    Returns -inf when the intersection is empty.
+    both intervals follow from the 2x2 PSD determinant conditions. The
+    objective is a concave parabola in e, so its maximum over the interval
+    sits at e = 0 clamped into it. Returns -inf when the intersection is
+    empty.
     """
     lim = math.sqrt(d1 * d2)
     s = math.sqrt(max((sigma2 - d1) * (sigma2 - d2), 0.0))
@@ -133,7 +134,8 @@ def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
     hi = min(lim, rho_sig + s)
     if lo > hi:
         return -math.inf
-    return _golden_max(lambda e: d1 * d2 - e * e, lo, hi, _E_XTOL)
+    e = min(max(0.0, lo), hi)
+    return d1 * d2 - e * e
 
 
 def _best_det_on_edge(

@@ -11,6 +11,7 @@ coincide there, which :func:`verify_matching` checks on a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .closed_forms import (
@@ -146,11 +147,14 @@ def verify_matching(
     ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Points where
     the threshold condition fails are recorded as not covered and excluded
     from the pass/fail verdict. Failures are data in the report, never
-    exceptions.
+    exceptions; a tol that is not a finite number >= 0 (which would pass
+    or fail every point vacuously) raises OutOfRangeError.
     """
     validate_problem(source, channel)
     if grid_size < 1:
         raise OutOfRangeError("grid_size must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise OutOfRangeError("tol must be a finite number >= 0")
     lo = d_min(source, channel, 1)
     hi = d1_min_at_d2min(source, channel)
     points: list[MatchPoint] = []

@@ -88,6 +88,14 @@ def oracle_inputs() -> list[tuple[float, float, float, float]]:
     ]
 
 
+def collect_oracle() -> list[list[float]]:
+    """``[sigma2, rho, delta1, delta2, bits]`` rows of the oracle grid."""
+    return [
+        [sigma2, rho, d1, d2, r_joint_numeric(SourceParams(sigma2, rho), d1, d2)]
+        for sigma2, rho, d1, d2 in oracle_inputs()
+    ]
+
+
 def bound_inputs() -> list[list[str]]:
     """``bound`` argv at covered d1 values spread over each config's range."""
     runs = []
@@ -114,10 +122,7 @@ def _records(config):
 def collect() -> dict:
     """Every golden section, computed from the current code."""
     return {
-        "r_joint_numeric": [
-            [sigma2, rho, d1, d2, r_joint_numeric(SourceParams(sigma2, rho), d1, d2)]
-            for sigma2, rho, d1, d2 in oracle_inputs()
-        ],
+        "r_joint_numeric": collect_oracle(),
         "report": [run_cli(["report", *problem_flags(c)]) for c in CONFIGS],
         "simulate_alpha": [run_cli(["simulate", *argv]) for argv in SIMULATE_ALPHA],
         "simulate_d1_target": [run_cli(["simulate", *argv]) for argv in SIMULATE_D1_TARGET],

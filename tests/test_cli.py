@@ -169,6 +169,13 @@ class TestVerify:
         assert code == 1
         assert "verify=FAIL" in text
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_vacuous_tolerance_is_an_argument_error(self, tol, capsys):
+        code, text = run_cli(["verify", "--grid", "5", "--tol", tol])
+        assert code == 2
+        assert text == ""
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(

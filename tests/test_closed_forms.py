@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from gaussian_bc import (
@@ -28,11 +29,23 @@ from gaussian_bc import (
     uncoded_distortions,
 )
 
-from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, random_valid_configs
 
 
 def rel_err(value, expected):
     return abs(value - expected) / abs(expected)
+
+
+def d1u_exact(source, channel, alpha):
+    """D1u(alpha, 1 - alpha) evaluated in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s2, rho = mpmath.mpf(source.sigma2), mpmath.mpf(source.rho)
+        p, n = mpmath.mpf(channel.power), mpmath.mpf(channel.n1)
+        a = mpmath.mpf(alpha)
+        b = 1 - a
+        q = a * a + 2 * a * b * rho + b * b
+        num = p * p * b * b * (1 - rho * rho) + p * n * (q + b * b * (1 - rho * rho)) + n * n * q
+        return s2 * num / ((p + n) ** 2 * q)
 
 
 class TestSingleUserFloors:
@@ -177,6 +190,41 @@ class TestAlphaSolver:
                 alpha = solve_alpha_for_d1(source, channel, target)
                 got = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha)).d1
                 assert abs(got - target) <= 1e-12 * source.sigma2
+
+    def test_matches_the_bisection_reference(self):
+        for source, channel in random_valid_configs(40, seed=29):
+            lo = d_min(source, channel, 1)
+            hi = d1_min_at_d2min(source, channel)
+            for frac in (0.1, 0.45, 0.9):
+                target = lo + (hi - lo) * frac
+                closed = solve_alpha_for_d1(source, channel, target)
+                reference = bisect_alpha_for_d1(source, channel, target)
+                assert abs(closed - reference) <= 1e-12
+                for alpha in (closed, reference):
+                    coeffs = UncodedCoeffs(alpha, 1.0 - alpha)
+                    got = uncoded_distortions(source, channel, coeffs).d1
+                    assert abs(got - target) <= 1e-12 * source.sigma2
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ChannelParams(1e-200, 1.0, 2.0),  # the range collapses to one float
+            ChannelParams(1e200, 1.0, 2.0),  # the distortion forms overflow
+            ChannelParams(1.0, 1e-200, 2e-200),
+        ],
+    )
+    def test_extreme_snr_meets_the_residual_contract(self, channel):
+        for source in (DESK_SOURCE, SourceParams(3.0, 0.9), SourceParams(0.2, 0.0)):
+            lo = d_min(source, channel, 1)
+            hi = d1_min_at_d2min(source, channel)
+            alphas = []
+            for frac in (0.1, 0.45, 0.9):
+                target = lo + (hi - lo) * frac
+                alpha = solve_alpha_for_d1(source, channel, target)
+                assert 0.0 <= alpha <= 1.0
+                assert abs(d1u_exact(source, channel, alpha) - target) <= 1e-12 * source.sigma2
+                alphas.append(alpha)
+            assert alphas == sorted(alphas, reverse=True)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):

@@ -1,5 +1,7 @@
 """Boundary trace, converse curve, and the matching verifier."""
 
+import math
+
 import pytest
 
 from gaussian_bc import (
@@ -122,3 +124,12 @@ class TestVerifyMatching:
     def test_zero_grid_rejected(self):
         with pytest.raises(OutOfRangeError):
             verify_matching(DESK_SOURCE, DESK_CHANNEL, 0, 1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
+            verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 0.0)
+        assert report.tol == 0.0
