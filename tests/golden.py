@@ -100,7 +100,8 @@ def bound_inputs() -> list[list[str]]:
     """``bound`` argv at covered d1 values spread over each config's range."""
     runs = []
     for config in CONFIGS:
-        source, channel = _records(config)
+        sigma2, rho, power, n1, n2 = config
+        source, channel = SourceParams(sigma2, rho), ChannelParams(power, n1, n2)
         lo, hi = d_min(source, channel, 1), d1_min_at_d2min(source, channel)
         for frac in BOUND_FRACTIONS:
             d1 = lo + (hi - lo) * frac
@@ -112,11 +113,6 @@ def bound_inputs() -> list[list[str]]:
 def source_pairs_digest(samples: int, seed: int, sign_flip: bool) -> str:
     s1, s2 = sample_source_pairs(DESK_SOURCE, samples, seed, sign_flip=sign_flip)
     return hashlib.sha256(s1.tobytes() + s2.tobytes()).hexdigest()
-
-
-def _records(config):
-    sigma2, rho, power, n1, n2 = config
-    return SourceParams(sigma2, rho), ChannelParams(power, n1, n2)
 
 
 def collect() -> dict:

@@ -210,7 +210,7 @@ class TestAlphaSolver:
         [
             ChannelParams(1e-200, 1.0, 2.0),  # the range collapses to one float
             ChannelParams(1e200, 1.0, 2.0),  # the distortion forms overflow
-            ChannelParams(1.0, 1e-200, 2e-200),
+            ChannelParams(1.0, 1e-200, 2e-200),  # P/n1 = 1e200 through the noise
         ],
     )
     def test_extreme_snr_meets_the_residual_contract(self, channel):
@@ -225,6 +225,18 @@ class TestAlphaSolver:
                 assert abs(d1u_exact(source, channel, alpha) - target) <= 1e-12 * source.sigma2
                 alphas.append(alpha)
             assert alphas == sorted(alphas, reverse=True)
+
+    def test_target_rounding_below_the_alpha1_end(self):
+        # A range a few ulp wide, where a target one ulp above d_min(1)
+        # still rounds to d1/sigma2 <= n1/(power + n1) in the root formula.
+        source = SourceParams(0.39755329851374355, 0.4109370659949185)
+        channel = ChannelParams(6.033560114354388e-15, 9.343988241364562, 18.687976482729123)
+        target = math.nextafter(d_min(source, channel, 1), math.inf)
+        assert target < d1_min_at_d2min(source, channel)
+        alpha = solve_alpha_for_d1(source, channel, target)
+        assert alpha == 1.0
+        got = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 0.0)).d1
+        assert abs(got - target) <= 1e-12 * source.sigma2
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
