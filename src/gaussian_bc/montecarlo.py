@@ -11,18 +11,25 @@ Reproducibility contract
 The sample range is partitioned into fixed blocks of 65536 symbols.
 Block ``i`` uses ``numpy.random.Generator(PCG64(SeedSequence((seed, i))))``
 (128-bit state) and draws, in this order and nothing else:
-``s1``, ``u``, ``z1``, ``z2``, each via ``standard_normal``. Per-block
-sums are reduced in block order with exact (fsum) accumulation, so the
-result is a pure function of ``(params, coeffs, samples, seed)`` --
-bit-identical across runs and independent of any internal scheduling,
-and stable for n up to 1e8 without summation drift.
+``s1``, ``u``, ``z1``, ``z2``, each via ``standard_normal``. Each per-block
+sum is exact and rounded once: the values are split into exponent bins of
+integer mantissa chunks, every bin is summed exactly, and the bins are
+folded into one integer (the binned summation of Demmel & Nguyen,
+"Parallel Reproducible Summation", IEEE TC 2015). A correctly rounded sum
+is unique, so this is the float ``math.fsum`` returns. The block sums are
+then reduced in block order with ``math.fsum``, so the result is a pure
+function of ``(params, coeffs, samples, seed)`` -- bit-identical across
+runs and independent of any internal scheduling, and stable for n up to
+1e8 without summation drift.
 
 The correlated pair is generated as ``s2 = rho*s1 + sqrt(1-rho**2)*u``
 with ``s1, u`` independent N(0, sigma2). A ``sign_flip`` run simulates
 the negative-correlation problem tied to the same seed: the first-stream
 realization is negated, the encoder consumes its negation (recovering
-the original stream), and the receiver-1 estimate is negated -- an exact
-symmetry, so flipped and unflipped runs report identical distortions.
+the original stream), and the receiver-1 estimate is negated. Negation
+is exact, so the encoder input is unchanged and the receiver-1 error only
+changes sign, which squaring removes: flipped and unflipped runs report
+identical distortions, and the kernel applies none of the negations.
 """
 
 from __future__ import annotations
@@ -154,9 +161,72 @@ def _source_blocks(source: SourceParams, samples: int, seed: int):
     for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
         count = min(BLOCK_SIZE, samples - start)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-        s1 = s_dev * rng.standard_normal(count)
-        u = s_dev * rng.standard_normal(count)
-        yield rng, s1, source.rho * s1 + mix * u
+        s1 = rng.standard_normal(count)
+        s1 *= s_dev
+        u = rng.standard_normal(count)
+        u *= s_dev
+        u *= mix
+        s2 = source.rho * s1
+        s2 += u
+        yield rng, s1, s2
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 array: the float ``math.fsum`` returns.
+
+    Precondition: ``values.size <= BLOCK_SIZE``. ``frexp`` splits each
+    value into a binary exponent and a 53-bit integer mantissa, held as
+    two chunks below 2**27 and 2**26; one ``bincount`` per chunk sums them
+    per exponent. Each bin sum is an integer below 2**53 for up to 2**26
+    values, hence exact in float64. The bins are folded into one Python
+    int and rounded once by int true division, which CPython rounds
+    correctly, subnormals included. An exact sum too large for a float
+    raises OverflowError, as ``math.fsum`` does.
+    """
+    if values.size == 0:
+        return 0.0
+    mant, exp = np.frexp(values)
+    e_min = int(exp.min())
+    exp -= e_min
+    mant *= 2.0**27
+    hi_chunks = np.trunc(mant)
+    hi_bins = np.bincount(exp, weights=hi_chunks)
+    if not np.isfinite(hi_bins).all():  # an inf or a nan: no chunks to split
+        return _special_sum(values)
+    mant -= hi_chunks
+    mant *= 2.0**26
+    lo_bins = np.bincount(exp, weights=mant)
+    total = 0
+    for k, (hi, lo) in enumerate(zip(hi_bins.tolist(), lo_bins.tolist())):
+        if hi or lo:
+            total += ((int(hi) << 26) + int(lo)) << k
+    shift = e_min - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
+def _special_sum(values: np.ndarray) -> float:
+    """What ``math.fsum`` returns for an array holding an inf or a nan."""
+    specials = values[~np.isfinite(values)]
+    infs = specials[np.isinf(specials)]
+    if infs.size and infs.min() != infs.max():
+        raise ValueError("-inf + inf in exact sum")
+    return float(specials.sum())
+
+
+def _squared_error_sums(s: np.ndarray, z: np.ndarray, x: np.ndarray, c: float, unit: float):
+    """Exact sums of ``e`` and ``e**2`` for ``e = (unit*(s - c*(x + z)))**2``.
+
+    Works in place in ``z``, in the operand order of the unfused
+    expression, so every product and sum is bit-identical to it.
+    """
+    z += x
+    z *= c
+    np.subtract(s, z, out=z)
+    z *= unit
+    z *= z
+    total = _exact_sum(z)
+    z *= z
+    return total, _exact_sum(z)
 
 
 def simulate(
@@ -170,9 +240,11 @@ def simulate(
     """Run the uncoded scheme for config.samples symbols.
 
     ``sign_flip`` simulates the negative-correlation problem as described
-    in the module docstring. ``decode_gains`` overrides the MMSE gains
-    (c1, c2) -- useful for verifying that the MMSE choice is a strict
-    minimum of the empirical distortion.
+    in the module docstring; its negations are exact and cancel, so it
+    cannot change the report, and the kernel does not apply them.
+    ``decode_gains`` overrides the MMSE gains (c1, c2) -- useful for
+    verifying that the MMSE choice is a strict minimum of the empirical
+    distortion.
     """
     _validate_run(source, channel, config)
     m = mmse_coefficients(source, channel, config.coeffs)
@@ -180,7 +252,12 @@ def simulate(
     a, b = config.coeffs.alpha, config.coeffs.beta
     z1_dev = math.sqrt(channel.n1)
     z2_dev = math.sqrt(channel.n2)
-    flip = -1.0 if sign_flip else 1.0
+    # Squared errors scale like sigma2 and their squares like sigma2**2,
+    # which overflow or underflow at extreme valid sigma2. The errors are
+    # scaled by a power of two near 1/sqrt(sigma2) and the results scaled
+    # back; powers of two commute with rounding, so no bit changes.
+    half = math.frexp(source.sigma2)[1] // 2
+    unit = math.ldexp(1.0, -half)
 
     e1_sums: list[float] = []
     e1_sq_sums: list[float] = []
@@ -189,32 +266,34 @@ def simulate(
     power_sums: list[float] = []
 
     n = config.samples
-    for rng, s1, s2_arr in _source_blocks(source, n, config.seed):
-        count = s1.size
-        z1 = z1_dev * rng.standard_normal(count)
-        z2 = z2_dev * rng.standard_normal(count)
+    for rng, s1, s2 in _source_blocks(source, n, config.seed):
+        z1 = rng.standard_normal(s1.size)
+        z1 *= z1_dev
+        z2 = rng.standard_normal(s1.size)
+        z2 *= z2_dev
 
-        s1_src = flip * s1
-        x = m.gamma * (a * (flip * s1_src) + b * s2_arr)
-        err1 = s1_src - flip * (c1 * (x + z1))
-        err2 = s2_arr - c2 * (x + z2)
+        x = a * s1
+        x += b * s2
+        x *= m.gamma
 
-        e1 = err1 * err1
-        e2 = err2 * err2
-        e1_sums.append(math.fsum(e1))
-        e1_sq_sums.append(math.fsum(e1 * e1))
-        e2_sums.append(math.fsum(e2))
-        e2_sq_sums.append(math.fsum(e2 * e2))
-        power_sums.append(math.fsum(x * x))
+        e1, e1_sq = _squared_error_sums(s1, z1, x, c1, unit)
+        e2, e2_sq = _squared_error_sums(s2, z2, x, c2, unit)
+        e1_sums.append(e1)
+        e1_sq_sums.append(e1_sq)
+        e2_sums.append(e2)
+        e2_sq_sums.append(e2_sq)
+        x *= x
+        power_sums.append(_exact_sum(x))
 
     sum_e1 = math.fsum(e1_sums)
     sum_e2 = math.fsum(e2_sums)
+    scale = 2 * half
     return SimulationReport(
-        empirical_d1=sum_e1 / n,
-        empirical_d2=sum_e2 / n,
+        empirical_d1=math.ldexp(sum_e1 / n, scale),
+        empirical_d2=math.ldexp(sum_e2 / n, scale),
         empirical_power=math.fsum(power_sums) / n,
-        ci_half_width_d1=_half_width(sum_e1, math.fsum(e1_sq_sums), n),
-        ci_half_width_d2=_half_width(sum_e2, math.fsum(e2_sq_sums), n),
+        ci_half_width_d1=math.ldexp(_half_width(sum_e1, math.fsum(e1_sq_sums), n), scale),
+        ci_half_width_d2=math.ldexp(_half_width(sum_e2, math.fsum(e2_sq_sums), n), scale),
         samples=n,
         seed=config.seed,
     )

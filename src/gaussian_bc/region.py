@@ -148,7 +148,9 @@ def verify_matching(
     the threshold condition fails are recorded as not covered and excluded
     from the pass/fail verdict. Failures are data in the report, never
     exceptions; a tol that is not a finite number >= 0 (which would pass
-    or fail every point vacuously) raises OutOfRangeError.
+    or fail every point vacuously) raises OutOfRangeError, and so does a
+    d1 range too narrow to hold the grid strictly inside it in floating
+    point (its width is sigma2*power*(1 - rho**2)/(power + n1)).
     """
     validate_problem(source, channel)
     if grid_size < 1:
@@ -157,11 +159,16 @@ def verify_matching(
         raise OutOfRangeError("tol must be a finite number >= 0")
     lo = d_min(source, channel, 1)
     hi = d1_min_at_d2min(source, channel)
+    grid = [lo + (hi - lo) * (i + 1) / (grid_size + 1) for i in range(grid_size)]
+    if not lo < grid[0] <= grid[-1] < hi:
+        raise OutOfRangeError(
+            f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
+            f"holds no {grid_size}-point grid in floating point"
+        )
     points: list[MatchPoint] = []
     max_residual: float | None = None
     passed = True
-    for i in range(grid_size):
-        d1 = lo + (hi - lo) * (i + 1) / (grid_size + 1)
+    for d1 in grid:
         if not is_uncoded_optimal(source, channel, d1):
             points.append(MatchPoint(d1, False, None, None, None, None))
             continue

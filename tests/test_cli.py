@@ -177,6 +177,17 @@ class TestVerify:
         assert "--tol" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [["--power", "1e-200"], ["--rho", "0.9999999999999999"]])
+    def test_collapsed_d1_range_names_power(self, flags, capsys):
+        # verify has no --d1 flag, so the error must not name one
+        code, text = run_cli(["verify", *flags])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --power ")
+        assert "--d1" not in err
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv, flag",

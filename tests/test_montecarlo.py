@@ -1,9 +1,12 @@
 """Monte-Carlo simulator: gains, agreement, determinism, symmetry, statistics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussian_bc import (
     ParameterError,
@@ -19,6 +22,7 @@ from gaussian_bc import (
     simulate,
     uncoded_distortions,
 )
+from gaussian_bc.montecarlo import BLOCK_SIZE, _exact_sum
 
 from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
 
@@ -97,6 +101,119 @@ class TestSimulate:
         just_under = simulate(DESK_SOURCE, DESK_CHANNEL, SimulationConfig(65_535, 9, MIDPOINT))
         just_over = simulate(DESK_SOURCE, DESK_CHANNEL, SimulationConfig(65_537, 9, MIDPOINT))
         assert just_under.empirical_d1 == pytest.approx(just_over.empirical_d1, rel=0.05)
+
+
+    def test_half_widths_are_finite_and_scale_covariant_at_extreme_sigma2(self):
+        # fourth powers of the errors overflow at sigma2 = 1e300 and underflow
+        # at 1e-300 unless the kernel rescales them
+        config = SimulationConfig(samples=5_000, seed=21, coeffs=UncodedCoeffs(0.3, 0.7))
+        base = simulate(DESK_SOURCE, DESK_CHANNEL, config)
+        fields = ("empirical_d1", "empirical_d2", "ci_half_width_d1", "ci_half_width_d2")
+        for sigma2 in (1e300, 1e-300, 2.0**996, 2.0**-996):
+            report = simulate(SourceParams(sigma2, DESK_SOURCE.rho), DESK_CHANNEL, config)
+            assert report.empirical_power == base.empirical_power
+            for field in fields:
+                value = getattr(report, field)
+                assert math.isfinite(value) and value > 0.0
+                assert value / sigma2 == pytest.approx(getattr(base, field), rel=1e-12)
+                if math.frexp(sigma2)[0] == 0.5:  # a power of two scales every step exactly
+                    assert value == getattr(base, field) * sigma2
+
+
+def reference_sum(values: np.ndarray) -> float:
+    """math.fsum, or the rounded exact sum where fsum overflows in between."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values.tolist()), Fraction(0)))
+
+
+def assert_reduces_like_the_reference(values: np.ndarray) -> None:
+    try:
+        want = reference_sum(values)
+    except OverflowError:  # the exact sum itself is too large for a float
+        with pytest.raises(OverflowError):
+            _exact_sum(values)
+        return
+    assert _exact_sum(values).hex() == want.hex()  # bit-equal, sign of zero included
+
+
+@st.composite
+def log_uniform_blocks(draw) -> np.ndarray:
+    """Finite blocks of up to BLOCK_SIZE values, magnitudes log-uniform on [5e-324, 1e300]."""
+    size = draw(st.one_of(st.sampled_from([0, 1, BLOCK_SIZE]), st.integers(0, BLOCK_SIZE)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 2**-1074 = 5e-324 and 2**996 ~ 6.7e299; ldexp rounds into the subnormals
+    values = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 997, size))
+    values *= rng.choice([-1.0, 1.0], size)
+    for special in (0.0, -0.0):
+        values[rng.random(size) < 0.01] = special
+    subnormal = rng.random(size) < 0.01
+    values[subnormal] = rng.integers(1, 2**52, subnormal.sum()) * 5e-324
+    if draw(st.booleans()):  # near-total cancellation
+        half = size // 2
+        values[half : 2 * half] = -values[:half]
+    return values
+
+
+class TestExactSum:
+    @settings(max_examples=60, deadline=None)
+    @given(values=log_uniform_blocks())
+    def test_bit_equal_to_fsum_on_log_uniform_blocks(self, values):
+        assert_reduces_like_the_reference(values)
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_bit_equal_to_fsum_on_any_finite_floats(self, values):
+        # covers +-0.0, subnormals, float max and intermediate overflow of fsum
+        assert_reduces_like_the_reference(np.array(values, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [5e-324, -5e-324], [2.0**-1074] * 3],
+    )
+    def test_signed_zeros_and_tiny_values(self, values):
+        assert_reduces_like_the_reference(np.array(values))
+
+    def test_intermediate_overflow_returns_the_exact_sum(self):
+        big = np.finfo(np.float64).max
+        assert _exact_sum(np.array([big, big, -big])) == big
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array([big, big]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.inf],
+            [-math.inf, 1.0],
+            [math.inf, math.inf, 2.0],
+            [math.nan],
+            [1.0, math.nan, math.inf],
+            [math.inf, -math.inf],
+            [math.nan, math.inf, -1e300, -math.inf],
+        ],
+    )
+    def test_inf_and_nan_reduce_like_fsum(self, values):
+        array = np.array(values)
+        try:
+            want = math.fsum(values)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _exact_sum(array)
+            return
+        got = _exact_sum(array)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        finite=st.lists(st.floats(-1e300, 1e300), max_size=20),
+        specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3),
+        data=st.randoms(use_true_random=False),
+    )
+    def test_inf_and_nan_anywhere_reduce_like_fsum(self, finite, specials, data):
+        values = finite + specials
+        data.shuffle(values)
+        self.test_inf_and_nan_reduce_like_fsum(values)
 
 
 class TestSampleStatistics:

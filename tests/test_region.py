@@ -130,6 +130,23 @@ class TestVerifyMatching:
         with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
             verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, tol)
 
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            (DESK_SOURCE, ChannelParams(1e-200, 1.0, 2.0)),  # the range is (1.0, 1.0)
+            (DESK_SOURCE, ChannelParams(2e-16, 1.0, 2.0)),  # one ulp wide: no interior grid
+            (SourceParams(1.0, 0.9999999999999999), DESK_CHANNEL),  # 1 - rho**2 near eps
+        ],
+    )
+    def test_collapsed_d1_range_is_an_argument_error(self, source, channel):
+        with pytest.raises(OutOfRangeError, match=r"^power too small"):
+            verify_matching(source, channel, 50, 1e-9)
+
+    def test_narrow_d1_range_that_holds_the_grid_still_runs(self):
+        report = verify_matching(DESK_SOURCE, ChannelParams(1e-14, 1.0, 2.0), 50, 1e-9)
+        assert report.covered_count == 50
+        assert report.passed
+
     def test_zero_tolerance_is_accepted(self):
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 0.0)
         assert report.tol == 0.0
