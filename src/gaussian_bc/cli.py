@@ -6,8 +6,8 @@ long-form ``--name value``; no environment variables are consulted.
 
 Defaults, when parameter flags are omitted: sigma2=1, rho=0.5, power=1,
 n1=1, n2=2. A negative --rho is accepted and normalized to its absolute
-value with an informational notice on stderr; simulation runs then apply
-the exact sign-flip symmetry, so results are unchanged.
+value with an informational notice on stderr; by the exact sign-flip
+symmetry every result, simulations included, equals that of |rho|.
 
 The trace CSV contract is stable: columns
 ``alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag`` in that
@@ -78,7 +78,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n2", type=float, default=2.0, help="receiver-2 noise variance, > n1 (default 2)")
 
 
-def _resolve_problem(args) -> tuple[SourceParams, ChannelParams, bool]:
+def _resolve_problem(args) -> tuple[SourceParams, ChannelParams]:
     source, sign_flip = negate_rho_transform(SourceParams(args.sigma2, args.rho))
     if sign_flip:
         print(
@@ -88,11 +88,11 @@ def _resolve_problem(args) -> tuple[SourceParams, ChannelParams, bool]:
         )
     channel = ChannelParams(args.power, args.n1, args.n2)
     validate_problem(source, channel)
-    return source, channel, sign_flip
+    return source, channel
 
 
 def _cmd_report(args, out) -> int:
-    source, channel, _ = _resolve_problem(args)
+    source, channel = _resolve_problem(args)
     p, n1, n2 = channel.power, channel.n1, channel.n2
     floor = closed_forms.simple_snr_threshold(source)
     rows = [
@@ -135,7 +135,7 @@ def _trace_row(point: region.BoundaryPoint) -> list[str]:
 
 
 def _cmd_trace(args, out) -> int:
-    source, channel, _ = _resolve_problem(args)
+    source, channel = _resolve_problem(args)
     points = region.trace_uncoded_boundary(source, channel, args.points)
     sink = open(args.output, "w", encoding="utf-8", newline="") if args.output else out
     try:
@@ -150,7 +150,7 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_bound(args, out) -> int:
-    source, channel, _ = _resolve_problem(args)
+    source, channel = _resolve_problem(args)
     d2_floor = closed_forms.d2_min_at_rx1(source, channel, args.d1)
     witness = closed_forms.optimal_witness(source, channel, args.d1)
     eta = closed_forms.combiner_mse_bound(source, channel, args.d1, witness)
@@ -168,7 +168,7 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    source, channel, sign_flip = _resolve_problem(args)
+    source, channel = _resolve_problem(args)
     if args.d1_target is not None:
         alpha = closed_forms.solve_alpha_for_d1(source, channel, args.d1_target)
     else:
@@ -177,7 +177,7 @@ def _cmd_simulate(args, out) -> int:
             raise GaussianBcError("alpha must be in [0, 1]")
     coeffs = UncodedCoeffs(alpha, 1.0 - alpha)
     config = montecarlo.SimulationConfig(samples=args.samples, seed=args.seed, coeffs=coeffs)
-    report = montecarlo.simulate(source, channel, config, sign_flip=sign_flip)
+    report = montecarlo.simulate(source, channel, config)
     analytic = montecarlo.analytic_distortions(source, channel, coeffs)
     fields = [
         ("alpha", _fmt17(alpha)),
@@ -203,17 +203,15 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    source, channel, _ = _resolve_problem(args)
+    source, channel = _resolve_problem(args)
     match = region.verify_matching(source, channel, args.grid, args.tol)
 
-    lo = closed_forms.d_min(source, channel, 1)
-    hi = closed_forms.d1_min_at_d2min(source, channel)
+    lo, hi = closed_forms._d1_range(source, channel)
     capacity = rate_distortion.channel_capacity(channel.power, channel.n1)
     oracle_max = 0.0
     oracle_points = 0
-    for i in range(_ORACLE_GRID):
-        d1 = lo + (hi - lo) * (i + 1) / (_ORACLE_GRID + 1)
-        if not closed_forms.is_uncoded_optimal(source, channel, d1):
+    for d1 in region._d1_grid(lo, hi, _ORACLE_GRID):
+        if not closed_forms._is_uncoded_optimal(source, channel, d1):
             continue
         d2_floor = closed_forms.d2_min_at_rx1(source, channel, d1)
         err = abs(rate_distortion.r_joint_numeric(source, d1, d2_floor) - capacity)

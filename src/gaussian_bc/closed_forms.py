@@ -29,9 +29,22 @@ decoded by scalar MMSE at each receiver. This module evaluates:
   witness pair that maximizes the bound and makes it meet the
   achievable curve.
 
-All functions are pure. ``d2_min_at_rx1`` is memoized because the
-witness sweeps evaluate it at repeated arguments; the alpha solve behind
-it is a closed-form quadratic root.
+All functions are pure.
+
+Validation policy: a public function validates its problem once, then
+computes through ``_``-prefixed kernels (``_d1u_form``, ``_d2u_form``,
+``_d1_range``, ``_snr_threshold``, ``_is_uncoded_optimal``,
+``_solve_alpha``). A kernel assumes a validated problem and calls no
+public function, so ``region`` and ``cli`` call the kernels directly once
+they have validated a problem themselves. Every kernel keeps the
+operation order of the public function it serves, so both routes give
+the same bits.
+
+``d2_min_at_rx1`` is memoized: the witness sweeps query the converse
+thousands of times at one d1, and the cache keeps both the alpha solve
+and the validation off that path (a key is validated on its first miss
+only). ``combiner_mse_bound``, ``d2_converse_bound`` and
+``optimal_witness`` validate through it.
 """
 
 from __future__ import annotations
@@ -138,6 +151,12 @@ def _d2u_form(
     return sigma2 * num / ((power + noise) * (power + noise) * q)
 
 
+def _d1_range(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:
+    """``(d_min(1), d1_min_at_d2min)``: the ends of the d1 curve, at alpha = 1 and 0."""
+    s2, p, n1 = source.sigma2, channel.power, channel.n1
+    return s2 * n1 / (n1 + p), s2 * (n1 + p * (1.0 - source.rho * source.rho)) / (n1 + p)
+
+
 def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
     """Single-user distortion floor ``sigma2 * n_i / (n_i + power)``."""
     validate_problem(source, channel)
@@ -157,8 +176,7 @@ def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
     attained by sending the second component alone (alpha=0, beta=1).
     """
     validate_problem(source, channel)
-    s2, p, n1 = source.sigma2, channel.power, channel.n1
-    return s2 * (n1 + p * (1.0 - source.rho * source.rho)) / (n1 + p)
+    return _d1_range(source, channel)[1]
 
 
 def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
@@ -201,6 +219,10 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
     comparisons against P/n1 stay branch-free.
     """
     validate_source(source)
+    return _snr_threshold(source, d1)
+
+
+def _snr_threshold(source: SourceParams, d1: float) -> float:
     s2 = source.sigma2
     if d1 > s2 and d1 <= s2 * (1.0 + 1e-12):
         d1 = s2  # rounding excess from the scheme's own corner evaluations
@@ -227,7 +249,11 @@ def simple_snr_threshold(source: SourceParams) -> float:
 def is_uncoded_optimal(source: SourceParams, channel: ChannelParams, d1: float) -> bool:
     """True iff ``power/n1 <= snr_threshold(source, d1)``."""
     validate_problem(source, channel)
-    return channel.power / channel.n1 <= snr_threshold(source, d1)
+    return _is_uncoded_optimal(source, channel, d1)
+
+
+def _is_uncoded_optimal(source: SourceParams, channel: ChannelParams, d1: float) -> bool:
+    return channel.power / channel.n1 <= _snr_threshold(source, d1)
 
 
 def solve_alpha_for_d1(
@@ -248,8 +274,11 @@ def solve_alpha_for_d1(
     d1 residual stays within 1e-12 * sigma2.
     """
     validate_problem(source, channel)
-    lo_d = d_min(source, channel, 1)
-    hi_d = d1_min_at_d2min(source, channel)
+    return _solve_alpha(source, channel, d1_target)
+
+
+def _solve_alpha(source: SourceParams, channel: ChannelParams, d1_target: float) -> float:
+    lo_d, hi_d = _d1_range(source, channel)
     edge = _RESIDUAL_TOL * source.sigma2  # tolerate endpoint rounding
     if not (lo_d - edge <= d1_target <= hi_d + edge):
         raise OutOfRangeError(
@@ -294,17 +323,17 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     ``sigma2``.
     """
     validate_problem(source, channel)
-    hi_d = d1_min_at_d2min(source, channel)
+    hi_d = _d1_range(source, channel)[1]
     if not d1 < hi_d:
         raise DistortionRangeError(
             f"d1 must be < {hi_d!r} (the range condition), got {d1!r}"
         )
-    if not is_uncoded_optimal(source, channel, d1):
+    if not _is_uncoded_optimal(source, channel, d1):
         raise SnrThresholdError(
             "power/n1 exceeds the SNR threshold at this d1; the companion floor "
             "has no closed form there"
         )
-    alpha = solve_alpha_for_d1(source, channel, d1)
+    alpha = _solve_alpha(source, channel, d1)
     return _d2u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
 
 
@@ -383,7 +412,9 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     s2, rho = source.sigma2, source.rho
     if d1 >= s2:
         # reachable only through rounding at the rho = 0 corner; the
-        # witness formulas divide by sigma2 - d1
+        # witness formulas divide by sigma2 - d1. d2_min_at_rx1 validates
+        # the problem below, so an invalid one must be rejected here first.
+        validate_problem(source, channel)
         raise DistortionRangeError("d1 must be < sigma2 for the witness formulas")
     d2t = d2_min_at_rx1(source, channel, d1)
     rad = (s2 - d1) * (s2 - d2t)

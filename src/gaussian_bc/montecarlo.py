@@ -23,13 +23,14 @@ runs and independent of any internal scheduling, and stable for n up to
 1e8 without summation drift.
 
 The correlated pair is generated as ``s2 = rho*s1 + sqrt(1-rho**2)*u``
-with ``s1, u`` independent N(0, sigma2). A ``sign_flip`` run simulates
-the negative-correlation problem tied to the same seed: the first-stream
-realization is negated, the encoder consumes its negation (recovering
-the original stream), and the receiver-1 estimate is negated. Negation
-is exact, so the encoder input is unchanged and the receiver-1 error only
-changes sign, which squaring removes: flipped and unflipped runs report
-identical distortions, and the kernel applies none of the negations.
+with ``s1, u`` independent N(0, sigma2). A negative correlation needs no
+run of its own: the negative-correlation problem tied to the same seed
+negates the first-stream realization, the encoder consumes its negation
+(recovering the original stream), and the receiver-1 estimate is
+negated. Negation is exact, so the encoder input is unchanged and the
+receiver-1 error only changes sign, which squaring removes. A run of the
+canonical ``|rho|`` problem (see ``negate_rho_transform``) therefore
+reports exactly the distortions of the ``-|rho|`` one.
 """
 
 from __future__ import annotations
@@ -116,6 +117,12 @@ def mmse_coefficients(
     """Closed-form encoder gain and per-receiver MMSE decode gains."""
     validate_problem(source, channel)
     validate_coeffs(coeffs)
+    return _mmse_coefficients(source, channel, coeffs)
+
+
+def _mmse_coefficients(
+    source: SourceParams, channel: ChannelParams, coeffs: UncodedCoeffs
+) -> MmseCoefficients:
     a, b = coeffs.alpha, coeffs.beta
     s2, rho = source.sigma2, source.rho
     q = _checked_q(rho, a, b)
@@ -140,12 +147,11 @@ def analytic_distortions(
     return DistortionPair(d1, d2)
 
 
-def _validate_run(source, channel, config) -> None:
-    validate_problem(source, channel)
-    validate_coeffs(config.coeffs)
-    if not isinstance(config.samples, int) or config.samples < 1:
+def _check_draws(samples: int, seed: int) -> None:
+    """The sample count and seed checks shared by every seeded draw."""
+    if not isinstance(samples, int) or samples < 1:
         raise ParameterError("samples must be an integer >= 1")
-    if not isinstance(config.seed, int) or not (0 <= config.seed < 2**64):
+    if not isinstance(seed, int) or not (0 <= seed < 2**64):
         raise ParameterError("seed must be an integer in [0, 2**64)")
 
 
@@ -234,20 +240,18 @@ def simulate(
     channel: ChannelParams,
     config: SimulationConfig,
     *,
-    sign_flip: bool = False,
     decode_gains: tuple[float, float] | None = None,
 ) -> SimulationReport:
     """Run the uncoded scheme for config.samples symbols.
 
-    ``sign_flip`` simulates the negative-correlation problem as described
-    in the module docstring; its negations are exact and cancel, so it
-    cannot change the report, and the kernel does not apply them.
     ``decode_gains`` overrides the MMSE gains (c1, c2) -- useful for
     verifying that the MMSE choice is a strict minimum of the empirical
     distortion.
     """
-    _validate_run(source, channel, config)
-    m = mmse_coefficients(source, channel, config.coeffs)
+    validate_problem(source, channel)
+    validate_coeffs(config.coeffs)
+    _check_draws(config.samples, config.seed)
+    m = _mmse_coefficients(source, channel, config.coeffs)
     c1, c2 = decode_gains if decode_gains is not None else (m.c1, m.c2)
     a, b = config.coeffs.alpha, config.coeffs.beta
     z1_dev = math.sqrt(channel.n1)
@@ -314,10 +318,11 @@ def sample_source_pairs(
     Shares the per-block source draws of simulate() (the noise draws come
     after the source draws, so skipping them leaves the source stream
     untouched). Intended for sample-statistics checks at test scale.
+    ``sign_flip`` negates the first stream, as the negative-correlation
+    problem does.
     """
     validate_source(source)
-    if samples < 1:
-        raise ParameterError("samples must be an integer >= 1")
+    _check_draws(samples, seed)
     flip = -1.0 if sign_flip else 1.0
     _, s1_blocks, s2_blocks = zip(*_source_blocks(source, samples, seed))
     return flip * np.concatenate(s1_blocks), np.concatenate(s2_blocks)

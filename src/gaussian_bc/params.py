@@ -6,6 +6,16 @@ constructors, so that invalid draws can be represented and then rejected
 by the checker -- which is what the property tests and the CLI error
 paths need.
 
+Validation policy: a problem is validated once, at the boundary. Each
+public function of ``closed_forms``, ``region`` and ``rate_distortion``
+that takes a source or a channel, and the ``montecarlo`` simulator,
+checks it with the checkers here before computing with it, then works
+through ``_``-prefixed kernels that assume a valid problem and never
+re-validate it; the CLI validates in its problem resolver. The one
+memoized closed form, ``closed_forms.d2_min_at_rx1``, validates on a
+cache miss only, and the converse functions validate through it (see
+``closed_forms``).
+
 Two transforms make arbitrary inputs canonical without loss:
 
 * a negative correlation coefficient maps to its absolute value plus a

@@ -7,6 +7,10 @@ coordinate. Wherever the converse preconditions hold (d1 strictly below
 ``d1_min_at_d2min`` and SNR at or below the threshold) each traced point
 also carries the converse value at the optimal witness; the two curves
 coincide there, which :func:`verify_matching` checks on a grid.
+
+Each public function validates its problem once and then evaluates the
+points through the private kernels of :mod:`.closed_forms`; only the
+converse at a point goes through the public (memoized) closed forms.
 """
 
 from __future__ import annotations
@@ -16,16 +20,16 @@ from dataclasses import dataclass
 
 from .closed_forms import (
     BoundWitness,
-    d1_min_at_d2min,
+    _d1_range,
+    _d1u_form,
+    _d2u_form,
+    _is_uncoded_optimal,
+    _solve_alpha,
     d2_converse_bound,
-    d_min,
-    is_uncoded_optimal,
     optimal_witness,
-    solve_alpha_for_d1,
-    uncoded_distortions,
 )
 from .errors import OutOfRangeError
-from .params import ChannelParams, SourceParams, UncodedCoeffs, validate_problem
+from .params import ChannelParams, SourceParams, validate_problem
 
 __all__ = [
     "BoundaryPoint",
@@ -104,6 +108,11 @@ def converse_at(
     return d2_converse_bound(source, channel, d1, witness), witness
 
 
+def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
+    """``size`` uniform d1 values strictly inside (lo, hi) in exact arithmetic."""
+    return [lo + (hi - lo) * (i + 1) / (size + 1) for i in range(size)]
+
+
 def trace_uncoded_boundary(
     source: SourceParams, channel: ChannelParams, num_points: int
 ) -> list[BoundaryPoint]:
@@ -111,25 +120,31 @@ def trace_uncoded_boundary(
 
     Points are ordered by ascending alpha, hence strictly decreasing d1 and
     strictly increasing d2. Converse fields are populated only where the
-    converse preconditions hold.
+    converse preconditions hold. A power or n2 so large that
+    ``(power + n2)**2`` overflows raises OutOfRangeError: the distortion
+    forms square both, and would return nan.
     """
     validate_problem(source, channel)
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
+    s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
+    if not math.isfinite((p + n2) * (p + n2)):
+        name = "power" if p >= n2 else "n2"
+        raise OutOfRangeError(f"{name} too large: (power + n2)**2 overflows the distortion forms")
     points: list[BoundaryPoint] = []
     for i in range(num_points):
         alpha = i / (num_points - 1)
-        pair = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha))
-        flag = is_uncoded_optimal(source, channel, pair.d1)
+        d1 = _d1u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
+        flag = _is_uncoded_optimal(source, channel, d1)
         try:
-            psi_value, witness = converse_at(source, channel, pair.d1)
+            psi_value, witness = converse_at(source, channel, d1)
         except OutOfRangeError:
             psi_value, witness = None, None
         points.append(
             BoundaryPoint(
                 alpha=alpha,
-                d1=pair.d1,
-                d2_achievable=pair.d2,
+                d1=d1,
+                d2_achievable=_d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha),
                 d2_converse=psi_value,
                 witness=witness,
                 optimal_flag=flag,
@@ -157,9 +172,8 @@ def verify_matching(
         raise OutOfRangeError("grid_size must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
-    lo = d_min(source, channel, 1)
-    hi = d1_min_at_d2min(source, channel)
-    grid = [lo + (hi - lo) * (i + 1) / (grid_size + 1) for i in range(grid_size)]
+    lo, hi = _d1_range(source, channel)
+    grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:
         raise OutOfRangeError(
             f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
@@ -169,11 +183,11 @@ def verify_matching(
     max_residual: float | None = None
     passed = True
     for d1 in grid:
-        if not is_uncoded_optimal(source, channel, d1):
+        if not _is_uncoded_optimal(source, channel, d1):
             points.append(MatchPoint(d1, False, None, None, None, None))
             continue
-        alpha = solve_alpha_for_d1(source, channel, d1)
-        d2_ach = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha)).d2
+        alpha = _solve_alpha(source, channel, d1)
+        d2_ach = _d2u_form(source.sigma2, source.rho, channel.power, channel.n2, alpha, 1.0 - alpha)
         psi_value, witness = converse_at(source, channel, d1)
         residual = abs(d2_ach - psi_value)
         points.append(MatchPoint(d1, True, d2_ach, psi_value, residual, witness))

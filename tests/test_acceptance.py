@@ -150,10 +150,11 @@ def test_criterion_8_symmetry_transforms():
     """Negative-rho runs reproduce positive-rho ones; variance scaling is exact."""
     source, sign_flip = negate_rho_transform(SourceParams(1.0, -0.5))
     assert sign_flip and source == SourceParams(1.0, 0.5)
-    config = SimulationConfig(samples=50_000, seed=314, coeffs=UncodedCoeffs(0.5, 0.5))
-    flipped = simulate(source, DESK_CHANNEL, config, sign_flip=True)
-    direct = simulate(source, DESK_CHANNEL, config, sign_flip=False)
-    assert flipped == direct
+    argv = ["simulate", "--alpha", "0.5", "--samples", "50000", "--seed", "314"]
+    flipped, direct = io.StringIO(), io.StringIO()
+    assert cli_run([*argv, "--rho", "-0.5"], out=flipped) == 0
+    assert cli_run([*argv, "--rho", "0.5"], out=direct) == 0
+    assert flipped.getvalue().encode() == direct.getvalue().encode()
 
     pair = uncoded_distortions(DESK_SOURCE, DESK_CHANNEL, UncodedCoeffs(0.5, 0.5))
     scaled = scale_variance_transform(pair.d1, pair.d2, 1.0, 1.0, 4.0, 9.0)

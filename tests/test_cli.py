@@ -93,6 +93,16 @@ class TestTrace:
         code, _ = run_cli(["trace", "--points", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--power", "--n2"])
+    def test_overflowing_scale_names_its_flag(self, flag, capsys):
+        # (power + n2)**2 overflows, so every d1 would be nan; trace has no --d1 flag
+        code, text = run_cli(["trace", flag, "1e200"])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} too large")
+        assert "--d1" not in err
+
 
 class TestBound:
     def test_desk_hand_point(self):

@@ -1,5 +1,6 @@
 """Monte-Carlo simulator: gains, agreement, determinism, symmetry, statistics."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from gaussian_bc import (
     simulate,
     uncoded_distortions,
 )
+from gaussian_bc.cli import run as cli_run
 from gaussian_bc.montecarlo import BLOCK_SIZE, _exact_sum
 
 from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
@@ -82,19 +84,31 @@ class TestSimulate:
         assert large.ci_half_width_d1 < small.ci_half_width_d1 * 0.7
         assert large.ci_half_width_d2 < small.ci_half_width_d2 * 0.7
 
-    def test_sign_flip_is_an_exact_symmetry(self):
+    def test_sign_flip_is_an_exact_symmetry(self, capsys):
         source, flip = negate_rho_transform(SourceParams(1.0, -0.5))
-        assert flip
-        config = SimulationConfig(samples=30_000, seed=77, coeffs=MIDPOINT)
-        flipped = simulate(source, DESK_CHANNEL, config, sign_flip=True)
-        direct = simulate(source, DESK_CHANNEL, config, sign_flip=False)
-        assert flipped == direct
+        assert flip and source == SourceParams(1.0, 0.5)
+        argv = ["simulate", "--alpha", "0.5", "--samples", "30000", "--seed", "77"]
+        flipped, direct = io.StringIO(), io.StringIO()
+        assert cli_run([*argv, "--rho", "-0.5"], out=flipped) == 0
+        assert "sign-flipped" in capsys.readouterr().err
+        assert cli_run([*argv, "--rho", "0.5"], out=direct) == 0
+        assert capsys.readouterr().err == ""
+        assert flipped.getvalue().encode() == direct.getvalue().encode()
 
     def test_invalid_run_parameters(self):
         with pytest.raises(ParameterError):
             simulate(DESK_SOURCE, DESK_CHANNEL, SimulationConfig(0, 1, MIDPOINT))
         with pytest.raises(ParameterError):
             simulate(DESK_SOURCE, DESK_CHANNEL, SimulationConfig(10, -1, MIDPOINT))
+
+    @pytest.mark.parametrize("samples, seed", [(10, 2**64), (10, -1), (10.5, 1), (0, 1)])
+    def test_invalid_draw_parameters_raise_parameter_error_on_both_entry_points(self, samples, seed):
+        # sample_source_pairs used to accept seed 2**64 and let numpy raise
+        # its own ValueError/TypeError for seed -1 and samples 10.5
+        with pytest.raises(ParameterError):
+            sample_source_pairs(DESK_SOURCE, samples, seed)
+        with pytest.raises(ParameterError):
+            simulate(DESK_SOURCE, DESK_CHANNEL, SimulationConfig(samples, seed, MIDPOINT))
 
     def test_block_boundary_is_seam_free(self):
         # totals must not depend on whether n crosses the block size

@@ -1,18 +1,27 @@
-"""Parameter records, validation, and the two lossless transforms."""
+"""Parameter records, validation and its policy, and the two lossless transforms."""
 
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussian_bc import (
+    BoundWitness,
     ChannelParams,
     ParameterError,
     SourceParams,
+    UncodedCoeffs,
+    closed_forms,
     conditional_variance,
     negate_rho_transform,
+    params,
+    rate_distortion,
+    region,
     scale_variance_transform,
+    trace_uncoded_boundary,
     validate_problem,
 )
 
@@ -53,6 +62,103 @@ def test_negative_rho_rejected_without_transform():
 def test_invalid_parameters_rejected(source, channel):
     with pytest.raises(ParameterError):
         validate_problem(source, channel)
+
+
+# Valid values, on the desk problem, of every other argument a public
+# function taking a source or a channel has.
+_DESK_ARGS = {
+    "receiver": 1,
+    "coeffs": UncodedCoeffs(0.5, 0.5),
+    "d1": 0.625,
+    "d1_target": 0.625,
+    "delta": 0.625,
+    "witness": BoundWitness(0.8, 0.2),
+    "num_points": 11,
+    "grid_size": 5,
+    "tol": 1e-9,
+    "delta1": 0.5,
+    "delta2": 0.8,
+    "cond_d1": 0.5,
+}
+
+
+def _problem_functions():
+    """(name, function, parameter names) of each public problem function."""
+    for module in (closed_forms, region, rate_distortion):
+        for name in module.__all__:
+            func = getattr(module, name)
+            if not inspect.isfunction(getattr(func, "__wrapped__", func)):
+                continue
+            names = list(inspect.signature(func).parameters)
+            if "source" in names or "channel" in names:
+                yield f"{module.__name__.rsplit('.', 1)[1]}.{name}", func, names
+
+
+_PROBLEM_FUNCTIONS = list(_problem_functions())
+_INVALID = [
+    ("source", SourceParams(1.0, 1.0), "rho=1"),
+    ("source", SourceParams(-1.0, 0.5), "sigma2=-1"),
+    ("channel", ChannelParams(1.0, 2.0, 2.0), "n1=n2"),
+    ("channel", ChannelParams(math.nan, 1.0, 2.0), "power=nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, names, field, bad",
+    [
+        pytest.param(func, names, field, bad, id=f"{label}-{why}")
+        for label, func, names in _PROBLEM_FUNCTIONS
+        for field, bad, why in _INVALID
+        if field in names
+    ],
+)
+def test_every_public_problem_function_rejects_an_invalid_problem(func, names, field, bad):
+    # public functions validate once and compute through unvalidated kernels,
+    # so each must still reject an invalid problem on its own
+    args = {"source": DESK_SOURCE, "channel": DESK_CHANNEL, **_DESK_ARGS}
+    func(*(args[name] for name in names))  # the desk call itself is valid
+    args[field] = bad
+    with pytest.raises(ParameterError):
+        func(*(args[name] for name in names))
+
+
+def test_problem_function_list_covers_the_three_modules():
+    labels = {label for label, _, _ in _PROBLEM_FUNCTIONS}
+    assert {"closed_forms.d2_min_at_rx1", "region.verify_matching", "rate_distortion.r_joint_numeric"} <= labels
+    assert len(labels) == 19
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``params.<name>`` made through any package module."""
+    original = getattr(params, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gaussian_bc") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_trace_validates_once_per_call_plus_once_per_cache_miss(monkeypatch):
+    closed_forms.d2_min_at_rx1.cache_clear()
+    calls = _count_calls(monkeypatch, "validate_problem")
+    trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 1001)
+    assert 0 < len(calls) <= 1 + 1001
+
+
+def test_kernels_call_no_validating_function(monkeypatch):
+    calls = [_count_calls(monkeypatch, name) for name in ("validate_problem", "validate_source")]
+    lo, hi = closed_forms._d1_range(DESK_SOURCE, DESK_CHANNEL)
+    d1 = 0.5 * (lo + hi)
+    assert closed_forms._is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, d1)
+    alpha = closed_forms._solve_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
+    closed_forms._d1u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
+    closed_forms._d2u_form(1.0, 0.5, 1.0, 2.0, alpha, 1.0 - alpha)
+    assert calls == [[], []]
 
 
 @settings(max_examples=300, deadline=None)
