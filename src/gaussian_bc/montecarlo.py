@@ -13,14 +13,17 @@ Block ``i`` uses ``numpy.random.Generator(PCG64(SeedSequence((seed, i))))``
 (128-bit state) and draws, in this order and nothing else:
 ``s1``, ``u``, ``z1``, ``z2``, each via ``standard_normal``. Each per-block
 sum is exact and rounded once: the values are split into exponent bins of
-integer mantissa chunks, every bin is summed exactly, and the bins are
-folded into one integer (the binned summation of Demmel & Nguyen,
-"Parallel Reproducible Summation", IEEE TC 2015). A correctly rounded sum
-is unique, so this is the float ``math.fsum`` returns. The block sums are
-then reduced in block order with ``math.fsum``, so the result is a pure
-function of ``(params, coeffs, samples, seed)`` -- bit-identical across
-runs and independent of any internal scheduling, and stable for n up to
-1e8 without summation drift.
+integer mantissa chunks (one fixed bin per float64 exponent), every bin is
+summed exactly, and the bins are folded into one integer (the binned
+summation of Demmel & Nguyen, "Parallel Reproducible Summation", IEEE TC
+2015). A correctly rounded sum is unique, so this is the float
+``math.fsum`` returns. The blocks run on up to two threads, the caller's
+and one more, which take alternate blocks, so at most two blocks are in
+memory at once. A block's sums depend only on its index, and they are
+stored by index and reduced in block order with ``math.fsum``. So the
+result is a pure function of ``(params, coeffs, samples, seed)`` --
+bit-identical across runs and thread counts, independent of scheduling,
+and stable for n up to 1e8 without summation drift.
 
 The correlated pair is generated as ``s2 = rho*s1 + sqrt(1-rho**2)*u``
 with ``s1, u`` independent N(0, sigma2). A negative correlation needs no
@@ -36,6 +39,8 @@ reports exactly the distortions of the ``-|rho|`` one.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,26 +160,80 @@ def _check_draws(samples: int, seed: int) -> None:
         raise ParameterError("seed must be an integer in [0, 2**64)")
 
 
-def _source_blocks(source: SourceParams, samples: int, seed: int):
-    """Yield ``(rng, s1, s2)`` per block, with the source draws already taken.
+def _source_block(source: SourceParams, samples: int, seed: int, block: int):
+    """Block ``block``'s generator and source draws, as ``(rng, s1, s2)``.
 
-    Block ``i`` seeds its own generator and draws ``s1`` then ``u``; a
-    caller that needs noise draws them from ``rng`` next, which keeps the
-    draw order of the reproducibility contract.
+    The generator is seeded with ``SeedSequence((seed, block))`` and has
+    drawn ``s1`` then ``u``; a caller that needs noise draws it from
+    ``rng`` next, which keeps the draw order of the reproducibility
+    contract. ``s2`` is built in ``u``'s buffer: ``u + rho*s1`` is
+    ``rho*s1 + u`` bit for bit, as float addition commutes.
     """
+    start = block * BLOCK_SIZE
+    count = min(BLOCK_SIZE, samples - start)
     s_dev = math.sqrt(source.sigma2)
-    mix = math.sqrt(1.0 - source.rho * source.rho)
-    for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, samples - start)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-        s1 = rng.standard_normal(count)
-        s1 *= s_dev
-        u = rng.standard_normal(count)
-        u *= s_dev
-        u *= mix
-        s2 = source.rho * s1
-        s2 += u
-        yield rng, s1, s2
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+    s1 = rng.standard_normal(count)
+    s1 *= s_dev
+    s2 = rng.standard_normal(count)
+    s2 *= s_dev
+    s2 *= math.sqrt(1.0 - source.rho * source.rho)
+    s2 += source.rho * s1
+    return rng, s1, s2
+
+
+def _block_count(samples: int) -> int:
+    return (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads that share a run's blocks: at most two, one per core and one per block."""
+    return min(2, os.cpu_count() or 1, blocks)
+
+
+def _map_blocks(compute, blocks: int) -> list:
+    """``[compute(i) for i in range(blocks)]``, computed on ``_worker_count(blocks)`` threads.
+
+    The caller's thread is worker 0, and worker k computes blocks k,
+    k + workers, ..., so at most ``workers`` blocks are in flight. Results
+    are stored by block index. An exception stops each worker at its next
+    block above the failed one, and once every thread has joined, the
+    exception of the lowest failed block is raised in the caller: the
+    block the serial loop would have failed at.
+    """
+    workers = _worker_count(blocks)
+    results = [None] * blocks
+    errors: dict[int, BaseException] = {}
+    stop = blocks  # the lowest failed block; read without the lock, written under it
+    lock = threading.Lock()
+
+    def work(first: int) -> None:
+        nonlocal stop
+        for i in range(first, blocks, workers):
+            if i > stop:
+                return
+            try:
+                results[i] = compute(i)
+            except BaseException as exc:  # re-raised in the caller after the join
+                with lock:
+                    errors[i] = exc
+                    stop = min(stop, i)
+                return
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+_SLICE = 1 << 14  # values binned per bincount call: bounds the reducer's temporaries
+_EXP_BIAS = 1073  # frexp exponents run from -1073 (5e-324) to 1024 (float max)
+_BINS = _EXP_BIAS + 1025  # one bin per float64 exponent
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -182,31 +241,38 @@ def _exact_sum(values: np.ndarray) -> float:
 
     Precondition: ``values.size <= BLOCK_SIZE``. ``frexp`` splits each
     value into a binary exponent and a 53-bit integer mantissa, held as
-    two chunks below 2**27 and 2**26; one ``bincount`` per chunk sums them
-    per exponent. Each bin sum is an integer below 2**53 for up to 2**26
-    values, hence exact in float64. The bins are folded into one Python
-    int and rounded once by int true division, which CPython rounds
-    correctly, subnormals included. An exact sum too large for a float
-    raises OverflowError, as ``math.fsum`` does.
+    two chunks below 2**27 and 2**26. The values are taken in slices of
+    ``_SLICE``; one ``bincount`` per chunk sums a slice per exponent, over
+    fixed bins that cover every float64 exponent, and the bins accumulate
+    across slices. Each bin sum is an integer below 2**53 for up to 2**26
+    values, hence exact in float64. The bins are folded, from the lowest
+    nonzero one, into one Python int and rounded once by int true
+    division, which CPython rounds correctly, subnormals included. An
+    exact sum too large for a float raises OverflowError, as ``math.fsum``
+    does.
     """
-    if values.size == 0:
+    hi_bins = np.zeros(_BINS)
+    lo_bins = np.zeros(_BINS)
+    for start in range(0, values.size, _SLICE):
+        mant, exp = np.frexp(values[start : start + _SLICE])
+        exp += _EXP_BIAS
+        mant *= 2.0**27
+        hi_chunks = np.trunc(mant)
+        hi = np.bincount(exp, weights=hi_chunks, minlength=_BINS)
+        if not np.isfinite(hi).all():  # an inf or a nan: no chunks to split
+            return _special_sum(values)
+        hi_bins += hi
+        mant -= hi_chunks
+        mant *= 2.0**26
+        lo_bins += np.bincount(exp, weights=mant, minlength=_BINS)
+    used = np.flatnonzero(np.logical_or(hi_bins, lo_bins))
+    if used.size == 0:
         return 0.0
-    mant, exp = np.frexp(values)
-    e_min = int(exp.min())
-    exp -= e_min
-    mant *= 2.0**27
-    hi_chunks = np.trunc(mant)
-    hi_bins = np.bincount(exp, weights=hi_chunks)
-    if not np.isfinite(hi_bins).all():  # an inf or a nan: no chunks to split
-        return _special_sum(values)
-    mant -= hi_chunks
-    mant *= 2.0**26
-    lo_bins = np.bincount(exp, weights=mant)
+    low = int(used[0])
     total = 0
-    for k, (hi, lo) in enumerate(zip(hi_bins.tolist(), lo_bins.tolist())):
-        if hi or lo:
-            total += ((int(hi) << 26) + int(lo)) << k
-    shift = e_min - 53
+    for k, hi, lo in zip((used - low).tolist(), hi_bins[used].tolist(), lo_bins[used].tolist()):
+        total += ((int(hi) << 26) + int(lo)) << k
+    shift = low - _EXP_BIAS - 53
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
@@ -263,32 +329,25 @@ def simulate(
     half = math.frexp(source.sigma2)[1] // 2
     unit = math.ldexp(1.0, -half)
 
-    e1_sums: list[float] = []
-    e1_sq_sums: list[float] = []
-    e2_sums: list[float] = []
-    e2_sq_sums: list[float] = []
-    power_sums: list[float] = []
-
     n = config.samples
-    for rng, s1, s2 in _source_blocks(source, n, config.seed):
-        z1 = rng.standard_normal(s1.size)
-        z1 *= z1_dev
-        z2 = rng.standard_normal(s1.size)
-        z2 *= z2_dev
 
+    def block_sums(i: int) -> tuple[float, float, float, float, float]:
+        rng, s1, s2 = _source_block(source, n, config.seed, i)
         x = a * s1
         x += b * s2
         x *= m.gamma
-
-        e1, e1_sq = _squared_error_sums(s1, z1, x, c1, unit)
-        e2, e2_sq = _squared_error_sums(s2, z2, x, c2, unit)
-        e1_sums.append(e1)
-        e1_sq_sums.append(e1_sq)
-        e2_sums.append(e2)
-        e2_sq_sums.append(e2_sq)
+        z = rng.standard_normal(s1.size)
+        z *= z1_dev
+        e1, e1_sq = _squared_error_sums(s1, z, x, c1, unit)
+        rng.standard_normal(out=z)  # z2, drawn into z1's spent buffer
+        z *= z2_dev
+        e2, e2_sq = _squared_error_sums(s2, z, x, c2, unit)
         x *= x
-        power_sums.append(_exact_sum(x))
+        return e1, e1_sq, e2, e2_sq, _exact_sum(x)
 
+    e1_sums, e1_sq_sums, e2_sums, e2_sq_sums, power_sums = zip(
+        *_map_blocks(block_sums, _block_count(n))
+    )
     sum_e1 = math.fsum(e1_sums)
     sum_e2 = math.fsum(e2_sums)
     scale = 2 * half
@@ -324,7 +383,9 @@ def sample_source_pairs(
     validate_source(source)
     _check_draws(samples, seed)
     flip = -1.0 if sign_flip else 1.0
-    _, s1_blocks, s2_blocks = zip(*_source_blocks(source, samples, seed))
+    _, s1_blocks, s2_blocks = zip(
+        *(_source_block(source, samples, seed, i) for i in range(_block_count(samples)))
+    )
     return flip * np.concatenate(s1_blocks), np.concatenate(s2_blocks)
 
 

@@ -28,7 +28,7 @@ from .closed_forms import (
     d2_converse_bound,
     optimal_witness,
 )
-from .errors import OutOfRangeError
+from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
 
 __all__ = [
@@ -122,7 +122,11 @@ def trace_uncoded_boundary(
     strictly increasing d2. Converse fields are populated only where the
     converse preconditions hold. A power or n2 so large that
     ``(power + n2)**2`` overflows raises OutOfRangeError: the distortion
-    forms square both, and would return nan.
+    forms square both, and would return nan. So does a sigma2 so large
+    that a distortion form overflows to inf; both forms peak at the ends
+    of the curve, d1 at alpha = 0 and d2 at alpha = 1. A power so far
+    above n1 that the converse at the optimal witness is undefined
+    (its combiner bound rounds to <= 0) raises OutOfRangeError too.
     """
     validate_problem(source, channel)
     if num_points < 2:
@@ -131,6 +135,11 @@ def trace_uncoded_boundary(
     if not math.isfinite((p + n2) * (p + n2)):
         name = "power" if p >= n2 else "n2"
         raise OutOfRangeError(f"{name} too large: (power + n2)**2 overflows the distortion forms")
+    if not (
+        math.isfinite(_d1u_form(s2, rho, p, n1, 0.0, 1.0))
+        and math.isfinite(_d2u_form(s2, rho, p, n2, 1.0, 0.0))
+    ):
+        raise OutOfRangeError("sigma2 too large: sigma2 times a distortion numerator overflows")
     points: list[BoundaryPoint] = []
     for i in range(num_points):
         alpha = i / (num_points - 1)
@@ -140,6 +149,8 @@ def trace_uncoded_boundary(
             psi_value, witness = converse_at(source, channel, d1)
         except OutOfRangeError:
             psi_value, witness = None, None
+        except BoundUndefinedError as exc:
+            raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
         points.append(
             BoundaryPoint(
                 alpha=alpha,

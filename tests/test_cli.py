@@ -2,9 +2,13 @@
 
 import csv
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaussian_bc
 from gaussian_bc import trace_uncoded_boundary
 from gaussian_bc.cli import run
 
@@ -101,6 +105,27 @@ class TestTrace:
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} too large")
+        assert "--d1" not in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--power", "1e20"], "--power"),
+            (["--power", "1e100"], "--power"),
+            (["--n1", "1e-300", "--n2", "2e-300"], "--power"),
+            (["--sigma2", "1e300", "--power", "1e10"], "--sigma2"),
+            (["--sigma2", "1e300", "--n2", "1e5"], "--sigma2"),
+        ],
+    )
+    def test_unrepresentable_trace_names_its_flag(self, flags, named, capsys):
+        # the undefined converse at high P/n1 used to name no flag; an
+        # overflowing sigma2 named --d1, which trace does not have, or
+        # printed d2_uncoded = inf
+        code, text = run_cli(["trace", *flags])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} too large")
         assert "--d1" not in err
 
 
@@ -217,3 +242,18 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         code, _ = run_cli(["bogus"])
         assert code == 2
+
+
+def test_importing_the_cli_loads_no_executor_or_logging():
+    # concurrent.futures pulls in logging, which adds ~5 ms to every start-up
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import gaussian_bc.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+    )
+    src = str(Path(gaussian_bc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,9 @@
 
 import io
 import math
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +27,8 @@ from gaussian_bc import (
     uncoded_distortions,
 )
 from gaussian_bc.cli import run as cli_run
-from gaussian_bc.montecarlo import BLOCK_SIZE, _exact_sum
+from gaussian_bc import montecarlo
+from gaussian_bc.montecarlo import _SLICE, BLOCK_SIZE, _exact_sum, _map_blocks
 
 from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
 
@@ -134,6 +138,105 @@ class TestSimulate:
                     assert value == getattr(base, field) * sigma2
 
 
+def fixed_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda blocks: min(workers, blocks))
+
+
+class TestBlockPool:
+    @pytest.mark.parametrize("gains", [None, (0.3, -0.2)])
+    @pytest.mark.parametrize("samples", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 5 * BLOCK_SIZE + 7])
+    def test_reports_are_bit_equal_for_any_worker_count(self, monkeypatch, samples, gains):
+        config = SimulationConfig(samples, 13, UncodedCoeffs(0.3, 0.7))
+        reports = []
+        for workers in (1, 2, 3):
+            fixed_workers(monkeypatch, workers)
+            reports.append(simulate(DESK_SOURCE, DESK_CHANNEL, config, decode_gains=gains))
+        assert repr(reports[1]) == repr(reports[0])
+        assert repr(reports[2]) == repr(reports[0])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_worker_overflow_reaches_the_caller_after_the_join(self, monkeypatch, workers):
+        # tier-1 turns RuntimeWarning into an error, also in a worker thread
+        fixed_workers(monkeypatch, workers)
+        threads = threading.active_count()
+        config = SimulationConfig(4 * BLOCK_SIZE, 1, MIDPOINT)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            simulate(DESK_SOURCE, DESK_CHANNEL, config, decode_gains=(1e200, 1e200))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_lowest_failed_block_is_the_error_raised(self, monkeypatch, workers):
+        fixed_workers(monkeypatch, workers)
+
+        def compute(i):
+            if i == 0:  # with two workers, block 3 fails while block 2 waits
+                time.sleep(0.05)
+            if i in (2, 3):
+                raise ValueError(i)
+            return i * i
+
+        assert _map_blocks(lambda i: i * i, 9) == [i * i for i in range(9)]
+        with pytest.raises(ValueError) as caught:
+            _map_blocks(compute, 9)
+        assert caught.value.args == (2,)
+
+    def test_a_failure_stops_the_other_workers_above_it(self, monkeypatch):
+        fixed_workers(monkeypatch, 2)
+        computed = []
+        failing = threading.Event()
+
+        def compute(i):
+            computed.append(i)
+            if i == 0:  # block 0 ends only after block 1 has failed
+                assert failing.wait(timeout=10.0)
+                time.sleep(0.05)
+            if i == 1:
+                failing.set()
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError):
+            _map_blocks(compute, 9)
+        assert sorted(computed) == [0, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_blocks_are_in_flight(self, monkeypatch, workers):
+        fixed_workers(monkeypatch, workers)
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def compute(i):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.002)
+            with lock:
+                in_flight[0] -= 1
+            return i
+
+        assert _map_blocks(compute, 12) == list(range(12))
+        assert peak[0] <= workers
+
+    def test_the_pool_is_small_and_never_larger_than_the_run(self):
+        assert montecarlo._worker_count(1) == 1
+        assert 1 <= montecarlo._worker_count(10**6) <= 2
+
+    def test_memory_in_flight_does_not_grow_with_samples(self):
+        # the two threads' peaks align in most runs but not all, so the
+        # small run's peak is the largest of a few
+        def traced_peak(blocks):
+            config = SimulationConfig(blocks * BLOCK_SIZE, 3, MIDPOINT)
+            tracemalloc.start()
+            try:
+                simulate(DESK_SOURCE, DESK_CHANNEL, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = max(traced_peak(4) for _ in range(5))
+        assert traced_peak(40) <= small + 64 * 1024
+
+
 def reference_sum(values: np.ndarray) -> float:
     """math.fsum, or the rounded exact sum where fsum overflows in between."""
     try:
@@ -200,6 +303,23 @@ class TestExactSum:
     )
     def test_signed_zeros_and_tiny_values(self, values):
         assert_reduces_like_the_reference(np.array(values))
+
+    @pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1, BLOCK_SIZE])
+    def test_bit_equal_to_fsum_across_slice_edges(self, size):
+        rng = np.random.default_rng(size)
+        values = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1000, size))
+        assert _exact_sum(values).hex() == math.fsum(values).hex()
+
+    @pytest.mark.parametrize("top", [[], [1.7e308, -1.6e308], [1.5e308, 2.0**1023, -(2.0**1023)]])
+    def test_the_whole_exponent_range_in_one_sum(self, top):
+        # values at the lowest and the highest exponent bins together
+        rng = np.random.default_rng(len(top))
+        big = rng.uniform(1.0, 1.79, 500) * 1e308
+        tiny = rng.integers(1, 2**52, 500) * 5e-324
+        values = np.concatenate([big, -big, tiny, [5e-324] * 7, top])
+        rng.shuffle(values)
+        assert_reduces_like_the_reference(values)
+        assert _exact_sum(np.array([5e-324, 1.7e308, -1.7e308])) == 5e-324
 
     def test_intermediate_overflow_returns_the_exact_sum(self):
         big = np.finfo(np.float64).max

@@ -47,6 +47,33 @@ class TestTrace:
         with pytest.raises(OutOfRangeError):
             trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 1)
 
+    @pytest.mark.parametrize(
+        "channel", [ChannelParams(1e20, 1.0, 2.0), ChannelParams(1.0, 1e-300, 2e-300)]
+    )
+    def test_undefined_converse_is_a_power_range_error(self, channel):
+        # the combiner bound rounds to <= 0 at P/n1 this high; the
+        # BoundUndefinedError used to abort the trace with no parameter named
+        with pytest.raises(OutOfRangeError, match=r"^power too large relative to n1"):
+            trace_uncoded_boundary(DESK_SOURCE, channel, 11)
+
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            (SourceParams(1e300, 0.5), ChannelParams(1e10, 1.0, 2.0)),
+            (SourceParams(1e300, 0.999999), ChannelParams(1e10, 1.0, 2.0)),
+            (SourceParams(1e300, 0.5), ChannelParams(1.0, 1.0, 1e5)),
+        ],
+    )
+    def test_overflowing_distortion_numerator_is_a_sigma2_range_error(self, source, channel):
+        # sigma2 * num overflows at an end of the curve: the first d1 used
+        # to be inf (first two cases), or every d2 (the last one)
+        with pytest.raises(OutOfRangeError, match=r"^sigma2 too large"):
+            trace_uncoded_boundary(source, channel, 11)
+
+    def test_large_sigma2_below_the_overflow_still_traces(self):
+        points = trace_uncoded_boundary(SourceParams(1e300, 0.5), ChannelParams(1e4, 1.0, 2.0), 11)
+        assert all(math.isfinite(p.d1) and math.isfinite(p.d2_achievable) for p in points)
+
     def test_strict_monotonicity_along_the_trace(self):
         points = trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 101)
         for a, b in zip(points, points[1:]):
