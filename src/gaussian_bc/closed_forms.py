@@ -34,17 +34,25 @@ All functions are pure.
 Validation policy: a public function validates its problem once, then
 computes through ``_``-prefixed kernels (``_d1u_form``, ``_d2u_form``,
 ``_d1_range``, ``_snr_threshold``, ``_is_uncoded_optimal``,
-``_solve_alpha``). A kernel assumes a validated problem and calls no
-public function, so ``region`` and ``cli`` call the kernels directly once
-they have validated a problem themselves. Every kernel keeps the
-operation order of the public function it serves, so both routes give
-the same bits.
+``_solve_alpha``, ``_d2_min_at_rx1`` and the converse kernels below). A
+kernel assumes a validated problem and calls no public function, so
+``region`` and ``cli`` call the kernels directly once they have validated
+a problem themselves. Every kernel keeps the operation order of the
+public function it serves, so both routes give the same bits.
 
-``d2_min_at_rx1`` is memoized: the witness sweeps query the converse
+The converse has one copy of each formula: ``_root`` takes the square
+root ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` with its radicand clamp,
+``_witness``, ``_eta`` and ``_psi`` evaluate the witness pair, the
+combiner bound and the d2 bound, and ``_converse`` chains them at the
+optimal witness with one root, given d2t. ``region`` computes each
+point's converse through ``_converse``.
+
+``d2_min_at_rx1`` is memoized for the public per-witness functions: the
+witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
 thousands of times at one d1, and the cache keeps both the alpha solve
 and the validation off that path (a key is validated on its first miss
-only). ``combiner_mse_bound``, ``d2_converse_bound`` and
-``optimal_witness`` validate through it.
+only). ``optimal_witness`` is a per-d1 function; it validates once and
+calls the ``_d2_min_at_rx1`` kernel.
 """
 
 from __future__ import annotations
@@ -216,7 +224,8 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
         / (d1 * (sigma2*(1-rho**2) - d1))
 
     and ``+inf`` otherwise. The infinity is the ordinary IEEE value so
-    comparisons against P/n1 stay branch-free.
+    comparisons against P/n1 stay branch-free. A denominator that
+    underflows to 0 (at sigma2 below about 1e-154) raises OutOfRangeError.
     """
     validate_source(source)
     return _snr_threshold(source, d1)
@@ -233,6 +242,11 @@ def _snr_threshold(source: SourceParams, d1: float) -> float:
         return math.inf
     num = s2 * cv - 2.0 * d1 * cv + d1 * d1
     den = d1 * (cv - d1)
+    if den == 0.0:
+        raise OutOfRangeError(
+            f"sigma2 too small for the SNR threshold at d1 = {d1!r}: "
+            "d1*(sigma2*(1 - rho**2) - d1) underflows to 0"
+        )
     return num / den
 
 
@@ -323,6 +337,10 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     ``sigma2``.
     """
     validate_problem(source, channel)
+    return _d2_min_at_rx1(source, channel, d1)
+
+
+def _d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
     hi_d = _d1_range(source, channel)[1]
     if not d1 < hi_d:
         raise DistortionRangeError(
@@ -345,6 +363,70 @@ def _check_witness(witness: BoundWitness) -> BoundWitness:
     return witness
 
 
+def _check_below_sigma2(sigma2: float, d1: float) -> None:
+    # the witness formulas divide by sigma2 - d1; on the region path,
+    # d1 >= sigma2 is reachable only through rounding at the rho = 0 corner
+    if d1 >= sigma2:
+        raise DistortionRangeError("d1 must be < sigma2 for the witness formulas")
+
+
+def _root(s2: float, d1: float, d2t: float, error: type[Exception]) -> float:
+    """``sqrt((sigma2 - d1)*(sigma2 - d2t))``, the root of the witness and combiner formulas.
+
+    The radicand is nonnegative in exact arithmetic; a rounding-level
+    excursion below zero is clamped to 0, and a larger one raises
+    ``error``: InternalInvariantError for the witness (a formula bug),
+    BoundUndefinedError for the combiner bound.
+    """
+    rad = (s2 - d1) * (s2 - d2t)
+    if rad < 0.0:
+        if rad < -_RADICAND_CLAMP * s2 * s2:
+            if error is InternalInvariantError:
+                raise error(f"negative radicand in the witness formulas: {rad!r}")
+            raise error("negative radicand in the combiner bound")
+        rad = 0.0
+    return math.sqrt(rad)
+
+
+def _clamped(value: float, name: str) -> float:
+    # the rounding scale of the components is dimensionless (~sqrt(ulp))
+    if value < -_WITNESS_CLAMP:
+        raise InternalInvariantError(f"optimal witness component {name} is negative: {value!r}")
+    return 0.0 if value < 0.0 else value
+
+
+def _witness(s2: float, rho: float, d1: float, d2t: float, root: float) -> BoundWitness:
+    a1 = ((s2 - d1) * s2 - rho * s2 * root) / ((s2 - d1) * d2t)
+    a2 = (rho * s2 - root) / d2t
+    return BoundWitness(_clamped(a1, "a1"), _clamped(a2, "a2"))
+
+
+def _eta(s2: float, rho: float, delta: float, witness: BoundWitness, root: float) -> float:
+    a1, a2 = witness.a1, witness.a2
+    return s2 - a1 * (s2 - delta) * (2.0 - a1) - a2 * s2 * (2.0 * rho - a2) + 2.0 * a1 * a2 * root
+
+
+def _psi(source: SourceParams, channel: ChannelParams, eta: float) -> float:
+    if eta <= 0.0:
+        raise BoundUndefinedError("combiner bound is nonpositive; the converse is undefined for this witness")
+    p, n1, n2 = channel.power, channel.n1, channel.n2
+    return source.sigma2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
+
+
+def _converse(source: SourceParams, channel: ChannelParams, d1: float, d2t: float) -> tuple[float, BoundWitness]:
+    """``(psi, witness)``: the converse at the optimal witness, given ``d2t = d2_min_at_rx1(d1)``.
+
+    The root is taken once and serves both the witness and the combiner
+    bound; the values are those of ``d2_converse_bound`` at
+    ``optimal_witness``, bit for bit.
+    """
+    s2, rho = source.sigma2, source.rho
+    _check_below_sigma2(s2, d1)
+    root = _root(s2, d1, d2t, InternalInvariantError)
+    witness = _check_witness(_witness(s2, rho, d1, d2t, root))
+    return _psi(source, channel, _eta(s2, rho, d1, witness, root)), witness
+
+
 def combiner_mse_bound(
     source: SourceParams,
     channel: ChannelParams,
@@ -360,20 +442,8 @@ def combiner_mse_bound(
     witness.
     """
     _check_witness(witness)
-    d2t = d2_min_at_rx1(source, channel, delta)
-    s2, rho = source.sigma2, source.rho
-    a1, a2 = witness.a1, witness.a2
-    rad = (s2 - delta) * (s2 - d2t)
-    if rad < 0.0:
-        if rad < -_RADICAND_CLAMP * s2 * s2:
-            raise BoundUndefinedError("negative radicand in the combiner bound")
-        rad = 0.0
-    return (
-        s2
-        - a1 * (s2 - delta) * (2.0 - a1)
-        - a2 * s2 * (2.0 * rho - a2)
-        + 2.0 * a1 * a2 * math.sqrt(rad)
-    )
+    root = _root(source.sigma2, delta, d2_min_at_rx1(source, channel, delta), BoundUndefinedError)
+    return _eta(source.sigma2, source.rho, delta, witness, root)
 
 
 def d2_converse_bound(
@@ -388,14 +458,9 @@ def d2_converse_bound(
 
     with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0.
     """
-    eta = combiner_mse_bound(source, channel, delta, witness)
-    if eta <= 0.0:
-        raise BoundUndefinedError(
-            "combiner bound is nonpositive; the converse is undefined for this witness"
-        )
-    s2 = source.sigma2
-    p, n1, n2 = channel.power, channel.n1, channel.n2
-    return s2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
+    _check_witness(witness)
+    root = _root(source.sigma2, delta, d2_min_at_rx1(source, channel, delta), BoundUndefinedError)
+    return _psi(source, channel, _eta(source.sigma2, source.rho, delta, witness, root))
 
 
 def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> BoundWitness:
@@ -409,31 +474,8 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     :func:`d2_min_at_rx1` hold; a negative component signals a formula bug
     or a precondition leak and raises.
     """
-    s2, rho = source.sigma2, source.rho
-    if d1 >= s2:
-        # reachable only through rounding at the rho = 0 corner; the
-        # witness formulas divide by sigma2 - d1. d2_min_at_rx1 validates
-        # the problem below, so an invalid one must be rejected here first.
-        validate_problem(source, channel)
-        raise DistortionRangeError("d1 must be < sigma2 for the witness formulas")
-    d2t = d2_min_at_rx1(source, channel, d1)
-    rad = (s2 - d1) * (s2 - d2t)
-    if rad < 0.0:
-        if rad < -_RADICAND_CLAMP * s2 * s2:
-            raise InternalInvariantError(f"negative radicand in the witness formulas: {rad!r}")
-        rad = 0.0
-    root = math.sqrt(rad)
-    a1 = ((s2 - d1) * s2 - rho * s2 * root) / ((s2 - d1) * d2t)
-    a2 = (rho * s2 - root) / d2t
-
-    def _clamped(value: float, name: str) -> float:
-        # the rounding scale of the components is dimensionless (~sqrt(ulp))
-        if value < 0.0:
-            if value < -_WITNESS_CLAMP:
-                raise InternalInvariantError(
-                    f"optimal witness component {name} is negative: {value!r}"
-                )
-            return 0.0
-        return value
-
-    return BoundWitness(_clamped(a1, "a1"), _clamped(a2, "a2"))
+    validate_problem(source, channel)
+    s2 = source.sigma2
+    _check_below_sigma2(s2, d1)
+    d2t = _d2_min_at_rx1(source, channel, d1)
+    return _witness(s2, source.rho, d1, d2t, _root(s2, d1, d2t, InternalInvariantError))

@@ -13,8 +13,8 @@ checks it with the checkers here before computing with it, then works
 through ``_``-prefixed kernels that assume a valid problem and never
 re-validate it; the CLI validates in its problem resolver. The one
 memoized closed form, ``closed_forms.d2_min_at_rx1``, validates on a
-cache miss only, and the converse functions validate through it (see
-``closed_forms``).
+cache miss only, and the per-witness converse functions validate
+through it (see ``closed_forms``).
 
 Two transforms make arbitrary inputs canonical without loss:
 

@@ -8,25 +8,31 @@ coordinate. Wherever the converse preconditions hold (d1 strictly below
 also carries the converse value at the optimal witness; the two curves
 coincide there, which :func:`verify_matching` checks on a grid.
 
-Each public function validates its problem once and then evaluates the
-points through the private kernels of :mod:`.closed_forms`; only the
-converse at a point goes through the public (memoized) closed forms.
+Each public function validates its problem once and then evaluates every
+point through the private kernels of :mod:`.closed_forms`, the converse
+included: a point's converse is ``closed_forms._converse`` at the
+companion floor, which the trace takes from the ``_d2_min_at_rx1`` kernel
+and the verifier from the alpha it has already solved. No point goes
+through the public (memoized) closed forms, so neither re-validates the
+problem nor fills the ``d2_min_at_rx1`` cache.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .closed_forms import (
     BoundWitness,
+    _check_below_sigma2,
+    _converse,
     _d1_range,
     _d1u_form,
+    _d2_min_at_rx1,
     _d2u_form,
     _is_uncoded_optimal,
     _solve_alpha,
-    d2_converse_bound,
-    optimal_witness,
 )
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
@@ -104,8 +110,26 @@ def converse_at(
     Raises DistortionRangeError or SnrThresholdError when the respective
     precondition fails, so callers can tell the two apart.
     """
-    witness = optimal_witness(source, channel, d1)
-    return d2_converse_bound(source, channel, d1, witness), witness
+    validate_problem(source, channel)
+    _check_below_sigma2(source.sigma2, d1)
+    return _converse(source, channel, d1, _d2_min_at_rx1(source, channel, d1))
+
+
+def _check_sigma2_squares(s2: float) -> None:
+    """Raise OutOfRangeError unless the converse formulas can square sigma2.
+
+    They multiply two sigma2-sized factors, the largest being the SNR
+    threshold's ``2*d1*sigma2*(1 - rho**2)``. So ``sigma2**2`` must be a
+    normal float and ``2*sigma2**2`` finite. Past the upper end the
+    threshold turns nan, which uncovers points silently, or a witness
+    component turns -inf; below the lower end the products underflow and
+    the formulas divide by zero.
+    """
+    if not sys.float_info.min <= s2 * s2 <= sys.float_info.max / 2.0:
+        raise OutOfRangeError(
+            f"sigma2 too {'large' if s2 > 1.0 else 'small'}: the converse formulas need "
+            f"sigma2 in about [1.5e-154, 9.4e153], got {s2!r}"
+        )
 
 
 def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
@@ -126,7 +150,9 @@ def trace_uncoded_boundary(
     that a distortion form overflows to inf; both forms peak at the ends
     of the curve, d1 at alpha = 0 and d2 at alpha = 1. A power so far
     above n1 that the converse at the optimal witness is undefined
-    (its combiner bound rounds to <= 0) raises OutOfRangeError too.
+    (its combiner bound rounds to <= 0) raises OutOfRangeError too, and
+    so does a sigma2 outside about [1.5e-154, 9.4e153], where the
+    converse formulas overflow or underflow.
     """
     validate_problem(source, channel)
     if num_points < 2:
@@ -140,13 +166,14 @@ def trace_uncoded_boundary(
         and math.isfinite(_d2u_form(s2, rho, p, n2, 1.0, 0.0))
     ):
         raise OutOfRangeError("sigma2 too large: sigma2 times a distortion numerator overflows")
+    _check_sigma2_squares(s2)
     points: list[BoundaryPoint] = []
     for i in range(num_points):
         alpha = i / (num_points - 1)
         d1 = _d1u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
         flag = _is_uncoded_optimal(source, channel, d1)
         try:
-            psi_value, witness = converse_at(source, channel, d1)
+            psi_value, witness = _converse(source, channel, d1, _d2_min_at_rx1(source, channel, d1))
         except OutOfRangeError:
             psi_value, witness = None, None
         except BoundUndefinedError as exc:
@@ -176,13 +203,16 @@ def verify_matching(
     exceptions; a tol that is not a finite number >= 0 (which would pass
     or fail every point vacuously) raises OutOfRangeError, and so does a
     d1 range too narrow to hold the grid strictly inside it in floating
-    point (its width is sigma2*power*(1 - rho**2)/(power + n1)).
+    point (its width is sigma2*power*(1 - rho**2)/(power + n1)), and a
+    sigma2 outside about [1.5e-154, 9.4e153].
     """
     validate_problem(source, channel)
     if grid_size < 1:
         raise OutOfRangeError("grid_size must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
+    s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
+    _check_sigma2_squares(s2)
     lo, hi = _d1_range(source, channel)
     grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:
@@ -191,25 +221,19 @@ def verify_matching(
             f"holds no {grid_size}-point grid in floating point"
         )
     points: list[MatchPoint] = []
-    max_residual: float | None = None
-    passed = True
     for d1 in grid:
         if not _is_uncoded_optimal(source, channel, d1):
             points.append(MatchPoint(d1, False, None, None, None, None))
             continue
         alpha = _solve_alpha(source, channel, d1)
-        d2_ach = _d2u_form(source.sigma2, source.rho, channel.power, channel.n2, alpha, 1.0 - alpha)
-        psi_value, witness = converse_at(source, channel, d1)
-        residual = abs(d2_ach - psi_value)
-        points.append(MatchPoint(d1, True, d2_ach, psi_value, residual, witness))
-        if max_residual is None or residual > max_residual:
-            max_residual = residual
-        if residual > tol or witness.a1 < 0 or witness.a2 < 0:
-            passed = False
+        d2_ach = _d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha)
+        psi_value, witness = _converse(source, channel, d1, _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha))
+        points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness))
+    residuals = [point.residual for point in points if point.covered]
     return MatchReport(
         grid_size=grid_size,
         tol=tol,
         points=tuple(points),
-        max_residual=max_residual,
-        passed=passed,
+        max_residual=max(residuals, default=None),
+        passed=not any(residual > tol for residual in residuals),
     )

@@ -244,6 +244,36 @@ class TestArgumentErrors:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--sigma2", "1e-300"],
+        ["verify", "--sigma2", "1e-300"],
+        ["bound", "--sigma2", "1e-300", "--d1", "6.25e-301"],
+        ["trace", "--sigma2", "1e200"],
+        ["trace", "--sigma2", "1e300"],
+        ["verify", "--sigma2", "1e200"],
+        ["verify", "--sigma2", "1e300"],
+        ["trace", "--sigma2", "1e200", "--power", "1e-20"],
+        ["trace", "--sigma2", "1e288", "--power", "1e10"],
+    ],
+)
+def test_sigma2_beyond_the_converse_range_names_sigma2(argv, capsys):
+    # the first three raised ZeroDivisionError, the next five exited naming
+    # no flag, and the last printed one covered row where sigma2 = 1 gives two
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: --sigma2 too ")
+
+
+@pytest.mark.parametrize("sigma2", ["1e150", "1e-150"])
+def test_sigma2_inside_the_converse_range_still_runs(sigma2):
+    assert run_cli(["trace", "--sigma2", sigma2])[0] == 0
+    # --tol is absolute, so it scales with sigma2
+    assert run_cli(["verify", "--sigma2", sigma2, "--tol", repr(1e-9 * float(sigma2))])[0] == 0
+
+
 def test_importing_the_cli_loads_no_executor_or_logging():
     # concurrent.futures pulls in logging, which adds ~5 ms to every start-up
     code = (

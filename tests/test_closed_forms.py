@@ -166,6 +166,11 @@ class TestSnrThreshold:
                 d1 = cv * (j + 1) / 201.0
                 assert snr_threshold(source, d1) >= floor - 1e-12
 
+    def test_underflowing_denominator_is_a_sigma2_range_error(self):
+        # d1*(sigma2*(1 - rho**2) - d1) underflows to 0: this raised ZeroDivisionError
+        with pytest.raises(OutOfRangeError, match=r"^sigma2 too small for the SNR threshold"):
+            snr_threshold(SourceParams(1e-300, 0.5), 6.25e-301)
+
     def test_is_uncoded_optimal(self):
         assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.625)
         assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.8)  # above sigma2*(1-rho^2)

@@ -144,10 +144,33 @@ def _count_calls(monkeypatch, name):
 
 
 def test_trace_validates_once_per_call_plus_once_per_cache_miss(monkeypatch):
+    # the converse at each point runs on kernels, so the trace neither
+    # misses nor fills the d2_min_at_rx1 cache: one validation in all
     closed_forms.d2_min_at_rx1.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
     trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 1001)
-    assert 0 < len(calls) <= 1 + 1001
+    assert len(calls) == 1
+    assert closed_forms.d2_min_at_rx1.cache_info().currsize == 0
+
+
+def test_verify_validates_once_and_solves_alpha_once_per_covered_point(monkeypatch):
+    closed_forms.d2_min_at_rx1.cache_clear()
+    calls = _count_calls(monkeypatch, "validate_problem")
+    solves = []
+    original = closed_forms._solve_alpha
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(closed_forms, "_solve_alpha", counted)
+    monkeypatch.setattr(region, "_solve_alpha", counted)
+    # P/n1 = 3 leaves part of the grid uncovered
+    report = region.verify_matching(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 40, 1e-9)
+    assert 0 < report.covered_count < 40
+    assert len(calls) == 1
+    assert len(solves) == report.covered_count
+    assert closed_forms.d2_min_at_rx1.cache_info().currsize == 0
 
 
 def test_kernels_call_no_validating_function(monkeypatch):
@@ -158,6 +181,13 @@ def test_kernels_call_no_validating_function(monkeypatch):
     alpha = closed_forms._solve_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
     closed_forms._d1u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
     closed_forms._d2u_form(1.0, 0.5, 1.0, 2.0, alpha, 1.0 - alpha)
+    d2t = closed_forms._d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, d1)
+    closed_forms._check_below_sigma2(1.0, d1)
+    root = closed_forms._root(1.0, d1, d2t, closed_forms.InternalInvariantError)
+    witness = closed_forms._witness(1.0, 0.5, d1, d2t, root)
+    eta = closed_forms._eta(1.0, 0.5, d1, witness, root)
+    closed_forms._psi(DESK_SOURCE, DESK_CHANNEL, eta)
+    closed_forms._converse(DESK_SOURCE, DESK_CHANNEL, d1, d2t)
     assert calls == [[], []]
 
 

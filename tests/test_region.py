@@ -8,15 +8,17 @@ from gaussian_bc import (
     BoundWitness,
     ChannelParams,
     DistortionRangeError,
+    GaussianBcError,
     OutOfRangeError,
     SourceParams,
     converse_at,
     d2_converse_bound,
+    optimal_witness,
     trace_uncoded_boundary,
     verify_matching,
 )
 
-from helpers import DESK_CHANNEL, DESK_SOURCE
+from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
 
 HIGH_SNR_SOURCE = SourceParams(1.0, 0.1)
 HIGH_SNR_CHANNEL = ChannelParams(100.0, 1.0, 2.0)
@@ -71,8 +73,36 @@ class TestTrace:
             trace_uncoded_boundary(source, channel, 11)
 
     def test_large_sigma2_below_the_overflow_still_traces(self):
-        points = trace_uncoded_boundary(SourceParams(1e300, 0.5), ChannelParams(1e4, 1.0, 2.0), 11)
+        # near the top of the accepted range the rows are those of sigma2 = 1;
+        # at sigma2 = 1e300 the SNR threshold was nan, and every point but
+        # the first was flagged uncovered
+        channel = ChannelParams(1e4, 1.0, 2.0)
+        points = trace_uncoded_boundary(SourceParams(9e153, 0.5), channel, 11)
+        unit = trace_uncoded_boundary(SourceParams(1.0, 0.5), channel, 11)
         assert all(math.isfinite(p.d1) and math.isfinite(p.d2_achievable) for p in points)
+        assert [p.optimal_flag for p in points] == [p.optimal_flag for p in unit]
+        assert [p.d2_converse is None for p in points] == [p.d2_converse is None for p in unit]
+
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            (SourceParams(1e-300, 0.5), DESK_CHANNEL),  # divided by zero
+            (SourceParams(1.49e-154, 0.5), DESK_CHANNEL),
+            (SourceParams(1e200, 0.5), DESK_CHANNEL),  # a2 = -inf
+            (SourceParams(9.5e153, 0.0), DESK_CHANNEL),  # 2*sigma2**2 overflows
+            (SourceParams(1e288, 0.5), ChannelParams(1e10, 1.0, 2.0)),  # nan threshold
+        ],
+    )
+    def test_sigma2_beyond_the_converse_range_is_a_sigma2_range_error(self, source, channel):
+        with pytest.raises(OutOfRangeError, match=r"^sigma2 too (small|large): the converse formulas"):
+            trace_uncoded_boundary(source, channel, 11)
+        with pytest.raises(OutOfRangeError, match=r"^sigma2 too (small|large): the converse formulas"):
+            verify_matching(source, channel, 5, 1e-9)
+
+    @pytest.mark.parametrize("sigma2", [1.5e-154, 9.4e153])
+    def test_the_ends_of_the_sigma2_range_still_trace(self, sigma2):
+        points = trace_uncoded_boundary(SourceParams(sigma2, 0.5), DESK_CHANNEL, 11)
+        assert sum(p.d2_converse is not None for p in points) == 10
 
     def test_strict_monotonicity_along_the_trace(self):
         points = trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 101)
@@ -174,6 +204,54 @@ class TestVerifyMatching:
         assert report.covered_count == 50
         assert report.passed
 
+    def test_nan_companion_floor_is_an_error_not_a_pass(self):
+        # n1**2 overflows in the companion floor, so the optimal witness is
+        # nan; without the witness check the report passed with a nan residual
+        n1 = 4.46e198
+        channel = ChannelParams(0.134 * n1, n1, 7.25e3 * n1)
+        with pytest.raises(GaussianBcError):
+            verify_matching(SourceParams(5.53e-16, 0.314945), channel, 50, 1e-9)
+
     def test_zero_tolerance_is_accepted(self):
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 0.0)
         assert report.tol == 0.0
+
+
+def bits(converse):
+    """``(d2_converse, witness)`` as text that tells every float bit apart."""
+    return repr(converse)
+
+
+class TestOneConverseKernel:
+    """The region path equals the public converse functions bit for bit."""
+
+    CONFIGS = random_valid_configs(40, seed=1207)
+
+    @staticmethod
+    def public_converse(source, channel, d1):
+        witness = optimal_witness(source, channel, d1)
+        return d2_converse_bound(source, channel, d1, witness), witness
+
+    def test_trace_rows(self):
+        covered = 0
+        for source, channel in self.CONFIGS:
+            for p in trace_uncoded_boundary(source, channel, 101):
+                if p.d2_converse is None:
+                    continue
+                covered += 1
+                row = bits((p.d2_converse, p.witness))
+                assert row == bits(converse_at(source, channel, p.d1))
+                assert row == bits(self.public_converse(source, channel, p.d1))
+        assert covered > 2000
+
+    def test_verify_points(self):
+        covered = 0
+        for source, channel in self.CONFIGS:
+            for p in verify_matching(source, channel, 50, 1e-9).points:
+                if not p.covered:
+                    continue
+                covered += 1
+                point = bits((p.d2_converse, p.witness))
+                assert point == bits(converse_at(source, channel, p.d1))
+                assert point == bits(self.public_converse(source, channel, p.d1))
+        assert covered > 900
