@@ -217,13 +217,12 @@ class TestVerifyMatching:
         assert report.tol == 0.0
 
 
-def bits(converse):
-    """``(d2_converse, witness)`` as text that tells every float bit apart."""
-    return repr(converse)
-
-
 class TestOneConverseKernel:
-    """The region path equals the public converse functions bit for bit."""
+    """The region path equals the public converse functions bit for bit.
+
+    Values are compared by ``repr``, which round-trips every float exactly
+    and tells -0.0 from 0.0.
+    """
 
     CONFIGS = random_valid_configs(40, seed=1207)
 
@@ -239,9 +238,9 @@ class TestOneConverseKernel:
                 if p.d2_converse is None:
                     continue
                 covered += 1
-                row = bits((p.d2_converse, p.witness))
-                assert row == bits(converse_at(source, channel, p.d1))
-                assert row == bits(self.public_converse(source, channel, p.d1))
+                row = repr((p.d2_converse, p.witness))
+                assert row == repr(converse_at(source, channel, p.d1))
+                assert row == repr(self.public_converse(source, channel, p.d1))
         assert covered > 2000
 
     def test_verify_points(self):
@@ -251,7 +250,7 @@ class TestOneConverseKernel:
                 if not p.covered:
                     continue
                 covered += 1
-                point = bits((p.d2_converse, p.witness))
-                assert point == bits(converse_at(source, channel, p.d1))
-                assert point == bits(self.public_converse(source, channel, p.d1))
+                point = repr((p.d2_converse, p.witness))
+                assert point == repr(converse_at(source, channel, p.d1))
+                assert point == repr(self.public_converse(source, channel, p.d1))
         assert covered > 900
