@@ -58,6 +58,7 @@ calls the ``_d2_min_at_rx1`` kernel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,6 +158,19 @@ def _d2u_form(
         + noise * noise * q
     )
     return sigma2 * num / ((power + noise) * (power + noise) * q)
+
+
+def _check_rx1_scale(power: float, n1: float) -> None:
+    """Raise OutOfRangeError unless ``(power + n1)**2`` is a normal float.
+
+    The distortion forms at receiver 1 divide by that square. As a
+    subnormal it has lost precision: at power = n1 = 1e-160 the d1 form
+    at alpha = 0.5 would give 0.62516... for the scale-free 0.625. At 0
+    the forms divide by zero.
+    """
+    if not (power + n1) * (power + n1) >= sys.float_info.min:
+        name = "power" if power >= n1 else "n1"
+        raise OutOfRangeError(f"{name} too small: (power + n1)**2 underflows the distortion forms")
 
 
 def _d1_range(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:
@@ -334,18 +348,21 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     the threshold; equals the second-component distortion form of the
     scheme evaluated with receiver 1's noise, at the (alpha, 1-alpha)
     solving ``D1u = d1``. Always sandwiched between ``d_min(1)`` and
-    ``sigma2``.
+    ``sigma2``. A d1 below ``d_min(1)`` raises DistortionRangeError.
     """
     validate_problem(source, channel)
+    _check_rx1_scale(channel.power, channel.n1)
     return _d2_min_at_rx1(source, channel, d1)
 
 
 def _d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
-    hi_d = _d1_range(source, channel)[1]
+    lo_d, hi_d = _d1_range(source, channel)
     if not d1 < hi_d:
         raise DistortionRangeError(
             f"d1 must be < {hi_d!r} (the range condition), got {d1!r}"
         )
+    if not lo_d - _RESIDUAL_TOL * source.sigma2 <= d1:  # the edge slack of _solve_alpha
+        raise DistortionRangeError(f"d1 must be >= {lo_d!r} (d_min(1)), got {d1!r}")
     if not _is_uncoded_optimal(source, channel, d1):
         raise SnrThresholdError(
             "power/n1 exceeds the SNR threshold at this d1; the companion floor "
@@ -475,6 +492,7 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     or a precondition leak and raises.
     """
     validate_problem(source, channel)
+    _check_rx1_scale(channel.power, channel.n1)
     s2 = source.sigma2
     _check_below_sigma2(s2, d1)
     d2t = _d2_min_at_rx1(source, channel, d1)

@@ -21,9 +21,11 @@ two boundary segments {d1 = Delta1} and {d2 = Delta2}. On each segment
 the inner maximization over the off-diagonal e is exact: det is the
 concave parabola d1*d2 - e**2, maximized at e = 0 clamped into the
 analytically-computed feasible interval. The outer maximization over the
-free diagonal entry runs a coarse scan plus golden refinement (det is
-quasi-concave on the convex feasible set, hence unimodal along lines).
-Converged well below 1e-6 bits.
+free diagonal entry d is exact too: with the other entry pinned at f,
+the best determinant is unimodal in d and peaks at the stationary point
+d* = sigma2 - rho**2*(sigma2 - f), the MMSE of the free component given
+the pinned one observed with error f. So each segment's maximum is the
+better of its two candidates d = cap and d = min(cap, d*); no search.
 
 ``conditional_info_bound`` and ``d2_lower_via_rx1`` are the two
 converse endpoints: the per-symbol cap on what receiver 1's observation
@@ -56,13 +58,6 @@ __all__ = [
     "r_joint_numeric",
     "r_scalar",
 ]
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Scan size and golden-section tolerance of the oracle's diagonal search:
-# it is curvature-limited and far below the 1e-6-bit convergence budget.
-_D_SCAN = 256
-_D_XTOL_REL = 1e-8
 
 
 def r_scalar(variance: float, delta: float) -> float:
@@ -98,26 +93,6 @@ def channel_capacity(power: float, noise: float) -> float:
     return 0.5 * math.log2(1.0 + power / noise)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Max of a unimodal f on [lo, hi]; returns the best value seen."""
-    best = max(f(lo), f(hi))
-    if hi - lo <= xtol:
-        return max(best, f(0.5 * (lo + hi)))
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return max(best, f1, f2)
-
-
 def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
     """Max of ``d1*d2 - e**2`` over off-diagonals e keeping both PSD conditions.
 
@@ -138,23 +113,36 @@ def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
     return d1 * d2 - e * e
 
 
-def _best_det_on_edge(
-    sigma2: float, rho_sig: float, fixed: float, free_cap: float
-) -> float:
-    """Max determinant on the segment {one diagonal = fixed, the other <= free_cap}."""
+def _best_det_on_edge(sigma2: float, rho: float, fixed: float, free_cap: float) -> float:
+    """Max determinant on the segment {one diagonal = fixed, the other <= free_cap}.
 
-    def h(d: float) -> float:
-        return _best_det_at(sigma2, rho_sig, d, fixed)
+    The best determinant along the segment rises up to the stationary
+    point ``d_star = sigma2 - rho**2*(sigma2 - fixed)`` and falls beyond
+    it, so the maximum sits at ``min(free_cap, d_star)``; the cap itself
+    is kept as a candidate so that rounding near d_star cannot lose it.
+    """
+    rho_sig = rho * sigma2
+    d_star = sigma2 - rho * rho * (sigma2 - fixed)
+    return max(
+        _best_det_at(sigma2, rho_sig, free_cap, fixed),
+        _best_det_at(sigma2, rho_sig, min(free_cap, d_star), fixed),
+    )
 
-    xs = [free_cap * (j + 1) / _D_SCAN for j in range(_D_SCAN)]
-    vals = [h(x) for x in xs]
-    best = max(vals)
-    if not math.isfinite(best):
-        return -math.inf
-    j = vals.index(best)
-    lo = xs[j - 1] if j > 0 else xs[0] / 2.0
-    hi = xs[j + 1] if j < _D_SCAN - 1 else free_cap
-    return max(best, _golden_max(h, lo, hi, _D_XTOL_REL * free_cap))
+
+def _r_joint(s2: float, rho: float, delta1: float, delta2: float) -> float:
+    """Kernel of :func:`r_joint_numeric` for a validated source and positive deltas."""
+    rho_sig = rho * s2
+    cap1 = min(delta1, s2)
+    cap2 = min(delta2, s2)
+    det_ks = s2 * s2 - rho_sig * rho_sig
+    best = max(
+        _best_det_on_edge(s2, rho, cap1, cap2),  # d1 pinned at its cap
+        _best_det_on_edge(s2, rho, cap2, cap1),  # d2 pinned at its cap
+    )
+    if not (best > 0.0):
+        # Unreachable: the MMSE-chain error covariance is always feasible.
+        raise OutOfRangeError("no feasible error covariance found")
+    return max(0.0, 0.5 * math.log2(det_ks / best))
 
 
 def r_joint_numeric(source: SourceParams, delta1: float, delta2: float) -> float:
@@ -170,19 +158,7 @@ def r_joint_numeric(source: SourceParams, delta1: float, delta2: float) -> float
         raise OutOfRangeError("delta1 must be > 0")
     if not (delta2 > 0):
         raise OutOfRangeError("delta2 must be > 0")
-    s2 = source.sigma2
-    rho_sig = source.rho * s2
-    cap1 = min(delta1, s2)
-    cap2 = min(delta2, s2)
-    det_ks = s2 * s2 - rho_sig * rho_sig
-    best = max(
-        _best_det_on_edge(s2, rho_sig, cap1, cap2),  # d1 pinned at its cap
-        _best_det_on_edge(s2, rho_sig, cap2, cap1),  # d2 pinned at its cap
-    )
-    if not (best > 0.0):
-        # Unreachable: the MMSE-chain error covariance is always feasible.
-        raise OutOfRangeError("no feasible error covariance found")
-    return max(0.0, 0.5 * math.log2(det_ks / best))
+    return _r_joint(source.sigma2, source.rho, delta1, delta2)
 
 
 def conditional_info_bound(

@@ -6,10 +6,14 @@ is monotone decreasing, so consumers can re-interpolate in either
 coordinate. Wherever the converse preconditions hold (d1 strictly below
 ``d1_min_at_d2min`` and SNR at or below the threshold) each traced point
 also carries the converse value at the optimal witness; the two curves
-coincide there, which :func:`verify_matching` checks on a grid.
+coincide there, which :func:`verify_matching` checks on a grid. At the
+same covered grid points it checks the other side of the theorem: the
+joint rate-distortion oracle at ``(d1, d2_min_at_rx1(d1))`` equals
+receiver 1's channel capacity.
 
 Each public function validates its problem once and then evaluates every
-point through the private kernels of :mod:`.closed_forms`, the converse
+point through the private kernels of :mod:`.closed_forms` (and, in the
+verifier, the oracle kernel of :mod:`.rate_distortion`), the converse
 included: a point's converse is ``closed_forms._converse`` at the
 companion floor, which the trace takes from the ``_d2_min_at_rx1`` kernel
 and the verifier from the alpha it has already solved. No point goes
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from .closed_forms import (
     BoundWitness,
     _check_below_sigma2,
+    _check_rx1_scale,
     _converse,
     _d1_range,
     _d1u_form,
@@ -36,6 +41,7 @@ from .closed_forms import (
 )
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
+from .rate_distortion import _r_joint, channel_capacity
 
 __all__ = [
     "BoundaryPoint",
@@ -68,7 +74,12 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class MatchPoint:
-    """One grid point of a matching verification run."""
+    """One grid point of a matching verification run.
+
+    ``oracle_error_bits`` is ``|R(d1, d2_min_at_rx1(d1)) - C1|``: the
+    joint-rate oracle at the point against receiver 1's capacity. Like
+    the converse fields it is None where the point is not covered.
+    """
 
     d1: float
     covered: bool
@@ -76,21 +87,25 @@ class MatchPoint:
     d2_converse: float | None
     residual: float | None
     witness: BoundWitness | None
+    oracle_error_bits: float | None
 
 
 @dataclass(frozen=True)
 class MatchReport:
     """Outcome of :func:`verify_matching`.
 
-    ``passed`` is true iff every covered point has residual <= tol and a
-    nonnegative witness; points not covered by the threshold condition are
-    excluded from pass/fail.
+    ``passed`` is true iff every covered point has residual <= tol; points
+    not covered by the threshold condition are excluded from pass/fail.
+    ``max_residual`` and ``max_oracle_error_bits`` are maxima over the
+    covered points, None when there are none. The oracle error is
+    reported, not judged: its tolerance is the caller's.
     """
 
     grid_size: int
     tol: float
     points: tuple[MatchPoint, ...]
     max_residual: float | None
+    max_oracle_error_bits: float | None
     passed: bool
 
     @property
@@ -111,6 +126,7 @@ def converse_at(
     precondition fails, so callers can tell the two apart.
     """
     validate_problem(source, channel)
+    _check_rx1_scale(channel.power, channel.n1)
     _check_below_sigma2(source.sigma2, d1)
     return _converse(source, channel, d1, _d2_min_at_rx1(source, channel, d1))
 
@@ -152,7 +168,9 @@ def trace_uncoded_boundary(
     above n1 that the converse at the optimal witness is undefined
     (its combiner bound rounds to <= 0) raises OutOfRangeError too, and
     so does a sigma2 outside about [1.5e-154, 9.4e153], where the
-    converse formulas overflow or underflow.
+    converse formulas overflow or underflow. So does a ``(power + n1)**2``
+    below the smallest normal float, where the receiver-1 forms lose
+    precision and then divide by zero.
     """
     validate_problem(source, channel)
     if num_points < 2:
@@ -161,6 +179,7 @@ def trace_uncoded_boundary(
     if not math.isfinite((p + n2) * (p + n2)):
         name = "power" if p >= n2 else "n2"
         raise OutOfRangeError(f"{name} too large: (power + n2)**2 overflows the distortion forms")
+    _check_rx1_scale(p, n1)
     if not (
         math.isfinite(_d1u_form(s2, rho, p, n1, 0.0, 1.0))
         and math.isfinite(_d2u_form(s2, rho, p, n2, 1.0, 0.0))
@@ -199,12 +218,16 @@ def verify_matching(
     The grid is uniform over the open interval between ``d_min(1)`` and
     ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Points where
     the threshold condition fails are recorded as not covered and excluded
-    from the pass/fail verdict. Failures are data in the report, never
-    exceptions; a tol that is not a finite number >= 0 (which would pass
-    or fail every point vacuously) raises OutOfRangeError, and so does a
-    d1 range too narrow to hold the grid strictly inside it in floating
-    point (its width is sigma2*power*(1 - rho**2)/(power + n1)), and a
-    sigma2 outside about [1.5e-154, 9.4e153].
+    from the pass/fail verdict. Each covered point also carries the
+    joint-rate oracle's error against receiver 1's capacity, evaluated at
+    the same companion floor the converse uses. Failures are data in the
+    report, never exceptions; a tol that is not a finite number >= 0
+    (which would pass or fail every point vacuously) raises
+    OutOfRangeError, and so does a d1 range too narrow to hold the grid
+    strictly inside it in floating point (its width is
+    sigma2*power*(1 - rho**2)/(power + n1)), a sigma2 outside about
+    [1.5e-154, 9.4e153], and a ``(power + n1)**2`` below the smallest
+    normal float.
     """
     validate_problem(source, channel)
     if grid_size < 1:
@@ -212,6 +235,7 @@ def verify_matching(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
     s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
+    _check_rx1_scale(p, n1)
     _check_sigma2_squares(s2)
     lo, hi = _d1_range(source, channel)
     grid = _d1_grid(lo, hi, grid_size)
@@ -220,20 +244,24 @@ def verify_matching(
             f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
             f"holds no {grid_size}-point grid in floating point"
         )
+    capacity = channel_capacity(p, n1)
     points: list[MatchPoint] = []
     for d1 in grid:
         if not _is_uncoded_optimal(source, channel, d1):
-            points.append(MatchPoint(d1, False, None, None, None, None))
+            points.append(MatchPoint(d1, False, None, None, None, None, None))
             continue
         alpha = _solve_alpha(source, channel, d1)
         d2_ach = _d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha)
-        psi_value, witness = _converse(source, channel, d1, _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha))
-        points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness))
-    residuals = [point.residual for point in points if point.covered]
+        d2t = _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
+        psi_value, witness = _converse(source, channel, d1, d2t)
+        oracle_error = abs(_r_joint(s2, rho, d1, d2t) - capacity)
+        points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness, oracle_error))
+    covered = [point for point in points if point.covered]
     return MatchReport(
         grid_size=grid_size,
         tol=tol,
         points=tuple(points),
-        max_residual=max(residuals, default=None),
-        passed=not any(residual > tol for residual in residuals),
+        max_residual=max((point.residual for point in covered), default=None),
+        max_oracle_error_bits=max((point.oracle_error_bits for point in covered), default=None),
+        passed=not any(point.residual > tol for point in covered),
     )

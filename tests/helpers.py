@@ -1,10 +1,13 @@
-"""Shared test fixtures: the desk configuration, config draws and a reference alpha solver."""
+"""Shared test fixtures: the desk configuration, config draws, and reference
+solvers for alpha and for the joint-rate oracle's outer maximum."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from gaussian_bc import ChannelParams, SourceParams, UncodedCoeffs, uncoded_distortions
+from gaussian_bc.rate_distortion import _best_det_at
 
 DESK_SOURCE = SourceParams(1.0, 0.5)
 DESK_CHANNEL = ChannelParams(1.0, 1.0, 2.0)
@@ -49,3 +52,60 @@ def bisect_alpha_for_d1(source: SourceParams, channel: ChannelParams, d1_target:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_D_SCAN = 256
+_D_XTOL_REL = 1e-8
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
+    """Max of a unimodal f on [lo, hi]; returns the best value seen."""
+    best = max(f(lo), f(hi))
+    if hi - lo <= xtol:
+        return max(best, f(0.5 * (lo + hi)))
+    x1 = hi - _INV_GOLDEN * (hi - lo)
+    x2 = lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xtol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return max(best, f1, f2)
+
+
+def _scan_det_on_edge(sigma2: float, rho_sig: float, fixed: float, free_cap: float) -> float:
+    def h(d: float) -> float:
+        return _best_det_at(sigma2, rho_sig, d, fixed)
+
+    xs = [free_cap * (j + 1) / _D_SCAN for j in range(_D_SCAN)]
+    vals = [h(x) for x in xs]
+    best = max(vals)
+    if not math.isfinite(best):
+        return -math.inf
+    j = vals.index(best)
+    lo = xs[j - 1] if j > 0 else xs[0] / 2.0
+    hi = xs[j + 1] if j < _D_SCAN - 1 else free_cap
+    return max(best, _golden_max(h, lo, hi, _D_XTOL_REL * free_cap))
+
+
+def scan_r_joint(sigma2: float, rho: float, delta1: float, delta2: float) -> float:
+    """Reference joint rate in bits: the outer maximum over each edge by search.
+
+    A 256-point scan of the free diagonal entry, refined by golden-section
+    search around the best scan point, in place of the library's exact
+    two-candidate maximum; the inner maximum over the off-diagonal is the
+    library's. Converges to about 1e-9 bits.
+    """
+    rho_sig = rho * sigma2
+    cap1, cap2 = min(delta1, sigma2), min(delta2, sigma2)
+    best = max(
+        _scan_det_on_edge(sigma2, rho_sig, cap1, cap2),
+        _scan_det_on_edge(sigma2, rho_sig, cap2, cap1),
+    )
+    return max(0.0, 0.5 * math.log2((sigma2 * sigma2 - rho_sig * rho_sig) / best))

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, CSV contract, exit codes, flag-named errors."""
 
+import ast
 import csv
 import io
 import subprocess
@@ -9,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import gaussian_bc
-from gaussian_bc import trace_uncoded_boundary
+from gaussian_bc import ChannelParams, SourceParams, d1_min_at_d2min, d_min, trace_uncoded_boundary
 from gaussian_bc.cli import run
 
-from helpers import DESK_CHANNEL, DESK_SOURCE
+from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
 
 CSV_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag"
 
@@ -21,6 +22,26 @@ def run_cli(argv):
     out = io.StringIO()
     code = run(argv, out=out)
     return code, out.getvalue()
+
+
+VERIFY_KEYS = [
+    "matched_points",
+    "excluded_points",
+    "max_residual",
+    "matching",
+    "oracle_points",
+    "oracle_max_error_bits",
+    "oracle_consistent",
+    "verify",
+]
+# a benchmark-stream problem (region_verify, seed 1213, op 3790) whose
+# negative rho repr is in exponent notation; its grid has no covered point
+STREAM_PROBLEM = [
+    "--sigma2", "0.13077485699396615",
+    "--power", "0.013852555900819163",
+    "--n1", "0.04143990870574366",
+    "--n2", "0.13515236209401832",
+]
 
 
 def parse_kv(text):
@@ -145,6 +166,23 @@ class TestBound:
         assert code == 2
         assert "--d1" in capsys.readouterr().err
 
+    def test_d1_below_the_receiver1_floor_names_d1(self, capsys):
+        # the alpha solve used to reject it, naming --d1-target, which bound lacks
+        code, text = run_cli(["bound", "--d1", "0.1"])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --d1 must be >= 0.5")
+        assert "--d1-target" not in err
+
+    def test_d1_within_the_solver_slack_of_the_floor_still_bounds(self):
+        assert run_cli(["bound", "--d1", "0.4999999999999"])[0] == 0
+
+    def test_simulate_keeps_naming_its_own_target_flag(self, capsys):
+        code, _ = run_cli(["simulate", "--d1-target", "0.1", "--samples", "10"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --d1-target must lie in [0.5, 0.875]")
+
 
 class TestSimulate:
     def test_key_value_output_and_determinism(self):
@@ -199,6 +237,41 @@ class TestVerify:
         assert code == 0
         assert "verify=PASS" in text
 
+    def test_default_run_checks_the_oracle_on_the_whole_grid(self):
+        code, text = run_cli(["verify"])
+        pairs = parse_kv(text)
+        assert code == 0
+        assert (pairs["oracle_points"], pairs["verify"]) == ("50", "PASS")
+        assert float(pairs["oracle_max_error_bits"]) <= 1e-12
+
+    def test_oracle_points_are_the_matched_points(self):
+        for source, channel in random_valid_configs(10, seed=1604):
+            flags = [
+                "--sigma2", repr(source.sigma2), "--rho", repr(source.rho),
+                "--power", repr(channel.power), "--n1", repr(channel.n1), "--n2", repr(channel.n2),
+            ]
+            code, text = run_cli(["verify", *flags])
+            pairs = parse_kv(text)
+            assert pairs["oracle_points"] == pairs["matched_points"]
+            assert float(pairs["oracle_max_error_bits"]) <= 1e-4
+            assert code == (0 if pairs["verify"] == "PASS" else 1)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rho", "0"],
+            [*STREAM_PROBLEM, "--rho", "-4.206804610475956e-05"],
+            [*STREAM_PROBLEM, "--rho", "4.206804610475956e-05"],
+        ],
+    )
+    def test_a_grid_without_covered_points_keeps_the_contract(self, flags):
+        code, text = run_cli(["verify", *flags])
+        pairs = parse_kv(text)
+        assert list(pairs) == VERIFY_KEYS
+        assert pairs["matched_points"] == pairs["oracle_points"] == "0"
+        assert int(pairs["excluded_points"]) == 50
+        assert code == (0 if pairs["verify"] == "PASS" else 1)
+
     def test_corrupted_tolerance_fails(self):
         code, text = run_cli(["verify", "--grid", "25", "--tol", "1e-18"])
         assert code == 1
@@ -221,6 +294,65 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: --power ")
         assert "--d1" not in err
+
+
+class TestNegativeValuesInExponentNotation:
+    # argparse takes "-1e-05" for an option unless it is joined to its flag
+    FLAGS = ["--power", "1e-05"]  # P/n1 below the simple threshold at rho = 1e-05
+    SOURCE, CHANNEL = SourceParams(1.0, 1e-05), ChannelParams(1e-05, 1.0, 2.0)
+    BOUND_D1 = 0.5 * (d_min(SOURCE, CHANNEL, 1) + d1_min_at_d2min(SOURCE, CHANNEL))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report"],
+            ["trace", "--points", "5"],
+            ["bound", "--d1", repr(BOUND_D1)],
+            ["simulate", "--samples", "1000", "--seed", "2"],
+            ["verify", "--grid", "10"],
+        ],
+    )
+    def test_equals_the_positive_run(self, argv):
+        negative = run_cli([*argv, *self.FLAGS, "--rho", "-1e-05"])
+        assert negative == run_cli([*argv, *self.FLAGS, "--rho", "1e-05"])
+        assert negative[0] == 0
+
+    def test_the_stream_problem_verifies(self):
+        code, text = run_cli(["verify", *STREAM_PROBLEM, "--rho", "-4.206804610475956e-05"])
+        assert code == 0
+        assert "verify=PASS" in text
+
+    @pytest.mark.parametrize("command", [["report"], ["verify"], ["bound", "--d1", "0.6"]])
+    def test_negative_infinity_is_still_rejected_by_name(self, command, capsys):
+        code, text = run_cli([*command, "--rho", "-inf"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --rho ")
+
+
+class TestTinyNoises:
+    @pytest.mark.parametrize("scale", ["1e-190", "1e-160"])
+    @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
+    def test_underflowing_scale_names_power(self, command, scale, capsys):
+        # 1e-190 divided by zero in the distortion forms; 1e-160 printed
+        # d1 = 0.62516469038208167 where the scale-free value is 0.625
+        code, text = run_cli([*command, "--n1", scale, "--n2", f"2{scale[1:]}", "--power", scale])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --power too small")
+        assert "Traceback" not in err
+
+    def test_smaller_power_names_n1(self, capsys):
+        assert run_cli(["trace", "--n1", "1e-160", "--n2", "2e-160", "--power", "1e-170"])[0] == 2
+        assert capsys.readouterr().err.startswith("error: --n1 too small")
+
+    @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
+    def test_normal_scale_still_runs(self, command):
+        code, text = run_cli([*command, "--n1", "1e-150", "--n2", "2e-150", "--power", "1e-150"])
+        assert code == 0
+        if command == ["trace"]:
+            assert float(text.splitlines()[51].split(",")[1]) == pytest.approx(0.625, rel=1e-15)
 
 
 class TestArgumentErrors:
@@ -272,6 +404,24 @@ def test_sigma2_inside_the_converse_range_still_runs(sigma2):
     assert run_cli(["trace", "--sigma2", sigma2])[0] == 0
     # --tol is absolute, so it scales with sigma2
     assert run_cli(["verify", "--sigma2", sigma2, "--tol", repr(1e-9 * float(sigma2))])[0] == 0
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # verify and every other command print from public results only
+    tree = ast.parse(Path(gaussian_bc.cli.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("gaussian_bc")):
+            if node.module is None or node.module == "gaussian_bc":
+                modules.update(alias.asname or alias.name for alias in node.names)
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert modules >= {"closed_forms", "region"}
+    assert private == []
 
 
 def test_importing_the_cli_loads_no_executor_or_logging():

@@ -188,6 +188,7 @@ def test_kernels_call_no_validating_function(monkeypatch):
     eta = closed_forms._eta(1.0, 0.5, d1, witness, root)
     closed_forms._psi(DESK_SOURCE, DESK_CHANNEL, eta)
     closed_forms._converse(DESK_SOURCE, DESK_CHANNEL, d1, d2t)
+    rate_distortion._r_joint(1.0, 0.5, d1, d2t)
     assert calls == [[], []]
 
 

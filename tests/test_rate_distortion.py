@@ -1,5 +1,9 @@
 """Rate-distortion closed forms, the joint-rate oracle, and the converse endpoints."""
 
+import math
+import random
+
+import mpmath
 import pytest
 
 from gaussian_bc import (
@@ -18,7 +22,41 @@ from gaussian_bc import (
     r_scalar,
 )
 
-from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs, scan_r_joint
+
+
+def random_oracle_inputs(count, seed):
+    """Seeded (sigma2, rho, delta1, delta2): sigma2 log-uniform, deltas up to 1.2*sigma2."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        sigma2 = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+        rho = rng.uniform(0.0, 0.99)
+        draws.append((sigma2, rho, sigma2 * rng.uniform(0.01, 1.2), sigma2 * rng.uniform(0.01, 1.2)))
+    return draws
+
+
+def joint_rate_mp(sigma2, rho, delta1, delta2):
+    """Closed-form joint R(D1, D2) of a Gaussian pair with equal variances, in 60-digit mpmath.
+
+    Xiao & Luo, "Compression of correlated Gaussian sources under
+    individual distortion criteria", Allerton 2005: when one constraint
+    leaves the other inactive the rate is that of the tighter component
+    alone; otherwise both bind and the error covariance takes the smallest
+    off-diagonal that keeps K_S - K_E positive semidefinite.
+    """
+    with mpmath.workdps(60):
+        s2, r = mpmath.mpf(sigma2), mpmath.mpf(rho)
+        c1, c2 = min(mpmath.mpf(delta1), s2), min(mpmath.mpf(delta2), s2)
+        cv = s2 * (1 - r * r)
+        if c2 >= s2 - r * r * (s2 - c1):
+            det_e = c1 * cv
+        elif c1 >= s2 - r * r * (s2 - c2):
+            det_e = c2 * cv
+        else:
+            gap = max(mpmath.mpf(0), r * s2 - mpmath.sqrt((s2 - c1) * (s2 - c2)))
+            det_e = c1 * c2 - gap * gap
+        return max(mpmath.mpf(0), mpmath.log(s2 * cv / det_e, 2) / 2)
 
 
 class TestScalarRates:
@@ -93,6 +131,20 @@ class TestJointRateOracle:
             d1 = lo + (hi - lo) * (i + 1) / 6.0
             floor = d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, d1)
             assert r_joint_numeric(DESK_SOURCE, d1, floor) == pytest.approx(cap, abs=1e-4)
+
+    def test_exact_maximum_is_no_worse_than_the_search(self):
+        # the oracle minimizes the rate, so an exact maximum of det K_E never
+        # gives more bits than the scan plus golden-section reference
+        for sigma2, rho, d1, d2 in random_oracle_inputs(300, seed=1601):
+            exact = r_joint_numeric(SourceParams(sigma2, rho), d1, d2)
+            searched = scan_r_joint(sigma2, rho, d1, d2)
+            assert exact <= searched + 1e-12
+            assert abs(exact - searched) <= 1e-9
+
+    def test_matches_the_closed_form_joint_rate(self):
+        for sigma2, rho, d1, d2 in random_oracle_inputs(300, seed=1602):
+            truth = joint_rate_mp(sigma2, rho, d1, d2)
+            assert abs(r_joint_numeric(SourceParams(sigma2, rho), d1, d2) - truth) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(OutOfRangeError):

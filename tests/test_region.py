@@ -11,9 +11,12 @@ from gaussian_bc import (
     GaussianBcError,
     OutOfRangeError,
     SourceParams,
+    channel_capacity,
     converse_at,
     d2_converse_bound,
+    d2_min_at_rx1,
     optimal_witness,
+    r_joint_numeric,
     trace_uncoded_boundary,
     verify_matching,
 )
@@ -216,6 +219,22 @@ class TestVerifyMatching:
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 0.0)
         assert report.tol == 0.0
 
+    def test_oracle_runs_at_every_covered_point_and_only_there(self):
+        mixed = 0
+        for source, channel in random_valid_configs(40, seed=1603):
+            report = verify_matching(source, channel, 50, 1e-9)
+            errors = [p.oracle_error_bits for p in report.points if p.covered]
+            assert all((p.oracle_error_bits is None) == (not p.covered) for p in report.points)
+            assert all(error <= 1e-4 for error in errors)
+            assert report.max_oracle_error_bits == max(errors, default=None)
+            mixed += 0 < report.covered_count < 50
+        assert mixed > 0
+
+    def test_no_covered_point_reports_no_maxima(self):
+        report = verify_matching(SourceParams(1.0, 0.0), DESK_CHANNEL, 50, 1e-9)
+        assert report.covered_count == 0 and report.excluded_count == 50
+        assert report.max_residual is None and report.max_oracle_error_bits is None
+
 
 class TestOneConverseKernel:
     """The region path equals the public converse functions bit for bit.
@@ -254,3 +273,17 @@ class TestOneConverseKernel:
                 assert point == repr(converse_at(source, channel, p.d1))
                 assert point == repr(self.public_converse(source, channel, p.d1))
         assert covered > 900
+
+    def test_verify_oracle_points(self):
+        # each point's oracle error is the public oracle at the public
+        # companion floor, against receiver 1's capacity, bit for bit
+        covered = 0
+        for source, channel in self.CONFIGS[:10]:
+            capacity = channel_capacity(channel.power, channel.n1)
+            for p in verify_matching(source, channel, 50, 1e-9).points:
+                if not p.covered:
+                    continue
+                covered += 1
+                rate = r_joint_numeric(source, p.d1, d2_min_at_rx1(source, channel, p.d1))
+                assert repr(p.oracle_error_bits) == repr(abs(rate - capacity))
+        assert covered > 200
