@@ -115,36 +115,32 @@ def _cmd_report(args, out) -> int:
     return 0
 
 
-def _trace_row(point: region.BoundaryPoint) -> list[str]:
+_TRACE_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag\n"
+# one template per row kind; "%.17g" prints exactly what _fmt17 does, and
+# no field can hold a separator or a quote, so no field needs quoting
+_TRACE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_TRACE_ROW_NO_CONVERSE = "%.17g,%.17g,%.17g,,,,%s\n"
+
+
+def _trace_line(point: region.BoundaryPoint) -> str:
+    flag = "true" if point.optimal_flag else "false"
     if point.d2_converse is None:
-        converse = a1 = a2 = ""
-    else:
-        converse = _fmt17(point.d2_converse)
-        a1 = _fmt17(point.witness.a1)
-        a2 = _fmt17(point.witness.a2)
-    return [
-        _fmt17(point.alpha),
-        _fmt17(point.d1),
-        _fmt17(point.d2_achievable),
-        converse,
-        a1,
-        a2,
-        _bool(point.optimal_flag),
-    ]
+        return _TRACE_ROW_NO_CONVERSE % (point.alpha, point.d1, point.d2_achievable, flag)
+    witness = point.witness
+    return _TRACE_ROW % (
+        point.alpha, point.d1, point.d2_achievable, point.d2_converse, witness.a1, witness.a2, flag
+    )
 
 
 def _cmd_trace(args, out) -> int:
     source, channel = _resolve_problem(args)
     points = region.trace_uncoded_boundary(source, channel, args.points)
-    sink = open(args.output, "w", encoding="utf-8", newline="") if args.output else out
-    try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(["alpha", "d1", "d2_uncoded", "d2_converse", "a1_star", "a2_star", "optimal_flag"])
-        for point in points:
-            writer.writerow(_trace_row(point))
-    finally:
-        if args.output:
-            sink.close()
+    text = _TRACE_HEADER + "".join([_trace_line(point) for point in points])
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as sink:
+            sink.write(text)
+    else:
+        out.write(text)
     return 0
 
 
