@@ -34,18 +34,29 @@ All functions are pure.
 Validation policy: a public function validates its problem once, then
 computes through ``_``-prefixed kernels (``_d1u_form``, ``_d2u_form``,
 ``_d1_range``, ``_snr_threshold``, ``_is_uncoded_optimal``,
-``_solve_alpha``, ``_d2_min_at_rx1`` and the converse kernels below). A
-kernel assumes a validated problem and calls no public function, so
-``region`` and ``cli`` call the kernels directly once they have validated
-a problem themselves. Every kernel keeps the operation order of the
-public function it serves, so both routes give the same bits.
+``_solve_alpha``, ``_rx1_alpha``, ``_d2_min_at_rx1`` and the converse
+kernels below). A kernel assumes a validated problem and calls no public
+function, so ``region`` and ``cli`` call the kernels directly once they
+have validated a problem themselves. Every kernel keeps the operation
+order of the public function it serves, so both routes give the same
+bits.
 
-The converse has one copy of each formula: ``_root`` takes the square
-root ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` with its radicand clamp,
-``_witness``, ``_eta`` and ``_psi`` evaluate the witness pair, the
-combiner bound and the d2 bound, and ``_converse`` chains them at the
-optimal witness with one root, given d2t. ``region`` computes each
-point's converse through ``_converse``.
+The converse has two routes, with one copy of each formula:
+
+* ``_converse_at_alpha`` is the converse at the optimal witness of the
+  curve point alpha, from rational forms in (alpha, 1 - alpha) with no
+  square root, alpha solve or clamp. ``region`` computes every point's
+  converse through it: the trace at each row's alpha, and the verifier
+  and ``converse_at`` at the alpha they solve once per d1.
+* The public per-witness functions (``optimal_witness``,
+  ``combiner_mse_bound``, ``d2_converse_bound``, and so ``bound``) keep
+  the root chain at any d1 and any witness: ``_root`` takes
+  ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` with its radicand clamp, and
+  ``_witness``, ``_eta`` and ``_psi`` evaluate the witness pair, the
+  combiner bound and the d2 bound. Moving them to the rational forms
+  alone made ``bound``'s corner value less accurate, since it would still
+  print the chain's per-witness eta; that move waits until ``bound``
+  prints the kernel's value.
 
 ``d2_min_at_rx1`` is memoized for the public per-witness functions: the
 witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
@@ -356,6 +367,12 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
 
 
 def _d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
+    alpha = _rx1_alpha(source, channel, d1)
+    return _d2u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
+
+
+def _rx1_alpha(source: SourceParams, channel: ChannelParams, d1: float) -> float:
+    """The alpha at which receiver 1 attains d1, under the preconditions of ``d2_min_at_rx1``."""
     lo_d, hi_d = _d1_range(source, channel)
     if not d1 < hi_d:
         raise DistortionRangeError(
@@ -365,11 +382,10 @@ def _d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> f
         raise DistortionRangeError(f"d1 must be >= {lo_d!r} (d_min(1)), got {d1!r}")
     if not _is_uncoded_optimal(source, channel, d1):
         raise SnrThresholdError(
-            "power/n1 exceeds the SNR threshold at this d1; the companion floor "
+            "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
             "has no closed form there"
         )
-    alpha = _solve_alpha(source, channel, d1)
-    return _d2u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
+    return _solve_alpha(source, channel, d1)
 
 
 def _check_witness(witness: BoundWitness) -> BoundWitness:
@@ -430,18 +446,37 @@ def _psi(source: SourceParams, channel: ChannelParams, eta: float) -> float:
     return source.sigma2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
 
 
-def _converse(source: SourceParams, channel: ChannelParams, d1: float, d2t: float) -> tuple[float, BoundWitness]:
-    """``(psi, witness)``: the converse at the optimal witness, given ``d2t = d2_min_at_rx1(d1)``.
+def _converse_at_alpha(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[float, BoundWitness]:
+    """``(psi, witness)``: the converse at the optimal witness, at the point alpha of the curve.
 
-    The root is taken once and serves both the witness and the combiner
-    bound; the values are those of ``d2_converse_bound`` at
-    ``optimal_witness``, bit for bit.
+    On the curve the optimal witness and its combiner bound are rational
+    in (a, b) = (alpha, 1 - alpha). With ``q = a**2 + 2*a*b*rho + b**2``,
+    ``om = (1 - rho)*(1 + rho)`` and ``den = power*a**2*om + n1*q``:
+
+        eta* = sigma2*n1*om*q/den
+        a1*  = a*(power + n1)*om*q/((a + b*rho)*den)
+        a2*  = (rho*n1*q - power*a*b*om)/den
+
+    These equal the root chain of ``optimal_witness`` and
+    ``combiner_mse_bound`` at ``d1 = D1u(alpha)`` exactly; the rational
+    forms take no square root of a difference and re-solve no alpha, so
+    they stay accurate where the chain cancels (rho near 1, P/n1 large at
+    the alpha = 1 corner). ``psi`` is ``_psi(eta*)``, a formula apart from
+    the achievable ``D2u(n2)`` it equals in exact arithmetic. The caller
+    decides coverage; where it holds, a2* >= 0 in exact arithmetic, and a
+    value that rounds below 0 at a tie is returned as 0.0.
     """
-    s2, rho = source.sigma2, source.rho
-    _check_below_sigma2(s2, d1)
-    root = _root(s2, d1, d2t, InternalInvariantError)
-    witness = _check_witness(_witness(s2, rho, d1, d2t, root))
-    return _psi(source, channel, _eta(s2, rho, d1, witness, root)), witness
+    rho, p, n1 = source.rho, channel.power, channel.n1
+    a, b = alpha, 1.0 - alpha
+    q = _quadratic_form(rho, a, b)
+    om = (1.0 - rho) * (1.0 + rho)
+    den = p * a * a * om + n1 * q
+    lead = a + b * rho
+    # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
+    a1 = (p + n1) * om * q / den * (a / lead if lead > 0.0 else 1.0)
+    a2 = (rho * n1 * q - p * a * b * om) / den
+    eta = source.sigma2 * (n1 / den * om * q)  # in units of sigma2, then scaled once
+    return _psi(source, channel, eta), BoundWitness(a1, a2 if a2 > 0.0 else 0.0)
 
 
 def combiner_mse_bound(

@@ -158,14 +158,16 @@ def negate_rho_transform(source: SourceParams) -> tuple[SourceParams, bool]:
     Returns ``(canonical_source, sign_flip)``. When ``sign_flip`` is true the
     scheme must encode the negated first stream and negate the receiver-1
     estimate; the resulting distortions are identical, so the transform is
-    lossless. Nonnegative inputs pass through untouched (identity; idempotent).
+    lossless. A rho of -0.0 maps to +0.0 with no sign flip, so its sign
+    reaches no printed value. Other nonnegative inputs pass through
+    untouched (identity; idempotent).
     """
     _require(_finite(source.sigma2), "sigma2 must be a finite number")
     _require(source.sigma2 > 0, "sigma2 must be > 0")
     _require(_finite(source.rho), "rho must be a finite number")
     _require(-1.0 < source.rho < 1.0, "rho must satisfy -1 < rho < 1")
-    if source.rho < 0:
-        return SourceParams(source.sigma2, -source.rho), True
+    if math.copysign(1.0, source.rho) < 0.0:
+        return SourceParams(source.sigma2, -source.rho), source.rho < 0.0
     return source, False
 
 

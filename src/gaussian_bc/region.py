@@ -14,9 +14,9 @@ receiver 1's channel capacity.
 Each public function validates its problem once and then evaluates every
 point through the private kernels of :mod:`.closed_forms` (and, in the
 verifier, the oracle kernel of :mod:`.rate_distortion`), the converse
-included: a point's converse is ``closed_forms._converse`` at the
-companion floor, which the trace takes from the ``_d2_min_at_rx1`` kernel
-and the verifier from the alpha it has already solved. No point goes
+included: a point's converse is ``closed_forms._converse_at_alpha`` at
+the point's alpha. The trace has that alpha already, so it solves none;
+the verifier and :func:`converse_at` solve it once per d1. No point goes
 through the public (memoized) closed forms, so neither re-validates the
 problem nor fills the ``d2_min_at_rx1`` cache.
 """
@@ -31,12 +31,12 @@ from .closed_forms import (
     BoundWitness,
     _check_below_sigma2,
     _check_rx1_scale,
-    _converse,
+    _converse_at_alpha,
     _d1_range,
     _d1u_form,
-    _d2_min_at_rx1,
     _d2u_form,
     _is_uncoded_optimal,
+    _rx1_alpha,
     _solve_alpha,
 )
 from .errors import BoundUndefinedError, OutOfRangeError
@@ -122,24 +122,25 @@ def converse_at(
 ) -> tuple[float, BoundWitness]:
     """Converse value and its optimal witness at the given d1.
 
-    Raises DistortionRangeError or SnrThresholdError when the respective
+    Solves the alpha of d1 once and evaluates the converse there. Raises
+    DistortionRangeError or SnrThresholdError when the respective
     precondition fails, so callers can tell the two apart.
     """
     validate_problem(source, channel)
     _check_rx1_scale(channel.power, channel.n1)
     _check_below_sigma2(source.sigma2, d1)
-    return _converse(source, channel, d1, _d2_min_at_rx1(source, channel, d1))
+    return _converse_at_alpha(source, channel, _rx1_alpha(source, channel, d1))
 
 
 def _check_sigma2_squares(s2: float) -> None:
-    """Raise OutOfRangeError unless the converse formulas can square sigma2.
+    """Raise OutOfRangeError unless the SNR threshold can square sigma2.
 
-    They multiply two sigma2-sized factors, the largest being the SNR
-    threshold's ``2*d1*sigma2*(1 - rho**2)``. So ``sigma2**2`` must be a
-    normal float and ``2*sigma2**2`` finite. Past the upper end the
-    threshold turns nan, which uncovers points silently, or a witness
-    component turns -inf; below the lower end the products underflow and
-    the formulas divide by zero.
+    It multiplies two sigma2-sized factors, the largest being
+    ``2*d1*sigma2*(1 - rho**2)``. So ``sigma2**2`` must be a normal float
+    and ``2*sigma2**2`` finite. Past the upper end the threshold turns
+    nan, which uncovers points silently; below the lower end the products
+    underflow and it divides by zero. (The converse kernel itself works in
+    units of sigma2 and needs no such range.)
     """
     if not sys.float_info.min <= s2 * s2 <= sys.float_info.max / 2.0:
         raise OutOfRangeError(
@@ -160,17 +161,18 @@ def trace_uncoded_boundary(
 
     Points are ordered by ascending alpha, hence strictly decreasing d1 and
     strictly increasing d2. Converse fields are populated only where the
-    converse preconditions hold. A power or n2 so large that
-    ``(power + n2)**2`` overflows raises OutOfRangeError: the distortion
-    forms square both, and would return nan. So does a sigma2 so large
-    that a distortion form overflows to inf; both forms peak at the ends
-    of the curve, d1 at alpha = 0 and d2 at alpha = 1. A power so far
-    above n1 that the converse at the optimal witness is undefined
-    (its combiner bound rounds to <= 0) raises OutOfRangeError too, and
-    so does a sigma2 outside about [1.5e-154, 9.4e153], where the
-    converse formulas overflow or underflow. So does a ``(power + n1)**2``
-    below the smallest normal float, where the receiver-1 forms lose
-    precision and then divide by zero.
+    converse preconditions hold (the SNR threshold at d1, d1 below
+    ``d1_min_at_d2min`` and below sigma2), each from the row's own alpha.
+    A power or n2 so large that ``(power + n2)**2`` overflows raises
+    OutOfRangeError: the distortion forms square both, and would return
+    nan. So does a sigma2 so large that a distortion form overflows to
+    inf; both forms peak at the ends of the curve, d1 at alpha = 0 and d2
+    at alpha = 1. A P/n1 past the float range, where the combiner bound
+    at a covered row underflows to 0 and the converse is undefined,
+    raises OutOfRangeError too, and so does a sigma2 outside about
+    [1.5e-154, 9.4e153], where the SNR threshold overflows or underflows.
+    So does a ``(power + n1)**2`` below the smallest normal float, where
+    the receiver-1 forms lose precision and then divide by zero.
     """
     validate_problem(source, channel)
     if num_points < 2:
@@ -186,17 +188,18 @@ def trace_uncoded_boundary(
     ):
         raise OutOfRangeError("sigma2 too large: sigma2 times a distortion numerator overflows")
     _check_sigma2_squares(s2)
+    hi_d = _d1_range(source, channel)[1]
     points: list[BoundaryPoint] = []
     for i in range(num_points):
         alpha = i / (num_points - 1)
         d1 = _d1u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
         flag = _is_uncoded_optimal(source, channel, d1)
-        try:
-            psi_value, witness = _converse(source, channel, d1, _d2_min_at_rx1(source, channel, d1))
-        except OutOfRangeError:
-            psi_value, witness = None, None
-        except BoundUndefinedError as exc:
-            raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
+        psi_value = witness = None
+        if flag and d1 < hi_d and d1 < s2:
+            try:
+                psi_value, witness = _converse_at_alpha(source, channel, alpha)
+            except BoundUndefinedError as exc:
+                raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
         points.append(
             BoundaryPoint(
                 alpha=alpha,
@@ -253,7 +256,7 @@ def verify_matching(
         alpha = _solve_alpha(source, channel, d1)
         d2_ach = _d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha)
         d2t = _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
-        psi_value, witness = _converse(source, channel, d1, d2t)
+        psi_value, witness = _converse_at_alpha(source, channel, alpha)
         oracle_error = abs(_r_joint(s2, rho, d1, d2t) - capacity)
         points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness, oracle_error))
     covered = [point for point in points if point.covered]

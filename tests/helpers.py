@@ -1,10 +1,13 @@
-"""Shared test fixtures: the desk configuration, config draws, and reference
-solvers for alpha and for the joint-rate oracle's outer maximum."""
+"""Shared test fixtures: the desk configuration, config draws, reference
+solvers for alpha and for the joint-rate oracle's outer maximum, and the
+converse at the optimal witness in 50-digit arithmetic."""
 
 from __future__ import annotations
 
 import math
 import random
+
+import mpmath
 
 from gaussian_bc import ChannelParams, SourceParams, UncodedCoeffs, uncoded_distortions
 from gaussian_bc.rate_distortion import _best_det_at
@@ -109,3 +112,26 @@ def scan_r_joint(sigma2: float, rho: float, delta1: float, delta2: float) -> flo
         _scan_det_on_edge(sigma2, rho_sig, cap2, cap1),
     )
     return max(0.0, 0.5 * math.log2((sigma2 * sigma2 - rho_sig * rho_sig) / best))
+
+
+def exact_converse(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[float, float, float, float]:
+    """``(d2_converse, a1, a2, a2_scale)`` at the curve point alpha, from 50-digit arithmetic.
+
+    The converse at the optimal witness equals the achievable ``D2u(n2)``;
+    the witness is the rational pair proved in ``test_converse_algebra.py``.
+    ``a2 = A/den`` is a difference, so its rounding error scales with
+    ``a2_scale = (rho*n1*q + power*a*b*om)/den``, not with a2.
+    """
+    with mpmath.workdps(50):
+        s2, rho = mpmath.mpf(source.sigma2), mpmath.mpf(source.rho)
+        p, n1, n2 = (mpmath.mpf(x) for x in (channel.power, channel.n1, channel.n2))
+        a = mpmath.mpf(alpha)
+        b = 1 - a
+        q = a * a + 2 * a * b * rho + b * b
+        om = 1 - rho * rho
+        den = p * a * a * om + n1 * q
+        d2 = s2 * (p * a * a * om + n2 * q) / ((p + n2) * q)
+        a1 = a * (p + n1) * om * q / ((a + b * rho) * den) if a + b * rho > 0 else (p + n1) * q / den
+        a2 = (rho * n1 * q - p * a * b * om) / den
+        a2_scale = (rho * n1 * q + p * a * b * om) / den
+        return float(d2), float(a1), float(a2), float(a2_scale)

@@ -13,7 +13,7 @@ import gaussian_bc
 from gaussian_bc import ChannelParams, SourceParams, d1_min_at_d2min, d_min, trace_uncoded_boundary
 from gaussian_bc.cli import run
 
-from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
 
 CSV_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag"
 
@@ -131,23 +131,42 @@ class TestTrace:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--power", "1e20"], "--power"),
-            (["--power", "1e100"], "--power"),
-            (["--n1", "1e-300", "--n2", "2e-300"], "--power"),
+            (["--sigma2", "1e10", "--power", "1e100", "--n1", "1e-224", "--n2", "2e-224"], "--power"),
             (["--sigma2", "1e300", "--power", "1e10"], "--sigma2"),
             (["--sigma2", "1e300", "--n2", "1e5"], "--sigma2"),
         ],
     )
     def test_unrepresentable_trace_names_its_flag(self, flags, named, capsys):
-        # the undefined converse at high P/n1 used to name no flag; an
-        # overflowing sigma2 named --d1, which trace does not have, or
-        # printed d2_uncoded = inf
+        # the converse undefined at a P/n1 past the float range used to
+        # name no flag; an overflowing sigma2 named --d1, which trace does
+        # not have, or printed d2_uncoded = inf
         code, text = run_cli(["trace", *flags])
         assert code == 2
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} too large")
         assert "--d1" not in err
+
+
+    @pytest.mark.parametrize(
+        "flags, channel",
+        [
+            (["--power", "1e20"], ChannelParams(1e20, 1.0, 2.0)),
+            (["--power", "1e100"], ChannelParams(1e100, 1.0, 2.0)),
+            (["--n1", "1e-300", "--n2", "2e-300"], ChannelParams(1.0, 1e-300, 2e-300)),
+        ],
+    )
+    def test_high_snr_traces_an_accurate_converse(self, flags, channel):
+        # the root chain's combiner bound rounded to <= 0 here, and trace
+        # exited 2 naming --power
+        code, text = run_cli(["trace", *flags])
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        covered = [row for row in rows if row[3]]
+        assert covered
+        for row in covered:
+            d2 = exact_converse(DESK_SOURCE, channel, float(row[0]))[0]
+            assert abs(float(row[3]) - d2) <= 1e-15 * d2
 
 
 class TestBound:
@@ -177,6 +196,15 @@ class TestBound:
 
     def test_d1_within_the_solver_slack_of_the_floor_still_bounds(self):
         assert run_cli(["bound", "--d1", "0.4999999999999"])[0] == 0
+
+    @pytest.mark.parametrize("flags", [["--power", "3"], ["--rho", "-1e-05"]])
+    def test_d1_beyond_the_snr_threshold_names_d1(self, flags, capsys):
+        code, text = run_cli(["bound", "--d1", "0.6", *flags])
+        assert code == 2
+        assert text == ""
+        # the last stderr line: a negative rho prints its note first
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: --d1 lies where power/n1 exceeds the SNR threshold")
 
     def test_simulate_keeps_naming_its_own_target_flag(self, capsys):
         code, _ = run_cli(["simulate", "--d1-target", "0.1", "--samples", "10"])
@@ -285,6 +313,13 @@ class TestVerify:
         assert "--tol" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("rho", ["0.999999999999", "0.99999999"])
+    def test_rho_near_1_passes(self, rho):
+        # the root chain cancelled here: max_residual was 1.85e-5 at 1 - 1e-12
+        code, text = run_cli(["verify", "--rho", rho])
+        assert code == 0
+        assert parse_kv(text)["verify"] == "PASS"
+
     @pytest.mark.parametrize("flags", [["--power", "1e-200"], ["--rho", "0.9999999999999999"]])
     def test_collapsed_d1_range_names_power(self, flags, capsys):
         # verify has no --d1 flag, so the error must not name one
@@ -328,6 +363,24 @@ class TestNegativeValuesInExponentNotation:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("error: --rho ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report"],
+        ["trace", "--points", "5"],
+        ["bound", "--d1", "0.5"],
+        ["simulate", "--samples", "1000", "--seed", "2"],
+        ["verify", "--grid", "10"],
+    ],
+)
+def test_negative_zero_rho_prints_the_bytes_of_rho_0(argv, capsys):
+    # the sign of -0.0 used to reach a2_star (printed as -0) and report's rho
+    negative = run_cli([*argv, "--rho", "-0.0"])
+    assert capsys.readouterr().err == ""
+    assert negative == run_cli([*argv, "--rho", "0"])
+    assert "-0," not in negative[1] and "=-0\n" not in negative[1]
 
 
 class TestTinyNoises:

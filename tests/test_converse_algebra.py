@@ -1,0 +1,79 @@
+"""The algebra behind the converse kernel, as exact identities of rational functions.
+
+``closed_forms._converse_at_alpha`` evaluates the converse at the optimal
+witness from alpha alone. Each identity it relies on is checked here in
+sympy, with positive symbols, by reducing ``lhs - rhs`` to a single
+fraction and cancelling it to 0. The weights a and b are kept independent:
+every form is homogeneous of degree 0 in (a, b), so the identities hold
+on the normalized curve b = 1 - a as well.
+"""
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+s2, rho, p, n1, n2, a, b = sp.symbols("sigma2 rho P n1 n2 a b", positive=True)
+q = a**2 + 2 * a * b * rho + b**2
+om = (1 - rho) * (1 + rho)
+den = p * a**2 * om + n1 * q
+
+
+def d1u(noise):
+    """``_d1u_form``: distortion on the first component, as the code writes it."""
+    num = (
+        p * p * b * b * (1 - rho * rho)
+        + p * noise * (a * a + 2 * a * b * rho + b * b * (2 - rho * rho))
+        + noise * noise * q
+    )
+    return s2 * num / ((p + noise) * (p + noise) * q)
+
+
+def d2u(noise):
+    """``_d2u_form``: distortion on the second component, as the code writes it."""
+    num = (
+        p * p * a * a * (1 - rho * rho)
+        + p * noise * (a * a * (2 - rho * rho) + 2 * a * b * rho + b * b)
+        + noise * noise * q
+    )
+    return s2 * num / ((p + noise) * (p + noise) * q)
+
+
+def vanishes(expr) -> bool:
+    return sp.cancel(sp.together(expr)) == 0
+
+
+# the root chain of closed_forms at d1 = D1u(n1), with d2t = D2u(n1)
+D1, D2T = d1u(n1), d2u(n1)
+ROOT = s2 * p * (a + b * rho) * (a * rho + b) / (q * (p + n1))
+A1_CHAIN = ((s2 - D1) * s2 - rho * s2 * ROOT) / ((s2 - D1) * D2T)
+A2_CHAIN = (rho * s2 - ROOT) / D2T
+
+# the kernel's rational forms
+ETA_STAR = s2 * n1 * om * q / den
+A1_STAR = a * (p + n1) * om * q / ((a + b * rho) * den)
+A2_STAR = (rho * n1 * q - p * a * b * om) / den
+
+
+def test_the_witness_radicand_is_a_perfect_square():
+    # ROOT is nonnegative, so it is the chain's sqrt((sigma2 - d1)*(sigma2 - d2t))
+    assert vanishes((s2 - D1) * (s2 - D2T) - ROOT**2)
+
+
+def test_the_rational_witness_is_the_root_chain_witness():
+    assert vanishes(A1_STAR - A1_CHAIN)
+    assert vanishes(A2_STAR - A2_CHAIN)
+
+
+def test_the_rational_eta_is_the_combiner_bound_at_that_witness():
+    eta_chain = s2 - A1_STAR * (s2 - D1) * (2 - A1_STAR) - A2_STAR * s2 * (2 * rho - A2_STAR)
+    eta_chain += 2 * A1_STAR * A2_STAR * ROOT
+    assert vanishes(ETA_STAR - eta_chain)
+
+
+def test_the_converse_meets_the_achievable_d2():
+    psi = s2 / (p + n2) * (s2 * (1 - rho**2) * n1 / ETA_STAR + n2 - n1)
+    assert vanishes(psi - d2u(n2))
+
+
+def test_the_short_form_of_d1u():
+    assert vanishes(d1u(n1) - s2 * (p * b**2 * om + n1 * q) / ((p + n1) * q))

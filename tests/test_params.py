@@ -153,6 +153,24 @@ def test_trace_validates_once_per_call_plus_once_per_cache_miss(monkeypatch):
     assert closed_forms.d2_min_at_rx1.cache_info().currsize == 0
 
 
+def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
+    # each row's converse comes from the alpha the trace already has
+    calls = {name: [] for name in ("_solve_alpha", "_d2_min_at_rx1")}
+    for name, log in calls.items():
+        original = getattr(closed_forms, name)
+
+        def counted(*args, original=original, log=log):
+            log.append(args)
+            return original(*args)
+
+        for module in (closed_forms, region):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    points = trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 1001)
+    assert any(p.d2_converse is not None for p in points)
+    assert calls == {"_solve_alpha": [], "_d2_min_at_rx1": []}
+
+
 def test_verify_validates_once_and_solves_alpha_once_per_covered_point(monkeypatch):
     closed_forms.d2_min_at_rx1.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
@@ -182,12 +200,13 @@ def test_kernels_call_no_validating_function(monkeypatch):
     closed_forms._d1u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
     closed_forms._d2u_form(1.0, 0.5, 1.0, 2.0, alpha, 1.0 - alpha)
     d2t = closed_forms._d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, d1)
+    closed_forms._rx1_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
     closed_forms._check_below_sigma2(1.0, d1)
     root = closed_forms._root(1.0, d1, d2t, closed_forms.InternalInvariantError)
     witness = closed_forms._witness(1.0, 0.5, d1, d2t, root)
     eta = closed_forms._eta(1.0, 0.5, d1, witness, root)
     closed_forms._psi(DESK_SOURCE, DESK_CHANNEL, eta)
-    closed_forms._converse(DESK_SOURCE, DESK_CHANNEL, d1, d2t)
+    closed_forms._converse_at_alpha(DESK_SOURCE, DESK_CHANNEL, alpha)
     rate_distortion._r_joint(1.0, 0.5, d1, d2t)
     assert calls == [[], []]
 
@@ -214,6 +233,9 @@ def test_negate_rho_transform_examples():
     assert negate_rho_transform(SourceParams(1.0, -0.5)) == (SourceParams(1.0, 0.5), True)
     assert negate_rho_transform(SourceParams(1.0, 0.0)) == (SourceParams(1.0, 0.0), False)
     assert negate_rho_transform(SourceParams(1.0, 0.9)) == (SourceParams(1.0, 0.9), False)
+    # -0.0 == 0.0, so the sign is checked apart: it must not reach the kernels
+    source, sign_flip = negate_rho_transform(SourceParams(1.0, -0.0))
+    assert (math.copysign(1.0, source.rho), sign_flip) == (1.0, False)
 
 
 def test_negate_rho_transform_rejects_unit_correlation():

@@ -15,13 +15,13 @@ from gaussian_bc import (
     converse_at,
     d2_converse_bound,
     d2_min_at_rx1,
-    optimal_witness,
     r_joint_numeric,
     trace_uncoded_boundary,
     verify_matching,
 )
 
-from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
+from gaussian_bc.closed_forms import _converse_at_alpha, _solve_alpha
+from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
 
 HIGH_SNR_SOURCE = SourceParams(1.0, 0.1)
 HIGH_SNR_CHANNEL = ChannelParams(100.0, 1.0, 2.0)
@@ -55,11 +55,32 @@ class TestTrace:
     @pytest.mark.parametrize(
         "channel", [ChannelParams(1e20, 1.0, 2.0), ChannelParams(1.0, 1e-300, 2e-300)]
     )
-    def test_undefined_converse_is_a_power_range_error(self, channel):
-        # the combiner bound rounds to <= 0 at P/n1 this high; the
-        # BoundUndefinedError used to abort the trace with no parameter named
+    def test_high_snr_traces_an_accurate_converse(self, channel):
+        # the root chain's combiner bound rounded to <= 0 at P/n1 this high,
+        # and the trace was refused
+        covered = [p for p in trace_uncoded_boundary(DESK_SOURCE, channel, 11) if p.d2_converse is not None]
+        assert covered
+        for p in covered:
+            d2 = exact_converse(DESK_SOURCE, channel, p.alpha)[0]
+            assert abs(p.d2_converse - d2) <= 1e-15 * d2
+
+    def test_undefined_converse_is_a_power_range_error(self):
+        # P/n1 beyond the float range: the combiner bound n1/den underflows
+        # to 0 at a covered row, and the trace names the power
+        source, channel = SourceParams(1e10, 0.5), ChannelParams(1e100, 1e-224, 2e-224)
         with pytest.raises(OutOfRangeError, match=r"^power too large relative to n1"):
-            trace_uncoded_boundary(DESK_SOURCE, channel, 11)
+            trace_uncoded_boundary(source, channel, 11)
+
+    @pytest.mark.parametrize("snr", [1e8, 1e12, 1e16])
+    def test_the_alpha_1_corner_is_accurate(self, snr):
+        # the root chain re-solved a flat alpha there: at P/n1 = 1e16 it
+        # printed d2_converse = 0.6755... for 0.75
+        channel = ChannelParams(snr, 1.0, 2.0)
+        corner = trace_uncoded_boundary(DESK_SOURCE, channel, 11)[-1]
+        assert corner.alpha == 1.0
+        values = (corner.d2_converse, corner.witness.a1, corner.witness.a2)
+        for value, exact in zip(values, exact_converse(DESK_SOURCE, channel, 1.0)):
+            assert abs(value - exact) <= 1e-15 * exact
 
     @pytest.mark.parametrize(
         "source, channel",
@@ -215,6 +236,21 @@ class TestVerifyMatching:
         with pytest.raises(GaussianBcError):
             verify_matching(SourceParams(5.53e-16, 0.314945), channel, 50, 1e-9)
 
+    def test_a_grid_point_at_sigma2_gets_an_accurate_converse(self):
+        # at rho = 0 the range end sigma2*(n1 + P)/(n1 + P) can round above
+        # sigma2, so the last covered grid point sits at d1 >= sigma2; the
+        # root chain divided by sigma2 - d1, and verify was refused there
+        source = SourceParams(0.8962530287024857, 0.0)
+        channel = ChannelParams(5.021225900416578e-15, 0.6346300968214699, 4.0)
+        report = verify_matching(source, channel, 50, 1e-9)
+        assert report.passed
+        edge = [p for p in report.points if p.covered and p.d1 >= source.sigma2]
+        assert edge
+        for p in edge:
+            TestOneConverseKernel.assert_accurate(
+                source, channel, _solve_alpha(source, channel, p.d1), p.d2_converse, p.witness
+            )
+
     def test_zero_tolerance_is_accepted(self):
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 0.0)
         assert report.tol == 0.0
@@ -237,18 +273,25 @@ class TestVerifyMatching:
 
 
 class TestOneConverseKernel:
-    """The region path equals the public converse functions bit for bit.
+    """Every converse of the region path comes from one kernel, at the point's alpha.
 
-    Values are compared by ``repr``, which round-trips every float exactly
-    and tells -0.0 from 0.0.
+    A trace row is ``_converse_at_alpha`` at the row's alpha, and a verify
+    point is ``converse_at`` at its d1 (one alpha solve, then the kernel),
+    bit for bit. Values are compared by ``repr``, which round-trips every
+    float exactly and tells -0.0 from 0.0. Against 50-digit arithmetic at
+    the same alpha, d2_converse and a1 are within 1e-15 relative, and a2,
+    a difference, within 1e-15 of its scale (``exact_converse``); the
+    root chain missed these bounds by up to 1e-12.
     """
 
     CONFIGS = random_valid_configs(40, seed=1207)
 
     @staticmethod
-    def public_converse(source, channel, d1):
-        witness = optimal_witness(source, channel, d1)
-        return d2_converse_bound(source, channel, d1, witness), witness
+    def assert_accurate(source, channel, alpha, d2_converse, witness):
+        d2, a1, a2, a2_scale = exact_converse(source, channel, alpha)
+        assert abs(d2_converse - d2) <= 1e-15 * d2
+        assert abs(witness.a1 - a1) <= 1e-15 * a1
+        assert abs(witness.a2 - a2) <= 1e-15 * a2_scale
 
     def test_trace_rows(self):
         covered = 0
@@ -257,9 +300,8 @@ class TestOneConverseKernel:
                 if p.d2_converse is None:
                     continue
                 covered += 1
-                row = repr((p.d2_converse, p.witness))
-                assert row == repr(converse_at(source, channel, p.d1))
-                assert row == repr(self.public_converse(source, channel, p.d1))
+                assert repr((p.d2_converse, p.witness)) == repr(_converse_at_alpha(source, channel, p.alpha))
+                self.assert_accurate(source, channel, p.alpha, p.d2_converse, p.witness)
         assert covered > 2000
 
     def test_verify_points(self):
@@ -269,9 +311,9 @@ class TestOneConverseKernel:
                 if not p.covered:
                     continue
                 covered += 1
-                point = repr((p.d2_converse, p.witness))
-                assert point == repr(converse_at(source, channel, p.d1))
-                assert point == repr(self.public_converse(source, channel, p.d1))
+                assert repr((p.d2_converse, p.witness)) == repr(converse_at(source, channel, p.d1))
+                alpha = _solve_alpha(source, channel, p.d1)
+                self.assert_accurate(source, channel, alpha, p.d2_converse, p.witness)
         assert covered > 900
 
     def test_verify_oracle_points(self):
