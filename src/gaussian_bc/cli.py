@@ -123,7 +123,7 @@ _TRACE_ROW_NO_CONVERSE = "%.17g,%.17g,%.17g,,,,%s\n"
 
 
 def _trace_line(point: region.BoundaryPoint) -> str:
-    flag = "true" if point.optimal_flag else "false"
+    flag = _bool(point.optimal_flag)
     if point.d2_converse is None:
         return _TRACE_ROW_NO_CONVERSE % (point.alpha, point.d1, point.d2_achievable, flag)
     witness = point.witness

@@ -397,7 +397,7 @@ def _check_witness(witness: BoundWitness) -> BoundWitness:
 
 
 def _check_below_sigma2(sigma2: float, d1: float) -> None:
-    # the witness formulas divide by sigma2 - d1; on the region path,
+    # the root-chain witness formulas divide by sigma2 - d1; on the curve,
     # d1 >= sigma2 is reachable only through rounding at the rho = 0 corner
     if d1 >= sigma2:
         raise DistortionRangeError("d1 must be < sigma2 for the witness formulas")
