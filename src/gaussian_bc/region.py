@@ -223,14 +223,14 @@ def verify_matching(
     the threshold condition fails are recorded as not covered and excluded
     from the pass/fail verdict. Each covered point also carries the
     joint-rate oracle's error against receiver 1's capacity, evaluated at
-    the same companion floor the converse uses. Failures are data in the
-    report, never exceptions; a tol that is not a finite number >= 0
-    (which would pass or fail every point vacuously) raises
-    OutOfRangeError, and so does a d1 range too narrow to hold the grid
-    strictly inside it in floating point (its width is
-    sigma2*power*(1 - rho**2)/(power + n1)), a sigma2 outside about
-    [1.5e-154, 9.4e153], and a ``(power + n1)**2`` below the smallest
-    normal float.
+    the companion floor of the alpha solved for d1, where the converse is
+    taken too. Failures are data in the report, never exceptions; a tol
+    that is not a finite number >= 0 (which would pass or fail every
+    point vacuously) raises OutOfRangeError, and so does a d1 range too
+    narrow to hold the grid strictly inside it in floating point (its
+    width is sigma2*power*(1 - rho**2)/(power + n1)), a sigma2 outside
+    about [1.5e-154, 9.4e153], and a ``(power + n1)**2`` below the
+    smallest normal float.
     """
     validate_problem(source, channel)
     if grid_size < 1:
