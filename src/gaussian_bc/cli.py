@@ -147,9 +147,7 @@ def _cmd_trace(args, out) -> int:
 def _cmd_bound(args, out) -> int:
     source, channel = _resolve_problem(args)
     d2_floor = closed_forms.d2_min_at_rx1(source, channel, args.d1)
-    witness = closed_forms.optimal_witness(source, channel, args.d1)
-    eta = closed_forms.combiner_mse_bound(source, channel, args.d1, witness)
-    psi = closed_forms.d2_converse_bound(source, channel, args.d1, witness)
+    eta, psi, witness = region.converse_at(source, channel, args.d1)
     for key, value in [
         ("d1", args.d1),
         ("d2_min_rx1", d2_floor),
@@ -254,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="machine-check boundary matching and the joint-rate oracle")
     _add_problem_flags(p_verify)
     p_verify.add_argument("--grid", type=int, default=50, help="d1 grid size for the matching check (default 50)")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="matching residual tolerance (default 1e-9)")
+    p_verify.add_argument("--tol", type=float, default=1e-9, help="matching residual tolerance, relative to sigma2 (default 1e-9)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

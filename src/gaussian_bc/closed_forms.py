@@ -34,36 +34,27 @@ All functions are pure.
 Validation policy: a public function validates its problem once, then
 computes through ``_``-prefixed kernels (``_d1u_form``, ``_d2u_form``,
 ``_d1_range``, ``_snr_threshold``, ``_is_uncoded_optimal``,
-``_solve_alpha``, ``_rx1_alpha``, ``_d2_min_at_rx1`` and the converse
-kernels below). A kernel assumes a validated problem and calls no public
-function, so ``region`` and ``cli`` call the kernels directly once they
-have validated a problem themselves. Every kernel keeps the operation
-order of the public function it serves, so both routes give the same
-bits.
+``_solve_alpha``, ``_rx1_alpha`` and the converse kernels below). A
+kernel assumes a validated problem and calls no public function, so
+``region`` and ``cli`` call the kernels directly once they have
+validated a problem themselves. Every kernel keeps the operation order
+of the public function it serves, so both routes give the same bits.
 
-The converse has two routes, with one copy of each formula:
+The converse has one route. ``_converse_at_alpha`` is the converse at
+the optimal witness of the curve point alpha, from rational forms in
+(alpha, 1 - alpha) with no square root, alpha solve or clamp. The trace
+calls it at each row's alpha; the verifier, ``converse_at`` and
+``optimal_witness`` call it at the alpha they solve for d1. At any other
+witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
+``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` as the perfect
+square it is on the curve, ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
+at the alpha of d1, so no square root is taken there either.
 
-* ``_converse_at_alpha`` is the converse at the optimal witness of the
-  curve point alpha, from rational forms in (alpha, 1 - alpha) with no
-  square root, alpha solve or clamp. ``region`` computes every point's
-  converse through it: the trace at each row's alpha, and the verifier
-  and ``converse_at`` at the alpha they solve once per d1.
-* The public per-witness functions (``optimal_witness``,
-  ``combiner_mse_bound``, ``d2_converse_bound``, and so ``bound``) keep
-  the root chain at any d1 and any witness: ``_root`` takes
-  ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` with its radicand clamp, and
-  ``_witness``, ``_eta`` and ``_psi`` evaluate the witness pair, the
-  combiner bound and the d2 bound. Moving them to the rational forms
-  alone made ``bound``'s corner value less accurate, since it would still
-  print the chain's per-witness eta; that move waits until ``bound``
-  prints the kernel's value.
-
-``d2_min_at_rx1`` is memoized for the public per-witness functions: the
-witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
-thousands of times at one d1, and the cache keeps both the alpha solve
-and the validation off that path (a key is validated on its first miss
-only). ``optimal_witness`` is a per-d1 function; it validates once and
-calls the ``_d2_min_at_rx1`` kernel.
+``_rx1_point`` memoizes ``(alpha, root)`` per d1 for the public per-d1
+and per-witness functions: the witness sweeps call ``combiner_mse_bound``
+and ``d2_converse_bound`` thousands of times at one d1, and the cache
+keeps both the alpha solve and the validation off that path (a key is
+validated on its first miss only).
 """
 
 from __future__ import annotations
@@ -77,7 +68,6 @@ from .errors import (
     DegenerateCoefficientsError,
     BoundUndefinedError,
     DistortionRangeError,
-    InternalInvariantError,
     OutOfRangeError,
     ParameterError,
     SnrThresholdError,
@@ -112,17 +102,6 @@ __all__ = [
 # Residual contract of solve_alpha_for_d1 on the d1 curve, in units of
 # sigma2; also the slack allowed on its range check.
 _RESIDUAL_TOL = 1e-12
-
-# At threshold-equality points a witness component vanishes, and its
-# formula subtracts a square root whose radicand is itself an ulp-level
-# difference; the root amplifies rounding to ~sqrt(ulp) ~ 1e-8. Clamp
-# negatives up to 1e-6 (components are dimensionless O(1); genuine
-# formula bugs show up at O(1)).
-_WITNESS_CLAMP = 1e-6
-# Radicands of the form (sigma2 - d)*(sigma2 - d2t) are nonnegative in
-# exact arithmetic; tolerate rounding-level excursions below zero.
-_RADICAND_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class BoundWitness:
@@ -351,7 +330,6 @@ def _solve_alpha(source: SourceParams, channel: ChannelParams, d1_target: float)
     return min(max(1.0 - t, 0.0), 1.0)
 
 
-@lru_cache(maxsize=4096)
 def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
     """Least distortion on the second component achievable at receiver 1.
 
@@ -361,13 +339,7 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     solving ``D1u = d1``. Always sandwiched between ``d_min(1)`` and
     ``sigma2``. A d1 below ``d_min(1)`` raises DistortionRangeError.
     """
-    validate_problem(source, channel)
-    _check_rx1_scale(channel.power, channel.n1)
-    return _d2_min_at_rx1(source, channel, d1)
-
-
-def _d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
-    alpha = _rx1_alpha(source, channel, d1)
+    alpha = _rx1_point(source, channel, d1)[0]
     return _d2u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
 
 
@@ -388,50 +360,32 @@ def _rx1_alpha(source: SourceParams, channel: ChannelParams, d1: float) -> float
     return _solve_alpha(source, channel, d1)
 
 
+@lru_cache(maxsize=4096)
+def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float]:
+    """``(alpha, root)`` at d1, for the public per-d1 and per-witness functions.
+
+    Validates the problem, on a cache miss only, and raises as
+    :func:`d2_min_at_rx1` does. ``root`` is
+    ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its proved
+    perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
+    at (a, b) = (alpha, 1 - alpha): a product of nonnegative factors, so
+    it needs no square root of a difference and no clamp.
+    """
+    validate_problem(source, channel)
+    _check_rx1_scale(channel.power, channel.n1)
+    alpha = _rx1_alpha(source, channel, d1)
+    rho, p = source.rho, channel.power
+    a, b = alpha, 1.0 - alpha
+    shape = (a + b * rho) * (a * rho + b) / _quadratic_form(rho, a, b)
+    return alpha, source.sigma2 * (p / (p + channel.n1) * shape)
+
+
 def _check_witness(witness: BoundWitness) -> BoundWitness:
     if not (math.isfinite(witness.a1) and math.isfinite(witness.a2)):
         raise ParameterError("witness components must be finite")
     if witness.a1 * witness.a2 < 0.0:
         raise ParameterError("witness components a1, a2 must have equal sign")
     return witness
-
-
-def _check_below_sigma2(sigma2: float, d1: float) -> None:
-    # the root-chain witness formulas divide by sigma2 - d1; on the curve,
-    # d1 >= sigma2 is reachable only through rounding at the rho = 0 corner
-    if d1 >= sigma2:
-        raise DistortionRangeError("d1 must be < sigma2 for the witness formulas")
-
-
-def _root(s2: float, d1: float, d2t: float, error: type[Exception]) -> float:
-    """``sqrt((sigma2 - d1)*(sigma2 - d2t))``, the root of the witness and combiner formulas.
-
-    The radicand is nonnegative in exact arithmetic; a rounding-level
-    excursion below zero is clamped to 0, and a larger one raises
-    ``error``: InternalInvariantError for the witness (a formula bug),
-    BoundUndefinedError for the combiner bound.
-    """
-    rad = (s2 - d1) * (s2 - d2t)
-    if rad < 0.0:
-        if rad < -_RADICAND_CLAMP * s2 * s2:
-            if error is InternalInvariantError:
-                raise error(f"negative radicand in the witness formulas: {rad!r}")
-            raise error("negative radicand in the combiner bound")
-        rad = 0.0
-    return math.sqrt(rad)
-
-
-def _clamped(value: float, name: str) -> float:
-    # the rounding scale of the components is dimensionless (~sqrt(ulp))
-    if value < -_WITNESS_CLAMP:
-        raise InternalInvariantError(f"optimal witness component {name} is negative: {value!r}")
-    return 0.0 if value < 0.0 else value
-
-
-def _witness(s2: float, rho: float, d1: float, d2t: float, root: float) -> BoundWitness:
-    a1 = ((s2 - d1) * s2 - rho * s2 * root) / ((s2 - d1) * d2t)
-    a2 = (rho * s2 - root) / d2t
-    return BoundWitness(_clamped(a1, "a1"), _clamped(a2, "a2"))
 
 
 def _eta(s2: float, rho: float, delta: float, witness: BoundWitness, root: float) -> float:
@@ -446,8 +400,10 @@ def _psi(source: SourceParams, channel: ChannelParams, eta: float) -> float:
     return source.sigma2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
 
 
-def _converse_at_alpha(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[float, BoundWitness]:
-    """``(psi, witness)``: the converse at the optimal witness, at the point alpha of the curve.
+def _converse_at_alpha(
+    source: SourceParams, channel: ChannelParams, alpha: float
+) -> tuple[float, float, BoundWitness]:
+    """``(eta*, psi, witness)``: the converse at the optimal witness, at the point alpha of the curve.
 
     On the curve the optimal witness and its combiner bound are rational
     in (a, b) = (alpha, 1 - alpha). With ``q = a**2 + 2*a*b*rho + b**2``,
@@ -457,14 +413,16 @@ def _converse_at_alpha(source: SourceParams, channel: ChannelParams, alpha: floa
         a1*  = a*(power + n1)*om*q/((a + b*rho)*den)
         a2*  = (rho*n1*q - power*a*b*om)/den
 
-    These equal the root chain of ``optimal_witness`` and
-    ``combiner_mse_bound`` at ``d1 = D1u(alpha)`` exactly; the rational
-    forms take no square root of a difference and re-solve no alpha, so
-    they stay accurate where the chain cancels (rho near 1, P/n1 large at
-    the alpha = 1 corner). ``psi`` is ``_psi(eta*)``, a formula apart from
-    the achievable ``D2u(n2)`` it equals in exact arithmetic. The caller
-    decides coverage; where it holds, a2* >= 0 in exact arithmetic, and a
-    value that rounds below 0 at a tie is returned as 0.0.
+    (a1*, a2*) is exactly the witness that maximizes the converse at
+    ``d1 = D1u(alpha)``, and eta* is ``combiner_mse_bound`` there
+    (``tests/test_converse_algebra.py``). The rational forms take no
+    square root of a difference and re-solve no alpha, so they stay
+    accurate where a chain through ``sqrt((sigma2 - d1)*(sigma2 - d2t))``
+    cancels (rho near 1, P/n1 large at the alpha = 1 corner). ``psi`` is
+    ``_psi(eta*)``, a formula apart from the achievable ``D2u(n2)`` it
+    equals in exact arithmetic. The caller decides coverage; where it
+    holds, a2* >= 0 in exact arithmetic, and a value that rounds below 0
+    at a tie is returned as 0.0.
     """
     rho, p, n1 = source.rho, channel.power, channel.n1
     a, b = alpha, 1.0 - alpha
@@ -476,7 +434,7 @@ def _converse_at_alpha(source: SourceParams, channel: ChannelParams, alpha: floa
     a1 = (p + n1) * om * q / den * (a / lead if lead > 0.0 else 1.0)
     a2 = (rho * n1 * q - p * a * b * om) / den
     eta = source.sigma2 * (n1 / den * om * q)  # in units of sigma2, then scaled once
-    return _psi(source, channel, eta), BoundWitness(a1, a2 if a2 > 0.0 else 0.0)
+    return eta, _psi(source, channel, eta), BoundWitness(a1, a2 if a2 > 0.0 else 0.0)
 
 
 def combiner_mse_bound(
@@ -491,11 +449,11 @@ def combiner_mse_bound(
         + 2*a1*a2*sqrt((sigma2 - delta)*(sigma2 - d2_min_at_rx1(delta)))
 
     Requires delta in the domain of :func:`d2_min_at_rx1` and an equal-sign
-    witness.
+    witness. The root is taken in its perfect-square form at the alpha of
+    delta (see ``_rx1_point``).
     """
     _check_witness(witness)
-    root = _root(source.sigma2, delta, d2_min_at_rx1(source, channel, delta), BoundUndefinedError)
-    return _eta(source.sigma2, source.rho, delta, witness, root)
+    return _eta(source.sigma2, source.rho, delta, witness, _rx1_point(source, channel, delta)[1])
 
 
 def d2_converse_bound(
@@ -511,24 +469,22 @@ def d2_converse_bound(
     with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0.
     """
     _check_witness(witness)
-    root = _root(source.sigma2, delta, d2_min_at_rx1(source, channel, delta), BoundUndefinedError)
-    return _psi(source, channel, _eta(source.sigma2, source.rho, delta, witness, root))
+    eta = _eta(source.sigma2, source.rho, delta, witness, _rx1_point(source, channel, delta)[1])
+    return _psi(source, channel, eta)
 
 
 def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> BoundWitness:
     """The closed-form witness pair maximizing the converse bound at this d1.
 
-        a1 = ((sigma2 - d1)*sigma2 - rho*sigma2*root) / ((sigma2 - d1)*d2t)
-        a2 = (rho*sigma2 - root) / d2t,
-        root = sqrt((sigma2 - d1)*(sigma2 - d2t)),  d2t = d2_min_at_rx1(d1)
+    With (a, b) = (alpha, 1 - alpha) at the alpha solving ``D1u = d1``,
+    ``q = a**2 + 2*a*b*rho + b**2``, ``om = (1 - rho)*(1 + rho)`` and
+    ``den = power*a**2*om + n1*q``:
+
+        a1 = a*(power + n1)*om*q/((a + b*rho)*den)
+        a2 = (rho*n1*q - power*a*b*om)/den
 
     Both components are nonnegative wherever the preconditions of
-    :func:`d2_min_at_rx1` hold; a negative component signals a formula bug
-    or a precondition leak and raises.
+    :func:`d2_min_at_rx1` hold; a2 is 0 at the threshold, where it is
+    returned as 0.0 if it rounds below.
     """
-    validate_problem(source, channel)
-    _check_rx1_scale(channel.power, channel.n1)
-    s2 = source.sigma2
-    _check_below_sigma2(s2, d1)
-    d2t = _d2_min_at_rx1(source, channel, d1)
-    return _witness(s2, source.rho, d1, d2t, _root(s2, d1, d2t, InternalInvariantError))
+    return _converse_at_alpha(source, channel, _rx1_point(source, channel, d1)[0])[2]

@@ -15,10 +15,12 @@ Each public function validates its problem once and then evaluates every
 point through the private kernels of :mod:`.closed_forms` (and, in the
 verifier, the oracle kernel of :mod:`.rate_distortion`), the converse
 included: a point's converse is ``closed_forms._converse_at_alpha`` at
-the point's alpha. The trace has that alpha already, so it solves none;
-the verifier and :func:`converse_at` solve it once per d1. No point goes
-through the public (memoized) closed forms, so neither re-validates the
-problem nor fills the ``d2_min_at_rx1`` cache.
+the point's alpha, the one converse route of the package. The trace has
+that alpha already, so it solves none; the verifier solves it once per
+d1. No point of either goes through the public (memoized) closed forms,
+so neither re-validates the problem nor fills the per-d1 cache
+``closed_forms._rx1_point``, which :func:`converse_at` shares with the
+public per-d1 functions.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from dataclasses import dataclass
 
 from .closed_forms import (
     BoundWitness,
-    _check_below_sigma2,
     _check_rx1_scale,
     _converse_at_alpha,
     _d1_range,
     _d1u_form,
     _d2u_form,
     _is_uncoded_optimal,
-    _rx1_alpha,
+    _rx1_point,
     _solve_alpha,
 )
 from .errors import BoundUndefinedError, OutOfRangeError
@@ -94,7 +95,8 @@ class MatchPoint:
 class MatchReport:
     """Outcome of :func:`verify_matching`.
 
-    ``passed`` is true iff every covered point has residual <= tol; points
+    ``passed`` is true iff every covered point has residual <= tol*sigma2
+    (``tol`` is relative to sigma2, as the residual scales with it); points
     not covered by the threshold condition are excluded from pass/fail.
     ``max_residual`` and ``max_oracle_error_bits`` are maxima over the
     covered points, None when there are none. The oracle error is
@@ -119,17 +121,16 @@ class MatchReport:
 
 def converse_at(
     source: SourceParams, channel: ChannelParams, d1: float
-) -> tuple[float, BoundWitness]:
-    """Converse value and its optimal witness at the given d1.
+) -> tuple[float, float, BoundWitness]:
+    """``(eta, psi, witness)``: the converse at the optimal witness at the given d1.
 
-    Solves the alpha of d1 once and evaluates the converse there. Raises
-    DistortionRangeError or SnrThresholdError when the respective
-    precondition fails, so callers can tell the two apart.
+    ``eta`` is the combiner bound at the optimal witness and ``psi`` the
+    converse value. Solves the alpha of d1 once (memoized per d1, with
+    the problem validated on a miss) and evaluates the converse kernel
+    there. Raises DistortionRangeError or SnrThresholdError when the
+    respective precondition fails, so callers can tell the two apart.
     """
-    validate_problem(source, channel)
-    _check_rx1_scale(channel.power, channel.n1)
-    _check_below_sigma2(source.sigma2, d1)
-    return _converse_at_alpha(source, channel, _rx1_alpha(source, channel, d1))
+    return _converse_at_alpha(source, channel, _rx1_point(source, channel, d1)[0])
 
 
 def _check_sigma2_squares(s2: float) -> None:
@@ -147,6 +148,17 @@ def _check_sigma2_squares(s2: float) -> None:
             f"sigma2 too {'large' if s2 > 1.0 else 'small'}: the converse formulas need "
             f"sigma2 in about [1.5e-154, 9.4e153], got {s2!r}"
         )
+
+
+def _check_rx2_scale(power: float, n2: float) -> None:
+    """Raise OutOfRangeError unless ``(power + n2)**2`` is finite.
+
+    The distortion forms at receiver 2 square that sum; past the float
+    range they return nan, and a nan residual would judge nothing.
+    """
+    if not math.isfinite((power + n2) * (power + n2)):
+        name = "power" if power >= n2 else "n2"
+        raise OutOfRangeError(f"{name} too large: (power + n2)**2 overflows the distortion forms")
 
 
 def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
@@ -167,10 +179,12 @@ def trace_uncoded_boundary(
     OutOfRangeError: the distortion forms square both, and would return
     nan. So does a sigma2 so large that a distortion form overflows to
     inf; both forms peak at the ends of the curve, d1 at alpha = 0 and d2
-    at alpha = 1. A P/n1 past the float range, where the combiner bound
-    at a covered row underflows to 0 and the converse is undefined,
-    raises OutOfRangeError too, and so does a sigma2 outside about
-    [1.5e-154, 9.4e153], where the SNR threshold overflows or underflows.
+    at alpha = 1. So does a sigma2 so small that d1 at alpha = 1, its
+    least value, underflows to 0, where no SNR threshold exists. A P/n1
+    past the float range, where the combiner bound at a covered row
+    underflows to 0 and the converse is undefined, raises OutOfRangeError
+    too, and so does a sigma2 outside about [1.5e-154, 9.4e153], where
+    the SNR threshold overflows or underflows.
     So does a ``(power + n1)**2`` below the smallest normal float, where
     the receiver-1 forms lose precision and then divide by zero.
     """
@@ -178,15 +192,15 @@ def trace_uncoded_boundary(
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
     s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
-    if not math.isfinite((p + n2) * (p + n2)):
-        name = "power" if p >= n2 else "n2"
-        raise OutOfRangeError(f"{name} too large: (power + n2)**2 overflows the distortion forms")
+    _check_rx2_scale(p, n2)
     _check_rx1_scale(p, n1)
     if not (
         math.isfinite(_d1u_form(s2, rho, p, n1, 0.0, 1.0))
         and math.isfinite(_d2u_form(s2, rho, p, n2, 1.0, 0.0))
     ):
         raise OutOfRangeError("sigma2 too large: sigma2 times a distortion numerator overflows")
+    if not _d1u_form(s2, rho, p, n1, 1.0, 0.0) > 0.0:
+        raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
     _check_sigma2_squares(s2)
     hi_d = _d1_range(source, channel)[1]
     points: list[BoundaryPoint] = []
@@ -197,7 +211,7 @@ def trace_uncoded_boundary(
         psi_value = witness = None
         if flag and d1 < hi_d and d1 < s2:
             try:
-                psi_value, witness = _converse_at_alpha(source, channel, alpha)
+                _, psi_value, witness = _converse_at_alpha(source, channel, alpha)
             except BoundUndefinedError as exc:
                 raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
         points.append(
@@ -221,16 +235,17 @@ def verify_matching(
     The grid is uniform over the open interval between ``d_min(1)`` and
     ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Points where
     the threshold condition fails are recorded as not covered and excluded
-    from the pass/fail verdict. Each covered point also carries the
-    joint-rate oracle's error against receiver 1's capacity, evaluated at
-    the companion floor of the alpha solved for d1, where the converse is
-    taken too. Failures are data in the report, never exceptions; a tol
+    from the pass/fail verdict. A covered point passes when its residual
+    is at most ``tol*sigma2``; a nan residual never passes. Each covered
+    point also carries the joint-rate oracle's error against receiver 1's
+    capacity, evaluated at the companion floor of the alpha solved for
+    d1, where the converse is taken too. Failures are data in the report, never exceptions; a tol
     that is not a finite number >= 0 (which would pass or fail every
     point vacuously) raises OutOfRangeError, and so does a d1 range too
     narrow to hold the grid strictly inside it in floating point (its
     width is sigma2*power*(1 - rho**2)/(power + n1)), a sigma2 outside
-    about [1.5e-154, 9.4e153], and a ``(power + n1)**2`` below the
-    smallest normal float.
+    about [1.5e-154, 9.4e153], a ``(power + n1)**2`` below the smallest
+    normal float, and a ``(power + n2)**2`` that overflows.
     """
     validate_problem(source, channel)
     if grid_size < 1:
@@ -238,6 +253,7 @@ def verify_matching(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
     s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
+    _check_rx2_scale(p, n2)
     _check_rx1_scale(p, n1)
     _check_sigma2_squares(s2)
     lo, hi = _d1_range(source, channel)
@@ -256,7 +272,7 @@ def verify_matching(
         alpha = _solve_alpha(source, channel, d1)
         d2_ach = _d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha)
         d2t = _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
-        psi_value, witness = _converse_at_alpha(source, channel, alpha)
+        _, psi_value, witness = _converse_at_alpha(source, channel, alpha)
         oracle_error = abs(_r_joint(s2, rho, d1, d2t) - capacity)
         points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness, oracle_error))
     covered = [point for point in points if point.covered]
@@ -266,5 +282,5 @@ def verify_matching(
         points=tuple(points),
         max_residual=max((point.residual for point in covered), default=None),
         max_oracle_error_bits=max((point.oracle_error_bits for point in covered), default=None),
-        passed=not any(point.residual > tol for point in covered),
+        passed=all(point.residual <= tol * s2 for point in covered),
     )

@@ -114,11 +114,14 @@ def scan_r_joint(sigma2: float, rho: float, delta1: float, delta2: float) -> flo
     return max(0.0, 0.5 * math.log2((sigma2 * sigma2 - rho_sig * rho_sig) / best))
 
 
-def exact_converse(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[float, float, float, float]:
-    """``(d2_converse, a1, a2, a2_scale)`` at the curve point alpha, from 50-digit arithmetic.
+def exact_converse(
+    source: SourceParams, channel: ChannelParams, alpha: float
+) -> tuple[float, float, float, float, float]:
+    """``(eta, d2_converse, a1, a2, a2_scale)`` at the curve point alpha, from 50-digit arithmetic.
 
     The converse at the optimal witness equals the achievable ``D2u(n2)``;
-    the witness is the rational pair proved in ``test_converse_algebra.py``.
+    the witness and its combiner bound ``eta`` are the rational forms
+    proved in ``test_converse_algebra.py``.
     ``a2 = A/den`` is a difference, so its rounding error scales with
     ``a2_scale = (rho*n1*q + power*a*b*om)/den``, not with a2.
     """
@@ -130,8 +133,9 @@ def exact_converse(source: SourceParams, channel: ChannelParams, alpha: float) -
         q = a * a + 2 * a * b * rho + b * b
         om = 1 - rho * rho
         den = p * a * a * om + n1 * q
+        eta = s2 * n1 * om * q / den
         d2 = s2 * (p * a * a * om + n2 * q) / ((p + n2) * q)
         a1 = a * (p + n1) * om * q / ((a + b * rho) * den) if a + b * rho > 0 else (p + n1) * q / den
         a2 = (rho * n1 * q - p * a * b * om) / den
         a2_scale = (rho * n1 * q + p * a * b * om) / den
-        return float(d2), float(a1), float(a2), float(a2_scale)
+        return float(eta), float(d2), float(a1), float(a2), float(a2_scale)

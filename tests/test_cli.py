@@ -10,9 +10,20 @@ from pathlib import Path
 import pytest
 
 import gaussian_bc
-from gaussian_bc import ChannelParams, SourceParams, d1_min_at_d2min, d_min, trace_uncoded_boundary
+from gaussian_bc import (
+    ChannelParams,
+    SourceParams,
+    converse_at,
+    d1_min_at_d2min,
+    d2_min_at_rx1,
+    d_min,
+    negate_rho_transform,
+    solve_alpha_for_d1,
+    trace_uncoded_boundary,
+)
 from gaussian_bc.cli import run
 
+import test_region_digests
 from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
 
 CSV_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag"
@@ -128,6 +139,14 @@ class TestTrace:
         assert err.startswith(f"error: {flag} too large")
         assert "--d1" not in err
 
+    def test_underflowing_d1_floor_names_sigma2(self, capsys):
+        # d1 at alpha = 1, sigma2*n1/(n1 + power) = 1e-350, is 0 in floats;
+        # the SNR threshold at that row named --d1, which trace does not have
+        code, text = run_cli(["trace", "--sigma2", "1e-150", "--power", "1", "--n1", "1e-200", "--n2", "2e-200"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --sigma2 too small: d1 at alpha = 1")
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -165,7 +184,7 @@ class TestTrace:
         covered = [row for row in rows if row[3]]
         assert covered
         for row in covered:
-            d2 = exact_converse(DESK_SOURCE, channel, float(row[0]))[0]
+            d2 = exact_converse(DESK_SOURCE, channel, float(row[0]))[1]
             assert abs(float(row[3]) - d2) <= 1e-15 * d2
 
 
@@ -205,6 +224,35 @@ class TestBound:
         # the last stderr line: a negative rho prints its note first
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: --d1 lies where power/n1 exceeds the SNR threshold")
+
+    @pytest.mark.parametrize("argv", [argv for argv in test_region_digests.runs() if argv[0] == "bound"])
+    def test_digest_problems_print_the_converse_kernel(self, argv):
+        # bound prints d2_min_at_rx1 and converse_at's (eta, psi, witness)
+        # bit for bit; against 50-digit arithmetic at the solved alpha each
+        # is within 1e-15 relative, a2 of its scale
+        values = {flag: float(value) for flag, value in zip(argv[1::2], argv[2::2])}
+        source, _ = negate_rho_transform(SourceParams(values["--sigma2"], values["--rho"]))
+        channel = ChannelParams(values["--power"], values["--n1"], values["--n2"])
+        d1 = values["--d1"]
+        eta, psi, witness = converse_at(source, channel, d1)
+        code, text = run_cli(argv)
+        assert code == 0
+        assert parse_kv(text) == {
+            key: f"{value:.17g}"
+            for key, value in [
+                ("d1", d1),
+                ("d2_min_rx1", d2_min_at_rx1(source, channel, d1)),
+                ("combiner_mse_bound", eta),
+                ("a1_star", witness.a1),
+                ("a2_star", witness.a2),
+                ("d2_converse", psi),
+            ]
+        }
+        x_eta, x_psi, x_a1, x_a2, a2_scale = exact_converse(source, channel, solve_alpha_for_d1(source, channel, d1))
+        assert abs(eta - x_eta) <= 1e-15 * x_eta
+        assert abs(psi - x_psi) <= 1e-15 * x_psi
+        assert abs(witness.a1 - x_a1) <= 1e-15 * x_a1
+        assert abs(witness.a2 - x_a2) <= 1e-15 * a2_scale
 
     def test_simulate_keeps_naming_its_own_target_flag(self, capsys):
         code, _ = run_cli(["simulate", "--d1-target", "0.1", "--samples", "10"])
@@ -304,6 +352,25 @@ class TestVerify:
         code, text = run_cli(["verify", "--grid", "25", "--tol", "1e-18"])
         assert code == 1
         assert "verify=FAIL" in text
+
+    @pytest.mark.parametrize("flag", ["--power", "--n2"])
+    def test_overflowing_scale_names_its_flag(self, flag, capsys):
+        # (power + n2)**2 overflows, so every achievable d2 is nan; verify
+        # printed max_residual=nan and verify=PASS
+        code, text = run_cli(["verify", flag, "1e160"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"error: {flag} too large: (power + n2)**2 overflows")
+
+    def test_tolerance_is_relative_to_sigma2(self):
+        # a relative residual of 3.7e-16 at sigma2 = 1e7 failed the absolute
+        # --tol 1e-9; the printed residual stays absolute
+        code, text = run_cli(["verify", "--sigma2", "1e7"])
+        assert code == 0
+        pairs = parse_kv(text)
+        assert pairs["max_residual"] == "3.7252902984619141e-09"
+        assert (pairs["matching"], pairs["verify"]) == ("true", "PASS")
+        assert run_cli(["verify", "--sigma2", "1e7", "--tol", "1e-17"])[0] == 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_vacuous_tolerance_is_an_argument_error(self, tol, capsys):
@@ -455,8 +522,8 @@ def test_sigma2_beyond_the_converse_range_names_sigma2(argv, capsys):
 @pytest.mark.parametrize("sigma2", ["1e150", "1e-150"])
 def test_sigma2_inside_the_converse_range_still_runs(sigma2):
     assert run_cli(["trace", "--sigma2", sigma2])[0] == 0
-    # --tol is absolute, so it scales with sigma2
-    assert run_cli(["verify", "--sigma2", sigma2, "--tol", repr(1e-9 * float(sigma2))])[0] == 0
+    # --tol is relative to sigma2, so its default holds at every scale
+    assert run_cli(["verify", "--sigma2", sigma2])[0] == 0
 
 
 def test_cli_reads_no_private_name_of_another_module():

@@ -5,7 +5,9 @@ witness from alpha alone. Each identity it relies on is checked here in
 sympy, with positive symbols, by reducing ``lhs - rhs`` to a single
 fraction and cancelling it to 0. The weights a and b are kept independent:
 every form is homogeneous of degree 0 in (a, b), so the identities hold
-on the normalized curve b = 1 - a as well.
+on the normalized curve b = 1 - a as well. The per-witness functions
+(``combiner_mse_bound``, ``d2_converse_bound``) rely on the first: they
+take ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` as the perfect square ROOT.
 """
 
 import pytest
@@ -42,7 +44,9 @@ def vanishes(expr) -> bool:
     return sp.cancel(sp.together(expr)) == 0
 
 
-# the root chain of closed_forms at d1 = D1u(n1), with d2t = D2u(n1)
+# the optimal witness in its square-root form, at d1 = D1u(n1) with
+# d2t = D2u(n1); ROOT is the root the per-witness converse of closed_forms
+# takes at the alpha of d1
 D1, D2T = d1u(n1), d2u(n1)
 ROOT = s2 * p * (a + b * rho) * (a * rho + b) / (q * (p + n1))
 A1_CHAIN = ((s2 - D1) * s2 - rho * s2 * ROOT) / ((s2 - D1) * D2T)

@@ -145,17 +145,17 @@ def _count_calls(monkeypatch, name):
 
 def test_trace_validates_once_per_call_plus_once_per_cache_miss(monkeypatch):
     # the converse at each point runs on kernels, so the trace neither
-    # misses nor fills the d2_min_at_rx1 cache: one validation in all
-    closed_forms.d2_min_at_rx1.cache_clear()
+    # misses nor fills the per-d1 cache: one validation in all
+    closed_forms._rx1_point.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
     trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 1001)
     assert len(calls) == 1
-    assert closed_forms.d2_min_at_rx1.cache_info().currsize == 0
+    assert closed_forms._rx1_point.cache_info().currsize == 0
 
 
 def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
     # each row's converse comes from the alpha the trace already has
-    calls = {name: [] for name in ("_solve_alpha", "_d2_min_at_rx1")}
+    calls = {name: [] for name in ("_solve_alpha", "_rx1_point")}
     for name, log in calls.items():
         original = getattr(closed_forms, name)
 
@@ -168,11 +168,11 @@ def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     points = trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 1001)
     assert any(p.d2_converse is not None for p in points)
-    assert calls == {"_solve_alpha": [], "_d2_min_at_rx1": []}
+    assert calls == {"_solve_alpha": [], "_rx1_point": []}
 
 
 def test_verify_validates_once_and_solves_alpha_once_per_covered_point(monkeypatch):
-    closed_forms.d2_min_at_rx1.cache_clear()
+    closed_forms._rx1_point.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
     solves = []
     original = closed_forms._solve_alpha
@@ -188,7 +188,7 @@ def test_verify_validates_once_and_solves_alpha_once_per_covered_point(monkeypat
     assert 0 < report.covered_count < 40
     assert len(calls) == 1
     assert len(solves) == report.covered_count
-    assert closed_forms.d2_min_at_rx1.cache_info().currsize == 0
+    assert closed_forms._rx1_point.cache_info().currsize == 0
 
 
 def test_kernels_call_no_validating_function(monkeypatch):
@@ -199,14 +199,11 @@ def test_kernels_call_no_validating_function(monkeypatch):
     alpha = closed_forms._solve_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
     closed_forms._d1u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
     closed_forms._d2u_form(1.0, 0.5, 1.0, 2.0, alpha, 1.0 - alpha)
-    d2t = closed_forms._d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, d1)
+    d2t = closed_forms._d2u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
     closed_forms._rx1_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
-    closed_forms._check_below_sigma2(1.0, d1)
-    root = closed_forms._root(1.0, d1, d2t, closed_forms.InternalInvariantError)
-    witness = closed_forms._witness(1.0, 0.5, d1, d2t, root)
-    eta = closed_forms._eta(1.0, 0.5, d1, witness, root)
+    eta, _, witness = closed_forms._converse_at_alpha(DESK_SOURCE, DESK_CHANNEL, alpha)
+    closed_forms._eta(1.0, 0.5, d1, witness, root=0.5)
     closed_forms._psi(DESK_SOURCE, DESK_CHANNEL, eta)
-    closed_forms._converse_at_alpha(DESK_SOURCE, DESK_CHANNEL, alpha)
     rate_distortion._r_joint(1.0, 0.5, d1, d2t)
     assert calls == [[], []]
 

@@ -15,8 +15,10 @@ from gaussian_bc import (
     converse_at,
     d2_converse_bound,
     d2_min_at_rx1,
+    optimal_witness,
     r_joint_numeric,
     trace_uncoded_boundary,
+    region,
     verify_matching,
 )
 
@@ -61,7 +63,7 @@ class TestTrace:
         covered = [p for p in trace_uncoded_boundary(DESK_SOURCE, channel, 11) if p.d2_converse is not None]
         assert covered
         for p in covered:
-            d2 = exact_converse(DESK_SOURCE, channel, p.alpha)[0]
+            d2 = exact_converse(DESK_SOURCE, channel, p.alpha)[1]
             assert abs(p.d2_converse - d2) <= 1e-15 * d2
 
     def test_undefined_converse_is_a_power_range_error(self):
@@ -79,7 +81,7 @@ class TestTrace:
         corner = trace_uncoded_boundary(DESK_SOURCE, channel, 11)[-1]
         assert corner.alpha == 1.0
         values = (corner.d2_converse, corner.witness.a1, corner.witness.a2)
-        for value, exact in zip(values, exact_converse(DESK_SOURCE, channel, 1.0)):
+        for value, exact in zip(values, exact_converse(DESK_SOURCE, channel, 1.0)[1:]):
             assert abs(value - exact) <= 1e-15 * exact
 
     @pytest.mark.parametrize(
@@ -163,18 +165,30 @@ class TestTrace:
 
 class TestConverseAt:
     def test_desk_values(self):
-        psi, witness = converse_at(DESK_SOURCE, DESK_CHANNEL, 0.625)
+        eta, psi, witness = converse_at(DESK_SOURCE, DESK_CHANNEL, 0.625)
+        assert eta == pytest.approx(0.6, rel=1e-9)
         assert psi == pytest.approx(0.75, rel=1e-9)
         assert witness.a1 == pytest.approx(0.8, rel=1e-9)
         assert witness.a2 == pytest.approx(0.2, rel=1e-9)
 
     def test_at_the_receiver1_floor(self):
-        psi, _ = converse_at(DESK_SOURCE, DESK_CHANNEL, 0.5)
+        _, psi, _ = converse_at(DESK_SOURCE, DESK_CHANNEL, 0.5)
         assert psi == pytest.approx(11.0 / 12.0, rel=1e-9)
 
     def test_range_violation(self):
         with pytest.raises(DistortionRangeError):
             converse_at(DESK_SOURCE, DESK_CHANNEL, 0.875)
+
+    def test_a_d1_at_sigma2_gets_the_verify_converse(self):
+        # at rho = 0 the range end can round above sigma2; the square-root
+        # witness divided by sigma2 - d1, and refused d1 = sigma2 here,
+        # while verify already took the kernel's converse at that point
+        source = SourceParams(0.8962530287024857, 0.0)
+        channel = ChannelParams(5.021225900416578e-15, 0.6346300968214699, 4.0)
+        (point,) = [p for p in verify_matching(source, channel, 50, 1e-9).points if p.d1 >= source.sigma2]
+        _, psi, witness = converse_at(source, channel, point.d1)
+        assert repr((psi, witness)) == repr((point.d2_converse, point.witness))
+        assert optimal_witness(source, channel, point.d1) == witness
 
 
 class TestVerifyMatching:
@@ -251,6 +265,32 @@ class TestVerifyMatching:
                 source, channel, _solve_alpha(source, channel, p.d1), p.d2_converse, p.witness
             )
 
+    def test_overflowing_n2_is_an_error_not_a_nan_pass(self):
+        # the achievable d2 was nan at every point, and the report passed
+        with pytest.raises(OutOfRangeError, match=r"^n2 too large: \(power \+ n2\)\*\*2 overflows"):
+            verify_matching(DESK_SOURCE, ChannelParams(1.0, 1.0, 1e160), 50, 1e-9)
+
+    def test_a_nan_residual_never_passes(self, monkeypatch):
+        def nan_converse(source, channel, alpha):
+            return math.nan, math.nan, BoundWitness(math.nan, math.nan)
+
+        monkeypatch.setattr(region, "_converse_at_alpha", nan_converse)
+        report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 1e-9)
+        assert report.covered_count == 5
+        assert not report.passed
+
+    def test_tolerance_is_relative_to_sigma2(self):
+        # power-of-two scales of sigma2 scale every residual exactly, so the
+        # verdict at a relative tol is the same at every scale
+        base = verify_matching(DESK_SOURCE, DESK_CHANNEL, 50, 1e-9).max_residual
+        assert base > 0.0
+        for k in (-500, -100, 0, 100, 500):
+            source = SourceParams(2.0**k, DESK_SOURCE.rho)
+            report = verify_matching(source, DESK_CHANNEL, 50, base)
+            assert report.max_residual == base * 2.0**k
+            assert report.passed
+            assert not verify_matching(source, DESK_CHANNEL, 50, 0.5 * base).passed
+
     def test_zero_tolerance_is_accepted(self):
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 0.0)
         assert report.tol == 0.0
@@ -288,7 +328,7 @@ class TestOneConverseKernel:
 
     @staticmethod
     def assert_accurate(source, channel, alpha, d2_converse, witness):
-        d2, a1, a2, a2_scale = exact_converse(source, channel, alpha)
+        _, d2, a1, a2, a2_scale = exact_converse(source, channel, alpha)
         assert abs(d2_converse - d2) <= 1e-15 * d2
         assert abs(witness.a1 - a1) <= 1e-15 * a1
         assert abs(witness.a2 - a2) <= 1e-15 * a2_scale
@@ -300,7 +340,7 @@ class TestOneConverseKernel:
                 if p.d2_converse is None:
                     continue
                 covered += 1
-                assert repr((p.d2_converse, p.witness)) == repr(_converse_at_alpha(source, channel, p.alpha))
+                assert repr((p.d2_converse, p.witness)) == repr(_converse_at_alpha(source, channel, p.alpha)[1:])
                 self.assert_accurate(source, channel, p.alpha, p.d2_converse, p.witness)
         assert covered > 2000
 
@@ -311,7 +351,7 @@ class TestOneConverseKernel:
                 if not p.covered:
                     continue
                 covered += 1
-                assert repr((p.d2_converse, p.witness)) == repr(converse_at(source, channel, p.d1))
+                assert repr((p.d2_converse, p.witness)) == repr(converse_at(source, channel, p.d1)[1:])
                 alpha = _solve_alpha(source, channel, p.d1)
                 self.assert_accurate(source, channel, alpha, p.d2_converse, p.witness)
         assert covered > 900
