@@ -11,7 +11,9 @@ decoded by scalar MMSE at each receiver. This module evaluates:
   of the achievable region (``d1_min_at_d2min``, ``d2_min_at_d1min``),
 * the distortion pair ``(D1u, D2u)`` of the scheme as rational functions
   of (alpha, beta),
-* the SNR threshold below which the scheme attains the region boundary,
+* the SNR threshold below which the scheme attains the region boundary
+  (the paper's statement in the d1 coordinate; on the curve the same
+  test is the sign of a margin A(alpha), below),
 * the companion floor ``d2_min_at_rx1`` -- the least distortion on the
   second component achievable at receiver 1 once receiver 1 attains a
   given d1 on the first component,
@@ -33,18 +35,26 @@ All functions are pure.
 
 Validation policy: a public function validates its problem once, then
 computes through ``_``-prefixed kernels (``_d1u_form``, ``_d2u_form``,
-``_d1_range``, ``_snr_threshold``, ``_is_uncoded_optimal``,
-``_solve_alpha``, ``_rx1_alpha`` and the converse kernels below). A
-kernel assumes a validated problem and calls no public function, so
-``region`` and ``cli`` call the kernels directly once they have
-validated a problem themselves. Every kernel keeps the operation order
+``_d1_range``, ``_snr_threshold``, ``_solve_alpha``, ``_rx1_alpha``
+and the converse kernels below). A kernel assumes a validated problem
+and calls no public function, so ``region`` and ``cli`` call the
+kernels directly once they have validated a problem themselves. Every kernel keeps the operation order
 of the public function it serves, so both routes give the same bits.
 
 The converse has one route. ``_converse_at_alpha`` is the converse at
 the optimal witness of the curve point alpha, from rational forms in
 (alpha, 1 - alpha) with no square root, alpha solve or clamp. The trace
 calls it at each row's alpha; the verifier, ``converse_at`` and
-``optimal_witness`` call it at the alpha they solve for d1. At any other
+``optimal_witness`` call it at the alpha they solve for d1.
+
+It is also the one coverage rule. On the curve, ``T(D1u(alpha)) - P/n1``
+carries the factor ``A = rho*n1*q - P*alpha*(1 - alpha)*(1 - rho**2)``
+(its other factors have a fixed sign), and A is the numerator of the
+witness's a2*, so the kernel returns None where A < 0 and the point is
+covered otherwise. ``snr_threshold`` and ``is_uncoded_optimal`` keep the
+paper's d1-coordinate formula; no region or per-d1 function calls them.
+
+At any other
 witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
 ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` as the perfect
 square it is on the curve, ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
@@ -237,8 +247,6 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
 
 def _snr_threshold(source: SourceParams, d1: float) -> float:
     s2 = source.sigma2
-    if d1 > s2 and d1 <= s2 * (1.0 + 1e-12):
-        d1 = s2  # rounding excess from the scheme's own corner evaluations
     if not (0.0 < d1 <= s2):
         raise OutOfRangeError("d1 must satisfy 0 < d1 <= sigma2")
     cv = conditional_variance(source)
@@ -267,10 +275,6 @@ def simple_snr_threshold(source: SourceParams) -> float:
 def is_uncoded_optimal(source: SourceParams, channel: ChannelParams, d1: float) -> bool:
     """True iff ``power/n1 <= snr_threshold(source, d1)``."""
     validate_problem(source, channel)
-    return _is_uncoded_optimal(source, channel, d1)
-
-
-def _is_uncoded_optimal(source: SourceParams, channel: ChannelParams, d1: float) -> bool:
     return channel.power / channel.n1 <= _snr_threshold(source, d1)
 
 
@@ -337,14 +341,24 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     the threshold; equals the second-component distortion form of the
     scheme evaluated with receiver 1's noise, at the (alpha, 1-alpha)
     solving ``D1u = d1``. Always sandwiched between ``d_min(1)`` and
-    ``sigma2``. A d1 below ``d_min(1)`` raises DistortionRangeError.
+    ``sigma2``. A d1 below ``d_min(1)`` raises DistortionRangeError, and
+    one where the threshold fails (the margin A of ``_converse_at_alpha``
+    is negative at the alpha of d1) SnrThresholdError. The domain is the
+    converse's: where the converse d2 at d1 overflows (sigma2/(power + n2)
+    past the float range) this raises OutOfRangeError naming sigma2.
     """
     alpha = _rx1_point(source, channel, d1)[0]
     return _d2u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
 
 
 def _rx1_alpha(source: SourceParams, channel: ChannelParams, d1: float) -> float:
-    """The alpha at which receiver 1 attains d1, under the preconditions of ``d2_min_at_rx1``."""
+    """The alpha at which receiver 1 attains d1, under the preconditions of ``d2_min_at_rx1``.
+
+    Coverage is the converse kernel's own test at that alpha, so a d1
+    that ``bound`` accepts is one the trace and ``verify`` cover, at every
+    scale of sigma2. The per-d1 functions thereby share the converse's
+    domain: where ``_psi`` refuses the kernel's converse, this raises too.
+    """
     lo_d, hi_d = _d1_range(source, channel)
     if not d1 < hi_d:
         raise DistortionRangeError(
@@ -352,12 +366,13 @@ def _rx1_alpha(source: SourceParams, channel: ChannelParams, d1: float) -> float
         )
     if not lo_d - _RESIDUAL_TOL * source.sigma2 <= d1:  # the edge slack of _solve_alpha
         raise DistortionRangeError(f"d1 must be >= {lo_d!r} (d_min(1)), got {d1!r}")
-    if not _is_uncoded_optimal(source, channel, d1):
+    alpha = _solve_alpha(source, channel, d1)
+    if _converse_at_alpha(source, channel, alpha) is None:
         raise SnrThresholdError(
             "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
             "has no closed form there"
         )
-    return _solve_alpha(source, channel, d1)
+    return alpha
 
 
 @lru_cache(maxsize=4096)
@@ -380,12 +395,11 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     return alpha, source.sigma2 * (p / (p + channel.n1) * shape)
 
 
-def _check_witness(witness: BoundWitness) -> BoundWitness:
+def _check_witness(witness: BoundWitness) -> None:
     if not (math.isfinite(witness.a1) and math.isfinite(witness.a2)):
         raise ParameterError("witness components must be finite")
     if witness.a1 * witness.a2 < 0.0:
         raise ParameterError("witness components a1, a2 must have equal sign")
-    return witness
 
 
 def _eta(s2: float, rho: float, delta: float, witness: BoundWitness, root: float) -> float:
@@ -397,21 +411,26 @@ def _psi(source: SourceParams, channel: ChannelParams, eta: float) -> float:
     if eta <= 0.0:
         raise BoundUndefinedError("combiner bound is nonpositive; the converse is undefined for this witness")
     p, n1, n2 = channel.power, channel.n1, channel.n2
-    return source.sigma2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
+    psi = source.sigma2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
+    if not math.isfinite(psi):
+        raise OutOfRangeError(f"sigma2 too large relative to power + n2: the converse d2 is {psi!r}")
+    return psi
 
 
 def _converse_at_alpha(
     source: SourceParams, channel: ChannelParams, alpha: float
-) -> tuple[float, float, BoundWitness]:
+) -> tuple[float, float, BoundWitness] | None:
     """``(eta*, psi, witness)``: the converse at the optimal witness, at the point alpha of the curve.
 
-    On the curve the optimal witness and its combiner bound are rational
-    in (a, b) = (alpha, 1 - alpha). With ``q = a**2 + 2*a*b*rho + b**2``,
-    ``om = (1 - rho)*(1 + rho)`` and ``den = power*a**2*om + n1*q``:
+    None where the point is not covered. On the curve the optimal witness
+    and its combiner bound are rational in (a, b) = (alpha, 1 - alpha).
+    With ``q = a**2 + 2*a*b*rho + b**2``, ``om = (1 - rho)*(1 + rho)``,
+    ``den = power*a**2*om + n1*q`` and the margin
+    ``A = rho*n1*q - power*a*b*om``:
 
         eta* = sigma2*n1*om*q/den
         a1*  = a*(power + n1)*om*q/((a + b*rho)*den)
-        a2*  = (rho*n1*q - power*a*b*om)/den
+        a2*  = A/den
 
     (a1*, a2*) is exactly the witness that maximizes the converse at
     ``d1 = D1u(alpha)``, and eta* is ``combiner_mse_bound`` there
@@ -420,21 +439,28 @@ def _converse_at_alpha(
     accurate where a chain through ``sqrt((sigma2 - d1)*(sigma2 - d2t))``
     cancels (rho near 1, P/n1 large at the alpha = 1 corner). ``psi`` is
     ``_psi(eta*)``, a formula apart from the achievable ``D2u(n2)`` it
-    equals in exact arithmetic. The caller decides coverage; where it
-    holds, a2* >= 0 in exact arithmetic, and a value that rounds below 0
-    at a tie is returned as 0.0.
+    equals in exact arithmetic.
+
+    The point is covered iff ``A >= 0``: ``T(D1u(alpha)) - P/n1`` is A
+    times factors of fixed sign below the conditional variance, and A > 0
+    on the stretch above it where the threshold is infinite (rho > 0;
+    ``tests/test_converse_algebra.py``). One float of A is both the test
+    and a2*'s numerator, so a covered point never has a2* < 0. A does not
+    involve sigma2, so coverage does not depend on its scale.
     """
     rho, p, n1 = source.rho, channel.power, channel.n1
     a, b = alpha, 1.0 - alpha
     q = _quadratic_form(rho, a, b)
     om = (1.0 - rho) * (1.0 + rho)
+    margin = rho * n1 * q - p * a * b * om
+    if margin < 0.0:
+        return None
     den = p * a * a * om + n1 * q
     lead = a + b * rho
     # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
     a1 = (p + n1) * om * q / den * (a / lead if lead > 0.0 else 1.0)
-    a2 = (rho * n1 * q - p * a * b * om) / den
     eta = source.sigma2 * (n1 / den * om * q)  # in units of sigma2, then scaled once
-    return eta, _psi(source, channel, eta), BoundWitness(a1, a2 if a2 > 0.0 else 0.0)
+    return eta, _psi(source, channel, eta), BoundWitness(a1, margin / den)
 
 
 def combiner_mse_bound(
@@ -484,7 +510,8 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
         a2 = (rho*n1*q - power*a*b*om)/den
 
     Both components are nonnegative wherever the preconditions of
-    :func:`d2_min_at_rx1` hold; a2 is 0 at the threshold, where it is
-    returned as 0.0 if it rounds below.
+    :func:`d2_min_at_rx1` hold; a2 is 0 at the threshold. The numerator
+    of a2 is the coverage margin A, so the float that decides coverage
+    is never negative here.
     """
     return _converse_at_alpha(source, channel, _rx1_point(source, channel, d1)[0])[2]

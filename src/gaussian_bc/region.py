@@ -3,10 +3,14 @@
 The achievable boundary of the uncoded scheme is traced by sweeping the
 mixing weight alpha over [0, 1] (beta = 1 - alpha); the map alpha -> d1
 is monotone decreasing, so consumers can re-interpolate in either
-coordinate. Wherever the converse preconditions hold (d1 strictly below
-``d1_min_at_d2min`` and SNR at or below the threshold) each traced point
-also carries the converse value at the optimal witness; the two curves
-coincide there, which :func:`verify_matching` checks on a grid. At the
+coordinate. A point is covered (SNR at or below the threshold at its d1)
+iff the margin ``A = rho*n1*q - power*alpha*(1 - alpha)*(1 - rho**2)``
+of the converse kernel is >= 0 at its alpha: the one coverage rule of
+the trace flag, of the verifier's covered points and of
+:func:`converse_at`. A covered point with alpha > 0 (d1 strictly below
+``d1_min_at_d2min``) also carries the converse value at the optimal
+witness; the two curves coincide there, which :func:`verify_matching`
+checks on a grid. At the
 same covered grid points it checks the other side of the theorem: the
 joint rate-distortion oracle at ``(d1, d2_min_at_rx1(d1))`` equals
 receiver 1's channel capacity.
@@ -15,10 +19,11 @@ Each public function validates its problem once and then evaluates every
 point through the private kernels of :mod:`.closed_forms` (and, in the
 verifier, the oracle kernel of :mod:`.rate_distortion`), the converse
 included: a point's converse is ``closed_forms._converse_at_alpha`` at
-the point's alpha, the one converse route of the package. The trace has
-that alpha already, so it solves none; the verifier solves it once per
-d1. No point of either goes through the public (memoized) closed forms,
-so neither re-validates the problem nor fills the per-d1 cache
+the point's alpha, the one converse route of the package, and the
+kernel's None is "not covered". The trace has that alpha already, so it
+solves none; the verifier solves it once per grid point. No point of
+either goes through the public (memoized) closed forms, so neither
+re-validates the problem nor fills the per-d1 cache
 ``closed_forms._rx1_point``, which :func:`converse_at` shares with the
 public per-d1 functions.
 """
@@ -36,7 +41,6 @@ from .closed_forms import (
     _d1_range,
     _d1u_form,
     _d2u_form,
-    _is_uncoded_optimal,
     _rx1_point,
     _solve_alpha,
 )
@@ -58,11 +62,12 @@ __all__ = [
 class BoundaryPoint:
     """One traced point of the uncoded achievability curve.
 
-    ``d2_converse`` and ``witness`` are None where the converse
-    preconditions fail; ``optimal_flag`` records whether the SNR threshold
-    condition holds at this d1 (points beyond the range condition are
-    uncoded-achievable for every SNR, so the flag is true there as well --
-    the threshold is infinite on that stretch).
+    ``optimal_flag`` records whether the SNR threshold condition holds at
+    this d1, decided as the sign of the converse kernel's margin A at
+    alpha (on the stretch from the conditional variance up, where the
+    threshold is infinite, A > 0 and the flag is true). ``d2_converse`` and
+    ``witness`` are set iff the flag is true and alpha > 0; the alpha = 0
+    row sits at ``d1_min_at_d2min``, where the converse is undefined.
     """
 
     alpha: float
@@ -134,14 +139,17 @@ def converse_at(
 
 
 def _check_sigma2_squares(s2: float) -> None:
-    """Raise OutOfRangeError unless the SNR threshold can square sigma2.
+    """Raise OutOfRangeError unless ``sigma2**2`` is a normal float and ``2*sigma2**2`` finite.
 
-    It multiplies two sigma2-sized factors, the largest being
-    ``2*d1*sigma2*(1 - rho**2)``. So ``sigma2**2`` must be a normal float
-    and ``2*sigma2**2`` finite. Past the upper end the threshold turns
-    nan, which uncovers points silently; below the lower end the products
-    underflow and it divides by zero. (The converse kernel itself works in
-    units of sigma2 and needs no such range.)
+    Coverage and the converse kernel work in units of sigma2 and need no
+    such range; the verifier does. Its joint-rate oracle ``_r_joint``
+    multiplies sigma2-sized entries: at sigma2 = 1e-300 they underflow
+    and it finds no feasible error covariance (an error that names no
+    flag), and at 1e300 it misses the capacity by 0.5 bits, so a correct
+    region would print ``oracle_consistent=false``. And ``_psi`` divides
+    sigma2 by ``power + n2``, which overflows at sigma2 = 1e300 with noise
+    near 1e-11. The trace keeps the same range, so that ``trace`` and
+    ``verify`` accept the same problems.
     """
     if not sys.float_info.min <= s2 * s2 <= sys.float_info.max / 2.0:
         raise OutOfRangeError(
@@ -172,19 +180,19 @@ def trace_uncoded_boundary(
     """Trace the uncoded curve at num_points uniform alpha values on [0, 1].
 
     Points are ordered by ascending alpha, hence strictly decreasing d1 and
-    strictly increasing d2. Converse fields are populated only where the
-    converse preconditions hold (the SNR threshold at d1, d1 below
-    ``d1_min_at_d2min`` and below sigma2), each from the row's own alpha.
+    strictly increasing d2. Each row's flag is the converse kernel's
+    coverage test at the row's own alpha (the sign of its margin A), and
+    converse fields are populated iff the row is covered and alpha > 0,
+    from the same kernel call.
     A power or n2 so large that ``(power + n2)**2`` overflows raises
     OutOfRangeError: the distortion forms square both, and would return
     nan. So does a sigma2 so large that a distortion form overflows to
     inf; both forms peak at the ends of the curve, d1 at alpha = 0 and d2
     at alpha = 1. So does a sigma2 so small that d1 at alpha = 1, its
-    least value, underflows to 0, where no SNR threshold exists. A P/n1
-    past the float range, where the combiner bound at a covered row
-    underflows to 0 and the converse is undefined, raises OutOfRangeError
-    too, and so does a sigma2 outside about [1.5e-154, 9.4e153], where
-    the SNR threshold overflows or underflows.
+    least value, underflows to 0. A P/n1 past the float range, where the
+    combiner bound at a covered row underflows to 0 and the converse is
+    undefined, raises OutOfRangeError too, and so does a sigma2 outside
+    about [1.5e-154, 9.4e153] (see ``_check_sigma2_squares``).
     So does a ``(power + n1)**2`` below the smallest normal float, where
     the receiver-1 forms lose precision and then divide by zero.
     """
@@ -202,26 +210,24 @@ def trace_uncoded_boundary(
     if not _d1u_form(s2, rho, p, n1, 1.0, 0.0) > 0.0:
         raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
     _check_sigma2_squares(s2)
-    hi_d = _d1_range(source, channel)[1]
     points: list[BoundaryPoint] = []
     for i in range(num_points):
         alpha = i / (num_points - 1)
-        d1 = _d1u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
-        flag = _is_uncoded_optimal(source, channel, d1)
+        try:
+            converse = _converse_at_alpha(source, channel, alpha)
+        except BoundUndefinedError as exc:
+            raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
         psi_value = witness = None
-        if flag and d1 < hi_d and d1 < s2:
-            try:
-                _, psi_value, witness = _converse_at_alpha(source, channel, alpha)
-            except BoundUndefinedError as exc:
-                raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
+        if converse is not None and alpha > 0.0:
+            _, psi_value, witness = converse
         points.append(
             BoundaryPoint(
                 alpha=alpha,
-                d1=d1,
+                d1=_d1u_form(s2, rho, p, n1, alpha, 1.0 - alpha),
                 d2_achievable=_d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha),
                 d2_converse=psi_value,
                 witness=witness,
-                optimal_flag=flag,
+                optimal_flag=converse is not None,
             )
         )
     return points
@@ -233,9 +239,11 @@ def verify_matching(
     """Check that achievability and converse coincide on a d1 grid.
 
     The grid is uniform over the open interval between ``d_min(1)`` and
-    ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Points where
-    the threshold condition fails are recorded as not covered and excluded
-    from the pass/fail verdict. A covered point passes when its residual
+    ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Each point's
+    alpha is solved once, and the converse kernel's coverage test there
+    (the sign of its margin A) decides whether it is covered; points
+    where it fails are recorded as not covered and excluded from the
+    pass/fail verdict. A covered point passes when its residual
     is at most ``tol*sigma2``; a nan residual never passes. Each covered
     point also carries the joint-rate oracle's error against receiver 1's
     capacity, evaluated at the companion floor of the alpha solved for
@@ -266,13 +274,14 @@ def verify_matching(
     capacity = channel_capacity(p, n1)
     points: list[MatchPoint] = []
     for d1 in grid:
-        if not _is_uncoded_optimal(source, channel, d1):
+        alpha = _solve_alpha(source, channel, d1)
+        converse = _converse_at_alpha(source, channel, alpha)
+        if converse is None:
             points.append(MatchPoint(d1, False, None, None, None, None, None))
             continue
-        alpha = _solve_alpha(source, channel, d1)
+        _, psi_value, witness = converse
         d2_ach = _d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha)
         d2t = _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
-        _, psi_value, witness = _converse_at_alpha(source, channel, alpha)
         oracle_error = abs(_r_joint(s2, rho, d1, d2t) - capacity)
         points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness, oracle_error))
     covered = [point for point in points if point.covered]

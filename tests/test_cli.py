@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gaussian_bc
+from gaussian_bc import closed_forms
 from gaussian_bc import (
     ChannelParams,
     SourceParams,
@@ -253,6 +254,42 @@ class TestBound:
         assert abs(psi - x_psi) <= 1e-15 * x_psi
         assert abs(witness.a1 - x_a1) <= 1e-15 * x_a1
         assert abs(witness.a2 - x_a2) <= 1e-15 * a2_scale
+
+    @pytest.mark.parametrize("sigma2, d1", [("1e-300", "6.25e-301"), ("1e300", "6.25e299")])
+    def test_sigma2_outside_the_trace_range_answers_accurately(self, sigma2, d1):
+        # coverage is the sign of a margin free of sigma2, so bound needs no
+        # SNR threshold: at 1e-300 it underflowed, and at 1e300 it was nan,
+        # which refused a covered d1 naming --d1
+        source, channel = SourceParams(float(sigma2), 0.5), DESK_CHANNEL
+        code, text = run_cli(["bound", "--sigma2", sigma2, "--d1", d1])
+        assert code == 0
+        values = {key: float(value) for key, value in parse_kv(text).items()}
+        x_eta, x_psi, x_a1, x_a2, a2_scale = exact_converse(source, channel, solve_alpha_for_d1(source, channel, float(d1)))
+        assert abs(values["combiner_mse_bound"] - x_eta) <= 1e-15 * x_eta
+        assert abs(values["d2_converse"] - x_psi) <= 1e-15 * x_psi
+        assert abs(values["a1_star"] - x_a1) <= 1e-15 * x_a1
+        assert abs(values["a2_star"] - x_a2) <= 1e-15 * a2_scale
+        assert values["d2_min_rx1"] == pytest.approx(0.625 * float(sigma2), rel=1e-15)
+
+    def test_every_field_scales_exactly_with_sigma2(self):
+        # a power-of-two sigma2 scales every distortion exactly and leaves
+        # the witness as it is, so the sigma2 = 1 answer fixes every other
+        base = {key: float(value) for key, value in parse_kv(run_cli(["bound", "--d1", "0.625"])[1]).items()}
+        for k in range(-1000, 1001, 7):
+            scale = 2.0**k
+            code, text = run_cli(["bound", "--sigma2", repr(scale), "--d1", repr(0.625 * scale)])
+            assert code == 0, k
+            for key, value in parse_kv(text).items():
+                factor = 1.0 if key in ("a1_star", "a2_star") else scale
+                assert float(value) == base[key] * factor, (k, key)
+
+    def test_an_overflowing_converse_names_sigma2(self, capsys):
+        # sigma2/(power + n2) overflows: it printed d2_converse=inf and exited 0
+        argv = ["bound", "--sigma2", "1e300", "--power", "1e-12", "--n1", "1e-11", "--n2", "2e-11"]
+        code, text = run_cli([*argv, "--d1", "9.5e299"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --sigma2 too large")
 
     def test_simulate_keeps_naming_its_own_target_flag(self, capsys):
         code, _ = run_cli(["simulate", "--d1-target", "0.1", "--samples", "10"])
@@ -501,7 +538,6 @@ class TestArgumentErrors:
     [
         ["trace", "--sigma2", "1e-300"],
         ["verify", "--sigma2", "1e-300"],
-        ["bound", "--sigma2", "1e-300", "--d1", "6.25e-301"],
         ["trace", "--sigma2", "1e200"],
         ["trace", "--sigma2", "1e300"],
         ["verify", "--sigma2", "1e200"],
@@ -511,7 +547,7 @@ class TestArgumentErrors:
     ],
 )
 def test_sigma2_beyond_the_converse_range_names_sigma2(argv, capsys):
-    # the first three raised ZeroDivisionError, the next five exited naming
+    # the first two raised ZeroDivisionError, the next five exited naming
     # no flag, and the last printed one covered row where sigma2 = 1 gives two
     code, text = run_cli(argv)
     assert code == 2
@@ -524,6 +560,24 @@ def test_sigma2_inside_the_converse_range_still_runs(sigma2):
     assert run_cli(["trace", "--sigma2", sigma2])[0] == 0
     # --tol is relative to sigma2, so its default holds at every scale
     assert run_cli(["verify", "--sigma2", sigma2])[0] == 0
+
+
+def test_trace_verify_and_bound_evaluate_no_snr_threshold(monkeypatch):
+    # on the region path coverage is the sign of the converse kernel's
+    # margin; the d1-coordinate threshold serves the public functions only
+    calls = []
+    original = closed_forms._snr_threshold
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(closed_forms, "_snr_threshold", counted)
+    for argv in (["trace", "--power", "3"], ["verify", "--power", "3"], ["bound", "--power", "3", "--d1", "0.78"]):
+        assert run_cli(argv)[0] == 0
+    assert calls == []
+    assert closed_forms.is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.625)
+    assert len(calls) == 1
 
 
 def test_cli_reads_no_private_name_of_another_module():

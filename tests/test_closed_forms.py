@@ -324,6 +324,12 @@ class TestConverseFunctional:
             )
             assert abs(d2u - psi) <= 1e-9
 
+    def test_an_overflowing_converse_is_a_sigma2_range_error(self):
+        # sigma2/(power + n2) overflows: this returned inf
+        source, channel = SourceParams(1e300, 0.5), ChannelParams(1e-12, 1e-11, 2e-11)
+        with pytest.raises(OutOfRangeError, match=r"^sigma2 too large"):
+            d2_converse_bound(source, channel, 9.5e299, BoundWitness(0.5, 0.5))
+
     def test_witness_maximality_light(self):
         d1 = 0.6
         best = d2_converse_bound(

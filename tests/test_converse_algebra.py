@@ -8,11 +8,12 @@ every form is homogeneous of degree 0 in (a, b), so the identities hold
 on the normalized curve b = 1 - a as well. The per-witness functions
 (``combiner_mse_bound``, ``d2_converse_bound``) rely on the first: they
 take ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` as the perfect square ROOT.
+The region path's coverage rule relies on the last two: the paper's
+threshold test ``P/n1 <= T(d1)`` is, on the curve, the sign of the
+kernel's margin A.
 """
 
-import pytest
-
-sp = pytest.importorskip("sympy")
+import sympy as sp
 
 s2, rho, p, n1, n2, a, b = sp.symbols("sigma2 rho P n1 n2 a b", positive=True)
 q = a**2 + 2 * a * b * rho + b**2
@@ -55,7 +56,8 @@ A2_CHAIN = (rho * s2 - ROOT) / D2T
 # the kernel's rational forms
 ETA_STAR = s2 * n1 * om * q / den
 A1_STAR = a * (p + n1) * om * q / ((a + b * rho) * den)
-A2_STAR = (rho * n1 * q - p * a * b * om) / den
+MARGIN = rho * n1 * q - p * a * b * om  # A, the coverage margin
+A2_STAR = MARGIN / den
 
 
 def test_the_witness_radicand_is_a_perfect_square():
@@ -81,3 +83,28 @@ def test_the_converse_meets_the_achievable_d2():
 
 def test_the_short_form_of_d1u():
     assert vanishes(d1u(n1) - s2 * (p * b**2 * om + n1 * q) / ((p + n1) * q))
+
+
+def test_the_short_form_of_d2u():
+    assert vanishes(d2u(n2) - s2 * (p * a**2 * om + n2 * q) / ((p + n2) * q))
+
+
+def snr_threshold(d1):
+    """``closed_forms.snr_threshold`` below the conditional variance cv."""
+    cv = s2 * om
+    return (s2 * cv - 2 * d1 * cv + d1**2) / (d1 * (cv - d1))
+
+
+def test_below_cv_the_threshold_test_is_the_sign_of_the_margin():
+    # B and C are positive for rho > 0, and cv - d1 is positive below cv,
+    # so P/n1 <= T(d1) there iff A >= 0
+    B = rho * n1 * q + p * b * om * (a + 2 * b * rho)
+    C = p * b**2 * om + n1 * q
+    assert vanishes(snr_threshold(D1) - p / n1 - s2 * MARGIN * B / (n1 * C * q * (s2 * om - D1)))
+
+
+def test_from_cv_up_the_margin_is_positive():
+    # the threshold is infinite for d1 >= cv; there both terms on the
+    # right are >= 0, so rho*A >= 0, and A >= 0 for rho > 0
+    rhs = p * om * a * (a + b * rho) + (D1 - s2 * om) * (p + n1) * q / s2
+    assert vanishes(rho * MARGIN - rhs)

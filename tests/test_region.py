@@ -1,6 +1,7 @@
 """Boundary trace, converse curve, and the matching verifier."""
 
 import math
+import random
 
 import pytest
 
@@ -15,10 +16,12 @@ from gaussian_bc import (
     converse_at,
     d2_converse_bound,
     d2_min_at_rx1,
+    is_uncoded_optimal,
     optimal_witness,
     r_joint_numeric,
     trace_uncoded_boundary,
     region,
+    snr_threshold,
     verify_matching,
 )
 
@@ -150,6 +153,35 @@ class TestTrace:
         uncovered = [p for p in points if not p.optimal_flag]
         assert uncovered, "expected mid-range points beyond the threshold"
         assert all(p.d2_converse is None for p in uncovered)
+
+    def test_a_row_has_a_converse_iff_it_is_covered_and_alpha_is_positive(self):
+        # the alpha = 0 row sits at d1_min_at_d2min, where the converse is
+        # undefined; it carried one wherever that d1 rounded below the range end
+        rows = [p for s, c in random_valid_configs(40, seed=2001) for p in trace_uncoded_boundary(s, c, 101)]
+        assert any(not p.optimal_flag for p in rows)
+        for p in rows:
+            assert (p.d2_converse is not None) == (p.optimal_flag and p.alpha > 0.0)
+            assert (p.witness is not None) == (p.d2_converse is not None)
+
+    def test_the_flag_is_the_public_threshold_test_away_from_ties(self):
+        # the trace flags a row by the sign of the kernel's margin A; the
+        # paper's test P/n1 <= T(d1) at the row's d1 must agree wherever
+        # the two sides are not within rounding of each other
+        rng = random.Random(2002)
+        rows = ties = 0
+        for _ in range(100):
+            n1 = 10.0 ** rng.uniform(-2.0, 2.0)
+            source = SourceParams(10.0 ** rng.uniform(-2.0, 2.0), 0.95 * rng.random())
+            channel = ChannelParams(n1 * 10.0 ** rng.uniform(-1.0, 1.0), n1, n1 * rng.uniform(1.1, 10.0))
+            snr = channel.power / channel.n1
+            for p in trace_uncoded_boundary(source, channel, 201):
+                threshold = snr_threshold(source, p.d1)
+                if abs(threshold - snr) <= 1e-9 * snr:
+                    ties += 1
+                    continue
+                rows += 1
+                assert p.optimal_flag == is_uncoded_optimal(source, channel, p.d1), (source, channel, p.alpha)
+        assert rows > 19000 and ties < 20
 
     def test_converse_dominates_every_witness_on_a_grid(self):
         points = trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 21)
