@@ -32,20 +32,9 @@ from .errors import (
     DistortionRangeError,
     GaussianBcError,
     InfeasibleDistortionError,
-    InternalInvariantError,
     OutOfRangeError,
     ParameterError,
     SnrThresholdError,
-)
-from .montecarlo import (
-    MmseCoefficients,
-    SimulationConfig,
-    SimulationReport,
-    analytic_distortions,
-    mmse_coefficients,
-    power_check,
-    sample_source_pairs,
-    simulate,
 )
 from .params import (
     ChannelParams,
@@ -76,6 +65,29 @@ from .region import (
 
 __version__ = "0.1.0"
 
+# The Monte-Carlo names load numpy, which nothing else in the package
+# needs; they are imported on first access (PEP 562), so that
+# ``import gaussian_bc`` and the CLI's other commands start without it.
+_MONTECARLO_NAMES = frozenset({
+    "MmseCoefficients",
+    "SimulationConfig",
+    "SimulationReport",
+    "analytic_distortions",
+    "mmse_coefficients",
+    "power_check",
+    "sample_source_pairs",
+    "simulate",
+})
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "BoundaryPoint",
     "BoundUndefinedError",
@@ -86,7 +98,6 @@ __all__ = [
     "DistortionRangeError",
     "GaussianBcError",
     "InfeasibleDistortionError",
-    "InternalInvariantError",
     "MatchPoint",
     "MatchReport",
     "MmseCoefficients",

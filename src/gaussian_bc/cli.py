@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
-from . import closed_forms, montecarlo, rate_distortion, region
+from . import closed_forms, rate_distortion, region
 from .errors import GaussianBcError
 from .params import (
     ChannelParams,
@@ -161,6 +162,8 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    from . import montecarlo  # the one command that needs numpy loads it
+
     source, channel = _resolve_problem(args)
     if args.d1_target is not None:
         alpha = closed_forms.solve_alpha_for_d1(source, channel, args.d1_target)
@@ -214,7 +217,13 @@ def _cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and shared by later calls.
+
+    ``parse_args`` returns a new namespace each time and no handler
+    touches the parser, so one instance serves every ``run``.
+    """
     parser = argparse.ArgumentParser(
         prog="gaussian-bc",
         description=(

@@ -34,20 +34,25 @@ decoded by scalar MMSE at each receiver. This module evaluates:
 All functions are pure.
 
 Validation policy: a public function validates its problem once, then
-computes through ``_``-prefixed kernels (``_d1u_form``, ``_d2u_form``,
-``_d1_range``, ``_snr_threshold``, ``_solve_alpha``, ``_rx1_alpha``
-and the converse kernels below). A kernel assumes a validated problem
-and calls no public function, so ``region`` and ``cli`` call the
-kernels directly once they have validated a problem themselves. Every kernel keeps the operation order
-of the public function it serves, so both routes give the same bits.
+computes through ``_``-prefixed kernels (``_Curve``, ``_d1_range``,
+``_snr_threshold`` and ``_solve_alpha``). A kernel assumes a validated
+problem and calls no public function, so ``region`` calls the kernels
+directly once it has validated a problem itself. Every kernel keeps the
+operation order of the public function it serves, so both routes give
+the same bits.
 
-The converse has one route. ``_converse_at_alpha`` is the converse at
-the optimal witness of the curve point alpha, from rational forms in
-(alpha, 1 - alpha) with no square root, alpha solve or clamp. The trace
-calls it at each row's alpha; the verifier, ``converse_at`` and
-``optimal_witness`` call it at the alpha they solve for d1.
+``_Curve`` is the row kernel, and the one place where D1u, D2u and the
+converse at the optimal witness are written out. Built once per
+problem, it hoists the factors that do not depend on alpha; the trace
+calls its ``forms`` and ``converse`` once per row, and the verifier and
+the per-d1 functions call them at the alpha they solve for d1.
+``uncoded_distortions`` and ``d2_min_at_rx1`` read their values from it
+too, so the public and the region routes give the same bits.
 
-It is also the one coverage rule. On the curve, ``T(D1u(alpha)) - P/n1``
+The converse has one route, ``_Curve.converse``: the converse at the
+optimal witness of the curve point alpha, from rational forms in
+(alpha, 1 - alpha) with no square root, alpha solve or clamp. It is
+also the one coverage rule. On the curve, ``T(D1u(alpha)) - P/n1``
 carries the factor ``A = rho*n1*q - P*alpha*(1 - alpha)*(1 - rho**2)``
 (its other factors have a fixed sign), and A is the numerator of the
 witness's a2*, so the kernel returns None where A < 0 and the point is
@@ -71,8 +76,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DegenerateCoefficientsError,
@@ -113,20 +118,17 @@ __all__ = [
 # sigma2; also the slack allowed on its range check.
 _RESIDUAL_TOL = 1e-12
 
-@dataclass(frozen=True)
-class BoundWitness:
+
+class BoundWitness(NamedTuple):
     """Equal-sign weight pair of the side-information linear combiner."""
 
     a1: float
     a2: float
 
 
-def _quadratic_form(rho: float, alpha: float, beta: float) -> float:
-    return alpha * alpha + 2.0 * alpha * beta * rho + beta * beta
-
-
 def _checked_q(rho: float, alpha: float, beta: float) -> float:
-    q = _quadratic_form(rho, alpha, beta)
+    """The encoder's quadratic form q, or DegenerateCoefficientsError where it is 0 or not finite."""
+    q = alpha * alpha + 2.0 * alpha * beta * rho + beta * beta
     if not (q > 0.0) or not math.isfinite(q):
         raise DegenerateCoefficientsError(
             "alpha, beta give a degenerate encoder normalization (quadratic form is 0)"
@@ -134,30 +136,125 @@ def _checked_q(rho: float, alpha: float, beta: float) -> float:
     return q
 
 
-def _d1u_form(
-    sigma2: float, rho: float, power: float, noise: float, alpha: float, beta: float
-) -> float:
-    """Distortion on the first component at a receiver with the given noise."""
-    q = _checked_q(rho, alpha, beta)
-    num = (
-        power * power * beta * beta * (1.0 - rho * rho)
-        + power * noise * (alpha * alpha + 2.0 * alpha * beta * rho + beta * beta * (2.0 - rho * rho))
-        + noise * noise * q
+class _Curve:
+    """The row kernel of one validated problem: the one copy of D1u, D2u and the converse.
+
+    With ``q = a**2 + 2*a*b*rho + b**2`` at the weights (a, b), the
+    distortions at a receiver with noise n are
+
+        D1u(n) = sigma2*(P**2*b**2*(1 - rho**2)
+                 + P*n*(a**2 + 2*a*b*rho + b**2*(2 - rho**2)) + n**2*q) / ((P + n)**2*q)
+        D2u(n) = sigma2*(P**2*a**2*(1 - rho**2)
+                 + P*n*(a**2*(2 - rho**2) + 2*a*b*rho + b**2) + n**2*q) / ((P + n)**2*q)
+
+    and ``converse`` is the converse at the optimal witness. The
+    constructor computes once per problem every factor that does not
+    depend on the weights; each method keeps the operation order of the
+    formula it writes out, so a hoisted factor is the float its
+    expression would give in place. ``forms`` returns q with D1u(n1) and
+    D2u(n2), and ``d2_rx1`` and ``converse`` take that q, so a trace row
+    (``forms`` then ``converse``) computes it once. rho enters as
+    ``rho + 0.0``, which maps -0.0 to 0.0 and leaves every other float
+    as it is, so no zero of the converse carries the sign of a -0.0 rho.
+    """
+
+    __slots__ = (
+        "s2", "rho", "p", "n1", "n2", "pp", "om2", "tr", "pn1", "pn2", "nn1", "nn2",
+        "sq1", "sq2", "om", "rho_n1", "a1_scale", "psi_scale", "cv_n1",
     )
-    return sigma2 * num / ((power + noise) * (power + noise) * q)
+
+    def __init__(self, source: SourceParams, channel: ChannelParams) -> None:
+        s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
+        rho = source.rho + 0.0
+        self.s2, self.rho, self.p, self.n1, self.n2 = s2, rho, p, n1, n2
+        self.pp = p * p
+        self.om2 = 1.0 - rho * rho
+        self.tr = 2.0 - rho * rho
+        self.pn1, self.pn2 = p * n1, p * n2
+        self.nn1, self.nn2 = n1 * n1, n2 * n2
+        self.sq1, self.sq2 = (p + n1) * (p + n1), (p + n2) * (p + n2)
+        self.om = (1.0 - rho) * (1.0 + rho)
+        self.rho_n1 = rho * n1
+        self.a1_scale = (p + n1) * self.om
+        self.psi_scale = s2 / (p + n2)
+        self.cv_n1 = conditional_variance(source) * n1
+
+    def forms(self, a: float, b: float) -> tuple[float, float, float]:
+        """``(q, D1u(n1), D2u(n2))`` at the weights (a, b)."""
+        aa, bb, cross = a * a, b * b, 2.0 * a * b * self.rho
+        head = aa + cross  # the a**2 + 2*a*b*rho that q and D1u's middle factor share
+        q = head + bb
+        s2, pp, om2, tr = self.s2, self.pp, self.om2, self.tr
+        d1 = s2 * (pp * b * b * om2 + self.pn1 * (head + bb * tr) + self.nn1 * q) / (self.sq1 * q)
+        d2 = s2 * (pp * a * a * om2 + self.pn2 * (aa * tr + cross + bb) + self.nn2 * q) / (self.sq2 * q)
+        return q, d1, d2
+
+    def d2_rx1(self, a: float, b: float, q: float) -> float:
+        """D2u(n1), the second component at receiver 1, at the weights (a, b) of form q."""
+        mid = a * a * self.tr + 2.0 * a * b * self.rho + b * b
+        return self.s2 * (self.pp * a * a * self.om2 + self.pn1 * mid + self.nn1 * q) / (self.sq1 * q)
+
+    def converse(self, a: float, b: float, q: float) -> tuple[float, float, BoundWitness] | None:
+        """``(eta*, psi, witness)``: the converse at the optimal witness, at the curve point a = alpha, b = 1 - alpha.
+
+        None where the point is not covered. On the curve the optimal
+        witness and its combiner bound are rational in (a, b). With
+        ``om = (1 - rho)*(1 + rho)``, ``den = power*a**2*om + n1*q`` and
+        the margin ``A = rho*n1*q - power*a*b*om``:
+
+            eta* = sigma2*n1*om*q/den
+            a1*  = a*(power + n1)*om*q/((a + b*rho)*den)
+            a2*  = A/den
+
+        (a1*, a2*) is exactly the witness that maximizes the converse at
+        ``d1 = D1u(alpha)``, and eta* is ``combiner_mse_bound`` there
+        (``tests/test_converse_algebra.py``). The rational forms take no
+        square root of a difference and re-solve no alpha, so they stay
+        accurate where a chain through ``sqrt((sigma2 - d1)*(sigma2 - d2t))``
+        cancels (rho near 1, P/n1 large at the alpha = 1 corner). ``psi``
+        is ``_psi`` of eta*, a formula apart from the achievable
+        ``D2u(n2)`` it equals in exact arithmetic.
+
+        The point is covered iff ``A >= 0``: ``T(D1u(alpha)) - P/n1`` is A
+        times factors of fixed sign below the conditional variance, and
+        A > 0 on the stretch above it where the threshold is infinite
+        (rho > 0; ``tests/test_converse_algebra.py``). One float of A is
+        both the test and a2*'s numerator, so a covered point never has
+        a2* < 0. A does not involve sigma2, so coverage does not depend
+        on its scale.
+        """
+        om = self.om
+        pa = self.p * a
+        margin = self.rho_n1 * q - pa * b * om
+        if margin < 0.0:
+            return None
+        den = pa * a * om + self.n1 * q
+        lead = a + b * self.rho
+        # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
+        a1 = self.a1_scale * q / den * (a / lead if lead > 0.0 else 1.0)
+        eta = self.s2 * (self.n1 / den * om * q)  # in units of sigma2, then scaled once
+        return eta, _psi(self.psi_scale, self.cv_n1, self.n1, self.n2, eta), BoundWitness(a1, margin / den)
 
 
-def _d2u_form(
-    sigma2: float, rho: float, power: float, noise: float, alpha: float, beta: float
-) -> float:
-    """Distortion on the second component at a receiver with the given noise."""
-    q = _checked_q(rho, alpha, beta)
-    num = (
-        power * power * alpha * alpha * (1.0 - rho * rho)
-        + power * noise * (alpha * alpha * (2.0 - rho * rho) + 2.0 * alpha * beta * rho + beta * beta)
-        + noise * noise * q
-    )
-    return sigma2 * num / ((power + noise) * (power + noise) * q)
+def _psi(psi_scale: float, cv_n1: float, n1: float, n2: float, eta: float) -> float:
+    """The converse d2 of a combiner bound eta, ``sigma2/(power + n2)*(sigma2*(1 - rho**2)*n1/eta + n2 - n1)``.
+
+    ``psi_scale`` is ``sigma2/(power + n2)`` and ``cv_n1`` is
+    ``conditional_variance(source)*n1``; the row kernel hoists both.
+    """
+    if eta <= 0.0:
+        raise BoundUndefinedError("combiner bound is nonpositive; the converse is undefined for this witness")
+    psi = psi_scale * (cv_n1 / eta + n2 - n1)
+    if not math.isfinite(psi):
+        raise OutOfRangeError(f"sigma2 too large relative to power + n2: the converse d2 is {psi!r}")
+    return psi
+
+
+def _curve_at(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[_Curve, float, float, float]:
+    """``(curve, alpha, 1 - alpha, q)``: the row kernel of a validated problem, at the curve point alpha."""
+    curve = _Curve(source, channel)
+    beta = 1.0 - alpha
+    return curve, alpha, beta, curve.forms(alpha, beta)[0]
 
 
 def _check_rx1_scale(power: float, n1: float) -> None:
@@ -223,9 +320,8 @@ def uncoded_distortions(
     """
     validate_problem(source, channel)
     validate_coeffs(coeffs)
-    a, b = coeffs.alpha, coeffs.beta
-    d1 = _d1u_form(source.sigma2, source.rho, channel.power, channel.n1, a, b)
-    d2 = _d2u_form(source.sigma2, source.rho, channel.power, channel.n2, a, b)
+    _checked_q(source.rho, coeffs.alpha, coeffs.beta)  # before the forms divide by q
+    _, d1, d2 = _Curve(source, channel).forms(coeffs.alpha, coeffs.beta)
     return DistortionPair(d1, d2)
 
 
@@ -342,37 +438,13 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     scheme evaluated with receiver 1's noise, at the (alpha, 1-alpha)
     solving ``D1u = d1``. Always sandwiched between ``d_min(1)`` and
     ``sigma2``. A d1 below ``d_min(1)`` raises DistortionRangeError, and
-    one where the threshold fails (the margin A of ``_converse_at_alpha``
+    one where the threshold fails (the margin A of ``_Curve.converse``
     is negative at the alpha of d1) SnrThresholdError. The domain is the
     converse's: where the converse d2 at d1 overflows (sigma2/(power + n2)
     past the float range) this raises OutOfRangeError naming sigma2.
     """
-    alpha = _rx1_point(source, channel, d1)[0]
-    return _d2u_form(source.sigma2, source.rho, channel.power, channel.n1, alpha, 1.0 - alpha)
-
-
-def _rx1_alpha(source: SourceParams, channel: ChannelParams, d1: float) -> float:
-    """The alpha at which receiver 1 attains d1, under the preconditions of ``d2_min_at_rx1``.
-
-    Coverage is the converse kernel's own test at that alpha, so a d1
-    that ``bound`` accepts is one the trace and ``verify`` cover, at every
-    scale of sigma2. The per-d1 functions thereby share the converse's
-    domain: where ``_psi`` refuses the kernel's converse, this raises too.
-    """
-    lo_d, hi_d = _d1_range(source, channel)
-    if not d1 < hi_d:
-        raise DistortionRangeError(
-            f"d1 must be < {hi_d!r} (the range condition), got {d1!r}"
-        )
-    if not lo_d - _RESIDUAL_TOL * source.sigma2 <= d1:  # the edge slack of _solve_alpha
-        raise DistortionRangeError(f"d1 must be >= {lo_d!r} (d_min(1)), got {d1!r}")
-    alpha = _solve_alpha(source, channel, d1)
-    if _converse_at_alpha(source, channel, alpha) is None:
-        raise SnrThresholdError(
-            "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
-            "has no closed form there"
-        )
-    return alpha
+    curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
+    return curve.d2_rx1(a, b, q)
 
 
 @lru_cache(maxsize=4096)
@@ -380,7 +452,10 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     """``(alpha, root)`` at d1, for the public per-d1 and per-witness functions.
 
     Validates the problem, on a cache miss only, and raises as
-    :func:`d2_min_at_rx1` does. ``root`` is
+    :func:`d2_min_at_rx1` does. Coverage is the row kernel's own test at
+    the alpha of d1, so a d1 that ``bound`` accepts is one the trace and
+    ``verify`` cover, at every scale of sigma2; and where the kernel
+    refuses the converse, this raises too. ``root`` is
     ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its proved
     perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
     at (a, b) = (alpha, 1 - alpha): a product of nonnegative factors, so
@@ -388,11 +463,23 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     """
     validate_problem(source, channel)
     _check_rx1_scale(channel.power, channel.n1)
-    alpha = _rx1_alpha(source, channel, d1)
+    lo_d, hi_d = _d1_range(source, channel)
+    if not d1 < hi_d:
+        raise DistortionRangeError(
+            f"d1 must be < {hi_d!r} (the range condition), got {d1!r}"
+        )
+    if not lo_d - _RESIDUAL_TOL * source.sigma2 <= d1:  # the edge slack of _solve_alpha
+        raise DistortionRangeError(f"d1 must be >= {lo_d!r} (d_min(1)), got {d1!r}")
+    curve, a, b, q = _curve_at(source, channel, _solve_alpha(source, channel, d1))
+    if curve.converse(a, b, q) is None:
+        raise SnrThresholdError(
+            "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
+            "has no closed form there"
+        )
     rho, p = source.rho, channel.power
-    a, b = alpha, 1.0 - alpha
-    shape = (a + b * rho) * (a * rho + b) / _quadratic_form(rho, a, b)
-    return alpha, source.sigma2 * (p / (p + channel.n1) * shape)
+    shape = (a + b * rho) * (a * rho + b) / q
+    root = source.sigma2 * (p / (p + channel.n1) * shape)
+    return a, root
 
 
 def _check_witness(witness: BoundWitness) -> None:
@@ -405,62 +492,6 @@ def _check_witness(witness: BoundWitness) -> None:
 def _eta(s2: float, rho: float, delta: float, witness: BoundWitness, root: float) -> float:
     a1, a2 = witness.a1, witness.a2
     return s2 - a1 * (s2 - delta) * (2.0 - a1) - a2 * s2 * (2.0 * rho - a2) + 2.0 * a1 * a2 * root
-
-
-def _psi(source: SourceParams, channel: ChannelParams, eta: float) -> float:
-    if eta <= 0.0:
-        raise BoundUndefinedError("combiner bound is nonpositive; the converse is undefined for this witness")
-    p, n1, n2 = channel.power, channel.n1, channel.n2
-    psi = source.sigma2 / (p + n2) * (conditional_variance(source) * n1 / eta + n2 - n1)
-    if not math.isfinite(psi):
-        raise OutOfRangeError(f"sigma2 too large relative to power + n2: the converse d2 is {psi!r}")
-    return psi
-
-
-def _converse_at_alpha(
-    source: SourceParams, channel: ChannelParams, alpha: float
-) -> tuple[float, float, BoundWitness] | None:
-    """``(eta*, psi, witness)``: the converse at the optimal witness, at the point alpha of the curve.
-
-    None where the point is not covered. On the curve the optimal witness
-    and its combiner bound are rational in (a, b) = (alpha, 1 - alpha).
-    With ``q = a**2 + 2*a*b*rho + b**2``, ``om = (1 - rho)*(1 + rho)``,
-    ``den = power*a**2*om + n1*q`` and the margin
-    ``A = rho*n1*q - power*a*b*om``:
-
-        eta* = sigma2*n1*om*q/den
-        a1*  = a*(power + n1)*om*q/((a + b*rho)*den)
-        a2*  = A/den
-
-    (a1*, a2*) is exactly the witness that maximizes the converse at
-    ``d1 = D1u(alpha)``, and eta* is ``combiner_mse_bound`` there
-    (``tests/test_converse_algebra.py``). The rational forms take no
-    square root of a difference and re-solve no alpha, so they stay
-    accurate where a chain through ``sqrt((sigma2 - d1)*(sigma2 - d2t))``
-    cancels (rho near 1, P/n1 large at the alpha = 1 corner). ``psi`` is
-    ``_psi(eta*)``, a formula apart from the achievable ``D2u(n2)`` it
-    equals in exact arithmetic.
-
-    The point is covered iff ``A >= 0``: ``T(D1u(alpha)) - P/n1`` is A
-    times factors of fixed sign below the conditional variance, and A > 0
-    on the stretch above it where the threshold is infinite (rho > 0;
-    ``tests/test_converse_algebra.py``). One float of A is both the test
-    and a2*'s numerator, so a covered point never has a2* < 0. A does not
-    involve sigma2, so coverage does not depend on its scale.
-    """
-    rho, p, n1 = source.rho, channel.power, channel.n1
-    a, b = alpha, 1.0 - alpha
-    q = _quadratic_form(rho, a, b)
-    om = (1.0 - rho) * (1.0 + rho)
-    margin = rho * n1 * q - p * a * b * om
-    if margin < 0.0:
-        return None
-    den = p * a * a * om + n1 * q
-    lead = a + b * rho
-    # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
-    a1 = (p + n1) * om * q / den * (a / lead if lead > 0.0 else 1.0)
-    eta = source.sigma2 * (n1 / den * om * q)  # in units of sigma2, then scaled once
-    return eta, _psi(source, channel, eta), BoundWitness(a1, margin / den)
 
 
 def combiner_mse_bound(
@@ -496,7 +527,8 @@ def d2_converse_bound(
     """
     _check_witness(witness)
     eta = _eta(source.sigma2, source.rho, delta, witness, _rx1_point(source, channel, delta)[1])
-    return _psi(source, channel, eta)
+    p, n1, n2 = channel.power, channel.n1, channel.n2
+    return _psi(source.sigma2 / (p + n2), conditional_variance(source) * n1, n1, n2, eta)
 
 
 def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> BoundWitness:
@@ -514,4 +546,5 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     of a2 is the coverage margin A, so the float that decides coverage
     is never negative here.
     """
-    return _converse_at_alpha(source, channel, _rx1_point(source, channel, d1)[0])[2]
+    curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
+    return curve.converse(a, b, q)[2]

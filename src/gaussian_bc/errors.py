@@ -31,7 +31,3 @@ class InfeasibleDistortionError(OutOfRangeError):
 
 class BoundUndefinedError(GaussianBcError, ArithmeticError):
     """The converse functional is undefined for the supplied witness."""
-
-
-class InternalInvariantError(GaussianBcError, RuntimeError):
-    """A quantity the theory guarantees failed numerically; indicates a bug."""

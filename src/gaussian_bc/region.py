@@ -16,16 +16,23 @@ joint rate-distortion oracle at ``(d1, d2_min_at_rx1(d1))`` equals
 receiver 1's channel capacity.
 
 Each public function validates its problem once and then evaluates every
-point through the private kernels of :mod:`.closed_forms` (and, in the
-verifier, the oracle kernel of :mod:`.rate_distortion`), the converse
-included: a point's converse is ``closed_forms._converse_at_alpha`` at
-the point's alpha, the one converse route of the package, and the
-kernel's None is "not covered". The trace has that alpha already, so it
-solves none; the verifier solves it once per grid point. No point of
-either goes through the public (memoized) closed forms, so neither
-re-validates the problem nor fills the per-d1 cache
+point through the row kernel ``closed_forms._Curve``, built once per
+call (and, in the verifier, the oracle kernel of :mod:`.rate_distortion`).
+A trace row is two kernel calls: ``forms`` gives q, d1 and the
+achievable d2, and ``converse``, at the same q, the converse at the
+optimal witness, whose None is "not covered". The trace has each row's
+alpha already, so it solves none; the verifier solves it once per grid
+point. No point of either goes through the public (memoized) closed
+forms, so neither re-validates the problem nor fills the per-d1 cache
 ``closed_forms._rx1_point``, which :func:`converse_at` shares with the
 public per-d1 functions.
+
+``BoundaryPoint`` and ``MatchPoint`` are named tuples, and so is
+``closed_forms.BoundWitness``: a trace builds one per row, and a named
+tuple costs a third of a frozen dataclass to build. They are immutable
+and hashable, print as ``Name(field=value, ...)``, and, being tuples,
+compare equal to plain tuples of their fields. ``MatchReport``, built
+once per run, stays a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -33,14 +40,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closed_forms import (
     BoundWitness,
     _check_rx1_scale,
-    _converse_at_alpha,
+    _Curve,
+    _curve_at,
     _d1_range,
-    _d1u_form,
-    _d2u_form,
     _rx1_point,
     _solve_alpha,
 )
@@ -58,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """One traced point of the uncoded achievability curve.
 
     ``optimal_flag`` records whether the SNR threshold condition holds at
@@ -78,8 +84,7 @@ class BoundaryPoint:
     optimal_flag: bool
 
 
-@dataclass(frozen=True)
-class MatchPoint:
+class MatchPoint(NamedTuple):
     """One grid point of a matching verification run.
 
     ``oracle_error_bits`` is ``|R(d1, d2_min_at_rx1(d1)) - C1|``: the
@@ -135,7 +140,8 @@ def converse_at(
     there. Raises DistortionRangeError or SnrThresholdError when the
     respective precondition fails, so callers can tell the two apart.
     """
-    return _converse_at_alpha(source, channel, _rx1_point(source, channel, d1)[0])
+    curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
+    return curve.converse(a, b, q)
 
 
 def _check_sigma2_squares(s2: float) -> None:
@@ -199,37 +205,32 @@ def trace_uncoded_boundary(
     validate_problem(source, channel)
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
-    s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
+    s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
     _check_rx2_scale(p, n2)
     _check_rx1_scale(p, n1)
-    if not (
-        math.isfinite(_d1u_form(s2, rho, p, n1, 0.0, 1.0))
-        and math.isfinite(_d2u_form(s2, rho, p, n2, 1.0, 0.0))
-    ):
+    curve = _Curve(source, channel)
+    forms, converse = curve.forms, curve.converse
+    _, d1_top, _ = forms(0.0, 1.0)  # both forms peak at the ends of the curve
+    _, d1_floor, d2_top = forms(1.0, 0.0)
+    if not (math.isfinite(d1_top) and math.isfinite(d2_top)):
         raise OutOfRangeError("sigma2 too large: sigma2 times a distortion numerator overflows")
-    if not _d1u_form(s2, rho, p, n1, 1.0, 0.0) > 0.0:
+    if not d1_floor > 0.0:
         raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
     _check_sigma2_squares(s2)
     points: list[BoundaryPoint] = []
-    for i in range(num_points):
-        alpha = i / (num_points - 1)
-        try:
-            converse = _converse_at_alpha(source, channel, alpha)
-        except BoundUndefinedError as exc:
-            raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
-        psi_value = witness = None
-        if converse is not None and alpha > 0.0:
-            _, psi_value, witness = converse
-        points.append(
-            BoundaryPoint(
-                alpha=alpha,
-                d1=_d1u_form(s2, rho, p, n1, alpha, 1.0 - alpha),
-                d2_achievable=_d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha),
-                d2_converse=psi_value,
-                witness=witness,
-                optimal_flag=converse is not None,
-            )
-        )
+    last = num_points - 1
+    try:
+        for i in range(num_points):
+            alpha = i / last
+            beta = 1.0 - alpha
+            q, d1, d2 = forms(alpha, beta)
+            row = converse(alpha, beta, q)
+            if row is not None and alpha > 0.0:
+                points.append(BoundaryPoint(alpha, d1, d2, row[1], row[2], True))
+            else:
+                points.append(BoundaryPoint(alpha, d1, d2, None, None, row is not None))
+    except BoundUndefinedError as exc:
+        raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
     return points
 
 
@@ -260,7 +261,7 @@ def verify_matching(
         raise OutOfRangeError("grid_size must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
-    s2, rho, p, n1, n2 = source.sigma2, source.rho, channel.power, channel.n1, channel.n2
+    s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
     _check_rx2_scale(p, n2)
     _check_rx1_scale(p, n1)
     _check_sigma2_squares(s2)
@@ -272,17 +273,19 @@ def verify_matching(
             f"holds no {grid_size}-point grid in floating point"
         )
     capacity = channel_capacity(p, n1)
+    curve = _Curve(source, channel)
     points: list[MatchPoint] = []
     for d1 in grid:
         alpha = _solve_alpha(source, channel, d1)
-        converse = _converse_at_alpha(source, channel, alpha)
+        beta = 1.0 - alpha
+        q, _, d2_ach = curve.forms(alpha, beta)
+        converse = curve.converse(alpha, beta, q)
         if converse is None:
             points.append(MatchPoint(d1, False, None, None, None, None, None))
             continue
         _, psi_value, witness = converse
-        d2_ach = _d2u_form(s2, rho, p, n2, alpha, 1.0 - alpha)
-        d2t = _d2u_form(s2, rho, p, n1, alpha, 1.0 - alpha)
-        oracle_error = abs(_r_joint(s2, rho, d1, d2t) - capacity)
+        d2t = curve.d2_rx1(alpha, beta, q)
+        oracle_error = abs(_r_joint(s2, source.rho, d1, d2t) - capacity)
         points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness, oracle_error))
     covered = [point for point in points if point.covered]
     return MatchReport(

@@ -2,7 +2,9 @@
 
 import ast
 import csv
+import inspect
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gaussian_bc
-from gaussian_bc import closed_forms
+from gaussian_bc import cli, closed_forms
 from gaussian_bc import (
     ChannelParams,
     SourceParams,
@@ -598,16 +600,63 @@ def test_cli_reads_no_private_name_of_another_module():
     assert private == []
 
 
-def test_importing_the_cli_loads_no_executor_or_logging():
-    # concurrent.futures pulls in logging, which adds ~5 ms to every start-up
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import gaussian_bc.cli\n"
-        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
-    )
-    src = str(Path(gaussian_bc.__file__).resolve().parents[1])
+SRC = str(Path(gaussian_bc.__file__).resolve().parents[1])
+
+
+def _fresh_python(code):
+    """Run code in a new interpreter that imports the package from this checkout."""
     done = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + code, SRC],
+        capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_executor_or_logging():
+    # concurrent.futures pulls in logging, which adds ~5 ms to every start-up,
+    # and numpy ~150 ms, which only simulate needs
+    heavy = "print(sorted(m for m in ('concurrent.futures', 'logging', 'numpy') if m in sys.modules))\n"
+    assert _fresh_python("import gaussian_bc.cli\n" + heavy) == "[]"
+    # the package serves its Monte-Carlo names on first access, which loads numpy
+    code = (
+        "import gaussian_bc\n" + heavy
+        + "from gaussian_bc import SimulationConfig\n"
+        "from gaussian_bc.montecarlo import simulate\n"
+        "print(gaussian_bc.simulate is simulate, SimulationConfig.__module__, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(code).splitlines() == ["[]", "True gaussian_bc.montecarlo True"]
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        gaussian_bc.not_a_name
+
+
+def test_the_cached_parser_gives_every_call_a_fresh_process_result(tmp_path, capsys):
+    # one parser serves every run in a process; each call must print what
+    # the same argv prints as the first call of a new interpreter
+    assert not inspect.signature(cli._build_parser).parameters
+    assert cli._build_parser() is cli._build_parser()
+    sequence = [
+        ["report"],
+        ["trace", "--points", "5", "--rho", "-1e-05"],
+        ["trace", "--points"],
+        ["bound", "--d1", "0.6"],
+        ["simulate", "--samples", "1000", "--seed", "3", "--output", "{out}"],
+        ["verify", "--grid", "5", "--power", "3"],
+        ["bound", "--d1", "5"],
+        ["frobnicate"],
+        ["trace", "--points", "4", "--output", "{out}"],
+        ["verify"],
+        ["simulate", "--alpha", "0.25", "--d1-target", "0.6"],
+        ["report", "--rho", "-1e-05", "--power", "2"],
+        ["report"],
+    ]
+    for index, argv in enumerate(sequence):
+        fresh_out, reused_out = tmp_path / f"fresh-{index}.csv", tmp_path / f"reused-{index}.csv"
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gaussian_bc.cli", *(a.format(out=fresh_out) for a in argv)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        code = run([a.format(out=reused_out) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        if "{out}" in argv:
+            assert reused_out.read_text(encoding="utf-8") == fresh_out.read_text(encoding="utf-8")

@@ -29,6 +29,7 @@ from gaussian_bc import (
     uncoded_distortions,
 )
 
+from gaussian_bc import closed_forms
 from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, random_valid_configs
 
 
@@ -298,6 +299,15 @@ class TestConverseFunctional:
         witness = optimal_witness(DESK_SOURCE, DESK_CHANNEL, 0.625)
         assert witness.a1 == pytest.approx(0.8, rel=1e-9)
         assert witness.a2 == pytest.approx(0.2, rel=1e-9)
+
+    def test_negative_zero_rho_gives_the_witness_of_rho_0(self):
+        # d1 = d_min(1) puts alpha at 1, where a2 = A/den took the sign of
+        # rho = -0.0; the cache is cleared because it keys -0.0 as 0.0
+        closed_forms._rx1_point.cache_clear()
+        witness = optimal_witness(SourceParams(1.0, -0.0), DESK_CHANNEL, 0.5)
+        assert repr(witness.a2) == "0.0"
+        closed_forms._rx1_point.cache_clear()
+        assert repr(witness) == repr(optimal_witness(SourceParams(1.0, 0.0), DESK_CHANNEL, 0.5))
 
     def test_optimal_witness_nonnegative_across_configs(self):
         for source, channel in random_valid_configs(25, seed=41):

@@ -1,6 +1,6 @@
 """The algebra behind the converse kernel, as exact identities of rational functions.
 
-``closed_forms._converse_at_alpha`` evaluates the converse at the optimal
+``closed_forms._Curve.converse`` evaluates the converse at the optimal
 witness from alpha alone. Each identity it relies on is checked here in
 sympy, with positive symbols, by reducing ``lhs - rhs`` to a single
 fraction and cancelling it to 0. The weights a and b are kept independent:
@@ -22,7 +22,7 @@ den = p * a**2 * om + n1 * q
 
 
 def d1u(noise):
-    """``_d1u_form``: distortion on the first component, as the code writes it."""
+    """D1u: distortion on the first component, as ``closed_forms._Curve`` writes it."""
     num = (
         p * p * b * b * (1 - rho * rho)
         + p * noise * (a * a + 2 * a * b * rho + b * b * (2 - rho * rho))
@@ -32,7 +32,7 @@ def d1u(noise):
 
 
 def d2u(noise):
-    """``_d2u_form``: distortion on the second component, as the code writes it."""
+    """D2u: distortion on the second component, as ``closed_forms._Curve`` writes it."""
     num = (
         p * p * a * a * (1 - rho * rho)
         + p * noise * (a * a * (2 - rho * rho) + 2 * a * b * rho + b * b)

@@ -198,13 +198,12 @@ def test_kernels_call_no_validating_function(monkeypatch):
     lo, hi = closed_forms._d1_range(DESK_SOURCE, DESK_CHANNEL)
     d1 = 0.5 * (lo + hi)
     alpha = closed_forms._solve_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
-    closed_forms._d1u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
-    closed_forms._d2u_form(1.0, 0.5, 1.0, 2.0, alpha, 1.0 - alpha)
-    d2t = closed_forms._d2u_form(1.0, 0.5, 1.0, 1.0, alpha, 1.0 - alpha)
-    closed_forms._rx1_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
-    eta, _, witness = closed_forms._converse_at_alpha(DESK_SOURCE, DESK_CHANNEL, alpha)
+    curve = closed_forms._Curve(DESK_SOURCE, DESK_CHANNEL)
+    q, _, _ = curve.forms(alpha, 1.0 - alpha)
+    d2t = curve.d2_rx1(alpha, 1.0 - alpha, q)
+    eta, _, witness = curve.converse(alpha, 1.0 - alpha, q)
     closed_forms._eta(1.0, 0.5, d1, witness, root=0.5)
-    closed_forms._psi(DESK_SOURCE, DESK_CHANNEL, eta)
+    closed_forms._psi(curve.psi_scale, curve.cv_n1, 1.0, 2.0, eta)
     rate_distortion._r_joint(1.0, 0.5, d1, d2t)
     assert calls == [[], []]
 

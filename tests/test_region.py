@@ -6,6 +6,7 @@ import random
 import pytest
 
 from gaussian_bc import (
+    BoundaryPoint,
     BoundWitness,
     ChannelParams,
     DistortionRangeError,
@@ -22,10 +23,13 @@ from gaussian_bc import (
     trace_uncoded_boundary,
     region,
     snr_threshold,
+    solve_alpha_for_d1,
+    UncodedCoeffs,
+    uncoded_distortions,
     verify_matching,
 )
 
-from gaussian_bc.closed_forms import _converse_at_alpha, _solve_alpha
+from gaussian_bc.closed_forms import _Curve, _solve_alpha
 from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
 
 HIGH_SNR_SOURCE = SourceParams(1.0, 0.1)
@@ -52,6 +56,13 @@ class TestTrace:
         assert points[0].d2_achievable == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert points[1].d1 == pytest.approx(0.5, rel=1e-12)
         assert points[1].d2_achievable == pytest.approx(11.0 / 12.0, rel=1e-12)
+
+    def test_negative_zero_rho_traces_the_rows_of_rho_0(self):
+        # the alpha = 1 corner's a2 = A/den took the sign of rho = -0.0
+        channel = ChannelParams(1.0, 1.0, 2.0)
+        points = trace_uncoded_boundary(SourceParams(1.0, -0.0), channel, 3)
+        assert repr(points[-1].witness.a2) == "0.0"
+        assert repr(points) == repr(trace_uncoded_boundary(SourceParams(1.0, 0.0), channel, 3))
 
     def test_single_point_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -303,10 +314,10 @@ class TestVerifyMatching:
             verify_matching(DESK_SOURCE, ChannelParams(1.0, 1.0, 1e160), 50, 1e-9)
 
     def test_a_nan_residual_never_passes(self, monkeypatch):
-        def nan_converse(source, channel, alpha):
+        def nan_converse(curve, alpha, beta, q):
             return math.nan, math.nan, BoundWitness(math.nan, math.nan)
 
-        monkeypatch.setattr(region, "_converse_at_alpha", nan_converse)
+        monkeypatch.setattr(_Curve, "converse", nan_converse)
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 1e-9)
         assert report.covered_count == 5
         assert not report.passed
@@ -344,10 +355,17 @@ class TestVerifyMatching:
         assert report.max_residual is None and report.max_oracle_error_bits is None
 
 
+def kernel_converse(source, channel, alpha):
+    """The row kernel's converse at the curve point alpha, on its own."""
+    curve = _Curve(source, channel)
+    beta = 1.0 - alpha
+    return curve.converse(alpha, beta, curve.forms(alpha, beta)[0])
+
+
 class TestOneConverseKernel:
     """Every converse of the region path comes from one kernel, at the point's alpha.
 
-    A trace row is ``_converse_at_alpha`` at the row's alpha, and a verify
+    A trace row is the row kernel's ``_Curve.converse`` at the row's alpha, and a verify
     point is ``converse_at`` at its d1 (one alpha solve, then the kernel),
     bit for bit. Values are compared by ``repr``, which round-trips every
     float exactly and tells -0.0 from 0.0. Against 50-digit arithmetic at
@@ -372,7 +390,7 @@ class TestOneConverseKernel:
                 if p.d2_converse is None:
                     continue
                 covered += 1
-                assert repr((p.d2_converse, p.witness)) == repr(_converse_at_alpha(source, channel, p.alpha)[1:])
+                assert repr((p.d2_converse, p.witness)) == repr(kernel_converse(source, channel, p.alpha)[1:])
                 self.assert_accurate(source, channel, p.alpha, p.d2_converse, p.witness)
         assert covered > 2000
 
@@ -401,3 +419,108 @@ class TestOneConverseKernel:
                 rate = r_joint_numeric(source, p.d1, d2_min_at_rx1(source, channel, p.d1))
                 assert repr(p.oracle_error_bits) == repr(abs(rate - capacity))
         assert covered > 200
+
+
+def plain_d1u(source, noise, power, a, b):
+    """D1u(noise) at the weights (a, b), in the operation order of the paper's form."""
+    s2, rho = source.sigma2, source.rho
+    q = a * a + 2.0 * a * b * rho + b * b
+    num = (
+        power * power * b * b * (1.0 - rho * rho)
+        + power * noise * (a * a + 2.0 * a * b * rho + b * b * (2.0 - rho * rho))
+        + noise * noise * q
+    )
+    return s2 * num / ((power + noise) * (power + noise) * q)
+
+
+def plain_d2u(source, noise, power, a, b):
+    """D2u(noise) at the weights (a, b), in the operation order of the paper's form."""
+    s2, rho = source.sigma2, source.rho
+    q = a * a + 2.0 * a * b * rho + b * b
+    num = (
+        power * power * a * a * (1.0 - rho * rho)
+        + power * noise * (a * a * (2.0 - rho * rho) + 2.0 * a * b * rho + b * b)
+        + noise * noise * q
+    )
+    return s2 * num / ((power + noise) * (power + noise) * q)
+
+
+def scale_box_problems(count, seed):
+    """Seeded problems with sigma2 in 1e+-100, n1 in 1e+-50, P/n1 in 1e+-6, n2/n1 up to 1e3, rho < 0.999."""
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(count):
+        sigma2, rho = 10.0 ** rng.uniform(-100.0, 100.0), rng.uniform(0.0, 0.999)
+        n1 = 10.0 ** rng.uniform(-50.0, 50.0)
+        power, n2 = n1 * 10.0 ** rng.uniform(-6.0, 6.0), n1 * 10.0 ** rng.uniform(1e-3, 3.0)
+        problems.append((SourceParams(sigma2, rho), ChannelParams(power, n1, n2)))
+    return problems
+
+
+class TestFusedRowKernel:
+    """The trace and verify rows come from the row kernel, bit for bit the public route.
+
+    Values are compared by ``repr``. The public ``uncoded_distortions`` and
+    ``d2_min_at_rx1`` must equal the forms written out plainly here, in
+    the paper's operation order, so a refactor of the kernel that moves a
+    bit fails here before it reaches a golden digest.
+    """
+
+    PROBLEMS = scale_box_problems(30, seed=2101)
+
+    def test_trace_rows(self):
+        for source, channel in self.PROBLEMS:
+            p1, n1, n2 = channel.power, channel.n1, channel.n2
+            for p in trace_uncoded_boundary(source, channel, 201):
+                a, b = p.alpha, 1.0 - p.alpha
+                pair = uncoded_distortions(source, channel, UncodedCoeffs(a, b))
+                assert repr((p.d1, p.d2_achievable)) == repr((pair.d1, pair.d2))
+                assert repr(pair.d1) == repr(plain_d1u(source, n1, p1, a, b))
+                assert repr(pair.d2) == repr(plain_d2u(source, n2, p1, a, b))
+
+    def test_verify_points(self):
+        covered = 0
+        for source, channel in self.PROBLEMS:
+            for p in verify_matching(source, channel, 50, 1e-9).points:
+                if not p.covered:
+                    continue
+                covered += 1
+                alpha = solve_alpha_for_d1(source, channel, p.d1)
+                pair = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha))
+                assert repr(p.d2_achievable) == repr(pair.d2)
+                floor = plain_d2u(source, channel.n1, channel.power, alpha, 1.0 - alpha)
+                assert repr(d2_min_at_rx1(source, channel, p.d1)) == repr(floor)
+        assert covered > 300
+
+    def test_a_trace_row_makes_two_kernel_calls(self, monkeypatch):
+        calls = {"forms": 0, "converse": 0, "d2_rx1": 0}
+        for name in calls:
+            original = getattr(_Curve, name)
+
+            def counted(curve, *args, original=original, name=name):
+                calls[name] += 1
+                return original(curve, *args)
+
+            monkeypatch.setattr(_Curve, name, counted)
+        trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 101)
+        # two more forms calls check the ends of the curve before the rows
+        assert calls == {"forms": 101 + 2, "converse": 101, "d2_rx1": 0}
+
+
+def test_result_rows_are_named_tuples():
+    # immutable, hashable, keyword-constructed, printed as before; and,
+    # as tuples, equal to plain tuples of their fields
+    witness = BoundWitness(a1=0.5, a2=0.25)
+    assert repr(witness) == "BoundWitness(a1=0.5, a2=0.25)"
+    assert witness == (0.5, 0.25) and hash(witness) == hash((0.5, 0.25))
+    with pytest.raises(AttributeError):
+        witness.a1 = 1.0
+    point = trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 3)[1]
+    assert repr(point) == (
+        "BoundaryPoint(alpha=0.5, d1=0.625, d2_achievable=0.75, d2_converse=0.75, "
+        "witness=BoundWitness(a1=0.7999999999999999, a2=0.2), optimal_flag=True)"
+    )
+    assert point == BoundaryPoint(**point._asdict()) == tuple(point)
+    assert {point: 1}[point] == 1
+    match = verify_matching(DESK_SOURCE, DESK_CHANNEL, 1, 1e-9)
+    assert match.points[0] == tuple(match.points[0]) and hash(match)
