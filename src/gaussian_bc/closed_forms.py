@@ -35,11 +35,11 @@ All functions are pure.
 
 Validation policy: a public function validates its problem once, then
 computes through ``_``-prefixed kernels (``_Curve``, ``_d1_range``,
-``_snr_threshold`` and ``_solve_alpha``). A kernel assumes a validated
-problem and calls no public function, so ``region`` calls the kernels
-directly once it has validated a problem itself. Every kernel keeps the
-operation order of the public function it serves, so both routes give
-the same bits.
+``_snr_threshold``, ``_solve_alpha``, ``_witness_eta`` and ``_psi``). A
+kernel assumes a validated problem and calls no public function, so
+``region`` calls the kernels directly once it has validated a problem
+itself. Every kernel keeps the operation order of the public function it
+serves, so both routes give the same bits.
 
 ``_Curve`` is the row kernel, and the one place where D1u, D2u and the
 converse at the optimal witness are written out. Built once per
@@ -65,11 +65,11 @@ witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
 square it is on the curve, ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
 at the alpha of d1, so no square root is taken there either.
 
-``_rx1_point`` memoizes ``(alpha, root)`` per d1 for the public per-d1
-and per-witness functions: the witness sweeps call ``combiner_mse_bound``
-and ``d2_converse_bound`` thousands of times at one d1, and the cache
-keeps both the alpha solve and the validation off that path (a key is
-validated on its first miss only).
+``_rx1_point`` memoizes the per-d1 record ``(alpha, root, psi_scale,
+cv_n1)``: the witness sweeps call ``combiner_mse_bound`` and
+``d2_converse_bound`` thousands of times at one d1, and a cache hit (a
+key is validated on its first miss only) leaves each call the witness
+kernel ``_witness_eta`` and, for the converse, ``_psi``.
 """
 
 from __future__ import annotations
@@ -448,18 +448,18 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
 
 
 @lru_cache(maxsize=4096)
-def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float]:
-    """``(alpha, root)`` at d1, for the public per-d1 and per-witness functions.
+def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, float, float]:
+    """The record ``(alpha, root, psi_scale, cv_n1)`` at d1 of the public per-d1 and per-witness functions.
 
     Validates the problem, on a cache miss only, and raises as
     :func:`d2_min_at_rx1` does. Coverage is the row kernel's own test at
     the alpha of d1, so a d1 that ``bound`` accepts is one the trace and
-    ``verify`` cover, at every scale of sigma2; and where the kernel
-    refuses the converse, this raises too. ``root`` is
+    ``verify`` cover, at every scale of sigma2. ``root`` is
     ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its proved
     perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
-    at (a, b) = (alpha, 1 - alpha): a product of nonnegative factors, so
-    it needs no square root of a difference and no clamp.
+    at (a, b) = (alpha, 1 - alpha), a product of nonnegative factors with
+    no square root of a difference or clamp. ``psi_scale`` and ``cv_n1``
+    are the row kernel's hoisted ``_psi`` factors, the same floats.
     """
     validate_problem(source, channel)
     _check_rx1_scale(channel.power, channel.n1)
@@ -479,19 +479,18 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     rho, p = source.rho, channel.power
     shape = (a + b * rho) * (a * rho + b) / q
     root = source.sigma2 * (p / (p + channel.n1) * shape)
-    return a, root
+    return a, root, curve.psi_scale, curve.cv_n1
 
 
-def _check_witness(witness: BoundWitness) -> None:
-    if not (math.isfinite(witness.a1) and math.isfinite(witness.a2)):
-        raise ParameterError("witness components must be finite")
-    if witness.a1 * witness.a2 < 0.0:
-        raise ParameterError("witness components a1, a2 must have equal sign")
-
-
-def _eta(s2: float, rho: float, delta: float, witness: BoundWitness, root: float) -> float:
+def _witness_eta(source: SourceParams, delta: float, witness: BoundWitness, root: float) -> float:
+    """The combiner bound eta at a finite, equal-sign witness, given ``_rx1_point``'s root at delta."""
     a1, a2 = witness.a1, witness.a2
-    return s2 - a1 * (s2 - delta) * (2.0 - a1) - a2 * s2 * (2.0 * rho - a2) + 2.0 * a1 * a2 * root
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise ParameterError("witness components must be finite")
+    if a1 * a2 < 0.0:
+        raise ParameterError("witness components a1, a2 must have equal sign")
+    s2 = source.sigma2
+    return s2 - a1 * (s2 - delta) * (2.0 - a1) - a2 * s2 * (2.0 * source.rho - a2) + 2.0 * a1 * a2 * root
 
 
 def combiner_mse_bound(
@@ -509,8 +508,7 @@ def combiner_mse_bound(
     witness. The root is taken in its perfect-square form at the alpha of
     delta (see ``_rx1_point``).
     """
-    _check_witness(witness)
-    return _eta(source.sigma2, source.rho, delta, witness, _rx1_point(source, channel, delta)[1])
+    return _witness_eta(source, delta, witness, _rx1_point(source, channel, delta)[1])
 
 
 def d2_converse_bound(
@@ -525,10 +523,8 @@ def d2_converse_bound(
 
     with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0.
     """
-    _check_witness(witness)
-    eta = _eta(source.sigma2, source.rho, delta, witness, _rx1_point(source, channel, delta)[1])
-    p, n1, n2 = channel.power, channel.n1, channel.n2
-    return _psi(source.sigma2 / (p + n2), conditional_variance(source) * n1, n1, n2, eta)
+    _, root, psi_scale, cv_n1 = _rx1_point(source, channel, delta)
+    return _psi(psi_scale, cv_n1, channel.n1, channel.n2, _witness_eta(source, delta, witness, root))
 
 
 def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> BoundWitness:

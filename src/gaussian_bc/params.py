@@ -1,20 +1,23 @@
 """Parameter records and the lossless problem transforms.
 
-All records are immutable plain-data carriers. Validation is explicit
-(via :func:`validate_problem` and friends) rather than baked into the
-constructors, so that invalid draws can be represented and then rejected
-by the checker -- which is what the property tests and the CLI error
-paths need.
+All records are immutable plain-data carriers. ``SourceParams`` and
+``ChannelParams`` are named tuples, which hash and compare in C (the
+per-d1 cache of ``closed_forms`` hashes both on every per-witness call)
+and, being tuples, compare equal to plain tuples of their fields.
+Validation is explicit (via :func:`validate_problem` and friends) rather
+than baked into the constructors, so that invalid draws can be
+represented and then rejected by the checker -- which is what the
+property tests and the CLI error paths need.
 
 Validation policy: a problem is validated once, at the boundary. Each
 public function of ``closed_forms``, ``region`` and ``rate_distortion``
 that takes a source or a channel, and the ``montecarlo`` simulator,
 checks it with the checkers here before computing with it, then works
 through ``_``-prefixed kernels that assume a valid problem and never
-re-validate it; the CLI validates in its problem resolver. The one
-memoized closed form, ``closed_forms.d2_min_at_rx1``, validates on a
-cache miss only, and the per-witness converse functions validate
-through it (see ``closed_forms``).
+re-validate it; the CLI validates in its problem resolver. The per-d1
+cache ``closed_forms._rx1_point`` validates on a cache miss only, and
+the per-d1 and per-witness functions validate through it (see
+``closed_forms``).
 
 Two transforms make arbitrary inputs canonical without loss:
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -49,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(NamedTuple):
     """Correlated Gaussian pair: common variance ``sigma2``, correlation ``rho``.
 
     Canonical instances satisfy ``sigma2 > 0`` and ``0 <= rho < 1``.
@@ -62,8 +65,7 @@ class SourceParams:
     rho: float
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(NamedTuple):
     """Average transmit power and the two branch noise variances.
 
     Valid instances satisfy ``power > 0`` and ``0 < n1 < n2`` (receiver 1

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from gaussian_bc import (
+    BoundUndefinedError,
     BoundWitness,
     ChannelParams,
     DegenerateCoefficientsError,
@@ -351,3 +352,63 @@ class TestConverseFunctional:
                     DESK_SOURCE, DESK_CHANNEL, d1, BoundWitness(2.0 * i / 20, 2.0 * j / 20)
                 )
                 assert best >= psi - 1e-9
+
+    def test_per_witness_bits_are_the_plain_formulas(self):
+        # the per-d1 record and the witness kernel keep every bit of the
+        # formulas written out plainly here: the root at the alpha of d1,
+        # eta, and the converse d2 from sigma2*(1 - rho**2)*n1/eta
+        for source, channel in random_valid_configs(20, seed=53):
+            s2, rho = source.sigma2, source.rho
+            p, n1, n2 = channel.power, channel.n1, channel.n2
+            covered = []  # the d1 of covered curve points, from the middle out to the ends
+            for alpha in (0.5, 0.1, 0.9, 0.01, 0.99, 0.001, 0.999):
+                d1 = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha)).d1
+                try:
+                    optimal_witness(source, channel, d1)
+                except SnrThresholdError:
+                    continue
+                covered.append(d1)
+            assert len(covered) >= 3
+            for d1 in covered[:3]:
+                a = solve_alpha_for_d1(source, channel, d1)
+                b = 1.0 - a
+                q = a * a + 2.0 * a * b * rho + b * b
+                root = s2 * (p / (p + n1) * ((a + b * rho) * (a * rho + b) / q))
+                for i in range(21):
+                    for j in range(21):
+                        a1, a2 = 2.0 * i / 20, 2.0 * j / 20
+                        eta = s2 - a1 * (s2 - d1) * (2.0 - a1) - a2 * s2 * (2.0 * rho - a2) + 2.0 * a1 * a2 * root
+                        psi = s2 / (p + n2) * (s2 * (1.0 - rho * rho) * n1 / eta + n2 - n1)
+                        witness = BoundWitness(a1, a2)
+                        assert repr(combiner_mse_bound(source, channel, d1, witness)) == repr(eta)
+                        assert repr(d2_converse_bound(source, channel, d1, witness)) == repr(psi)
+
+    @pytest.mark.parametrize("func", [combiner_mse_bound, d2_converse_bound])
+    @pytest.mark.parametrize(
+        "source, channel, d1, witness, error, message",
+        [
+            (DESK_SOURCE, DESK_CHANNEL, 0.625, BoundWitness(math.nan, 0.5), ParameterError,
+             "witness components must be finite"),
+            (DESK_SOURCE, DESK_CHANNEL, 0.625, BoundWitness(0.5, -math.inf), ParameterError,
+             "witness components must be finite"),
+            (DESK_SOURCE, DESK_CHANNEL, 0.625, BoundWitness(-0.5, 0.5), ParameterError,
+             "witness components a1, a2 must have equal sign"),
+            (SourceParams(1e300, 0.5), ChannelParams(1e-12, 1e-11, 2e-11), 9.5e299, BoundWitness(0.5, 0.5),
+             OutOfRangeError, "sigma2 too large relative to power + n2: the converse d2 is inf"),
+        ],
+    )
+    def test_per_witness_errors_keep_their_messages(self, func, source, channel, d1, witness, error, message):
+        with pytest.raises(error) as info:
+            func(source, channel, d1, witness)
+        assert str(info.value) == message
+
+    def test_a_nonpositive_combiner_bound_leaves_the_converse_undefined(self):
+        # at P/n1 = 1e20 and d1 = d_min(1) = 1e-20, the witness (1, 0) gives
+        # eta = sigma2 - (sigma2 - d1), which rounds to 0
+        channel = ChannelParams(1e20, 1.0, 2.0)
+        d1 = d_min(DESK_SOURCE, channel, 1)
+        witness = BoundWitness(1.0, 0.0)
+        assert combiner_mse_bound(DESK_SOURCE, channel, d1, witness) == 0.0
+        with pytest.raises(BoundUndefinedError) as info:
+            d2_converse_bound(DESK_SOURCE, channel, d1, witness)
+        assert str(info.value) == "combiner bound is nonpositive; the converse is undefined for this witness"

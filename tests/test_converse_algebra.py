@@ -108,3 +108,28 @@ def test_from_cv_up_the_margin_is_positive():
     # right are >= 0, so rho*A >= 0, and A >= 0 for rho > 0
     rhs = p * om * a * (a + b * rho) + (D1 - s2 * om) * (p + n1) * q / s2
     assert vanishes(rho * MARGIN - rhs)
+
+
+def test_the_alpha_root_solves_d1u_equals_d1():
+    # solve_alpha_for_d1 takes t = 1 - alpha as the cancellation-free root
+    # of its quadratic; S stands for the square root of RAD in that root,
+    # so the numerator of D1u - d1 must vanish modulo S**2 - RAD
+    w, S = sp.symbols("w S", positive=True)
+    c = (1 + rho) * p / (p + n1)
+    rad = (1 - rho) * w * (c - (1 + rho) * w)
+    t = w / ((1 - rho) * w + S)
+    d1 = s2 * (w + n1 / (p + n1))  # w = d1/sigma2 - n1/(P + n1)
+    num, _ = sp.fraction(sp.together(d1u(n1).subs({a: 1 - t, b: t}, simultaneous=True) - d1))
+    assert vanishes(sp.rem(sp.expand(num), S**2 - rad, S))
+
+
+def test_the_oracle_stationary_point():
+    # on the edge {one diagonal = f, the other = d} the oracle's best
+    # determinant, where its off-diagonal clamp binds at rho*sigma2 - s,
+    # is d*f - (rho*sigma2 - s)**2 with s = sqrt((sigma2 - d)*(sigma2 - f));
+    # it is stationary at d* = sigma2 - rho**2*(sigma2 - f). g = sigma2 - f
+    # is positive below the cap f < sigma2
+    d, g = sp.symbols("d g", positive=True)
+    f = s2 - g
+    det = d * f - (rho * s2 - sp.sqrt((s2 - d) * (s2 - f))) ** 2
+    assert vanishes(sp.diff(det, d).subs(d, s2 - rho**2 * (s2 - f)))

@@ -193,6 +193,47 @@ def test_verify_validates_once_and_solves_alpha_once_per_grid_point(monkeypatch)
     assert closed_forms._rx1_point.cache_info().currsize == 0
 
 
+def test_a_witness_sweep_validates_once_and_solves_alpha_once(monkeypatch):
+    # every converse call at one d1 reads the per-d1 record, so a 101x101
+    # witness sweep validates and solves alpha on its first call only
+    closed_forms._rx1_point.cache_clear()
+    calls = _count_calls(monkeypatch, "validate_problem")
+    solves = []
+    original = closed_forms._solve_alpha
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(closed_forms, "_solve_alpha", counted)
+    for i in range(101):
+        for j in range(101):
+            closed_forms.d2_converse_bound(DESK_SOURCE, DESK_CHANNEL, 0.6, BoundWitness(i / 50, j / 50))
+    assert len(calls) == 1
+    assert len(solves) == 1
+
+
+def test_problem_records_are_named_tuples():
+    # the per-d1 cache hashes both records on every per-witness call, in
+    # C as long as they are tuples
+    source, channel = SourceParams(sigma2=1.0, rho=0.5), ChannelParams(power=1.0, n1=1.0, n2=2.0)
+    for record in (source, channel):
+        assert type(record).__hash__ is tuple.__hash__
+        assert type(record).__eq__ is tuple.__eq__
+        with pytest.raises(AttributeError):
+            setattr(record, type(record)._fields[0], 2.0)
+    assert (source, channel) == (DESK_SOURCE, DESK_CHANNEL) == ((1.0, 0.5), (1.0, 1.0, 2.0))
+    assert repr(source) == "SourceParams(sigma2=1.0, rho=0.5)"
+    assert repr(channel) == "ChannelParams(power=1.0, n1=1.0, n2=2.0)"
+    # rho = -0.0 and 0.0 are one key of the per-d1 cache
+    closed_forms._rx1_point.cache_clear()
+    closed_forms._rx1_point(SourceParams(1.0, 0.0), DESK_CHANNEL, 0.5)
+    closed_forms._rx1_point(SourceParams(1.0, -0.0), DESK_CHANNEL, 0.5)
+    info = closed_forms._rx1_point.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    closed_forms._rx1_point.cache_clear()
+
+
 def test_kernels_call_no_validating_function(monkeypatch):
     calls = [_count_calls(monkeypatch, name) for name in ("validate_problem", "validate_source")]
     lo, hi = closed_forms._d1_range(DESK_SOURCE, DESK_CHANNEL)
@@ -202,7 +243,7 @@ def test_kernels_call_no_validating_function(monkeypatch):
     q, _, _ = curve.forms(alpha, 1.0 - alpha)
     d2t = curve.d2_rx1(alpha, 1.0 - alpha, q)
     eta, _, witness = curve.converse(alpha, 1.0 - alpha, q)
-    closed_forms._eta(1.0, 0.5, d1, witness, root=0.5)
+    closed_forms._witness_eta(DESK_SOURCE, d1, witness, root=0.5)
     closed_forms._psi(curve.psi_scale, curve.cv_n1, 1.0, 2.0, eta)
     rate_distortion._r_joint(1.0, 0.5, d1, d2t)
     assert calls == [[], []]
