@@ -35,17 +35,18 @@ All functions are pure.
 
 Validation policy: a public function validates its problem once, then
 computes through ``_``-prefixed kernels (``_Curve``, ``_d1_range``,
-``_snr_threshold``, ``_solve_alpha``, ``_witness_eta`` and ``_psi``). A
+``_snr_threshold``, ``_witness_eta`` and ``_psi``). A
 kernel assumes a validated problem and calls no public function, so
 ``region`` calls the kernels directly once it has validated a problem
 itself. Every kernel keeps the operation order of the public function it
 serves, so both routes give the same bits.
 
-``_Curve`` is the row kernel, and the one place where D1u, D2u and the
-converse at the optimal witness are written out. Built once per
-problem, it hoists the factors that do not depend on alpha; the trace
-calls its ``forms`` and ``converse`` once per row, and the verifier and
-the per-d1 functions call them at the alpha they solve for d1.
+``_Curve`` is the row kernel, and the one place where D1u, D2u, the
+converse at the optimal witness and the alpha inverse of d1 are written
+out. Built once per problem, it hoists the factors that do not depend on
+alpha or d1; the trace calls its ``forms`` and ``converse`` once per
+row, and the verifier and the per-d1 functions call them at the alpha
+that its ``alpha_for`` solves for d1.
 ``uncoded_distortions`` and ``d2_min_at_rx1`` read their values from it
 too, so the public and the region routes give the same bits.
 
@@ -147,9 +148,10 @@ class _Curve:
         D2u(n) = sigma2*(P**2*a**2*(1 - rho**2)
                  + P*n*(a**2*(2 - rho**2) + 2*a*b*rho + b**2) + n**2*q) / ((P + n)**2*q)
 
-    and ``converse`` is the converse at the optimal witness. The
+    and ``converse`` is the converse at the optimal witness; ``alpha_for``
+    inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha). The
     constructor computes once per problem every factor that does not
-    depend on the weights; each method keeps the operation order of the
+    depend on the weights or on d1; each method keeps the operation order of the
     formula it writes out, so a hoisted factor is the float its
     expression would give in place. ``forms`` returns q with D1u(n1) and
     D2u(n2), and ``d2_rx1`` and ``converse`` take that q, so a trace row
@@ -161,6 +163,7 @@ class _Curve:
     __slots__ = (
         "s2", "rho", "p", "n1", "n2", "pp", "om2", "tr", "pn1", "pn2", "nn1", "nn2",
         "sq1", "sq2", "om", "rho_n1", "a1_scale", "psi_scale", "cv_n1",
+        "lo_d", "hi_d", "lo_edge", "hi_edge", "snap_lo", "snap_hi", "n1_share", "c", "omr", "opr",
     )
 
     def __init__(self, source: SourceParams, channel: ChannelParams) -> None:
@@ -173,11 +176,56 @@ class _Curve:
         self.pn1, self.pn2 = p * n1, p * n2
         self.nn1, self.nn2 = n1 * n1, n2 * n2
         self.sq1, self.sq2 = (p + n1) * (p + n1), (p + n2) * (p + n2)
-        self.om = (1.0 - rho) * (1.0 + rho)
+        self.omr, self.opr = 1.0 - rho, 1.0 + rho
+        self.om = self.omr * self.opr
         self.rho_n1 = rho * n1
         self.a1_scale = (p + n1) * self.om
         self.psi_scale = s2 / (p + n2)
         self.cv_n1 = conditional_variance(source) * n1
+        # the factors of alpha_for
+        lo_d, hi_d = _d1_range(source, channel)
+        edge = _RESIDUAL_TOL * s2  # tolerate endpoint rounding
+        self.lo_d, self.hi_d, self.lo_edge, self.hi_edge = lo_d, hi_d, lo_d - edge, hi_d + edge
+        snap = 4.0 * math.ulp(max(abs(lo_d), abs(hi_d)))
+        if hi_d - lo_d > 2.0 * snap:
+            self.snap_lo, self.snap_hi = lo_d + snap, hi_d - snap
+        else:  # a range a few ulp wide snaps its ends only
+            self.snap_lo, self.snap_hi = lo_d, hi_d
+        self.n1_share = n1 / (p + n1)
+        self.c = self.opr * p / (p + n1)
+
+    def alpha_for(self, d1: float) -> float:
+        """Invert the d1 curve: the alpha in [0, 1] with ``D1u(alpha, 1 - alpha) = d1``.
+
+        The kernel of :func:`solve_alpha_for_d1`, which gives the formula.
+        A target within ``_RESIDUAL_TOL*sigma2`` outside the range is
+        clamped to its end, and one farther out raises OutOfRangeError.
+        Near-endpoint targets snap to the alpha endpoints: the d1 curve is
+        quadratically flat at alpha = 1 (and at alpha = 0 when rho = 0),
+        so inverting a target an ulp away from an endpoint would amplify
+        that ulp to ~sqrt(ulp) in alpha. The snap, 4 ulp of the larger
+        end, stays far inside the residual contract; a range at most two
+        snaps wide snaps only a target equal to an end. ``max`` and
+        ``min`` are written as conditional expressions, for the reason
+        given at ``rate_distortion._best_det_at``.
+        """
+        lo_d, hi_d = self.lo_d, self.hi_d
+        if not (self.lo_edge <= d1 <= self.hi_edge):
+            raise OutOfRangeError(f"d1_target must lie in [{lo_d!r}, {hi_d!r}], got {d1!r}")
+        target = lo_d if lo_d > d1 else d1
+        target = hi_d if hi_d < target else target
+        if target <= self.snap_lo:
+            return 1.0
+        if target >= self.snap_hi:
+            return 0.0
+        w = target / self.s2 - self.n1_share
+        if not w > 0.0:  # rounding below the alpha = 1 end
+            return 1.0
+        omr_w = self.omr * w
+        rad = omr_w * (self.c - self.opr * w)
+        alpha = 1.0 - w / (omr_w + math.sqrt(0.0 if 0.0 > rad else rad))
+        alpha = 0.0 if 0.0 > alpha else alpha
+        return 1.0 if 1.0 < alpha else alpha
 
     def forms(self, a: float, b: float) -> tuple[float, float, float]:
         """``(q, D1u(n1), D2u(n2))`` at the weights (a, b)."""
@@ -392,42 +440,7 @@ def solve_alpha_for_d1(
     d1 residual stays within 1e-12 * sigma2.
     """
     validate_problem(source, channel)
-    return _solve_alpha(source, channel, d1_target)
-
-
-def _solve_alpha(source: SourceParams, channel: ChannelParams, d1_target: float) -> float:
-    lo_d, hi_d = _d1_range(source, channel)
-    edge = _RESIDUAL_TOL * source.sigma2  # tolerate endpoint rounding
-    if not (lo_d - edge <= d1_target <= hi_d + edge):
-        raise OutOfRangeError(
-            f"d1_target must lie in [{lo_d!r}, {hi_d!r}], got {d1_target!r}"
-        )
-    target = min(max(d1_target, lo_d), hi_d)
-    # Snap near-endpoint targets to the alpha endpoints: the d1 curve is
-    # quadratically flat at alpha = 1 (and at alpha = 0 when rho = 0), so
-    # inverting a target an ulp away from an endpoint would amplify that
-    # ulp to ~sqrt(ulp) in alpha. The snap stays far inside the residual
-    # contract.
-    snap = 4.0 * math.ulp(max(abs(lo_d), abs(hi_d)))
-    if hi_d - lo_d > 2.0 * snap:
-        if target <= lo_d + snap:
-            return 1.0
-        if target >= hi_d - snap:
-            return 0.0
-    else:
-        if target == lo_d:
-            return 1.0
-        if target == hi_d:
-            return 0.0
-
-    rho, p, n1 = source.rho, channel.power, channel.n1
-    w = target / source.sigma2 - n1 / (p + n1)
-    if not w > 0.0:  # rounding below the alpha = 1 end
-        return 1.0
-    c = (1.0 + rho) * p / (p + n1)
-    rad = (1.0 - rho) * w * (c - (1.0 + rho) * w)
-    t = w / ((1.0 - rho) * w + math.sqrt(max(rad, 0.0)))
-    return min(max(1.0 - t, 0.0), 1.0)
+    return _Curve(source, channel).alpha_for(d1_target)
 
 
 def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
@@ -463,14 +476,16 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     """
     validate_problem(source, channel)
     _check_rx1_scale(channel.power, channel.n1)
-    lo_d, hi_d = _d1_range(source, channel)
-    if not d1 < hi_d:
+    curve = _Curve(source, channel)
+    if not d1 < curve.hi_d:
         raise DistortionRangeError(
-            f"d1 must be < {hi_d!r} (the range condition), got {d1!r}"
+            f"d1 must be < {curve.hi_d!r} (the range condition), got {d1!r}"
         )
-    if not lo_d - _RESIDUAL_TOL * source.sigma2 <= d1:  # the edge slack of _solve_alpha
-        raise DistortionRangeError(f"d1 must be >= {lo_d!r} (d_min(1)), got {d1!r}")
-    curve, a, b, q = _curve_at(source, channel, _solve_alpha(source, channel, d1))
+    if not curve.lo_edge <= d1:  # the edge slack of alpha_for
+        raise DistortionRangeError(f"d1 must be >= {curve.lo_d!r} (d_min(1)), got {d1!r}")
+    a = curve.alpha_for(d1)
+    b = 1.0 - a
+    q = curve.forms(a, b)[0]
     if curve.converse(a, b, q) is None:
         raise SnrThresholdError(
             "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "

@@ -26,6 +26,15 @@ the best determinant is unimodal in d and peaks at the stationary point
 d* = sigma2 - rho**2*(sigma2 - f), the MMSE of the free component given
 the pinned one observed with error f. So each segment's maximum is the
 better of its two candidates d = cap and d = min(cap, d*); no search.
+The two segments share the candidate where both entries sit at their
+caps, so the oracle evaluates three candidates in all.
+
+``verify`` calls the oracle kernel at every covered grid point, and the
+kernel is a few dozen float operations, so a builtin ``max`` or ``min``
+call (about four times the cost of a conditional expression) was most
+of its time. The kernels write each as the conditional expression that
+returns the same float, nan and signed zeros included (see
+``_best_det_at``).
 
 ``conditional_info_bound`` and ``d2_lower_via_rx1`` are the two
 converse endpoints: the per-symbol cap on what receiver 1's observation
@@ -101,48 +110,61 @@ def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
     both intervals follow from the 2x2 PSD determinant conditions. The
     objective is a concave parabola in e, so its maximum over the interval
     sits at e = 0 clamped into it. Returns -inf when the intersection is
-    empty.
+    empty. The result is symmetric in (d1, d2) bit for bit, as IEEE
+    products are.
+
+    ``verify`` runs this kernel three times per covered grid point, so it
+    takes no builtin ``max``/``min``: a call to either costs about four
+    conditional expressions here. Each ``max(x, y)`` is written
+    ``y if y > x else x`` and each ``min(x, y)`` ``y if y < x else x``,
+    which is what the builtins return, nan and signed zeros included.
     """
-    lim = math.sqrt(d1 * d2)
-    s = math.sqrt(max((sigma2 - d1) * (sigma2 - d2), 0.0))
-    lo = max(-lim, rho_sig - s)
-    hi = min(lim, rho_sig + s)
+    dd = d1 * d2
+    lim = math.sqrt(dd)
+    g = (sigma2 - d1) * (sigma2 - d2)
+    s = math.sqrt(0.0 if 0.0 > g else g)
+    lo = rho_sig - s
+    lo = lo if lo > -lim else -lim
+    hi = rho_sig + s
+    hi = hi if hi < lim else lim
     if lo > hi:
         return -math.inf
-    e = min(max(0.0, lo), hi)
-    return d1 * d2 - e * e
-
-
-def _best_det_on_edge(sigma2: float, rho: float, fixed: float, free_cap: float) -> float:
-    """Max determinant on the segment {one diagonal = fixed, the other <= free_cap}.
-
-    The best determinant along the segment rises up to the stationary
-    point ``d_star = sigma2 - rho**2*(sigma2 - fixed)`` and falls beyond
-    it, so the maximum sits at ``min(free_cap, d_star)``; the cap itself
-    is kept as a candidate so that rounding near d_star cannot lose it.
-    """
-    rho_sig = rho * sigma2
-    d_star = sigma2 - rho * rho * (sigma2 - fixed)
-    return max(
-        _best_det_at(sigma2, rho_sig, free_cap, fixed),
-        _best_det_at(sigma2, rho_sig, min(free_cap, d_star), fixed),
-    )
+    e = lo if lo > 0.0 else 0.0
+    e = hi if hi < e else e
+    return dd - e * e
 
 
 def _r_joint(s2: float, rho: float, delta1: float, delta2: float) -> float:
-    """Kernel of :func:`r_joint_numeric` for a validated source and positive deltas."""
+    """Kernel of :func:`r_joint_numeric` for a validated source and positive deltas.
+
+    The best determinant on each boundary segment rises up to the
+    stationary point ``d_star = sigma2 - rho**2*(sigma2 - fixed)`` of the
+    free diagonal entry, with the other pinned at ``fixed``, and falls
+    beyond it; so each segment's maximum is at ``min(free_cap, d_star)``,
+    with the cap itself kept as a candidate so that rounding near d_star
+    cannot lose it. The two segments share that cap candidate, the corner
+    where both diagonal entries sit at their caps, so three candidates
+    cover both.
+    """
     rho_sig = rho * s2
-    cap1 = min(delta1, s2)
-    cap2 = min(delta2, s2)
+    cap1 = s2 if s2 < delta1 else delta1
+    cap2 = s2 if s2 < delta2 else delta2
     det_ks = s2 * s2 - rho_sig * rho_sig
-    best = max(
-        _best_det_on_edge(s2, rho, cap1, cap2),  # d1 pinned at its cap
-        _best_det_on_edge(s2, rho, cap2, cap1),  # d2 pinned at its cap
-    )
+    rr = rho * rho
+    best = _best_det_at(s2, rho_sig, cap2, cap1)  # the corner
+    d_star = s2 - rr * (s2 - cap1)  # d1 pinned at its cap, d2 free
+    det = _best_det_at(s2, rho_sig, d_star if d_star < cap2 else cap2, cap1)
+    if det > best:
+        best = det
+    d_star = s2 - rr * (s2 - cap2)  # d2 pinned at its cap, d1 free
+    det = _best_det_at(s2, rho_sig, d_star if d_star < cap1 else cap1, cap2)
+    if det > best:
+        best = det
     if not (best > 0.0):
         # Unreachable: the MMSE-chain error covariance is always feasible.
         raise OutOfRangeError("no feasible error covariance found")
-    return max(0.0, 0.5 * math.log2(det_ks / best))
+    rate = 0.5 * math.log2(det_ks / best)
+    return rate if rate > 0.0 else 0.0
 
 
 def r_joint_numeric(source: SourceParams, delta1: float, delta2: float) -> float:

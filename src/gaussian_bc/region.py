@@ -22,10 +22,11 @@ A trace row is two kernel calls: ``forms`` gives q, d1 and the
 achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
 alpha already, so it solves none; the verifier solves it once per grid
-point. No point of either goes through the public (memoized) closed
-forms, so neither re-validates the problem nor fills the per-d1 cache
-``closed_forms._rx1_point``, which :func:`converse_at` shares with the
-public per-d1 functions.
+point with the same kernel's ``alpha_for``, whose per-problem factors
+the run's one ``_Curve`` holds. No point of either goes through the
+public (memoized) closed forms, so neither re-validates the problem nor
+fills the per-d1 cache ``closed_forms._rx1_point``, which
+:func:`converse_at` shares with the public per-d1 functions.
 
 ``BoundaryPoint`` and ``MatchPoint`` are named tuples, and so is
 ``closed_forms.BoundWitness``: a trace builds one per row, and a named
@@ -47,9 +48,7 @@ from .closed_forms import (
     _check_rx1_scale,
     _Curve,
     _curve_at,
-    _d1_range,
     _rx1_point,
-    _solve_alpha,
 )
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
@@ -265,7 +264,8 @@ def verify_matching(
     _check_rx2_scale(p, n2)
     _check_rx1_scale(p, n1)
     _check_sigma2_squares(s2)
-    lo, hi = _d1_range(source, channel)
+    curve = _Curve(source, channel)
+    lo, hi = curve.lo_d, curve.hi_d
     grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:
         raise OutOfRangeError(
@@ -273,10 +273,9 @@ def verify_matching(
             f"holds no {grid_size}-point grid in floating point"
         )
     capacity = channel_capacity(p, n1)
-    curve = _Curve(source, channel)
     points: list[MatchPoint] = []
     for d1 in grid:
-        alpha = _solve_alpha(source, channel, d1)
+        alpha = curve.alpha_for(d1)
         beta = 1.0 - alpha
         q, _, d2_ach = curve.forms(alpha, beta)
         converse = curve.converse(alpha, beta, q)

@@ -252,6 +252,91 @@ class TestAlphaSolver:
             solve_alpha_for_d1(DESK_SOURCE, DESK_CHANNEL, 0.9)
 
 
+def builtin_solve_alpha(source, channel, d1_target):
+    """``(alpha, branch)``: the alpha inverse as written with builtin max/min, per call, and the branch it took."""
+    s2, rho, p, n1 = source.sigma2, source.rho, channel.power, channel.n1
+    lo_d = s2 * n1 / (n1 + p)
+    hi_d = s2 * (n1 + p * (1.0 - rho * rho)) / (n1 + p)
+    edge = 1e-12 * s2
+    if not (lo_d - edge <= d1_target <= hi_d + edge):
+        raise OutOfRangeError(f"d1_target must lie in [{lo_d!r}, {hi_d!r}], got {d1_target!r}")
+    target = min(max(d1_target, lo_d), hi_d)
+    snap = 4.0 * math.ulp(max(abs(lo_d), abs(hi_d)))
+    if hi_d - lo_d > 2.0 * snap:
+        if target <= lo_d + snap:
+            return 1.0, "snap to alpha = 1"
+        if target >= hi_d - snap:
+            return 0.0, "snap to alpha = 0"
+        branch = "root"
+    else:
+        if target == lo_d:
+            return 1.0, "narrow: alpha = 1"
+        if target == hi_d:
+            return 0.0, "narrow: alpha = 0"
+        branch = "narrow: root"
+    w = target / s2 - n1 / (p + n1)
+    if not w > 0.0:
+        return 1.0, "w <= 0"
+    c = (1.0 + rho) * p / (p + n1)
+    rad = (1.0 - rho) * w * (c - (1.0 + rho) * w)
+    t = w / ((1.0 - rho) * w + math.sqrt(max(rad, 0.0)))
+    return min(max(1.0 - t, 0.0), 1.0), branch
+
+
+class TestAlphaInverseBits:
+    """The alpha inverse returns the bits of its builtin max/min form, per branch.
+
+    ``solve_alpha_for_d1`` runs the row kernel's ``_Curve.alpha_for``,
+    which hoists every factor that does not depend on d1 into the
+    constructor and writes max/min as conditional expressions.
+    """
+
+    PROBLEMS = [
+        *random_valid_configs(30, seed=2302),
+        (SourceParams(1e150, 0.0), ChannelParams(1.0, 1e-3, 2.0)),
+        (SourceParams(1e-150, 1.0 - 1e-12), ChannelParams(1e3, 1.0, 2.0)),
+        # a range of one float, and one a few ulp wide
+        (DESK_SOURCE, ChannelParams(1e-200, 1.0, 2.0)),
+        (SourceParams(3.0, 0.3), ChannelParams(1e-16, 1.0, 2.0)),
+        # a target an ulp above d_min(1) rounds to w <= 0 here
+        (
+            SourceParams(0.39755329851374355, 0.4109370659949185),
+            ChannelParams(6.033560114354388e-15, 9.343988241364562, 18.687976482729123),
+        ),
+    ]
+
+    @staticmethod
+    def targets(source, channel):
+        lo, hi = d_min(source, channel, 1), d1_min_at_d2min(source, channel)
+        edge = 1e-12 * source.sigma2
+        ends = [lo, hi, lo - edge, hi + edge, lo - 2.0 * edge, hi + 2.0 * edge]
+        ends += [end + k * math.ulp(end) for end in (lo, hi) for k in range(-8, 9)]
+        return ends + [lo + (hi - lo) * (i + 0.5) / 16 for i in range(16)]
+
+    def test_equal_to_the_builtin_form_on_every_branch(self):
+        branches = set()
+        for source, channel in self.PROBLEMS:
+            for d1 in self.targets(source, channel):
+                try:
+                    alpha, branch = builtin_solve_alpha(source, channel, d1)
+                except OutOfRangeError as exc:
+                    with pytest.raises(OutOfRangeError) as info:
+                        solve_alpha_for_d1(source, channel, d1)
+                    assert str(info.value) == str(exc)
+                    branches.add("out of range")
+                    continue
+                assert repr(solve_alpha_for_d1(source, channel, d1)) == repr(alpha), (source, channel, d1)
+                branches.add(branch)
+        assert branches == {
+            "snap to alpha = 1", "snap to alpha = 0", "root", "w <= 0",
+            "narrow: alpha = 1", "narrow: alpha = 0", "narrow: root", "out of range",
+        }
+
+    def test_out_of_range_message(self):
+        with pytest.raises(OutOfRangeError, match=r"^d1_target must lie in \[0\.5, 0\.875\], got 0\.4$"):
+            solve_alpha_for_d1(DESK_SOURCE, DESK_CHANNEL, 0.4)
+
+
 class TestCompanionFloor:
     def test_desk_values(self):
         assert d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, 0.625) == pytest.approx(0.625, rel=1e-12)

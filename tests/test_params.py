@@ -153,22 +153,33 @@ def test_trace_validates_once_per_call_plus_once_per_cache_miss(monkeypatch):
     assert closed_forms._rx1_point.cache_info().currsize == 0
 
 
+def _count_alpha_solves(monkeypatch):
+    """Count calls of the row kernel's alpha inverse ``_Curve.alpha_for``, from any caller."""
+    original = closed_forms._Curve.alpha_for
+    solves = []
+
+    def counted(curve, d1):
+        solves.append(d1)
+        return original(curve, d1)
+
+    monkeypatch.setattr(closed_forms._Curve, "alpha_for", counted)
+    return solves
+
+
 def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
     # each row's converse comes from the alpha the trace already has
-    calls = {name: [] for name in ("_solve_alpha", "_rx1_point")}
-    for name, log in calls.items():
-        original = getattr(closed_forms, name)
+    calls = {"alpha_for": _count_alpha_solves(monkeypatch), "_rx1_point": []}
+    original = closed_forms._rx1_point
 
-        def counted(*args, original=original, log=log):
-            log.append(args)
-            return original(*args)
+    def counted(*args):
+        calls["_rx1_point"].append(args)
+        return original(*args)
 
-        for module in (closed_forms, region):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    for module in (closed_forms, region):
+        monkeypatch.setattr(module, "_rx1_point", counted)
     points = trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 1001)
     assert any(p.d2_converse is not None for p in points)
-    assert calls == {"_solve_alpha": [], "_rx1_point": []}
+    assert calls == {"alpha_for": [], "_rx1_point": []}
 
 
 def test_verify_validates_once_and_solves_alpha_once_per_grid_point(monkeypatch):
@@ -176,15 +187,7 @@ def test_verify_validates_once_and_solves_alpha_once_per_grid_point(monkeypatch)
     # every grid point, covered or not, takes one alpha solve
     closed_forms._rx1_point.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
-    solves = []
-    original = closed_forms._solve_alpha
-
-    def counted(*args):
-        solves.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(closed_forms, "_solve_alpha", counted)
-    monkeypatch.setattr(region, "_solve_alpha", counted)
+    solves = _count_alpha_solves(monkeypatch)
     # P/n1 = 3 leaves part of the grid uncovered
     report = region.verify_matching(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 40, 1e-9)
     assert 0 < report.covered_count < 40
@@ -198,14 +201,7 @@ def test_a_witness_sweep_validates_once_and_solves_alpha_once(monkeypatch):
     # witness sweep validates and solves alpha on its first call only
     closed_forms._rx1_point.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
-    solves = []
-    original = closed_forms._solve_alpha
-
-    def counted(*args):
-        solves.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(closed_forms, "_solve_alpha", counted)
+    solves = _count_alpha_solves(monkeypatch)
     for i in range(101):
         for j in range(101):
             closed_forms.d2_converse_bound(DESK_SOURCE, DESK_CHANNEL, 0.6, BoundWitness(i / 50, j / 50))
@@ -238,8 +234,8 @@ def test_kernels_call_no_validating_function(monkeypatch):
     calls = [_count_calls(monkeypatch, name) for name in ("validate_problem", "validate_source")]
     lo, hi = closed_forms._d1_range(DESK_SOURCE, DESK_CHANNEL)
     d1 = 0.5 * (lo + hi)
-    alpha = closed_forms._solve_alpha(DESK_SOURCE, DESK_CHANNEL, d1)
     curve = closed_forms._Curve(DESK_SOURCE, DESK_CHANNEL)
+    alpha = curve.alpha_for(d1)
     q, _, _ = curve.forms(alpha, 1.0 - alpha)
     d2t = curve.d2_rx1(alpha, 1.0 - alpha, q)
     eta, _, witness = curve.converse(alpha, 1.0 - alpha, q)

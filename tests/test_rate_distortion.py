@@ -22,6 +22,7 @@ from gaussian_bc import (
     r_scalar,
 )
 
+from gaussian_bc.rate_distortion import _r_joint
 from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs, scan_r_joint
 
 
@@ -151,6 +152,77 @@ class TestJointRateOracle:
             r_joint_numeric(DESK_SOURCE, 0.0, 0.5)
         with pytest.raises(OutOfRangeError):
             r_joint_numeric(DESK_SOURCE, 0.5, -0.1)
+
+
+def builtin_r_joint(s2, rho, delta1, delta2):
+    """The oracle kernel as written with builtin max/min, one call per candidate of each segment."""
+
+    def best_det_at(sigma2, rho_sig, d1, d2):
+        lim = math.sqrt(d1 * d2)
+        s = math.sqrt(max((sigma2 - d1) * (sigma2 - d2), 0.0))
+        lo = max(-lim, rho_sig - s)
+        hi = min(lim, rho_sig + s)
+        if lo > hi:
+            return -math.inf
+        e = min(max(0.0, lo), hi)
+        return d1 * d2 - e * e
+
+    def best_det_on_edge(sigma2, rho, fixed, free_cap):
+        rho_sig = rho * sigma2
+        d_star = sigma2 - rho * rho * (sigma2 - fixed)
+        return max(
+            best_det_at(sigma2, rho_sig, free_cap, fixed),
+            best_det_at(sigma2, rho_sig, min(free_cap, d_star), fixed),
+        )
+
+    rho_sig = rho * s2
+    cap1 = min(delta1, s2)
+    cap2 = min(delta2, s2)
+    det_ks = s2 * s2 - rho_sig * rho_sig
+    best = max(best_det_on_edge(s2, rho, cap1, cap2), best_det_on_edge(s2, rho, cap2, cap1))
+    if not (best > 0.0):
+        raise OutOfRangeError("no feasible error covariance found")
+    return max(0.0, 0.5 * math.log2(det_ks / best))
+
+
+def outcome(func, *args):
+    """``repr`` of func's value, or its error's type and message."""
+    try:
+        return repr(func(*args))
+    except OutOfRangeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestOracleKernelBits:
+    """The oracle kernel returns the bits of its builtin max/min form.
+
+    The kernel writes each max/min as a conditional expression and
+    evaluates the corner candidate, which both segments share, once;
+    compared by ``repr``, which tells -0.0 from 0.0 and shows nan.
+    """
+
+    @staticmethod
+    def inputs(count, seed):
+        rng = random.Random(seed)
+        for i in range(count):
+            sigma2 = rng.choice([1e-150, 1e150, 10.0 ** rng.uniform(-150.0, 150.0)])
+            rho = rng.choice([0.0, 1.0 - 1e-12, rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)])
+            # deltas up to 100*sigma2: about a third of them take the cap sigma2
+            d1, d2 = (sigma2 * 10.0 ** rng.uniform(-6.0, 2.0) for _ in range(2))
+            yield sigma2, rho, d1, d2 if i % 5 else d1
+
+    def test_equal_to_the_builtin_form(self):
+        capped = 0
+        for args in self.inputs(20000, seed=2301):
+            assert outcome(_r_joint, *args) == outcome(builtin_r_joint, *args), args
+            capped += max(args[2:]) > args[0]
+        assert capped > 5000
+
+    def test_the_infeasible_case_keeps_its_error(self):
+        # sigma2-sized products underflow: no error covariance has det > 0
+        args = (1e-300, 0.5, 1e-301, 1e-301)
+        message = "OutOfRangeError: no feasible error covariance found"
+        assert outcome(_r_joint, *args) == outcome(builtin_r_joint, *args) == message
 
 
 class TestConditionalInfoBound:

@@ -29,7 +29,8 @@ from gaussian_bc import (
     verify_matching,
 )
 
-from gaussian_bc.closed_forms import _Curve, _solve_alpha
+from gaussian_bc import rate_distortion
+from gaussian_bc.closed_forms import _Curve
 from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
 
 HIGH_SNR_SOURCE = SourceParams(1.0, 0.1)
@@ -242,6 +243,29 @@ class TestVerifyMatching:
         assert report.excluded_count == 0
         assert report.max_residual <= 1e-9
 
+    def test_one_row_kernel_and_one_oracle_call_per_covered_point(self, monkeypatch):
+        # the per-point cost of verify: every grid point runs on one row
+        # kernel, and only a covered point runs the oracle, once
+        curves, oracle_calls = [], []
+        init, r_joint = _Curve.__init__, rate_distortion._r_joint
+
+        def counted_init(curve, *args):
+            curves.append(args)
+            init(curve, *args)
+
+        def counted_r_joint(*args):
+            oracle_calls.append(args)
+            return r_joint(*args)
+
+        monkeypatch.setattr(_Curve, "__init__", counted_init)
+        for module in (region, rate_distortion):
+            monkeypatch.setattr(module, "_r_joint", counted_r_joint)
+        # P/n1 = 3 leaves part of the grid uncovered
+        report = verify_matching(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 50, 1e-9)
+        assert 0 < report.covered_count < 50
+        assert len(curves) == 1
+        assert len(oracle_calls) == report.covered_count
+
     def test_single_point_is_the_midpoint(self):
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 1, 1e-9)
         assert len(report.points) == 1
@@ -305,7 +329,7 @@ class TestVerifyMatching:
         assert edge
         for p in edge:
             TestOneConverseKernel.assert_accurate(
-                source, channel, _solve_alpha(source, channel, p.d1), p.d2_converse, p.witness
+                source, channel, _Curve(source, channel).alpha_for(p.d1), p.d2_converse, p.witness
             )
 
     def test_overflowing_n2_is_an_error_not_a_nan_pass(self):
@@ -402,7 +426,7 @@ class TestOneConverseKernel:
                     continue
                 covered += 1
                 assert repr((p.d2_converse, p.witness)) == repr(converse_at(source, channel, p.d1)[1:])
-                alpha = _solve_alpha(source, channel, p.d1)
+                alpha = _Curve(source, channel).alpha_for(p.d1)
                 self.assert_accurate(source, channel, alpha, p.d2_converse, p.witness)
         assert covered > 900
 
