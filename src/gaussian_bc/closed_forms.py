@@ -10,7 +10,7 @@ decoded by scalar MMSE at each receiver. This module evaluates:
 * the single-user distortion floors ``d_min`` and the two corner points
   of the achievable region (``d1_min_at_d2min``, ``d2_min_at_d1min``),
 * the distortion pair ``(D1u, D2u)`` of the scheme as rational functions
-  of (alpha, beta),
+  of (alpha, beta), each sigma2 times a ratio in [0, 1],
 * the SNR threshold below which the scheme attains the region boundary
   (the paper's statement in the d1 coordinate; on the curve the same
   test is the sign of a margin A(alpha), below),
@@ -44,9 +44,9 @@ serves, so both routes give the same bits.
 ``_Curve`` is the row kernel, and the one place where D1u, D2u, the
 converse at the optimal witness and the alpha inverse of d1 are written
 out. Built once per problem, it hoists the factors that do not depend on
-alpha or d1; the trace calls its ``forms`` and ``converse`` once per
-row, and the verifier and the per-d1 functions call them at the alpha
-that its ``alpha_for`` solves for d1.
+alpha or d1 and holds the one channel-scale refusal. The trace calls its
+``forms`` and ``converse`` once per row, and the verifier and the per-d1
+functions call them at the alpha that its ``alpha_for`` solves for d1.
 ``uncoded_distortions`` and ``d2_min_at_rx1`` read their values from it
 too, so the public and the region routes give the same bits.
 
@@ -140,15 +140,19 @@ def _checked_q(rho: float, alpha: float, beta: float) -> float:
 class _Curve:
     """The row kernel of one validated problem: the one copy of D1u, D2u and the converse.
 
-    With ``q = a**2 + 2*a*b*rho + b**2`` at the weights (a, b), the
-    distortions at a receiver with noise n are
+    With ``q = a**2 + 2*a*b*rho + b**2`` at the weights (a, b) and
+    ``om = (1 - rho)*(1 + rho)``, the distortions at a receiver with
+    noise n are sigma2 times a ratio in [0, 1],
 
-        D1u(n) = sigma2*(P**2*b**2*(1 - rho**2)
-                 + P*n*(a**2 + 2*a*b*rho + b**2*(2 - rho**2)) + n**2*q) / ((P + n)**2*q)
-        D2u(n) = sigma2*(P**2*a**2*(1 - rho**2)
-                 + P*n*(a**2*(2 - rho**2) + 2*a*b*rho + b**2) + n**2*q) / ((P + n)**2*q)
+        D1u(n) = sigma2*((P*b**2*om + n*q) / ((P + n)*q))
+        D2u(n) = sigma2*((P*a**2*om + n*q) / ((P + n)*q))
 
-    and ``converse`` is the converse at the optimal witness; ``alpha_for``
+    (the paper's forms over ``(P + n)**2*q``, with P + n cancelled;
+    ``tests/test_converse_algebra.py``). No sum is squared; the one
+    channel-scale refusal is a ``P + n1`` or ``P + n2`` that is not a
+    normal float.
+
+    ``converse`` is the converse at the optimal witness; ``alpha_for``
     inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha). The
     constructor computes once per problem every factor that does not
     depend on the weights or on d1; each method keeps the operation order of the
@@ -161,8 +165,7 @@ class _Curve:
     """
 
     __slots__ = (
-        "s2", "rho", "p", "n1", "n2", "pp", "om2", "tr", "pn1", "pn2", "nn1", "nn2",
-        "sq1", "sq2", "om", "rho_n1", "a1_scale", "psi_scale", "cv_n1",
+        "s2", "rho", "p", "n1", "n2", "pn1", "pn2", "om", "rho_n1", "a1_scale", "psi_scale", "cv_n1",
         "lo_d", "hi_d", "lo_edge", "hi_edge", "snap_lo", "snap_hi", "n1_share", "c", "omr", "opr",
     )
 
@@ -170,17 +173,18 @@ class _Curve:
         s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
         rho = source.rho + 0.0
         self.s2, self.rho, self.p, self.n1, self.n2 = s2, rho, p, n1, n2
-        self.pp = p * p
-        self.om2 = 1.0 - rho * rho
-        self.tr = 2.0 - rho * rho
-        self.pn1, self.pn2 = p * n1, p * n2
-        self.nn1, self.nn2 = n1 * n1, n2 * n2
-        self.sq1, self.sq2 = (p + n1) * (p + n1), (p + n2) * (p + n2)
+        pn1, pn2 = p + n1, p + n2
+        if not sys.float_info.min <= pn1 <= pn2 <= sys.float_info.max:  # pn1 <= pn2 as n1 < n2
+            small = pn1 < sys.float_info.min
+            noise, n, size = ("n1", n1, "small") if small else ("n2", n2, "large")
+            where = "below the smallest normal float" if small else "past the float range"
+            raise OutOfRangeError(f"{'power' if p >= n else noise} too {size}: power + {noise} is {where}")
+        self.pn1, self.pn2 = pn1, pn2
         self.omr, self.opr = 1.0 - rho, 1.0 + rho
         self.om = self.omr * self.opr
         self.rho_n1 = rho * n1
-        self.a1_scale = (p + n1) * self.om
-        self.psi_scale = s2 / (p + n2)
+        self.a1_scale = pn1 * self.om
+        self.psi_scale = s2 / pn2
         self.cv_n1 = conditional_variance(source) * n1
         # the factors of alpha_for
         lo_d, hi_d = _d1_range(source, channel)
@@ -191,8 +195,8 @@ class _Curve:
             self.snap_lo, self.snap_hi = lo_d + snap, hi_d - snap
         else:  # a range a few ulp wide snaps its ends only
             self.snap_lo, self.snap_hi = lo_d, hi_d
-        self.n1_share = n1 / (p + n1)
-        self.c = self.opr * p / (p + n1)
+        self.n1_share = n1 / pn1
+        self.c = self.opr * p / pn1
 
     def alpha_for(self, d1: float) -> float:
         """Invert the d1 curve: the alpha in [0, 1] with ``D1u(alpha, 1 - alpha) = d1``.
@@ -229,18 +233,15 @@ class _Curve:
 
     def forms(self, a: float, b: float) -> tuple[float, float, float]:
         """``(q, D1u(n1), D2u(n2))`` at the weights (a, b)."""
-        aa, bb, cross = a * a, b * b, 2.0 * a * b * self.rho
-        head = aa + cross  # the a**2 + 2*a*b*rho that q and D1u's middle factor share
-        q = head + bb
-        s2, pp, om2, tr = self.s2, self.pp, self.om2, self.tr
-        d1 = s2 * (pp * b * b * om2 + self.pn1 * (head + bb * tr) + self.nn1 * q) / (self.sq1 * q)
-        d2 = s2 * (pp * a * a * om2 + self.pn2 * (aa * tr + cross + bb) + self.nn2 * q) / (self.sq2 * q)
+        q = a * a + 2.0 * a * b * self.rho + b * b
+        p, om, s2 = self.p, self.om, self.s2
+        d1 = s2 * ((p * b * b * om + self.n1 * q) / (self.pn1 * q))
+        d2 = s2 * ((p * a * a * om + self.n2 * q) / (self.pn2 * q))
         return q, d1, d2
 
     def d2_rx1(self, a: float, b: float, q: float) -> float:
         """D2u(n1), the second component at receiver 1, at the weights (a, b) of form q."""
-        mid = a * a * self.tr + 2.0 * a * b * self.rho + b * b
-        return self.s2 * (self.pp * a * a * self.om2 + self.pn1 * mid + self.nn1 * q) / (self.sq1 * q)
+        return self.s2 * ((self.p * a * a * self.om + self.n1 * q) / (self.pn1 * q))
 
     def converse(self, a: float, b: float, q: float) -> tuple[float, float, BoundWitness] | None:
         """``(eta*, psi, witness)``: the converse at the optimal witness, at the curve point a = alpha, b = 1 - alpha.
@@ -298,24 +299,26 @@ def _psi(psi_scale: float, cv_n1: float, n1: float, n2: float, eta: float) -> fl
     return psi
 
 
+def _check_converse_scale(curve: _Curve) -> None:
+    """Raise OutOfRangeError unless ``_psi``'s factors cv_n1 and psi_scale are normal floats.
+
+    A subnormal has lost precision, and a 0 drops a term: at sigma2 =
+    1e-100, power = n1 = 1e-250 the converse d2 would be 3.3e-101 for
+    7.5e-101. An infinite psi_scale is ``_psi``'s own error.
+    """
+    cv_n1, psi_scale = curve.cv_n1, curve.psi_scale
+    if not (sys.float_info.min <= cv_n1 <= sys.float_info.max and psi_scale >= sys.float_info.min):
+        raise OutOfRangeError(
+            f"sigma2 too {'large' if cv_n1 > sys.float_info.max else 'small'} for the converse: "
+            f"sigma2*(1 - rho**2)*n1 = {cv_n1!r} and sigma2/(power + n2) = {psi_scale!r} must be normal floats"
+        )
+
+
 def _curve_at(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[_Curve, float, float, float]:
     """``(curve, alpha, 1 - alpha, q)``: the row kernel of a validated problem, at the curve point alpha."""
     curve = _Curve(source, channel)
     beta = 1.0 - alpha
     return curve, alpha, beta, curve.forms(alpha, beta)[0]
-
-
-def _check_rx1_scale(power: float, n1: float) -> None:
-    """Raise OutOfRangeError unless ``(power + n1)**2`` is a normal float.
-
-    The distortion forms at receiver 1 divide by that square. As a
-    subnormal it has lost precision: at power = n1 = 1e-160 the d1 form
-    at alpha = 0.5 would give 0.62516... for the scale-free 0.625. At 0
-    the forms divide by zero.
-    """
-    if not (power + n1) * (power + n1) >= sys.float_info.min:
-        name = "power" if power >= n1 else "n1"
-        raise OutOfRangeError(f"{name} too small: (power + n1)**2 underflows the distortion forms")
 
 
 def _d1_range(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:
@@ -365,6 +368,8 @@ def uncoded_distortions(
     Both components are rational in (alpha, beta) with the common quadratic
     form ``q = alpha**2 + 2*alpha*beta*rho + beta**2`` in the denominator,
     so the result depends on the weights only through the ratio alpha/beta.
+    A ``power + n1`` or ``power + n2`` that is not a normal float raises
+    OutOfRangeError (see ``_Curve``).
     """
     validate_problem(source, channel)
     validate_coeffs(coeffs)
@@ -448,13 +453,15 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
 
     Defined for d1 strictly below ``d1_min_at_d2min`` and SNR at or below
     the threshold; equals the second-component distortion form of the
-    scheme evaluated with receiver 1's noise, at the (alpha, 1-alpha)
-    solving ``D1u = d1``. Always sandwiched between ``d_min(1)`` and
-    ``sigma2``. A d1 below ``d_min(1)`` raises DistortionRangeError, and
-    one where the threshold fails (the margin A of ``_Curve.converse``
-    is negative at the alpha of d1) SnrThresholdError. The domain is the
-    converse's: where the converse d2 at d1 overflows (sigma2/(power + n2)
-    past the float range) this raises OutOfRangeError naming sigma2.
+    scheme evaluated with receiver 1's noise,
+    ``sigma2*((P*a**2*(1 - rho**2) + n1*q)/((P + n1)*q))`` at the
+    (a, b) = (alpha, 1 - alpha) solving ``D1u = d1``. Always sandwiched
+    between ``d_min(1)`` and ``sigma2``. A d1 below ``d_min(1)`` raises
+    DistortionRangeError, and one where the threshold fails (the margin A
+    of ``_Curve.converse`` is negative at the alpha of d1)
+    SnrThresholdError. The domain is the converse's: where the converse
+    d2 at d1 overflows, or a factor of it is no normal float
+    (``_check_converse_scale``), this raises OutOfRangeError naming sigma2.
     """
     curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
     return curve.d2_rx1(a, b, q)
@@ -475,8 +482,8 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     are the row kernel's hoisted ``_psi`` factors, the same floats.
     """
     validate_problem(source, channel)
-    _check_rx1_scale(channel.power, channel.n1)
     curve = _Curve(source, channel)
+    _check_converse_scale(curve)
     if not d1 < curve.hi_d:
         raise DistortionRangeError(
             f"d1 must be < {curve.hi_d!r} (the range condition), got {d1!r}"

@@ -10,14 +10,15 @@ the trace flag, of the verifier's covered points and of
 :func:`converse_at`. A covered point with alpha > 0 (d1 strictly below
 ``d1_min_at_d2min``) also carries the converse value at the optimal
 witness; the two curves coincide there, which :func:`verify_matching`
-checks on a grid. At the
-same covered grid points it checks the other side of the theorem: the
-joint rate-distortion oracle at ``(d1, d2_min_at_rx1(d1))`` equals
+checks on a grid (a grid with no covered point fails that check). At
+the same covered grid points it checks the other side of the theorem:
+the joint rate-distortion oracle at ``(d1, d2_min_at_rx1(d1))`` equals
 receiver 1's channel capacity.
 
 Each public function validates its problem once and then evaluates every
 point through the row kernel ``closed_forms._Curve``, built once per
-call (and, in the verifier, the oracle kernel of :mod:`.rate_distortion`).
+call (and, in the verifier, the oracle kernel of :mod:`.rate_distortion`);
+its constructor is the one channel-scale check.
 A trace row is two kernel calls: ``forms`` gives q, d1 and the
 achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
@@ -43,13 +44,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .closed_forms import (
-    BoundWitness,
-    _check_rx1_scale,
-    _Curve,
-    _curve_at,
-    _rx1_point,
-)
+from .closed_forms import BoundWitness, _check_converse_scale, _Curve, _curve_at, _rx1_point
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
 from .rate_distortion import _r_joint, channel_capacity
@@ -104,9 +99,11 @@ class MatchPoint(NamedTuple):
 class MatchReport:
     """Outcome of :func:`verify_matching`.
 
-    ``passed`` is true iff every covered point has residual <= tol*sigma2
-    (``tol`` is relative to sigma2, as the residual scales with it); points
-    not covered by the threshold condition are excluded from pass/fail.
+    ``passed`` is true iff at least one point is covered and every covered
+    point has residual <= tol*sigma2 (``tol`` is relative to sigma2, as the
+    residual scales with it); points not covered by the threshold
+    condition are excluded from pass/fail, and a grid with none covered
+    matches nothing, so it does not pass.
     ``max_residual`` and ``max_oracle_error_bits`` are maxima over the
     covered points, None when there are none. The oracle error is
     reported, not judged: its tolerance is the caller's.
@@ -163,17 +160,6 @@ def _check_sigma2_squares(s2: float) -> None:
         )
 
 
-def _check_rx2_scale(power: float, n2: float) -> None:
-    """Raise OutOfRangeError unless ``(power + n2)**2`` is finite.
-
-    The distortion forms at receiver 2 square that sum; past the float
-    range they return nan, and a nan residual would judge nothing.
-    """
-    if not math.isfinite((power + n2) * (power + n2)):
-        name = "power" if power >= n2 else "n2"
-        raise OutOfRangeError(f"{name} too large: (power + n2)**2 overflows the distortion forms")
-
-
 def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
     """``size`` uniform d1 values strictly inside (lo, hi) in exact arithmetic."""
     return [lo + (hi - lo) * (i + 1) / (size + 1) for i in range(size)]
@@ -189,32 +175,32 @@ def trace_uncoded_boundary(
     coverage test at the row's own alpha (the sign of its margin A), and
     converse fields are populated iff the row is covered and alpha > 0,
     from the same kernel call.
-    A power or n2 so large that ``(power + n2)**2`` overflows raises
-    OutOfRangeError: the distortion forms square both, and would return
-    nan. So does a sigma2 so large that a distortion form overflows to
-    inf; both forms peak at the ends of the curve, d1 at alpha = 0 and d2
-    at alpha = 1. So does a sigma2 so small that d1 at alpha = 1, its
-    least value, underflows to 0. A P/n1 past the float range, where the
-    combiner bound at a covered row underflows to 0 and the converse is
-    undefined, raises OutOfRangeError too, and so does a sigma2 outside
-    about [1.5e-154, 9.4e153] (see ``_check_sigma2_squares``).
-    So does a ``(power + n1)**2`` below the smallest normal float, where
-    the receiver-1 forms lose precision and then divide by zero.
+    The distortions are sigma2 times ratios in [0, 1], so they overflow
+    nowhere sigma2 does not. A channel whose ``power + n1`` is below the
+    smallest normal float or whose ``power + n2`` overflows raises
+    OutOfRangeError (the row kernel's one channel-scale check), and so
+    does a d1 at alpha = 1, its least value, that underflows to 0: the
+    error names power where ``n1/(power + n1)`` itself underflows (P/n1
+    past the float range, where the converse is undefined), and sigma2
+    otherwise. A combiner bound that underflows to 0 at a covered row
+    names power too. A sigma2 outside about [1.5e-154, 9.4e153] (see
+    ``_check_sigma2_squares``), or one that leaves a factor of the
+    converse, ``sigma2*(1 - rho**2)*n1`` or ``sigma2/(power + n2)``, no
+    normal float, raises OutOfRangeError naming sigma2.
     """
     validate_problem(source, channel)
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
-    s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
-    _check_rx2_scale(p, n2)
-    _check_rx1_scale(p, n1)
+    s2, p, n1 = source.sigma2, channel.power, channel.n1
     curve = _Curve(source, channel)
     forms, converse = curve.forms, curve.converse
-    _, d1_top, _ = forms(0.0, 1.0)  # both forms peak at the ends of the curve
-    _, d1_floor, d2_top = forms(1.0, 0.0)
-    if not (math.isfinite(d1_top) and math.isfinite(d2_top)):
-        raise OutOfRangeError("sigma2 too large: sigma2 times a distortion numerator overflows")
-    if not d1_floor > 0.0:
+    if not forms(1.0, 0.0)[1] > 0.0:  # d1 at alpha = 1, the least on the curve
+        if not curve.n1_share > 0.0:
+            raise OutOfRangeError(
+                f"power too large relative to n1 (P/n1 = {p / n1:.3g}): n1/(power + n1) underflows to 0"
+            )
         raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
+    _check_converse_scale(curve)
     _check_sigma2_squares(s2)
     points: list[BoundaryPoint] = []
     last = num_points - 1
@@ -244,7 +230,8 @@ def verify_matching(
     (the sign of its margin A) decides whether it is covered; points
     where it fails are recorded as not covered and excluded from the
     pass/fail verdict. A covered point passes when its residual
-    is at most ``tol*sigma2``; a nan residual never passes. Each covered
+    is at most ``tol*sigma2``; a nan residual never passes, and a grid
+    with no covered point does not pass. Each covered
     point also carries the joint-rate oracle's error against receiver 1's
     capacity, evaluated at the companion floor of the alpha solved for
     d1, where the converse is taken too. Failures are data in the report, never exceptions; a tol
@@ -252,19 +239,19 @@ def verify_matching(
     point vacuously) raises OutOfRangeError, and so does a d1 range too
     narrow to hold the grid strictly inside it in floating point (its
     width is sigma2*power*(1 - rho**2)/(power + n1)), a sigma2 outside
-    about [1.5e-154, 9.4e153], a ``(power + n1)**2`` below the smallest
-    normal float, and a ``(power + n2)**2`` that overflows.
+    about [1.5e-154, 9.4e153] or one that leaves a factor of the converse
+    no normal float, a ``power + n1`` below the smallest normal float,
+    and a ``power + n2`` that overflows.
     """
     validate_problem(source, channel)
     if grid_size < 1:
         raise OutOfRangeError("grid_size must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
-    s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
-    _check_rx2_scale(p, n2)
-    _check_rx1_scale(p, n1)
-    _check_sigma2_squares(s2)
+    s2 = source.sigma2
     curve = _Curve(source, channel)
+    _check_converse_scale(curve)
+    _check_sigma2_squares(s2)
     lo, hi = curve.lo_d, curve.hi_d
     grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:
@@ -272,7 +259,7 @@ def verify_matching(
             f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
             f"holds no {grid_size}-point grid in floating point"
         )
-    capacity = channel_capacity(p, n1)
+    capacity = channel_capacity(channel.power, channel.n1)
     points: list[MatchPoint] = []
     for d1 in grid:
         alpha = curve.alpha_for(d1)
@@ -293,5 +280,5 @@ def verify_matching(
         points=tuple(points),
         max_residual=max((point.residual for point in covered), default=None),
         max_oracle_error_bits=max((point.oracle_error_bits for point in covered), default=None),
-        passed=all(point.residual <= tol * s2 for point in covered),
+        passed=bool(covered) and all(point.residual <= tol * s2 for point in covered),
     )

@@ -1,6 +1,7 @@
 """Shared test fixtures: the desk configuration, config draws, reference
 solvers for alpha and for the joint-rate oracle's outer maximum, and the
-converse at the optimal witness in 50-digit arithmetic."""
+distortion forms and the converse at the optimal witness in 50-digit
+arithmetic."""
 
 from __future__ import annotations
 
@@ -139,3 +140,28 @@ def exact_converse(
         a2 = (rho * n1 * q - p * a * b * om) / den
         a2_scale = (rho * n1 * q + p * a * b * om) / den
         return float(eta), float(d2), float(a1), float(a2), float(a2_scale)
+
+
+def exact_distortions(
+    source: SourceParams, channel: ChannelParams, alpha: float, beta: float
+) -> tuple[float, float, float]:
+    """``(D1u(n1), D2u(n2), D2u(n1))`` at the weights (alpha, beta), from 50-digit arithmetic.
+
+    Written in the paper's expanded form over ``(P + n)**2*q``, not in
+    the short form the package evaluates, so the two meet only through
+    the identity proved in ``test_converse_algebra.py``.
+    """
+    with mpmath.workdps(50):
+        s2, rho = mpmath.mpf(source.sigma2), mpmath.mpf(source.rho)
+        p, n1, n2 = (mpmath.mpf(x) for x in (channel.power, channel.n1, channel.n2))
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        q = a * a + 2 * a * b * rho + b * b
+        om, tr = 1 - rho * rho, 2 - rho * rho
+
+        def d1u(n):
+            return s2 * (p * p * b * b * om + p * n * (a * a + 2 * a * b * rho + b * b * tr) + n * n * q) / ((p + n) ** 2 * q)
+
+        def d2u(n):
+            return s2 * (p * p * a * a * om + p * n * (a * a * tr + 2 * a * b * rho + b * b) + n * n * q) / ((p + n) ** 2 * q)
+
+        return float(d1u(n1)), float(d2u(n2)), float(d2u(n1))

@@ -27,7 +27,7 @@ from gaussian_bc import (
 from gaussian_bc.cli import run
 
 import test_region_digests
-from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, exact_distortions, random_valid_configs
 
 CSV_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag"
 
@@ -56,6 +56,15 @@ STREAM_PROBLEM = [
     "--n1", "0.04143990870574366",
     "--n2", "0.13515236209401832",
 ]
+
+
+def assert_accurate_distortions(csv_text, channel, source=DESK_SOURCE):
+    """Each trace row's d1 and d2_uncoded within 1e-15 relative of 50-digit arithmetic."""
+    for row in list(csv.reader(io.StringIO(csv_text)))[1:]:
+        alpha = float(row[0])
+        x1, x2, _ = exact_distortions(source, channel, alpha, 1.0 - alpha)
+        assert abs(float(row[1]) - x1) <= 1e-15 * x1
+        assert abs(float(row[2]) - x2) <= 1e-15 * x2
 
 
 def parse_kv(text):
@@ -133,14 +142,11 @@ class TestTrace:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--power", "--n2"])
-    def test_overflowing_scale_names_its_flag(self, flag, capsys):
-        # (power + n2)**2 overflows, so every d1 would be nan; trace has no --d1 flag
-        code, text = run_cli(["trace", flag, "1e200"])
-        assert code == 2
-        assert text == ""
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag} too large")
-        assert "--d1" not in err
+    def test_a_large_scale_traces_accurate_distortions(self, flag):
+        # (power + n2)**2 overflowed in the forms, and trace exited 2 naming the flag
+        code, text = run_cli(["trace", "--points", "11", flag, "1e200"])
+        assert code == 0
+        assert_accurate_distortions(text, ChannelParams(**{"power": 1.0, "n1": 1.0, "n2": 2.0, flag[2:]: 1e200}))
 
     def test_underflowing_d1_floor_names_sigma2(self, capsys):
         # d1 at alpha = 1, sigma2*n1/(n1 + power) = 1e-350, is 0 in floats;
@@ -375,31 +381,40 @@ class TestVerify:
         "flags",
         [
             ["--rho", "0"],
+            ["--power", "1e10"],
+            ["--rho", "0.05", "--power", "10"],
+            ["--power", "1e160"],
             [*STREAM_PROBLEM, "--rho", "-4.206804610475956e-05"],
             [*STREAM_PROBLEM, "--rho", "4.206804610475956e-05"],
         ],
     )
-    def test_a_grid_without_covered_points_keeps_the_contract(self, flags):
+    def test_a_grid_without_covered_points_fails(self, flags):
+        # this printed matching=true and verify=PASS; a grid with no covered
+        # point matches nothing, so it fails, with exit 1, not 2: the problem is valid
         code, text = run_cli(["verify", *flags])
         pairs = parse_kv(text)
         assert list(pairs) == VERIFY_KEYS
         assert pairs["matched_points"] == pairs["oracle_points"] == "0"
         assert int(pairs["excluded_points"]) == 50
-        assert code == (0 if pairs["verify"] == "PASS" else 1)
+        assert (pairs["matching"], pairs["verify"]) == ("false", "FAIL")
+        assert code == 1
 
     def test_corrupted_tolerance_fails(self):
         code, text = run_cli(["verify", "--grid", "25", "--tol", "1e-18"])
         assert code == 1
         assert "verify=FAIL" in text
 
-    @pytest.mark.parametrize("flag", ["--power", "--n2"])
-    def test_overflowing_scale_names_its_flag(self, flag, capsys):
-        # (power + n2)**2 overflows, so every achievable d2 is nan; verify
-        # printed max_residual=nan and verify=PASS
-        code, text = run_cli(["verify", flag, "1e160"])
-        assert code == 2
-        assert text == ""
-        assert capsys.readouterr().err.startswith(f"error: {flag} too large: (power + n2)**2 overflows")
+    @pytest.mark.parametrize("flags", [["--n2", "1e160"], ["--power", "1e-170", "--n1", "1e-170", "--n2", "2e-170"]])
+    def test_an_extreme_channel_scale_verifies(self, flags):
+        # (power + n2)**2 overflowed, or (power + n1)**2 underflowed, in
+        # the forms, and verify exited 2 naming --n2 or --power
+        code, text = run_cli(["verify", *flags])
+        assert code == 0
+        pairs = parse_kv(text)
+        assert pairs["matched_points"] == "50"
+        assert float(pairs["max_residual"]) <= 1e-15
+        assert float(pairs["oracle_max_error_bits"]) <= 1e-12
+        assert pairs["verify"] == "PASS"
 
     def test_tolerance_is_relative_to_sigma2(self):
         # a relative residual of 3.7e-16 at sigma2 = 1e7 failed the absolute
@@ -407,7 +422,7 @@ class TestVerify:
         code, text = run_cli(["verify", "--sigma2", "1e7"])
         assert code == 0
         pairs = parse_kv(text)
-        assert pairs["max_residual"] == "3.7252902984619141e-09"
+        assert pairs["max_residual"] == "1.862645149230957e-09"
         assert (pairs["matching"], pairs["verify"]) == ("true", "PASS")
         assert run_cli(["verify", "--sigma2", "1e7", "--tol", "1e-17"])[0] == 1
 
@@ -458,10 +473,12 @@ class TestNegativeValuesInExponentNotation:
         assert negative == run_cli([*argv, *self.FLAGS, "--rho", "1e-05"])
         assert negative[0] == 0
 
-    def test_the_stream_problem_verifies(self):
-        code, text = run_cli(["verify", *STREAM_PROBLEM, "--rho", "-4.206804610475956e-05"])
-        assert code == 0
-        assert "verify=PASS" in text
+    def test_the_stream_problem_gives_the_verdict_of_its_positive_rho(self):
+        # its grid has no covered point, so the verdict is FAIL (exit 1), not an argument error
+        negative = run_cli(["verify", *STREAM_PROBLEM, "--rho", "-4.206804610475956e-05"])
+        assert negative == run_cli(["verify", *STREAM_PROBLEM, "--rho", "4.206804610475956e-05"])
+        assert negative[0] == 1
+        assert "verify=FAIL" in negative[1]
 
     @pytest.mark.parametrize("command", [["report"], ["verify"], ["bound", "--d1", "0.6"]])
     def test_negative_infinity_is_still_rejected_by_name(self, command, capsys):
@@ -492,19 +509,42 @@ def test_negative_zero_rho_prints_the_bytes_of_rho_0(argv, capsys):
 class TestTinyNoises:
     @pytest.mark.parametrize("scale", ["1e-190", "1e-160"])
     @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
-    def test_underflowing_scale_names_power(self, command, scale, capsys):
-        # 1e-190 divided by zero in the distortion forms; 1e-160 printed
-        # d1 = 0.62516469038208167 where the scale-free value is 0.625
+    def test_a_tiny_scale_answers_accurately(self, command, scale):
+        # (power + n1)**2 underflowed: the forms divided by zero at 1e-190,
+        # printed d1 = 0.62516469038208167 for 0.625 at 1e-160, and then
+        # the command exited 2 naming --power
         code, text = run_cli([*command, "--n1", scale, "--n2", f"2{scale[1:]}", "--power", scale])
+        assert code == 0
+        if command == ["trace"]:
+            assert float(text.splitlines()[51].split(",")[1]) == pytest.approx(0.625, rel=1e-15)
+        elif command == ["verify"]:
+            assert parse_kv(text)["verify"] == "PASS"
+        else:
+            assert float(parse_kv(text)["d2_min_rx1"]) == pytest.approx(0.625, rel=1e-15)
+
+    def test_a_smaller_power_than_n1_traces_accurately(self):
+        # (power + n1)**2 underflowed, and trace exited 2 naming --n1
+        code, text = run_cli(["trace", "--points", "11", "--n1", "1e-160", "--n2", "2e-160", "--power", "1e-170"])
+        assert code == 0
+        assert_accurate_distortions(text, ChannelParams(1e-170, 1e-160, 2e-160))
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--power", "1e-310", "--n1", "1e-310", "--n2", "2e-310"], "--power too small"),
+            (["--power", "1e-315", "--n1", "1e-310", "--n2", "2e-310"], "--n1 too small"),
+            (["--power", "1e308", "--n2", "1e308"], "--power too large"),
+            (["--power", "1e308", "--n2", "1.5e308"], "--n2 too large"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
+    def test_an_unrepresentable_channel_sum_names_its_flag(self, command, flags, named, capsys):
+        # power + n1 below the smallest normal float, or power + n2 past
+        # the float range, is a channel-scale error, never a sigma2 one
+        code, text = run_cli([*command, *flags])
         assert code == 2
         assert text == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: --power too small")
-        assert "Traceback" not in err
-
-    def test_smaller_power_names_n1(self, capsys):
-        assert run_cli(["trace", "--n1", "1e-160", "--n2", "2e-160", "--power", "1e-170"])[0] == 2
-        assert capsys.readouterr().err.startswith("error: --n1 too small")
+        assert capsys.readouterr().err.startswith(f"error: {named}: power + n")
 
     @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
     def test_normal_scale_still_runs(self, command):
@@ -512,6 +552,33 @@ class TestTinyNoises:
         assert code == 0
         if command == ["trace"]:
             assert float(text.splitlines()[51].split(",")[1]) == pytest.approx(0.625, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        (1.0, 0.5, 1.0, 1.0, 2.0),
+        (1.0, 0.1, 100.0, 1.0, 2.0),
+        (1.0, 0.5, 3.0, 1.0, 2.0),
+        (2.0, 0.3, 1.5, 0.5, 1.0),
+        (0.5, 0.95, 4.0, 0.2, 3.0),
+        (1e-3, 0.999, 1e3, 0.5, 20.0),
+    ],
+)
+def test_every_output_is_free_of_the_channel_scale(problem):
+    # a power-of-two scale of (power, n1, n2) leaves every ratio the
+    # distortions, the witness and the capacity depend on as it is; the
+    # squared-range guards refused 72 of these trace and verify runs,
+    # and bound's bytes moved from k = 600 up
+    sigma2, rho, power, n1, n2 = problem
+    d1 = test_region_digests._covered_d1(problem)
+    commands = [["trace", "--points", "101"], ["verify"], ["bound", "--d1", repr(d1)]]
+    base = [run_cli([*command, *test_region_digests._flags(problem)]) for command in commands]
+    assert [code for code, _ in base][::2] == [0, 0]  # trace, and bound at a covered d1
+    for k in range(-1000, 1001, 100):
+        scaled = (sigma2, rho, power * 2.0**k, n1 * 2.0**k, n2 * 2.0**k)
+        for command, expected in zip(commands, base):
+            assert run_cli([*command, *test_region_digests._flags(scaled)]) == expected, (k, command)
 
 
 class TestArgumentErrors:
@@ -555,6 +622,24 @@ def test_sigma2_beyond_the_converse_range_names_sigma2(argv, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: --sigma2 too ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sigma2", "1e-100", "--power", "1e-250", "--n1", "1e-250", "--n2", "2e-250"],  # sigma2*(1 - rho**2)*n1 is 0
+        ["--sigma2", "1e-100", "--n1", "1e210", "--n2", "2e210"],  # sigma2/(power + n2) is subnormal
+    ],
+)
+@pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "6.25e-101"]])
+def test_an_underflowing_converse_factor_names_sigma2(command, flags, capsys):
+    # the distortion forms are accurate here, but the converse d2 needs both
+    # factors as normal floats: with the first at 0 it would read 3.3e-101
+    # for 7.5e-101
+    code, text = run_cli([*command, *flags])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: --sigma2 too small for the converse")
 
 
 @pytest.mark.parametrize("sigma2", ["1e150", "1e-150"])

@@ -1,6 +1,8 @@
 """Closed forms: corner points, distortion pair, threshold, converse functional."""
 
 import math
+import random
+import re
 
 import mpmath
 import pytest
@@ -31,7 +33,7 @@ from gaussian_bc import (
 )
 
 from gaussian_bc import closed_forms
-from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, exact_distortions, random_valid_configs
 
 
 def rel_err(value, expected):
@@ -134,6 +136,73 @@ class TestUncodedDistortions:
                     assert pair.d1 < prev.d1
                     assert pair.d2 > prev.d2
                 prev = pair
+
+
+    @pytest.mark.parametrize(
+        "channel",
+        [ChannelParams(1e-200, 1e-200, 2e-200), ChannelParams(1e160, 1.0, 2.0), ChannelParams(1.0, 1.0, 1e300)],
+    )
+    def test_extreme_channel_scales_are_accurate(self, channel):
+        # the forms squared power + noise: at 1e-200 the square underflowed
+        # to 0 (ZeroDivisionError), and at power = 1e160 it overflowed (nan)
+        source = SourceParams(3.0, 0.5)
+        for alpha in (0.0, 0.25, 0.5, 1.0):
+            pair = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha))
+            x1, x2, _ = exact_distortions(source, channel, alpha, 1.0 - alpha)
+            assert abs(pair.d1 - x1) <= 1e-15 * x1
+            assert abs(pair.d2 - x2) <= 1e-15 * x2
+
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            (ChannelParams(1e-310, 1e-310, 2e-310), "power too small: power + n1 is below the smallest normal float"),
+            (ChannelParams(1e-315, 1e-310, 2e-310), "n1 too small: power + n1 is below the smallest normal float"),
+            (ChannelParams(1e308, 1.0, 1e308), "power too large: power + n2 is past the float range"),
+            (ChannelParams(1e308, 1.0, 1.5e308), "n2 too large: power + n2 is past the float range"),
+        ],
+    )
+    def test_an_unrepresentable_channel_sum_is_named(self, channel, message):
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+            uncoded_distortions(DESK_SOURCE, channel, UncodedCoeffs(0.5, 0.5))
+
+
+class TestErrorBudget:
+    """The distortion forms against 50-digit arithmetic, within 1e-15 relative.
+
+    Seeded wide-scale points: sigma2 in 1e+-100, n1 in 1e+-50, P/n1 in
+    1e+-12, n2/n1 up to 1e6, rho uniform or log-close to 1 (up to
+    1 - 1e-6), alpha uniform. ``d2_min_at_rx1`` is compared at the alpha
+    that ``solve_alpha_for_d1`` returns for its d1, so the budget
+    measures the form, not the conditioning of the alpha inverse. The
+    expanded forms over ``(P + n)**2`` missed it by up to 2.4e-11 here.
+    """
+
+    @staticmethod
+    def points(count, seed):
+        rng = random.Random(seed)
+        for i in range(count):
+            sigma2 = 10.0 ** rng.uniform(-100.0, 100.0)
+            rho = rng.uniform(0.0, 1.0 - 1e-6) if i % 2 else 1.0 - 10.0 ** rng.uniform(-6.0, 0.0)
+            n1 = 10.0 ** rng.uniform(-50.0, 50.0)
+            power, n2 = n1 * 10.0 ** rng.uniform(-12.0, 12.0), n1 * 10.0 ** rng.uniform(1e-6, 6.0)
+            yield SourceParams(sigma2, rho), ChannelParams(power, n1, n2), rng.random()
+
+    def test_forms_and_companion_floor_within_1e_15(self):
+        floors = 0
+        for source, channel, alpha in self.points(2000, seed=2401):
+            pair = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha))
+            x1, x2, _ = exact_distortions(source, channel, alpha, 1.0 - alpha)
+            assert abs(pair.d1 - x1) <= 1e-15 * x1, (source, channel, alpha)
+            assert abs(pair.d2 - x2) <= 1e-15 * x2, (source, channel, alpha)
+            try:
+                floor = d2_min_at_rx1(source, channel, pair.d1)
+            except (DistortionRangeError, SnrThresholdError):
+                continue
+            a = solve_alpha_for_d1(source, channel, pair.d1)
+            x = exact_distortions(source, channel, a, 1.0 - a)[2]
+            assert abs(floor - x) <= 1e-15 * x, (source, channel, pair.d1)
+            floors += 1
+        assert floors > 1000
 
 
 class TestSnrThreshold:

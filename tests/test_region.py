@@ -10,7 +10,6 @@ from gaussian_bc import (
     BoundWitness,
     ChannelParams,
     DistortionRangeError,
-    GaussianBcError,
     OutOfRangeError,
     SourceParams,
     channel_capacity,
@@ -31,7 +30,7 @@ from gaussian_bc import (
 
 from gaussian_bc import rate_distortion
 from gaussian_bc.closed_forms import _Curve
-from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, exact_distortions, random_valid_configs
 
 HIGH_SNR_SOURCE = SourceParams(1.0, 0.1)
 HIGH_SNR_CHANNEL = ChannelParams(100.0, 1.0, 2.0)
@@ -82,8 +81,8 @@ class TestTrace:
             assert abs(p.d2_converse - d2) <= 1e-15 * d2
 
     def test_undefined_converse_is_a_power_range_error(self):
-        # P/n1 beyond the float range: the combiner bound n1/den underflows
-        # to 0 at a covered row, and the trace names the power
+        # P/n1 beyond the float range: n1/(power + n1), so d1 at alpha = 1,
+        # underflows to 0, and the trace names the power, not sigma2
         source, channel = SourceParams(1e10, 0.5), ChannelParams(1e100, 1e-224, 2e-224)
         with pytest.raises(OutOfRangeError, match=r"^power too large relative to n1"):
             trace_uncoded_boundary(source, channel, 11)
@@ -309,13 +308,18 @@ class TestVerifyMatching:
         assert report.covered_count == 50
         assert report.passed
 
-    def test_nan_companion_floor_is_an_error_not_a_pass(self):
-        # n1**2 overflows in the companion floor, so the optimal witness is
-        # nan; without the witness check the report passed with a nan residual
-        n1 = 4.46e198
+    def test_a_huge_noise_scale_verifies_accurately(self):
+        # n1**2 overflowed in the companion floor, whose nan once passed the
+        # report; then the squared-range guard refused the problem
+        source, n1 = SourceParams(5.53e-16, 0.314945), 4.46e198
         channel = ChannelParams(0.134 * n1, n1, 7.25e3 * n1)
-        with pytest.raises(GaussianBcError):
-            verify_matching(SourceParams(5.53e-16, 0.314945), channel, 50, 1e-9)
+        report = verify_matching(source, channel, 50, 1e-9)
+        assert report.passed and report.covered_count == 50
+        assert report.max_residual <= 1e-15 * source.sigma2
+        for p in report.points:
+            alpha = _Curve(source, channel).alpha_for(p.d1)
+            x2 = exact_distortions(source, channel, alpha, 1.0 - alpha)[1]
+            assert abs(p.d2_achievable - x2) <= 1e-15 * x2
 
     def test_a_grid_point_at_sigma2_gets_an_accurate_converse(self):
         # at rho = 0 the range end sigma2*(n1 + P)/(n1 + P) can round above
@@ -332,10 +336,16 @@ class TestVerifyMatching:
                 source, channel, _Curve(source, channel).alpha_for(p.d1), p.d2_converse, p.witness
             )
 
-    def test_overflowing_n2_is_an_error_not_a_nan_pass(self):
-        # the achievable d2 was nan at every point, and the report passed
-        with pytest.raises(OutOfRangeError, match=r"^n2 too large: \(power \+ n2\)\*\*2 overflows"):
-            verify_matching(DESK_SOURCE, ChannelParams(1.0, 1.0, 1e160), 50, 1e-9)
+    def test_a_huge_n2_verifies_accurately(self):
+        # (power + n2)**2 overflowed: the achievable d2 was nan at every
+        # point and the report passed; then the guard refused the problem
+        channel = ChannelParams(1.0, 1.0, 1e160)
+        report = verify_matching(DESK_SOURCE, channel, 50, 1e-9)
+        assert report.passed and report.covered_count == 50
+        for p in report.points:
+            alpha = _Curve(DESK_SOURCE, channel).alpha_for(p.d1)
+            x2 = exact_distortions(DESK_SOURCE, channel, alpha, 1.0 - alpha)[1]
+            assert abs(p.d2_achievable - x2) <= 1e-15 * x2
 
     def test_a_nan_residual_never_passes(self, monkeypatch):
         def nan_converse(curve, alpha, beta, q):
@@ -377,6 +387,7 @@ class TestVerifyMatching:
         report = verify_matching(SourceParams(1.0, 0.0), DESK_CHANNEL, 50, 1e-9)
         assert report.covered_count == 0 and report.excluded_count == 50
         assert report.max_residual is None and report.max_oracle_error_bits is None
+        assert not report.passed  # nothing was matched
 
 
 def kernel_converse(source, channel, alpha):
@@ -446,27 +457,17 @@ class TestOneConverseKernel:
 
 
 def plain_d1u(source, noise, power, a, b):
-    """D1u(noise) at the weights (a, b), in the operation order of the paper's form."""
+    """D1u(noise) at the weights (a, b): the short form, in plain operation order."""
     s2, rho = source.sigma2, source.rho
     q = a * a + 2.0 * a * b * rho + b * b
-    num = (
-        power * power * b * b * (1.0 - rho * rho)
-        + power * noise * (a * a + 2.0 * a * b * rho + b * b * (2.0 - rho * rho))
-        + noise * noise * q
-    )
-    return s2 * num / ((power + noise) * (power + noise) * q)
+    return s2 * ((power * b * b * ((1.0 - rho) * (1.0 + rho)) + noise * q) / ((power + noise) * q))
 
 
 def plain_d2u(source, noise, power, a, b):
-    """D2u(noise) at the weights (a, b), in the operation order of the paper's form."""
+    """D2u(noise) at the weights (a, b): the short form, in plain operation order."""
     s2, rho = source.sigma2, source.rho
     q = a * a + 2.0 * a * b * rho + b * b
-    num = (
-        power * power * a * a * (1.0 - rho * rho)
-        + power * noise * (a * a * (2.0 - rho * rho) + 2.0 * a * b * rho + b * b)
-        + noise * noise * q
-    )
-    return s2 * num / ((power + noise) * (power + noise) * q)
+    return s2 * ((power * a * a * ((1.0 - rho) * (1.0 + rho)) + noise * q) / ((power + noise) * q))
 
 
 def scale_box_problems(count, seed):
@@ -485,9 +486,9 @@ class TestFusedRowKernel:
     """The trace and verify rows come from the row kernel, bit for bit the public route.
 
     Values are compared by ``repr``. The public ``uncoded_distortions`` and
-    ``d2_min_at_rx1`` must equal the forms written out plainly here, in
-    the paper's operation order, so a refactor of the kernel that moves a
-    bit fails here before it reaches a golden digest.
+    ``d2_min_at_rx1`` must equal the short forms written out plainly here,
+    ``sigma2*((P*w**2*(1 - rho**2) + n*q)/((P + n)*q))``, so a refactor of
+    the kernel that moves a bit fails here before it reaches a golden digest.
     """
 
     PROBLEMS = scale_box_problems(30, seed=2101)
@@ -527,8 +528,8 @@ class TestFusedRowKernel:
 
             monkeypatch.setattr(_Curve, name, counted)
         trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 101)
-        # two more forms calls check the ends of the curve before the rows
-        assert calls == {"forms": 101 + 2, "converse": 101, "d2_rx1": 0}
+        # one more forms call checks d1 at alpha = 1, the end of the curve, before the rows
+        assert calls == {"forms": 101 + 1, "converse": 101, "d2_rx1": 0}
 
 
 def test_result_rows_are_named_tuples():
