@@ -19,7 +19,6 @@ converse values as empty fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 
@@ -162,6 +161,8 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    import csv  # here, not at module level: only simulate --output uses it
+
     from . import montecarlo  # the one command that needs numpy loads it
 
     source, channel = _resolve_problem(args)

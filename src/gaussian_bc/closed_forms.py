@@ -368,13 +368,23 @@ def uncoded_distortions(
     Both components are rational in (alpha, beta) with the common quadratic
     form ``q = alpha**2 + 2*alpha*beta*rho + beta**2`` in the denominator,
     so the result depends on the weights only through the ratio alpha/beta.
-    A ``power + n1`` or ``power + n2`` that is not a normal float raises
-    OutOfRangeError (see ``_Curve``).
+    It is evaluated at the weights times the power of two that puts their
+    sum in (0.5, 1], which is exact, so any weights whose raw q is a
+    positive finite float give the pair of their ratio. A ``power + n1``
+    or ``power + n2`` that is not a normal float raises OutOfRangeError
+    (see ``_Curve``).
     """
     validate_problem(source, channel)
     validate_coeffs(coeffs)
-    _checked_q(source.rho, coeffs.alpha, coeffs.beta)  # before the forms divide by q
-    _, d1, d2 = _Curve(source, channel).forms(coeffs.alpha, coeffs.beta)
+    a, b = coeffs.alpha, coeffs.beta
+    _checked_q(source.rho, a, b)  # before the forms divide by q
+    # one exact power-of-two scale puts a + b in (0.5, 1]: then q <= 1, so
+    # neither P*w*w nor (P + n)*q overflows, and weights that sum to 1 are
+    # left as they are
+    m, e = math.frexp(a + b)
+    if m == 0.5:
+        e -= 1
+    _, d1, d2 = _Curve(source, channel).forms(math.ldexp(a, -e), math.ldexp(b, -e))
     return DistortionPair(d1, d2)
 
 

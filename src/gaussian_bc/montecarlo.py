@@ -34,6 +34,11 @@ negated. Negation is exact, so the encoder input is unchanged and the
 receiver-1 error only changes sign, which squaring removes. A run of the
 canonical ``|rho|`` problem (see ``negate_rho_transform``) therefore
 reports exactly the distortions of the ``-|rho|`` one.
+
+``SimulationConfig``, ``MmseCoefficients`` and ``SimulationReport`` are
+named tuples, like every record of the package (see :mod:`.params`):
+they take their fields by keyword or position and compare equal to
+plain tuples of their fields.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +79,7 @@ BLOCK_SIZE = 1 << 16
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(NamedTuple):
     """Sample count, 64-bit seed, and the mixing weights to simulate."""
 
     samples: int
@@ -83,8 +87,7 @@ class SimulationConfig:
     coeffs: UncodedCoeffs
 
 
-@dataclass(frozen=True)
-class MmseCoefficients:
+class MmseCoefficients(NamedTuple):
     """Encoder gain and the two scalar MMSE decode gains.
 
     gamma = sqrt(power / (sigma2 * q)) normalizes E[x**2] to the power
@@ -98,8 +101,7 @@ class MmseCoefficients:
     c2: float
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Empirical distortions, power, and CI half-widths for one run.
 
     Half-widths are the 95% normal approximation from the sample variance

@@ -1,9 +1,13 @@
 """Parameter records and the lossless problem transforms.
 
-All records are immutable plain-data carriers. ``SourceParams`` and
-``ChannelParams`` are named tuples, which hash and compare in C (the
-per-d1 cache of ``closed_forms`` hashes both on every per-witness call)
-and, being tuples, compare equal to plain tuples of their fields.
+All records are immutable plain-data carriers, and every one of them is
+a named tuple: it hashes and compares in C (the per-d1 cache of
+``closed_forms`` hashes ``SourceParams`` and ``ChannelParams`` on every
+per-witness call), prints as ``Name(field=value, ...)``, refuses field
+assignment with AttributeError and, being a tuple, unpacks and compares
+equal to a plain tuple of its fields. No record is a dataclass:
+importing ``dataclasses`` loads ``inspect`` and ``ast``, ~8 ms that
+every CLI process would pay before it parses an argument.
 Validation is explicit (via :func:`validate_problem` and friends) rather
 than baked into the constructors, so that invalid draws can be
 represented and then rejected by the checker -- which is what the
@@ -33,7 +37,6 @@ Two transforms make arbitrary inputs canonical without loss:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -78,16 +81,14 @@ class ChannelParams(NamedTuple):
     n2: float
 
 
-@dataclass(frozen=True)
-class UncodedCoeffs:
+class UncodedCoeffs(NamedTuple):
     """Nonnegative mixing weights of the linear encoder, not both zero."""
 
     alpha: float
     beta: float
 
 
-@dataclass(frozen=True)
-class DistortionPair:
+class DistortionPair(NamedTuple):
     """Expected squared-error pair: ``d1`` at receiver 1, ``d2`` at receiver 2."""
 
     d1: float

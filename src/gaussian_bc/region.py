@@ -29,19 +29,18 @@ public (memoized) closed forms, so neither re-validates the problem nor
 fills the per-d1 cache ``closed_forms._rx1_point``, which
 :func:`converse_at` shares with the public per-d1 functions.
 
-``BoundaryPoint`` and ``MatchPoint`` are named tuples, and so is
-``closed_forms.BoundWitness``: a trace builds one per row, and a named
-tuple costs a third of a frozen dataclass to build. They are immutable
-and hashable, print as ``Name(field=value, ...)``, and, being tuples,
-compare equal to plain tuples of their fields. ``MatchReport``, built
-once per run, stays a frozen dataclass.
+``BoundaryPoint``, ``MatchPoint`` and ``MatchReport`` are named tuples,
+like every record of the package (see :mod:`.params`): a trace builds a
+``BoundaryPoint`` and a ``closed_forms.BoundWitness`` per row, and a
+named tuple costs a third of a frozen dataclass to build. They are
+immutable and hashable, print as ``Name(field=value, ...)``, and, being
+tuples, compare equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .closed_forms import BoundWitness, _check_converse_scale, _Curve, _curve_at, _rx1_point
@@ -95,8 +94,7 @@ class MatchPoint(NamedTuple):
     oracle_error_bits: float | None
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """Outcome of :func:`verify_matching`.
 
     ``passed`` is true iff at least one point is covered and every covered

@@ -699,17 +699,23 @@ def _fresh_python(code):
 
 def test_importing_the_cli_loads_no_executor_or_logging():
     # concurrent.futures pulls in logging, which adds ~5 ms to every start-up,
-    # and numpy ~150 ms, which only simulate needs
-    heavy = "print(sorted(m for m in ('concurrent.futures', 'logging', 'numpy') if m in sys.modules))\n"
+    # numpy ~150 ms, which only simulate needs, and dataclasses ~8-10 ms
+    # (through inspect and ast); csv serves only simulate --output
+    heavy = (
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'numpy', 'dataclasses', 'inspect', 'csv')"
+        " if m in sys.modules))\n"
+    )
     assert _fresh_python("import gaussian_bc.cli\n" + heavy) == "[]"
-    # the package serves its Monte-Carlo names on first access, which loads numpy
+    # the package serves its Monte-Carlo names on first access, which loads
+    # numpy (and numpy loads inspect), but its records need no dataclasses
     code = (
         "import gaussian_bc\n" + heavy
         + "from gaussian_bc import SimulationConfig\n"
         "from gaussian_bc.montecarlo import simulate\n"
         "print(gaussian_bc.simulate is simulate, SimulationConfig.__module__, 'numpy' in sys.modules)\n"
+        "print('dataclasses' in sys.modules)\n"
     )
-    assert _fresh_python(code).splitlines() == ["[]", "True gaussian_bc.montecarlo True"]
+    assert _fresh_python(code).splitlines() == ["[]", "True gaussian_bc.montecarlo True", "False"]
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         gaussian_bc.not_a_name
 

@@ -165,6 +165,26 @@ class TestUncodedDistortions:
         with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
             uncoded_distortions(DESK_SOURCE, channel, UncodedCoeffs(0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "channel, alpha, beta",
+        [
+            (ChannelParams(1e300, 1.0, 2.0), 1e10, 1e10),
+            (ChannelParams(1e300, 1.0, 2.0), 3e150, 1e140),
+            (ChannelParams(1e-300, 1e-300, 2e-300), 1e-150, 3e-151),
+            (ChannelParams(1.0, 1.0, 1.7e308), 0.25, 3.0),
+        ],
+    )
+    def test_weights_of_any_scale_are_accurate(self, channel, alpha, beta):
+        # the pair depends on the weights only through alpha/beta; at the
+        # raw weights P*w*w and (P + n)*q overflowed (nan) or underflowed
+        # to 0 (ZeroDivisionError)
+        pair = uncoded_distortions(DESK_SOURCE, channel, UncodedCoeffs(alpha, beta))
+        x1, x2, _ = exact_distortions(DESK_SOURCE, channel, alpha, beta)
+        assert abs(pair.d1 - x1) <= 1e-15 * x1
+        assert abs(pair.d2 - x2) <= 1e-15 * x2
+        if alpha == beta:
+            assert pair == (0.24999999999999997, 0.24999999999999997)
+
 
 class TestErrorBudget:
     """The distortion forms against 50-digit arithmetic, within 1e-15 relative.

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from gaussian_bc import (
     BoundWitness,
     ChannelParams,
+    DistortionPair,
     ParameterError,
     SourceParams,
     UncodedCoeffs,
     closed_forms,
     conditional_variance,
+    montecarlo,
     negate_rho_transform,
     params,
     rate_distortion,
@@ -209,6 +211,42 @@ def test_a_witness_sweep_validates_once_and_solves_alpha_once(monkeypatch):
     assert len(solves) == 1
 
 
+_POINTS = (
+    region.MatchPoint(0.5, True, 0.75, 0.75, 0.0, BoundWitness(0.75, 0.25), 0.0),
+    region.MatchPoint(0.875, False, None, None, None, None, None),
+)
+
+# each converted record: its fields by keyword, and the repr the frozen
+# dataclass it replaced printed for them
+_RECORDS = [
+    (UncodedCoeffs, dict(alpha=0.25, beta=0.75), "UncodedCoeffs(alpha=0.25, beta=0.75)"),
+    (DistortionPair, dict(d1=0.5, d2=0.25), "DistortionPair(d1=0.5, d2=0.25)"),
+    (
+        region.MatchReport,
+        dict(grid_size=2, tol=1e-9, points=_POINTS, max_residual=0.0, max_oracle_error_bits=0.0, passed=True),
+        "MatchReport(grid_size=2, tol=1e-09, points=(MatchPoint(d1=0.5, covered=True, d2_achievable=0.75, "
+        "d2_converse=0.75, residual=0.0, witness=BoundWitness(a1=0.75, a2=0.25), oracle_error_bits=0.0), "
+        "MatchPoint(d1=0.875, covered=False, d2_achievable=None, d2_converse=None, residual=None, "
+        "witness=None, oracle_error_bits=None)), max_residual=0.0, max_oracle_error_bits=0.0, passed=True)",
+    ),
+    (
+        montecarlo.SimulationConfig,
+        dict(samples=1000, seed=3, coeffs=UncodedCoeffs(0.25, 0.75)),
+        "SimulationConfig(samples=1000, seed=3, coeffs=UncodedCoeffs(alpha=0.25, beta=0.75))",
+    ),
+    (montecarlo.MmseCoefficients, dict(gamma=1.25, c1=0.5, c2=0.375), "MmseCoefficients(gamma=1.25, c1=0.5, c2=0.375)"),
+    (
+        montecarlo.SimulationReport,
+        dict(
+            empirical_d1=0.75, empirical_d2=0.6875, empirical_power=1.0,
+            ci_half_width_d1=0.0625, ci_half_width_d2=0.05, samples=1000, seed=3,
+        ),
+        "SimulationReport(empirical_d1=0.75, empirical_d2=0.6875, empirical_power=1.0, "
+        "ci_half_width_d1=0.0625, ci_half_width_d2=0.05, samples=1000, seed=3)",
+    ),
+]
+
+
 def test_problem_records_are_named_tuples():
     # the per-d1 cache hashes both records on every per-witness call, in
     # C as long as they are tuples
@@ -221,6 +259,19 @@ def test_problem_records_are_named_tuples():
     assert (source, channel) == (DESK_SOURCE, DESK_CHANNEL) == ((1.0, 0.5), (1.0, 1.0, 2.0))
     assert repr(source) == "SourceParams(sigma2=1.0, rho=0.5)"
     assert repr(channel) == "ChannelParams(power=1.0, n1=1.0, n2=2.0)"
+    # every other record is one too, printing and hashing as the frozen
+    # dataclass it replaced, so no dataclasses import is needed
+    for cls, fields, text in _RECORDS:
+        record = cls(**fields)
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+        assert hash(record) == hash(tuple(fields.values()))
+        assert record == tuple(fields.values()) == cls(*fields.values())
+        assert repr(record) == text
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2.0)
+    report = region.MatchReport(**_RECORDS[2][1])
+    assert (report.covered_count, report.excluded_count) == (1, 1)
     # rho = -0.0 and 0.0 are one key of the per-d1 cache
     closed_forms._rx1_point.cache_clear()
     closed_forms._rx1_point(SourceParams(1.0, 0.0), DESK_CHANNEL, 0.5)
