@@ -49,6 +49,7 @@ _FLAG_NAMES = {
     "num_points": "--points",
     "grid_size": "--grid",
     "tol": "--tol",
+    "output": "--output",
 }
 
 
@@ -115,30 +116,36 @@ def _cmd_report(args, out) -> int:
     return 0
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write text to the ``--output`` path; an OSError becomes an error naming ``--output``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as sink:
+            sink.write(text)
+    except OSError as exc:
+        raise GaussianBcError(f"output {path!r} cannot be written: {exc.strerror or exc}") from exc
+
+
 _TRACE_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag\n"
-# one template per row kind; "%.17g" prints exactly what _fmt17 does, and
-# no field can hold a separator or a quote, so no field needs quoting
-_TRACE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+# A BoundaryPoint is the row: its first six fields are the six float
+# columns, so a row with a converse is the template applied to point[:6]
+# (its flag is always true), and a row without one prints alpha, d1, the
+# achievable d2 and its flag. "%.17g" prints exactly what _fmt17 does, and
+# no field can hold a separator or a quote, so no field needs quoting.
+_TRACE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,true\n"
 _TRACE_ROW_NO_CONVERSE = "%.17g,%.17g,%.17g,,,,%s\n"
-
-
-def _trace_line(point: region.BoundaryPoint) -> str:
-    flag = _bool(point.optimal_flag)
-    if point.d2_converse is None:
-        return _TRACE_ROW_NO_CONVERSE % (point.alpha, point.d1, point.d2_achievable, flag)
-    witness = point.witness
-    return _TRACE_ROW % (
-        point.alpha, point.d1, point.d2_achievable, point.d2_converse, witness.a1, witness.a2, flag
-    )
 
 
 def _cmd_trace(args, out) -> int:
     source, channel = _resolve_problem(args)
     points = region.trace_uncoded_boundary(source, channel, args.points)
-    text = _TRACE_HEADER + "".join([_trace_line(point) for point in points])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as sink:
-            sink.write(text)
+    text = _TRACE_HEADER + "".join([
+        _TRACE_ROW % point[:6]
+        if point.d2_converse is not None
+        else _TRACE_ROW_NO_CONVERSE % (point.alpha, point.d1, point.d2_achievable, _bool(point.optimal_flag))
+        for point in points
+    ])
+    if args.output is not None:
+        _write_output(args.output, text)
     else:
         out.write(text)
     return 0
@@ -161,8 +168,6 @@ def _cmd_bound(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    import csv  # here, not at module level: only simulate --output uses it
-
     from . import montecarlo  # the one command that needs numpy loads it
 
     source, channel = _resolve_problem(args)
@@ -189,13 +194,12 @@ def _cmd_simulate(args, out) -> int:
         ("analytic_d1", _fmt17(analytic.d1)),
         ("analytic_d2", _fmt17(analytic.d2)),
     ]
+    # a one-row CSV (no key or value holds a separator or a quote), written
+    # first so that an unwritable --output prints no report
+    if args.output is not None:
+        _write_output(args.output, "".join(",".join(column) + "\n" for column in zip(*fields)))
     for key, value in fields:
         print(f"{key}={value}", file=out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as sink:
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow([key for key, _ in fields])
-            writer.writerow([value for _, value in fields])
     return 0
 
 

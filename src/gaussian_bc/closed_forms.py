@@ -243,11 +243,14 @@ class _Curve:
         """D2u(n1), the second component at receiver 1, at the weights (a, b) of form q."""
         return self.s2 * ((self.p * a * a * self.om + self.n1 * q) / (self.pn1 * q))
 
-    def converse(self, a: float, b: float, q: float) -> tuple[float, float, BoundWitness] | None:
-        """``(eta*, psi, witness)``: the converse at the optimal witness, at the curve point a = alpha, b = 1 - alpha.
+    def converse(self, a: float, b: float, q: float) -> tuple[float, float, float, float] | None:
+        """``(eta*, psi, a1*, a2*)``: the converse at the optimal witness, at the curve point a = alpha, b = 1 - alpha.
 
-        None where the point is not covered. On the curve the optimal
-        witness and its combiner bound are rational in (a, b). With
+        None where the point is not covered. The witness is returned as
+        its two floats: a trace row stores them as they are, and only the
+        public functions that return a witness build a ``BoundWitness``.
+        On the curve the optimal witness and its combiner bound are
+        rational in (a, b). With
         ``om = (1 - rho)*(1 + rho)``, ``den = power*a**2*om + n1*q`` and
         the margin ``A = rho*n1*q - power*a*b*om``:
 
@@ -282,7 +285,7 @@ class _Curve:
         # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
         a1 = self.a1_scale * q / den * (a / lead if lead > 0.0 else 1.0)
         eta = self.s2 * (self.n1 / den * om * q)  # in units of sigma2, then scaled once
-        return eta, _psi(self.psi_scale, self.cv_n1, self.n1, self.n2, eta), BoundWitness(a1, margin / den)
+        return eta, _psi(self.psi_scale, self.cv_n1, self.n1, self.n2, eta), a1, margin / den
 
 
 def _psi(psi_scale: float, cv_n1: float, n1: float, n2: float, eta: float) -> float:
@@ -575,4 +578,4 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     is never negative here.
     """
     curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
-    return curve.converse(a, b, q)[2]
+    return BoundWitness(*curve.converse(a, b, q)[2:])

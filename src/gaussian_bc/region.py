@@ -30,11 +30,12 @@ fills the per-d1 cache ``closed_forms._rx1_point``, which
 :func:`converse_at` shares with the public per-d1 functions.
 
 ``BoundaryPoint``, ``MatchPoint`` and ``MatchReport`` are named tuples,
-like every record of the package (see :mod:`.params`): a trace builds a
-``BoundaryPoint`` and a ``closed_forms.BoundWitness`` per row, and a
-named tuple costs a third of a frozen dataclass to build. They are
+like every record of the package (see :mod:`.params`). They are
 immutable and hashable, print as ``Name(field=value, ...)``, and, being
-tuples, compare equal to plain tuples of their fields.
+tuples, compare equal to plain tuples of their fields. A
+``BoundaryPoint`` is flat: its seven fields are the seven columns of the
+trace CSV in order, so a trace builds one tuple per row and no
+``closed_forms.BoundWitness``; its ``witness`` is derived on access.
 """
 
 from __future__ import annotations
@@ -59,22 +60,31 @@ __all__ = [
 
 
 class BoundaryPoint(NamedTuple):
-    """One traced point of the uncoded achievability curve.
+    """One traced point of the uncoded achievability curve: one row of the trace CSV.
 
-    ``optimal_flag`` records whether the SNR threshold condition holds at
-    this d1, decided as the sign of the converse kernel's margin A at
-    alpha (on the stretch from the conditional variance up, where the
-    threshold is infinite, A > 0 and the flag is true). ``d2_converse`` and
-    ``witness`` are set iff the flag is true and alpha > 0; the alpha = 0
-    row sits at ``d1_min_at_d2min``, where the converse is undefined.
+    The fields are the CSV columns ``alpha, d1, d2_uncoded, d2_converse,
+    a1_star, a2_star, optimal_flag`` in order. ``optimal_flag`` records
+    whether the SNR threshold condition holds at this d1, decided as the
+    sign of the converse kernel's margin A at alpha (on the stretch from
+    the conditional variance up, where the threshold is infinite, A > 0
+    and the flag is true). ``d2_converse`` and the optimal witness
+    ``(a1_star, a2_star)`` are set iff the flag is true and alpha > 0; the
+    alpha = 0 row sits at ``d1_min_at_d2min``, where the converse is
+    undefined.
     """
 
     alpha: float
     d1: float
     d2_achievable: float
     d2_converse: float | None
-    witness: BoundWitness | None
+    a1_star: float | None
+    a2_star: float | None
     optimal_flag: bool
+
+    @property
+    def witness(self) -> BoundWitness | None:
+        """The optimal witness ``BoundWitness(a1_star, a2_star)``, None where the converse is absent."""
+        return None if self.d2_converse is None else BoundWitness(self.a1_star, self.a2_star)
 
 
 class MatchPoint(NamedTuple):
@@ -135,7 +145,8 @@ def converse_at(
     respective precondition fails, so callers can tell the two apart.
     """
     curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
-    return curve.converse(a, b, q)
+    eta, psi, a1, a2 = curve.converse(a, b, q)
+    return eta, psi, BoundWitness(a1, a2)
 
 
 def _check_sigma2_squares(s2: float) -> None:
@@ -201,6 +212,8 @@ def trace_uncoded_boundary(
     _check_converse_scale(curve)
     _check_sigma2_squares(s2)
     points: list[BoundaryPoint] = []
+    # tuple.__new__ is what BoundaryPoint._make does, minus a Python frame per row
+    new = tuple.__new__
     last = num_points - 1
     try:
         for i in range(num_points):
@@ -209,9 +222,9 @@ def trace_uncoded_boundary(
             q, d1, d2 = forms(alpha, beta)
             row = converse(alpha, beta, q)
             if row is not None and alpha > 0.0:
-                points.append(BoundaryPoint(alpha, d1, d2, row[1], row[2], True))
+                points.append(new(BoundaryPoint, (alpha, d1, d2, row[1], row[2], row[3], True)))
             else:
-                points.append(BoundaryPoint(alpha, d1, d2, None, None, row is not None))
+                points.append(new(BoundaryPoint, (alpha, d1, d2, None, None, None, row is not None)))
     except BoundUndefinedError as exc:
         raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
     return points
@@ -267,10 +280,12 @@ def verify_matching(
         if converse is None:
             points.append(MatchPoint(d1, False, None, None, None, None, None))
             continue
-        _, psi_value, witness = converse
+        _, psi_value, a1, a2 = converse
         d2t = curve.d2_rx1(alpha, beta, q)
         oracle_error = abs(_r_joint(s2, source.rho, d1, d2t) - capacity)
-        points.append(MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), witness, oracle_error))
+        points.append(
+            MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), BoundWitness(a1, a2), oracle_error)
+        )
     covered = [point for point in points if point.covered]
     return MatchReport(
         grid_size=grid_size,

@@ -14,6 +14,8 @@ import pytest
 import gaussian_bc
 from gaussian_bc import cli, closed_forms
 from gaussian_bc import (
+    BoundaryPoint,
+    BoundWitness,
     ChannelParams,
     SourceParams,
     converse_at,
@@ -127,6 +129,47 @@ class TestTrace:
                 assert float(row[3]) == point.d2_converse
                 assert float(row[4]) == point.witness.a1
                 assert float(row[5]) == point.witness.a2
+
+    def test_a_boundary_point_is_its_csv_row(self):
+        # the record's fields are the trace columns in order, and each cell
+        # of the CLI's CSV prints its field: 17 digits, or empty for an
+        # absent converse value, including the covered alpha = 0 row
+        columns = CSV_HEADER.split(",")
+        assert list(zip(columns, BoundaryPoint._fields, strict=True)) == [
+            ("alpha", "alpha"),
+            ("d1", "d1"),
+            ("d2_uncoded", "d2_achievable"),
+            ("d2_converse", "d2_converse"),
+            ("a1_star", "a1_star"),
+            ("a2_star", "a2_star"),
+            ("optimal_flag", "optimal_flag"),
+        ]
+        configs = random_valid_configs(40, seed=2609) + [(SourceParams(1.5, -0.6), ChannelParams(6.0, 1.0, 2.5))]
+        kinds = set()
+        for source, channel in configs:
+            flags = [f"--{name}={value!r}" for name, value in zip(("sigma2", "rho"), source)]
+            flags += [f"--{name}={value!r}" for name, value in zip(("power", "n1", "n2"), channel)]
+            code, text = run_cli(["trace", "--points", "101", *flags])
+            assert code == 0
+            lines = text.split("\n")
+            assert lines[0] == CSV_HEADER and lines[-1] == ""
+            points = trace_uncoded_boundary(negate_rho_transform(source)[0], channel, 101)
+            assert points[0].alpha == 0.0 and points[0].optimal_flag and points[0].d2_converse is None
+            for line, point in zip(lines[1:-1], points, strict=True):
+                cells = line.split(",")
+                assert len(cells) == len(columns)
+                for cell, value in zip(cells[:6], point[:6]):
+                    assert cell == ("" if value is None else format(value, ".17g"))
+                absent = point.d2_converse is None
+                assert [cell == "" for cell in cells[3:6]] == [absent] * 3
+                assert cells[6] == ("true" if point.optimal_flag else "false")
+                if absent:
+                    assert point.a1_star is None and point.a2_star is None and point.witness is None
+                else:
+                    assert point.witness == BoundWitness(point.a1_star, point.a2_star)
+                kinds.add((absent, point.optimal_flag))
+        # rows with a converse, the alpha = 0 rows and uncovered rows all occur
+        assert kinds == {(False, True), (True, True), (True, False)}
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "boundary.csv"
@@ -602,6 +645,20 @@ class TestArgumentErrors:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [["trace", "--points", "3"], ["simulate", "--samples", "10"]])
+@pytest.mark.parametrize("target", ["a directory", "a missing parent", "an empty path"])
+def test_an_unwritable_output_names_the_flag(command, target, tmp_path, capsys):
+    # an OSError on --output was a traceback and exit 1, the verification-failure
+    # code, and an empty path was read as no --output
+    path = {"a directory": tmp_path, "a missing parent": tmp_path / "missing" / "x.csv", "an empty path": ""}[target]
+    code, text = run_cli([*command, "--output", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --output ") and err.count("\n") == 1
+    assert text == ""
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -700,7 +757,7 @@ def _fresh_python(code):
 def test_importing_the_cli_loads_no_executor_or_logging():
     # concurrent.futures pulls in logging, which adds ~5 ms to every start-up,
     # numpy ~150 ms, which only simulate needs, and dataclasses ~8-10 ms
-    # (through inspect and ast); csv serves only simulate --output
+    # (through inspect and ast); no command loads csv
     heavy = (
         "print(sorted(m for m in ('concurrent.futures', 'logging', 'numpy', 'dataclasses', 'inspect', 'csv')"
         " if m in sys.modules))\n"

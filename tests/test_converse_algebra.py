@@ -10,10 +10,18 @@ on the normalized curve b = 1 - a as well. The per-witness functions
 take ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` as the perfect square ROOT.
 The region path's coverage rule relies on the last two: the paper's
 threshold test ``P/n1 <= T(d1)`` is, on the curve, the sign of the
-kernel's margin A.
+kernel's margin A. On the curve b = 1 - a, A is affine in the product
+a*b, so a point is covered iff ``a*b <= t*``; the proofs of that form and
+of ``t* - 1/4`` sit with a float check of it against the kernel's own
+coverage test.
 """
 
+import random
+
 import sympy as sp
+
+from gaussian_bc import ChannelParams, SourceParams, trace_uncoded_boundary
+from gaussian_bc.closed_forms import _Curve
 
 s2, rho, p, n1, n2, a, b = sp.symbols("sigma2 rho P n1 n2 a b", positive=True)
 q = a**2 + 2 * a * b * rho + b**2
@@ -108,6 +116,47 @@ def test_from_cv_up_the_margin_is_positive():
     # right are >= 0, so rho*A >= 0, and A >= 0 for rho > 0
     rhs = p * om * a * (a + b * rho) + (D1 - s2 * om) * (p + n1) * q / s2
     assert vanishes(rho * MARGIN - rhs)
+
+
+# the covered set as one product: A >= 0 iff a*b <= T_STAR on the curve
+T_STAR = rho * n1 / ((1 - rho) * (2 * rho * n1 + p * (1 + rho)))
+
+
+def test_on_the_curve_the_margin_is_affine_in_alpha_beta():
+    on_curve = {b: 1 - a}
+    factored = rho * n1 - a * b * (1 - rho) * (2 * rho * n1 + p * (1 + rho))
+    assert vanishes(MARGIN.subs(on_curve) - factored.subs(on_curve))
+    # the factor of T_STAR - a*b is positive for rho < 1, so A >= 0 iff a*b <= T_STAR
+    assert vanishes(factored - (1 - rho) * (2 * rho * n1 + p * (1 + rho)) * (T_STAR - a * b))
+
+
+def test_the_product_threshold_against_a_quarter():
+    # a*b <= 1/4 on the curve, so T_STAR >= 1/4 (every point covered) iff
+    # P*(1 - rho) <= 2*rho*n1, the paper's simple threshold P/n1 <= 2*rho/(1 - rho)
+    quarter = (1 + rho) * (2 * rho * n1 - p * (1 - rho)) / (4 * (1 - rho) * (p * (1 + rho) + 2 * rho * n1))
+    assert vanishes(T_STAR - sp.Rational(1, 4) - quarter)
+
+
+def test_the_product_threshold_is_the_kernels_coverage_in_floats():
+    # off a relative 1e-12 band around t*, where either float may round
+    # across, a*b <= t* decides coverage exactly as the kernel's margin does
+    rng = random.Random(2611)
+    rows = {True: 0, False: 0}
+    for _ in range(300):
+        s2, n1 = 10 ** rng.uniform(-5, 5), 10 ** rng.uniform(-3, 3)
+        r, p_ = rng.uniform(0.0, 0.99), n1 * 10 ** rng.uniform(-2, 3)
+        source, channel = SourceParams(s2, r), ChannelParams(p_, n1, n1 * rng.uniform(1.01, 10.0))
+        t_star = r * n1 / ((1 - r) * (2 * r * n1 + p_ * (1 + r)))
+        curve = _Curve(source, channel)
+        for point in trace_uncoded_boundary(source, channel, 101):
+            alpha, beta = point.alpha, 1.0 - point.alpha
+            ab = alpha * beta
+            if abs(ab - t_star) <= 1e-12 * t_star:
+                continue
+            covered = curve.converse(alpha, beta, curve.forms(alpha, beta)[0]) is not None
+            assert (ab <= t_star) == covered == point.optimal_flag
+            rows[covered] += 1
+    assert min(rows.values()) > 3000
 
 
 def test_the_alpha_root_solves_d1u_equals_d1():

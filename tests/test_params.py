@@ -289,8 +289,8 @@ def test_kernels_call_no_validating_function(monkeypatch):
     alpha = curve.alpha_for(d1)
     q, _, _ = curve.forms(alpha, 1.0 - alpha)
     d2t = curve.d2_rx1(alpha, 1.0 - alpha, q)
-    eta, _, witness = curve.converse(alpha, 1.0 - alpha, q)
-    closed_forms._witness_eta(DESK_SOURCE, d1, witness, root=0.5)
+    eta, _, a1, a2 = curve.converse(alpha, 1.0 - alpha, q)
+    closed_forms._witness_eta(DESK_SOURCE, d1, BoundWitness(a1, a2), root=0.5)
     closed_forms._psi(curve.psi_scale, curve.cv_n1, 1.0, 2.0, eta)
     rate_distortion._r_joint(1.0, 0.5, d1, d2t)
     assert calls == [[], []]

@@ -349,7 +349,7 @@ class TestVerifyMatching:
 
     def test_a_nan_residual_never_passes(self, monkeypatch):
         def nan_converse(curve, alpha, beta, q):
-            return math.nan, math.nan, BoundWitness(math.nan, math.nan)
+            return math.nan, math.nan, math.nan, math.nan
 
         monkeypatch.setattr(_Curve, "converse", nan_converse)
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, 1e-9)
@@ -425,7 +425,7 @@ class TestOneConverseKernel:
                 if p.d2_converse is None:
                     continue
                 covered += 1
-                assert repr((p.d2_converse, p.witness)) == repr(kernel_converse(source, channel, p.alpha)[1:])
+                assert repr(p[3:6]) == repr(kernel_converse(source, channel, p.alpha)[1:])
                 self.assert_accurate(source, channel, p.alpha, p.d2_converse, p.witness)
         assert covered > 2000
 
@@ -543,9 +543,11 @@ def test_result_rows_are_named_tuples():
     point = trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 3)[1]
     assert repr(point) == (
         "BoundaryPoint(alpha=0.5, d1=0.625, d2_achievable=0.75, d2_converse=0.75, "
-        "witness=BoundWitness(a1=0.7999999999999999, a2=0.2), optimal_flag=True)"
+        "a1_star=0.7999999999999999, a2_star=0.2, optimal_flag=True)"
     )
-    assert point == BoundaryPoint(**point._asdict()) == tuple(point)
+    # the row is flat: seven fields, the trace CSV's columns, and the witness derived from two of them
+    assert point == BoundaryPoint(**point._asdict()) == tuple(point) == (0.5, 0.625, 0.75, 0.75, 0.7999999999999999, 0.2, True)
+    assert point.witness == BoundWitness(a1=0.7999999999999999, a2=0.2)
     assert {point: 1}[point] == 1
     match = verify_matching(DESK_SOURCE, DESK_CHANNEL, 1, 1e-9)
     assert match.points[0] == tuple(match.points[0]) and hash(match)
