@@ -210,16 +210,18 @@ def _cmd_verify(args, out) -> int:
     oracle_max = 0.0 if match.max_oracle_error_bits is None else match.max_oracle_error_bits
     oracle_ok = oracle_max <= _ORACLE_TOL_BITS
 
-    covered = match.covered_count  # a property that scans every grid point
-    print(f"matched_points={covered}", file=out)
-    print(f"excluded_points={match.excluded_count}", file=out)
-    print(f"max_residual={_fmt17(residual)}", file=out)
-    print(f"matching={_bool(match.passed)}", file=out)
-    print(f"oracle_points={covered}", file=out)
-    print(f"oracle_max_error_bits={_fmt17(oracle_max)}", file=out)
-    print(f"oracle_consistent={_bool(oracle_ok)}", file=out)
+    covered = match.covered_count  # a property that scans every grid point, read once
     ok = match.passed and oracle_ok
-    print(f"verify={'PASS' if ok else 'FAIL'}", file=out)
+    out.write(
+        f"matched_points={covered}\n"
+        f"excluded_points={match.grid_size - covered}\n"
+        f"max_residual={_fmt17(residual)}\n"
+        f"matching={_bool(match.passed)}\n"
+        f"oracle_points={covered}\n"
+        f"oracle_max_error_bits={_fmt17(oracle_max)}\n"
+        f"oracle_consistent={_bool(oracle_ok)}\n"
+        f"verify={'PASS' if ok else 'FAIL'}\n"
+    )
     return 0 if ok else 1
 
 

@@ -22,12 +22,16 @@ its constructor is the one channel-scale check.
 A trace row is two kernel calls: ``forms`` gives q, d1 and the
 achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
-alpha already, so it solves none; the verifier solves it once per grid
-point with the same kernel's ``alpha_for``, whose per-problem factors
-the run's one ``_Curve`` holds. No point of either goes through the
-public (memoized) closed forms, so neither re-validates the problem nor
-fills the per-d1 cache ``closed_forms._rx1_point``, which
-:func:`converse_at` shares with the public per-d1 functions.
+alpha already, so it solves none. The verifier first takes the d1
+interval that the closed-form threshold ``alpha*(1 - alpha) <= t*``
+leaves uncovered (``_uncovered_d1``, once per run) and records a grid
+point inside it as not covered without a solve; every other point it
+solves with the same kernel's ``alpha_for``, whose per-problem factors
+the run's one ``_Curve`` holds, and tests as the trace does. No point of
+either goes through the public (memoized) closed forms, so neither
+re-validates the problem nor fills the per-d1 cache
+``closed_forms._rx1_point``, which :func:`converse_at` shares with the
+public per-d1 functions.
 
 ``BoundaryPoint``, ``MatchPoint`` and ``MatchReport`` are named tuples,
 like every record of the package (see :mod:`.params`). They are
@@ -174,6 +178,72 @@ def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
     return [lo + (hi - lo) * (i + 1) / (size + 1) for i in range(size)]
 
 
+def _product_threshold(rho: float, snr: float) -> float:
+    """``t*``: a curve point is covered iff ``alpha*(1 - alpha) <= t*``, with snr = P/n1.
+
+    ``t* = rho*n1/((1 - rho)*(2*rho*n1 + P*(1 + rho)))``, here divided
+    through by n1 so that no product of two channel scales can overflow
+    (``tests/test_converse_algebra.py`` proves the factorization). ``t* >=
+    1/4``, where every point is covered, iff ``P/n1 <= 2*rho/(1 - rho)``,
+    the paper's simple threshold. Needs ``snr > 0`` at rho = 0.
+    """
+    return rho / ((1.0 - rho) * (2.0 * rho + snr * (1.0 + rho)))
+
+
+def _low_root(t: float) -> float:
+    """The lesser root ``a`` of ``a*(1 - a) = t`` for ``0 <= t <= 1/4``, in cancellation-free form."""
+    return 2.0 * t / (1.0 + math.sqrt(1.0 - 4.0 * t))
+
+
+# The relative band by which the verifier's skip interval is narrowed, in t*
+# and again in d1 (see _uncovered_d1).
+_SKIP_BAND = 1e-6
+# The least P*(1 - rho**2) at which the verifier skips. Off the snaps of
+# alpha_for, alpha*beta > 1e-24, so from here up the margin's terms at a
+# skipped point are normal floats; below it they can be subnormal (n1
+# subnormal and rho near 1, say) and their float no longer decides A's sign.
+_SKIP_MIN_P_OM = 2.0**-900
+
+
+def _uncovered_d1(curve: _Curve) -> tuple[float, float]:
+    """``(lo, hi)``: every d1 with ``lo < d1 < hi`` is a point the verifier's per-point test finds not covered.
+
+    For ``t* < 1/4`` the uncovered alphas are ``(a_lo, 1 - a_lo)``, with
+    ``a_lo = _low_root(t*)``, so the uncovered d1 are ``(D1u(1 - a_lo),
+    D1u(a_lo))``. The interval returned is that one narrowed until the
+    float test at every d1 inside it (``alpha_for``, then the sign of
+    ``converse``'s margin A) agrees with the exact one:
+
+    - t* is raised by ``_SKIP_BAND``. A is ``-rho*n1*eps`` where
+      ``alpha*beta = t*(1 + eps)``, and its float is within a few ulp of
+      ``rho*n1``, so a relative 1e-6 in t* decides its sign;
+    - the interval is clamped inside the snaps of ``alpha_for``, whose
+      alphas 0 and 1 are covered (at rho = 0 as well). Off the snaps,
+      which are 4 ulp of the larger end, the exact beta is above 2e-8 and
+      alpha above 5e-17, so the absolute rounding of ``1 - alpha`` (1e-16)
+      stays below 1e-8 of beta;
+    - the ends are pulled in by ``_SKIP_BAND`` of d1. Near the flat alpha
+      = 1 end the solve reads beta off ``w = d1/sigma2 - n1/(P + n1)``,
+      whose rounding is a few ulp of d1/sigma2: the band moves w by 1e-6
+      of d1/sigma2, ~1e9 times more. Near the alpha = 0 end it moves
+      alpha by more than 1e-8, against a rounding of a few 1e-16. A range
+      under ~2e-6 of d1 wide (a few ulp, say) leaves the interval empty.
+
+    Below ``_SKIP_MIN_P_OM`` or for ``t* >= 1/4`` the interval is empty.
+    Called once per run, after the grid check, which leaves P/n1 > 0.
+    """
+    if not curve.p * curve.om >= _SKIP_MIN_P_OM:
+        return 0.0, 0.0
+    t = _product_threshold(curve.rho, curve.p / curve.n1) * (1.0 + _SKIP_BAND)
+    if not t < 0.25:
+        return 0.0, 0.0
+    a = _low_root(t)
+    lo, hi = curve.forms(1.0 - a, a)[1], curve.forms(a, 1.0 - a)[1]
+    lo = curve.snap_lo if curve.snap_lo > lo else lo
+    hi = curve.snap_hi if curve.snap_hi < hi else hi
+    return lo * (1.0 + _SKIP_BAND), hi * (1.0 - _SKIP_BAND)
+
+
 def trace_uncoded_boundary(
     source: SourceParams, channel: ChannelParams, num_points: int
 ) -> list[BoundaryPoint]:
@@ -236,13 +306,15 @@ def verify_matching(
     """Check that achievability and converse coincide on a d1 grid.
 
     The grid is uniform over the open interval between ``d_min(1)`` and
-    ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Each point's
-    alpha is solved once, and the converse kernel's coverage test there
-    (the sign of its margin A) decides whether it is covered; points
-    where it fails are recorded as not covered and excluded from the
-    pass/fail verdict. A covered point passes when its residual
-    is at most ``tol*sigma2``; a nan residual never passes, and a grid
-    with no covered point does not pass. Each covered
+    ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. A point
+    strictly inside the closed-form uncovered interval ``_uncovered_d1``
+    is not covered and takes no solve. At any other point the alpha is
+    solved once, and the converse kernel's coverage test there (the sign
+    of its margin A) decides whether it is covered; either way a point
+    not covered is excluded from the pass/fail verdict, and the report
+    is the one that solving every point gives. A covered point passes
+    when its residual is at most ``tol*sigma2``; a nan residual never
+    passes, and a grid with no covered point does not pass. Each covered
     point also carries the joint-rate oracle's error against receiver 1's
     capacity, evaluated at the companion floor of the alpha solved for
     d1, where the converse is taken too. Failures are data in the report, never exceptions; a tol
@@ -271,27 +343,40 @@ def verify_matching(
             f"holds no {grid_size}-point grid in floating point"
         )
     capacity = channel_capacity(channel.power, channel.n1)
+    skip_lo, skip_hi = _uncovered_d1(curve)
+    alpha_for, forms, converse, d2_rx1 = curve.alpha_for, curve.forms, curve.converse, curve.d2_rx1
+    rho, limit = source.rho, tol * s2
+    new = tuple.__new__
     points: list[MatchPoint] = []
+    # running maxima with builtin max's semantics (y replaces x iff y > x,
+    # in grid order, so a leading nan stays); None until a point is covered
+    max_residual = max_oracle_error = None
+    within = True
     for d1 in grid:
-        alpha = curve.alpha_for(d1)
-        beta = 1.0 - alpha
-        q, _, d2_ach = curve.forms(alpha, beta)
-        converse = curve.converse(alpha, beta, q)
-        if converse is None:
-            points.append(MatchPoint(d1, False, None, None, None, None, None))
-            continue
-        _, psi_value, a1, a2 = converse
-        d2t = curve.d2_rx1(alpha, beta, q)
-        oracle_error = abs(_r_joint(s2, source.rho, d1, d2t) - capacity)
-        points.append(
-            MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), BoundWitness(a1, a2), oracle_error)
-        )
-    covered = [point for point in points if point.covered]
+        if not skip_lo < d1 < skip_hi:
+            alpha = alpha_for(d1)
+            beta = 1.0 - alpha
+            q, _, d2_ach = forms(alpha, beta)
+            row = converse(alpha, beta, q)
+            if row is not None:
+                _, psi_value, a1, a2 = row
+                residual = abs(d2_ach - psi_value)
+                oracle_error = abs(_r_joint(s2, rho, d1, d2_rx1(alpha, beta, q)) - capacity)
+                witness = new(BoundWitness, (a1, a2))
+                points.append(new(MatchPoint, (d1, True, d2_ach, psi_value, residual, witness, oracle_error)))
+                if max_residual is None:
+                    max_residual, max_oracle_error = residual, oracle_error
+                else:
+                    max_residual = residual if residual > max_residual else max_residual
+                    max_oracle_error = oracle_error if oracle_error > max_oracle_error else max_oracle_error
+                within = within and residual <= limit
+                continue
+        points.append(new(MatchPoint, (d1, False, None, None, None, None, None)))
     return MatchReport(
         grid_size=grid_size,
         tol=tol,
         points=tuple(points),
-        max_residual=max((point.residual for point in covered), default=None),
-        max_oracle_error_bits=max((point.oracle_error_bits for point in covered), default=None),
-        passed=bool(covered) and all(point.residual <= tol * s2 for point in covered),
+        max_residual=max_residual,
+        max_oracle_error_bits=max_oracle_error,
+        passed=max_residual is not None and within,
     )

@@ -1,7 +1,7 @@
 """Shared test fixtures: the desk configuration, config draws, reference
-solvers for alpha and for the joint-rate oracle's outer maximum, and the
-distortion forms and the converse at the optimal witness in 50-digit
-arithmetic."""
+solvers for alpha and for the joint-rate oracle's outer maximum, a
+per-point reference verifier, and the distortion forms and the converse
+at the optimal witness in 50-digit arithmetic."""
 
 from __future__ import annotations
 
@@ -11,7 +11,11 @@ import random
 import mpmath
 
 from gaussian_bc import ChannelParams, SourceParams, UncodedCoeffs, uncoded_distortions
-from gaussian_bc.rate_distortion import _best_det_at
+from gaussian_bc.closed_forms import BoundWitness, _check_converse_scale, _Curve
+from gaussian_bc.errors import OutOfRangeError
+from gaussian_bc.params import validate_problem
+from gaussian_bc.rate_distortion import _best_det_at, _r_joint, channel_capacity
+from gaussian_bc.region import MatchPoint, MatchReport, _check_sigma2_squares, _d1_grid
 
 DESK_SOURCE = SourceParams(1.0, 0.5)
 DESK_CHANNEL = ChannelParams(1.0, 1.0, 2.0)
@@ -56,6 +60,59 @@ def bisect_alpha_for_d1(source: SourceParams, channel: ChannelParams, d1_target:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def per_point_verify_matching(
+    source: SourceParams, channel: ChannelParams, grid_size: int, tol: float
+) -> MatchReport:
+    """Reference verifier: ``region.verify_matching`` with every grid point solved and tested.
+
+    The same checks, kernels and order of operations, without the
+    closed-form skip of the uncovered interval: each point takes one
+    alpha solve and the converse kernel's coverage test, and the maxima
+    and the verdict are taken over the covered points afterwards.
+    """
+    validate_problem(source, channel)
+    if grid_size < 1:
+        raise OutOfRangeError("grid_size must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise OutOfRangeError("tol must be a finite number >= 0")
+    s2 = source.sigma2
+    curve = _Curve(source, channel)
+    _check_converse_scale(curve)
+    _check_sigma2_squares(s2)
+    lo, hi = curve.lo_d, curve.hi_d
+    grid = _d1_grid(lo, hi, grid_size)
+    if not lo < grid[0] <= grid[-1] < hi:
+        raise OutOfRangeError(
+            f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
+            f"holds no {grid_size}-point grid in floating point"
+        )
+    capacity = channel_capacity(channel.power, channel.n1)
+    points: list[MatchPoint] = []
+    for d1 in grid:
+        alpha = curve.alpha_for(d1)
+        beta = 1.0 - alpha
+        q, _, d2_ach = curve.forms(alpha, beta)
+        converse = curve.converse(alpha, beta, q)
+        if converse is None:
+            points.append(MatchPoint(d1, False, None, None, None, None, None))
+            continue
+        _, psi_value, a1, a2 = converse
+        d2t = curve.d2_rx1(alpha, beta, q)
+        oracle_error = abs(_r_joint(s2, source.rho, d1, d2t) - capacity)
+        points.append(
+            MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), BoundWitness(a1, a2), oracle_error)
+        )
+    covered = [point for point in points if point.covered]
+    return MatchReport(
+        grid_size=grid_size,
+        tol=tol,
+        points=tuple(points),
+        max_residual=max((point.residual for point in covered), default=None),
+        max_oracle_error_bits=max((point.oracle_error_bits for point in covered), default=None),
+        passed=bool(covered) and all(point.residual <= tol * s2 for point in covered),
+    )
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -13,15 +13,18 @@ threshold test ``P/n1 <= T(d1)`` is, on the curve, the sign of the
 kernel's margin A. On the curve b = 1 - a, A is affine in the product
 a*b, so a point is covered iff ``a*b <= t*``; the proofs of that form and
 of ``t* - 1/4`` sit with a float check of it against the kernel's own
-coverage test.
+coverage test, and with a 50-digit check of the verifier's uncovered
+interval: t*, its root a_lo and the d1 ends ``D1u(1 - a_lo)``, ``D1u(a_lo)``.
 """
 
 import random
 
+import mpmath
 import sympy as sp
 
 from gaussian_bc import ChannelParams, SourceParams, trace_uncoded_boundary
 from gaussian_bc.closed_forms import _Curve
+from gaussian_bc.region import _SKIP_BAND, _low_root, _product_threshold
 
 s2, rho, p, n1, n2, a, b = sp.symbols("sigma2 rho P n1 n2 a b", positive=True)
 q = a**2 + 2 * a * b * rho + b**2
@@ -146,7 +149,7 @@ def test_the_product_threshold_is_the_kernels_coverage_in_floats():
         s2, n1 = 10 ** rng.uniform(-5, 5), 10 ** rng.uniform(-3, 3)
         r, p_ = rng.uniform(0.0, 0.99), n1 * 10 ** rng.uniform(-2, 3)
         source, channel = SourceParams(s2, r), ChannelParams(p_, n1, n1 * rng.uniform(1.01, 10.0))
-        t_star = r * n1 / ((1 - r) * (2 * r * n1 + p_ * (1 + r)))
+        t_star = _product_threshold(r, p_ / n1)
         curve = _Curve(source, channel)
         for point in trace_uncoded_boundary(source, channel, 101):
             alpha, beta = point.alpha, 1.0 - point.alpha
@@ -157,6 +160,56 @@ def test_the_product_threshold_is_the_kernels_coverage_in_floats():
             assert (ab <= t_star) == covered == point.optimal_flag
             rows[covered] += 1
     assert min(rows.values()) > 3000
+
+
+def test_the_uncovered_interval_against_50_digits():
+    # t* and a_lo = _low_root(t*) in floats, and the d1 interval ends
+    # D1u(1 - a_lo) and D1u(a_lo) from the row kernel, each against the
+    # exact chain from the same float inputs; t* near 1/4, where a_lo is
+    # ill-conditioned (da/dt = 1/(1 - 2a)), is left out
+    u = 2.0**-53
+    rng = random.Random(2703)
+    worst = {"t": 0.0, "a_of_t": 0.0, "a": 0.0, "lo": 0.0, "hi": 0.0}
+    checked = 0
+    for _ in range(2000):
+        r = rng.choice([10 ** rng.uniform(-15, 0), 1.0 - 10 ** rng.uniform(-12, 0), rng.random()])
+        r = min(r, 1.0 - 1e-12)
+        s2_, n1_ = 10 ** rng.uniform(-100, 100), 10 ** rng.uniform(-100, 100)
+        p_ = n1_ * 10 ** rng.uniform(-8, 12)
+        t = _product_threshold(r, p_ / n1_)
+        if not t < 0.24:
+            continue
+        a = _low_root(t)
+        curve = _Curve(SourceParams(s2_, r), ChannelParams(p_, n1_, 2.0 * n1_))
+        lo, hi = curve.forms(1.0 - a, a)[1], curve.forms(a, 1.0 - a)[1]
+        with mpmath.workdps(50):
+            r_, p50, n50, s50 = (mpmath.mpf(x) for x in (r, p_, n1_, s2_))
+            t_x = r_ * n50 / ((1 - r_) * (2 * r_ * n50 + p50 * (1 + r_)))
+            om_x = (1 - r_) * (1 + r_)
+
+            def d1u(a_, b_):
+                q_ = a_ * a_ + 2 * a_ * b_ * r_ + b_ * b_
+                return s50 * (p50 * b_ * b_ * om_x + n50 * q_) / ((p50 + n50) * q_)
+
+            def low_root(t_):
+                return 2 * t_ / (1 + mpmath.sqrt(1 - 4 * t_))
+
+            a_x = low_root(t_x)
+            errors = {
+                "t": (t - t_x) / t_x,
+                "a_of_t": (a - low_root(mpmath.mpf(t))) / a_x,  # the root alone, at the float t
+                "a": (a - a_x) / a_x,
+                "lo": (lo - d1u(1 - a_x, a_x)) / lo,
+                "hi": (hi - d1u(a_x, 1 - a_x)) / hi,
+            }
+        for key, error in errors.items():
+            worst[key] = max(worst[key], abs(float(error)))
+        checked += 1
+    assert checked > 1000
+    assert worst["t"] <= 6 * u and worst["a_of_t"] <= 3 * u and worst["a"] <= 8 * u
+    assert worst["lo"] <= 8 * u and worst["hi"] <= 8 * u
+    # the verifier's band in d1 is ~1e9 times the ends' error
+    assert max(worst["lo"], worst["hi"]) <= 1e-9 * _SKIP_BAND
 
 
 def test_the_alpha_root_solves_d1u_equals_d1():

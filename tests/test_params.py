@@ -184,17 +184,37 @@ def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
     assert calls == {"alpha_for": [], "_rx1_point": []}
 
 
-def test_verify_validates_once_and_solves_alpha_once_per_grid_point(monkeypatch):
-    # coverage is the converse kernel's margin at the point's alpha, so
-    # every grid point, covered or not, takes one alpha solve
+def test_verify_validates_once_and_solves_alpha_only_outside_the_uncovered_interval(monkeypatch):
+    # a grid point strictly inside the closed-form uncovered interval is
+    # recorded as not covered with no solve; every other point takes one
+    for power in (3.0, 2.0, 1.0):  # P/n1 = 3 leaves part of the grid uncovered; 2 is 2*rho/(1 - rho)
+        channel = ChannelParams(power, 1.0, 2.0)
+        closed_forms._rx1_point.cache_clear()
+        calls = _count_calls(monkeypatch, "validate_problem")
+        solves = _count_alpha_solves(monkeypatch)
+        report = region.verify_matching(DESK_SOURCE, channel, 40, 1e-9)
+        lo, hi = region._uncovered_d1(closed_forms._Curve(DESK_SOURCE, channel))
+        assert len(calls) == 1
+        assert solves == [point.d1 for point in report.points if not lo < point.d1 < hi]
+        assert closed_forms._rx1_point.cache_info().currsize == 0
+        if power <= 2.0:  # at or below the simple threshold every point is covered and solved
+            assert report.covered_count == len(solves) == 40
+        else:
+            assert 0 < report.covered_count <= len(solves) < 40
+        monkeypatch.undo()
+
+
+def test_verify_solves_no_alpha_at_rho_zero(monkeypatch):
+    # t* = 0 at rho = 0: only the alpha = 0 and 1 ends are covered, and no
+    # grid point lies on them
+    source = SourceParams(1.0, 0.0)
     closed_forms._rx1_point.cache_clear()
     calls = _count_calls(monkeypatch, "validate_problem")
     solves = _count_alpha_solves(monkeypatch)
-    # P/n1 = 3 leaves part of the grid uncovered
-    report = region.verify_matching(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 40, 1e-9)
-    assert 0 < report.covered_count < 40
+    report = region.verify_matching(source, DESK_CHANNEL, 50, 1e-9)
+    assert report.covered_count == 0 and not report.passed
     assert len(calls) == 1
-    assert len(solves) == 40
+    assert solves == []
     assert closed_forms._rx1_point.cache_info().currsize == 0
 
 
