@@ -29,7 +29,6 @@ from .params import (
     SourceParams,
     UncodedCoeffs,
     negate_rho_transform,
-    validate_problem,
 )
 
 _ORACLE_TOL_BITS = 1e-4
@@ -79,6 +78,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_problem(args) -> tuple[SourceParams, ChannelParams]:
+    """The canonical problem of the flags, not yet validated: each handler's first library call validates it."""
     source, sign_flip = negate_rho_transform(SourceParams(args.sigma2, args.rho))
     if sign_flip:
         print(
@@ -86,9 +86,7 @@ def _resolve_problem(args) -> tuple[SourceParams, ChannelParams]:
             "sign-flipped first stream; distortions are unchanged",
             file=sys.stderr,
         )
-    channel = ChannelParams(args.power, args.n1, args.n2)
-    validate_problem(source, channel)
-    return source, channel
+    return source, ChannelParams(args.power, args.n1, args.n2)
 
 
 def _cmd_report(args, out) -> int:

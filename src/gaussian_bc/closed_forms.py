@@ -25,7 +25,7 @@ decoded by scalar MMSE at each receiver. This module evaluates:
   upper-bounds the side-information MSE of the combiner
   ``a1*s1_hat + a2*s2``, and
 
-      psi = sigma2/(P + n2) * (sigma2*(1 - rho**2)*n1/eta + n2 - n1)
+      psi = sigma2*(n1*(sigma2*(1 - rho**2)/eta - 1) + n2)/(P + n2)
 
   lower-bounds every achievable d2, together with the closed-form
   witness pair that maximizes the bound and makes it meet the
@@ -66,8 +66,20 @@ witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
 square it is on the curve, ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
 at the alpha of d1, so no square root is taken there either.
 
-``_rx1_point`` memoizes the per-d1 record ``(alpha, root, psi_scale,
-cv_n1)``: the witness sweeps call ``combiner_mse_bound`` and
+``_psi`` is the one copy of the converse d2: ``_Curve.converse``,
+``d2_converse_bound`` and ``rate_distortion.d2_lower_via_rx1`` all call
+it. The region is the same at every scale of sigma2, and so are the
+kernels: sigma2 enters them as the exact split ``sigma2 = s2u*2**e``
+of ``math.frexp``, with s2u in [0.5, 1). No kernel multiplies two
+sigma2-sized values, or sigma2 by a channel scale. Each works in the
+unit s2u and scales its result by ``2**e`` once, and scaling by a power
+of two commutes with rounding. So where the plain formula's every
+intermediate is a normal float it gives the same bits, and elsewhere it
+does not underflow or overflow. ``d_min``, ``_d1_range``,
+``d2_min_at_d1min`` and ``_snr_threshold`` do the same.
+
+``_rx1_point`` memoizes the per-d1 record ``(alpha, root, cv, s2u, e,
+power + n2)``: the witness sweeps call ``combiner_mse_bound`` and
 ``d2_converse_bound`` thousands of times at one d1, and a cache hit (a
 key is validated on its first miss only) leaves each call the witness
 kernel ``_witness_eta`` and, for the converse, ``_psi``.
@@ -165,7 +177,7 @@ class _Curve:
     """
 
     __slots__ = (
-        "s2", "rho", "p", "n1", "n2", "pn1", "pn2", "om", "rho_n1", "a1_scale", "psi_scale", "cv_n1",
+        "s2", "s2u", "e", "rho", "p", "n1", "n2", "pn1", "pn2", "om", "rho_n1", "a1_scale",
         "lo_d", "hi_d", "lo_edge", "hi_edge", "snap_lo", "snap_hi", "n1_share", "c", "omr", "opr",
     )
 
@@ -173,6 +185,7 @@ class _Curve:
         s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
         rho = source.rho + 0.0
         self.s2, self.rho, self.p, self.n1, self.n2 = s2, rho, p, n1, n2
+        self.s2u, self.e = math.frexp(s2)  # sigma2 = s2u*2**e exactly, the unit of _psi
         pn1, pn2 = p + n1, p + n2
         if not sys.float_info.min <= pn1 <= pn2 <= sys.float_info.max:  # pn1 <= pn2 as n1 < n2
             small = pn1 < sys.float_info.min
@@ -184,8 +197,6 @@ class _Curve:
         self.om = self.omr * self.opr
         self.rho_n1 = rho * n1
         self.a1_scale = pn1 * self.om
-        self.psi_scale = s2 / pn2
-        self.cv_n1 = conditional_variance(source) * n1
         # the factors of alpha_for
         lo_d, hi_d = _d1_range(source, channel)
         edge = _RESIDUAL_TOL * s2  # tolerate endpoint rounding
@@ -264,8 +275,10 @@ class _Curve:
         square root of a difference and re-solve no alpha, so they stay
         accurate where a chain through ``sqrt((sigma2 - d1)*(sigma2 - d2t))``
         cancels (rho near 1, P/n1 large at the alpha = 1 corner). ``psi``
-        is ``_psi`` of eta*, a formula apart from the achievable
-        ``D2u(n2)`` it equals in exact arithmetic.
+        is ``_psi`` at eta*, a formula apart from the achievable
+        ``D2u(n2)`` it equals in exact arithmetic. It takes the ratio
+        ``sigma2*(1 - rho**2)/eta*`` as ``om/x``, with eta* = sigma2*x,
+        so neither sigma2 nor a cancelling ``1 - rho*rho`` enters it.
 
         The point is covered iff ``A >= 0``: ``T(D1u(alpha)) - P/n1`` is A
         times factors of fixed sign below the conditional variance, and
@@ -284,37 +297,34 @@ class _Curve:
         lead = a + b * self.rho
         # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
         a1 = self.a1_scale * q / den * (a / lead if lead > 0.0 else 1.0)
-        eta = self.s2 * (self.n1 / den * om * q)  # in units of sigma2, then scaled once
-        return eta, _psi(self.psi_scale, self.cv_n1, self.n1, self.n2, eta), a1, margin / den
+        x = self.n1 / den * om * q  # eta* in units of sigma2
+        return self.s2 * x, _psi(self.s2u, self.e, self.n1, self.n2, self.pn2, om, x), a1, margin / den
 
 
-def _psi(psi_scale: float, cv_n1: float, n1: float, n2: float, eta: float) -> float:
-    """The converse d2 of a combiner bound eta, ``sigma2/(power + n2)*(sigma2*(1 - rho**2)*n1/eta + n2 - n1)``.
+def _psi(s2u: float, e: int, n1: float, n2: float, pn2: float, cv: float, eta: float) -> float:
+    """The converse d2 of a combiner bound eta, ``sigma2*(n1*(cv/eta - 1) + n2)/(power + n2)``: its one copy.
 
-    ``psi_scale`` is ``sigma2/(power + n2)`` and ``cv_n1`` is
-    ``conditional_variance(source)*n1``; the row kernel hoists both.
+    ``cv/eta`` is the ratio of the conditional variance
+    ``sigma2*(1 - rho**2)`` to eta; a caller passes any pair of floats in
+    that ratio, so the row kernel passes the unitless ``(om, eta/sigma2)``.
+    sigma2 is ``s2u*2**e`` (``math.frexp``) and pn2 is ``power + n2``.
+    The value is taken in the unit s2u and scaled by ``2**e`` once, so it
+    has the plain formula's bits wherever those intermediates are normal
+    floats, and at every other scale it neither underflows nor overflows
+    before its end. The grouping ``n1*(ratio - 1) + n2`` makes the value
+    ``d_min(2)`` exactly where the ratio is 1. A nonpositive eta raises
+    BoundUndefinedError, and a value past the float range OutOfRangeError;
+    both guard witnesses from outside the curve.
     """
     if eta <= 0.0:
         raise BoundUndefinedError("combiner bound is nonpositive; the converse is undefined for this witness")
-    psi = psi_scale * (cv_n1 / eta + n2 - n1)
-    if not math.isfinite(psi):
-        raise OutOfRangeError(f"sigma2 too large relative to power + n2: the converse d2 is {psi!r}")
-    return psi
-
-
-def _check_converse_scale(curve: _Curve) -> None:
-    """Raise OutOfRangeError unless ``_psi``'s factors cv_n1 and psi_scale are normal floats.
-
-    A subnormal has lost precision, and a 0 drops a term: at sigma2 =
-    1e-100, power = n1 = 1e-250 the converse d2 would be 3.3e-101 for
-    7.5e-101. An infinite psi_scale is ``_psi``'s own error.
-    """
-    cv_n1, psi_scale = curve.cv_n1, curve.psi_scale
-    if not (sys.float_info.min <= cv_n1 <= sys.float_info.max and psi_scale >= sys.float_info.min):
-        raise OutOfRangeError(
-            f"sigma2 too {'large' if cv_n1 > sys.float_info.max else 'small'} for the converse: "
-            f"sigma2*(1 - rho**2)*n1 = {cv_n1!r} and sigma2/(power + n2) = {psi_scale!r} must be normal floats"
-        )
+    psi = s2u * (n1 * (cv / eta - 1.0) + n2) / pn2
+    if math.isfinite(psi):
+        try:
+            return math.ldexp(psi, e)
+        except OverflowError:
+            pass
+    raise OutOfRangeError(f"combiner bound too small: the converse d2 at eta = {eta!r} is past the float range")
 
 
 def _curve_at(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[_Curve, float, float, float]:
@@ -325,13 +335,16 @@ def _curve_at(source: SourceParams, channel: ChannelParams, alpha: float) -> tup
 
 
 def _d1_range(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:
-    """``(d_min(1), d1_min_at_d2min)``: the ends of the d1 curve, at alpha = 1 and 0."""
-    s2, p, n1 = source.sigma2, channel.power, channel.n1
-    return s2 * n1 / (n1 + p), s2 * (n1 + p * (1.0 - source.rho * source.rho)) / (n1 + p)
+    """``(d_min(1), d1_min_at_d2min)``: the ends of the d1 curve, at alpha = 1 and 0, in the unit of sigma2."""
+    s2u, e = math.frexp(source.sigma2)
+    p, n1 = channel.power, channel.n1
+    lo = s2u * n1 / (n1 + p)
+    hi = s2u * (n1 + p * (1.0 - source.rho * source.rho)) / (n1 + p)
+    return math.ldexp(lo, e), math.ldexp(hi, e)
 
 
 def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
-    """Single-user distortion floor ``sigma2 * n_i / (n_i + power)``."""
+    """Single-user distortion floor ``sigma2 * n_i / (n_i + power)``, taken in the unit of sigma2."""
     validate_problem(source, channel)
     if receiver == 1:
         noise = channel.n1
@@ -339,7 +352,8 @@ def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
         noise = channel.n2
     else:
         raise OutOfRangeError("receiver must be 1 or 2")
-    return source.sigma2 * noise / (noise + channel.power)
+    s2u, e = math.frexp(source.sigma2)
+    return math.ldexp(s2u * noise / (noise + channel.power), e)
 
 
 def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
@@ -359,8 +373,9 @@ def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
     attained by sending the first component alone (alpha=1, beta=0).
     """
     validate_problem(source, channel)
-    s2, p, n2 = source.sigma2, channel.power, channel.n2
-    return s2 * (n2 + p * (1.0 - source.rho * source.rho)) / (n2 + p)
+    s2u, e = math.frexp(source.sigma2)
+    p, n2 = channel.power, channel.n2
+    return math.ldexp(s2u * (n2 + p * (1.0 - source.rho * source.rho)) / (n2 + p), e)
 
 
 def uncoded_distortions(
@@ -400,8 +415,11 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
         / (d1 * (sigma2*(1-rho**2) - d1))
 
     and ``+inf`` otherwise. The infinity is the ordinary IEEE value so
-    comparisons against P/n1 stay branch-free. A denominator that
-    underflows to 0 (at sigma2 below about 1e-154) raises OutOfRangeError.
+    comparisons against P/n1 stay branch-free. The value depends on d1
+    and sigma2 only through d1/sigma2, and is taken in the unit of sigma2
+    (see the module docstring), so it is the same at every scale. A
+    denominator that still underflows to 0, which takes a d1 below about
+    1e-300 times sigma2, raises OutOfRangeError naming d1.
     """
     validate_source(source)
     return _snr_threshold(source, d1)
@@ -411,15 +429,17 @@ def _snr_threshold(source: SourceParams, d1: float) -> float:
     s2 = source.sigma2
     if not (0.0 < d1 <= s2):
         raise OutOfRangeError("d1 must satisfy 0 < d1 <= sigma2")
-    cv = conditional_variance(source)
-    if d1 >= cv:
+    s2u, e = math.frexp(s2)
+    cv = conditional_variance(SourceParams(s2u, source.rho))
+    d = math.ldexp(d1, -e)
+    if d >= cv:
         return math.inf
-    num = s2 * cv - 2.0 * d1 * cv + d1 * d1
-    den = d1 * (cv - d1)
+    num = s2u * cv - 2.0 * d * cv + d * d
+    den = d * (cv - d)
     if den == 0.0:
         raise OutOfRangeError(
-            f"sigma2 too small for the SNR threshold at d1 = {d1!r}: "
-            "d1*(sigma2*(1 - rho**2) - d1) underflows to 0"
+            f"d1 too small relative to sigma2 for the SNR threshold, got {d1!r}: "
+            "d1*(sigma2*(1 - rho**2) - d1), in the unit of sigma2, underflows to 0"
         )
     return num / den
 
@@ -472,17 +492,17 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     between ``d_min(1)`` and ``sigma2``. A d1 below ``d_min(1)`` raises
     DistortionRangeError, and one where the threshold fails (the margin A
     of ``_Curve.converse`` is negative at the alpha of d1)
-    SnrThresholdError. The domain is the converse's: where the converse
-    d2 at d1 overflows, or a factor of it is no normal float
-    (``_check_converse_scale``), this raises OutOfRangeError naming sigma2.
+    SnrThresholdError.
     """
     curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
     return curve.d2_rx1(a, b, q)
 
 
 @lru_cache(maxsize=4096)
-def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, float, float]:
-    """The record ``(alpha, root, psi_scale, cv_n1)`` at d1 of the public per-d1 and per-witness functions.
+def _rx1_point(
+    source: SourceParams, channel: ChannelParams, d1: float
+) -> tuple[float, float, float, float, int, float]:
+    """The record ``(alpha, root, cv, s2u, e, power + n2)`` at d1 of the public per-d1 and per-witness functions.
 
     Validates the problem, on a cache miss only, and raises as
     :func:`d2_min_at_rx1` does. Coverage is the row kernel's own test at
@@ -491,12 +511,12 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its proved
     perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
     at (a, b) = (alpha, 1 - alpha), a product of nonnegative factors with
-    no square root of a difference or clamp. ``psi_scale`` and ``cv_n1``
-    are the row kernel's hoisted ``_psi`` factors, the same floats.
+    no square root of a difference or clamp. ``cv`` is the conditional
+    variance ``sigma2*om`` with the row kernel's ``om = (1 - rho)*(1 +
+    rho)``, and the rest are the row kernel's ``_psi`` arguments.
     """
     validate_problem(source, channel)
     curve = _Curve(source, channel)
-    _check_converse_scale(curve)
     if not d1 < curve.hi_d:
         raise DistortionRangeError(
             f"d1 must be < {curve.hi_d!r} (the range condition), got {d1!r}"
@@ -514,7 +534,7 @@ def _rx1_point(source: SourceParams, channel: ChannelParams, d1: float) -> tuple
     rho, p = source.rho, channel.power
     shape = (a + b * rho) * (a * rho + b) / q
     root = source.sigma2 * (p / (p + channel.n1) * shape)
-    return a, root, curve.psi_scale, curve.cv_n1
+    return a, root, source.sigma2 * curve.om, curve.s2u, curve.e, curve.pn2
 
 
 def _witness_eta(source: SourceParams, delta: float, witness: BoundWitness, root: float) -> float:
@@ -554,12 +574,13 @@ def d2_converse_bound(
 ) -> float:
     """Lower bound on every achievable d2, given d1 = delta and a witness pair.
 
-        sigma2/(power + n2) * (sigma2*(1-rho**2)*n1/eta + n2 - n1)
+        sigma2*(n1*(sigma2*(1 - rho**2)/eta - 1) + n2)/(power + n2)
 
-    with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0.
+    with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0,
+    and an OutOfRangeError where the value is past the float range.
     """
-    _, root, psi_scale, cv_n1 = _rx1_point(source, channel, delta)
-    return _psi(psi_scale, cv_n1, channel.n1, channel.n2, _witness_eta(source, delta, witness, root))
+    _, root, cv, s2u, e, pn2 = _rx1_point(source, channel, delta)
+    return _psi(s2u, e, channel.n1, channel.n2, pn2, cv, _witness_eta(source, delta, witness, root))
 
 
 def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> BoundWitness:

@@ -18,7 +18,8 @@ public function of ``closed_forms``, ``region`` and ``rate_distortion``
 that takes a source or a channel, and the ``montecarlo`` simulator,
 checks it with the checkers here before computing with it, then works
 through ``_``-prefixed kernels that assume a valid problem and never
-re-validate it; the CLI validates in its problem resolver. The per-d1
+re-validate it. The CLI does not validate: the first library call of
+each command validates its problem, once per run. The per-d1
 cache ``closed_forms._rx1_point`` validates on a cache miss only, and
 the per-d1 and per-witness functions validate through it (see
 ``closed_forms``).
@@ -149,8 +150,10 @@ def validate_problem(
 def conditional_variance(source: SourceParams) -> float:
     """Variance of one component given the other: ``sigma2 * (1 - rho**2)``.
 
-    Every module computes this quantity through here so that exact
-    floating-point identities between modules hold bit for bit.
+    The public functions compute this quantity through here so that exact
+    floating-point identities between them hold bit for bit. The row
+    kernel ``closed_forms._Curve`` and the per-witness converse use
+    ``(1 - rho)*(1 + rho)`` instead, which does not cancel near rho = 1.
     """
     return source.sigma2 * (1.0 - source.rho * source.rho)
 

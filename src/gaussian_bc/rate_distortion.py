@@ -36,20 +36,29 @@ of its time. The kernels write each as the conditional expression that
 returns the same float, nan and signed zeros included (see
 ``_best_det_at``).
 
+The oracle's value depends on the distortions and sigma2 only through
+their ratios, and ``_r_joint`` multiplies sigma2-sized entries, so its
+callers pass them in the unit of sigma2: with ``sigma2 = s2u*2**e``
+(``math.frexp``), they pass s2u and each distortion times ``2**-e``.
+That is exact, so it keeps every bit where the plain entries are normal
+floats, and at any other sigma2 no product underflows or overflows.
+
 ``conditional_info_bound`` and ``d2_lower_via_rx1`` are the two
 converse endpoints: the per-symbol cap on what receiver 1's observation
 can reveal about the first component given the second, for any scheme
 with receiver-2 distortion delta2; and the floor on receiver-2
-distortion implied by a side-information distortion at receiver 1. Both
-are arranged so that their anchor identities -- zero information at the
-receiver-2 floor, and the floor value at the full conditional variance
--- hold exactly in IEEE arithmetic, not just up to rounding.
+distortion implied by a side-information distortion at receiver 1 (the
+converse d2 of ``closed_forms._psi``, its one copy). Both are arranged
+so that their anchor identities -- zero information at the receiver-2
+floor, and the floor value at the full conditional variance -- hold
+exactly in IEEE arithmetic, not just up to rounding.
 """
 
 from __future__ import annotations
 
 import math
 
+from .closed_forms import _psi
 from .errors import InfeasibleDistortionError, OutOfRangeError
 from .params import (
     ChannelParams,
@@ -173,14 +182,20 @@ def r_joint_numeric(source: SourceParams, delta1: float, delta2: float) -> float
     Minimizes the mutual information over jointly Gaussian test channels by
     maximizing det K_E over feasible error covariances (see module
     docstring); distortion arguments above sigma2 are clamped to sigma2
-    (distortion beyond the variance is free). Clamped at 0 bits.
+    (distortion beyond the variance is free). Clamped at 0 bits. Taken in
+    the unit of sigma2, so the value is the same at every scale.
     """
     validate_source(source)
     if not (delta1 > 0):
         raise OutOfRangeError("delta1 must be > 0")
     if not (delta2 > 0):
         raise OutOfRangeError("delta2 must be > 0")
-    return _r_joint(source.sigma2, source.rho, delta1, delta2)
+    s2 = source.sigma2
+    s2u, e = math.frexp(s2)
+    # clamped before scaling, as _r_joint would clamp them, so no ldexp overflows
+    delta1 = s2 if s2 < delta1 else delta1
+    delta2 = s2 if s2 < delta2 else delta2
+    return _r_joint(s2u, source.rho, math.ldexp(delta1, -e), math.ldexp(delta2, -e))
 
 
 def conditional_info_bound(
@@ -215,10 +230,12 @@ def d2_lower_via_rx1(
 ) -> float:
     """Floor on receiver-2 distortion from the receiver-1 side-information chain.
 
-        sigma2/(power + n2) * (sigma2*(1-rho**2)*n1/cond_d1 + n2 - n1)
+        sigma2*(n1*(sigma2*(1-rho**2)/cond_d1 - 1) + n2)/(power + n2)
 
-    for ``0 < cond_d1 <= sigma2*(1-rho**2)``; diverges as cond_d1 -> 0. The
-    grouping below makes the value equal ``d_min(2)`` bit-for-bit at
+    for ``0 < cond_d1 <= sigma2*(1-rho**2)``; diverges as cond_d1 -> 0, and
+    raises OutOfRangeError where it passes the float range. This is the
+    converse d2 kernel ``closed_forms._psi`` at eta = cond_d1, whose
+    grouping makes the value equal ``d_min(2)`` bit-for-bit at
     ``cond_d1 == conditional_variance(source)``.
     """
     validate_problem(source, channel)
@@ -227,6 +244,5 @@ def d2_lower_via_rx1(
         raise OutOfRangeError(
             f"cond_d1 must satisfy 0 < cond_d1 <= {cv!r} (the conditional variance)"
         )
-    p, n1, n2 = channel.power, channel.n1, channel.n2
-    ratio = cv / cond_d1  # exactly 1.0 at the endpoint
-    return source.sigma2 * (n1 * (ratio - 1.0) + n2) / (n2 + p)
+    s2u, e = math.frexp(source.sigma2)
+    return _psi(s2u, e, channel.n1, channel.n2, channel.power + channel.n2, cv, cond_d1)

@@ -48,7 +48,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .closed_forms import BoundWitness, _check_converse_scale, _Curve, _curve_at, _rx1_point
+from .closed_forms import BoundWitness, _Curve, _curve_at, _rx1_point
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
 from .rate_distortion import _r_joint, channel_capacity
@@ -153,29 +153,17 @@ def converse_at(
     return eta, psi, BoundWitness(a1, a2)
 
 
-def _check_sigma2_squares(s2: float) -> None:
-    """Raise OutOfRangeError unless ``sigma2**2`` is a normal float and ``2*sigma2**2`` finite.
-
-    Coverage and the converse kernel work in units of sigma2 and need no
-    such range; the verifier does. Its joint-rate oracle ``_r_joint``
-    multiplies sigma2-sized entries: at sigma2 = 1e-300 they underflow
-    and it finds no feasible error covariance (an error that names no
-    flag), and at 1e300 it misses the capacity by 0.5 bits, so a correct
-    region would print ``oracle_consistent=false``. And ``_psi`` divides
-    sigma2 by ``power + n2``, which overflows at sigma2 = 1e300 with noise
-    near 1e-11. The trace keeps the same range, so that ``trace`` and
-    ``verify`` accept the same problems.
-    """
-    if not sys.float_info.min <= s2 * s2 <= sys.float_info.max / 2.0:
-        raise OutOfRangeError(
-            f"sigma2 too {'large' if s2 > 1.0 else 'small'}: the converse formulas need "
-            f"sigma2 in about [1.5e-154, 9.4e153], got {s2!r}"
-        )
-
-
 def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
-    """``size`` uniform d1 values strictly inside (lo, hi) in exact arithmetic."""
-    return [lo + (hi - lo) * (i + 1) / (size + 1) for i in range(size)]
+    """``size`` uniform d1 values strictly inside (lo, hi) in exact arithmetic.
+
+    Each is ``lo + (hi - lo)*(i + 1)/(size + 1)``, taken in the power-of-two
+    unit of hi so that ``(hi - lo)*(i + 1)`` cannot overflow near the top
+    of the float range; where it does not, the unit leaves every bit as
+    it is.
+    """
+    hi, e = math.frexp(hi)
+    lo = math.ldexp(lo, -e)
+    return [math.ldexp(lo + (hi - lo) * (i + 1) / (size + 1), e) for i in range(size)]
 
 
 def _product_threshold(rho: float, snr: float) -> float:
@@ -262,15 +250,13 @@ def trace_uncoded_boundary(
     error names power where ``n1/(power + n1)`` itself underflows (P/n1
     past the float range, where the converse is undefined), and sigma2
     otherwise. A combiner bound that underflows to 0 at a covered row
-    names power too. A sigma2 outside about [1.5e-154, 9.4e153] (see
-    ``_check_sigma2_squares``), or one that leaves a factor of the
-    converse, ``sigma2*(1 - rho**2)*n1`` or ``sigma2/(power + n2)``, no
-    normal float, raises OutOfRangeError naming sigma2.
+    names power too. The converse is taken in the unit of sigma2 (see
+    ``closed_forms``), so no scale of sigma2 is refused.
     """
     validate_problem(source, channel)
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
-    s2, p, n1 = source.sigma2, channel.power, channel.n1
+    p, n1 = channel.power, channel.n1
     curve = _Curve(source, channel)
     forms, converse = curve.forms, curve.converse
     if not forms(1.0, 0.0)[1] > 0.0:  # d1 at alpha = 1, the least on the curve
@@ -279,8 +265,6 @@ def trace_uncoded_boundary(
                 f"power too large relative to n1 (P/n1 = {p / n1:.3g}): n1/(power + n1) underflows to 0"
             )
         raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
-    _check_converse_scale(curve)
-    _check_sigma2_squares(s2)
     points: list[BoundaryPoint] = []
     # tuple.__new__ is what BoundaryPoint._make does, minus a Python frame per row
     new = tuple.__new__
@@ -317,35 +301,36 @@ def verify_matching(
     passes, and a grid with no covered point does not pass. Each covered
     point also carries the joint-rate oracle's error against receiver 1's
     capacity, evaluated at the companion floor of the alpha solved for
-    d1, where the converse is taken too. Failures are data in the report, never exceptions; a tol
-    that is not a finite number >= 0 (which would pass or fail every
-    point vacuously) raises OutOfRangeError, and so does a d1 range too
-    narrow to hold the grid strictly inside it in floating point (its
-    width is sigma2*power*(1 - rho**2)/(power + n1)), a sigma2 outside
-    about [1.5e-154, 9.4e153] or one that leaves a factor of the converse
-    no normal float, a ``power + n1`` below the smallest normal float,
-    and a ``power + n2`` that overflows.
+    d1, where the converse is taken too. The oracle and the converse run
+    in the unit of sigma2 (``math.frexp``; see ``closed_forms``), so the
+    report is the same at every scale of sigma2. Failures are data in the
+    report, never exceptions; a tol that is not a finite number >= 0
+    (which would pass or fail every point vacuously) raises
+    OutOfRangeError, and so does a d1 range too narrow to hold the grid
+    strictly inside it in floating point (its width is
+    sigma2*power*(1 - rho**2)/(power + n1); the error names sigma2 where
+    the range is subnormal, and power otherwise), a ``power + n1`` below
+    the smallest normal float, and a ``power + n2`` that overflows.
     """
     validate_problem(source, channel)
     if grid_size < 1:
         raise OutOfRangeError("grid_size must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
-    s2 = source.sigma2
     curve = _Curve(source, channel)
-    _check_converse_scale(curve)
-    _check_sigma2_squares(s2)
     lo, hi = curve.lo_d, curve.hi_d
     grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:
+        # subnormal ends are too coarse for a grid at any power: sigma2 is the cause
+        cause = "sigma2 too small" if hi < sys.float_info.min else "power too small (or |rho| too close to 1)"
         raise OutOfRangeError(
-            f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
-            f"holds no {grid_size}-point grid in floating point"
+            f"{cause}: the d1 range ({lo!r}, {hi!r}) holds no {grid_size}-point grid in floating point"
         )
     capacity = channel_capacity(channel.power, channel.n1)
     skip_lo, skip_hi = _uncovered_d1(curve)
     alpha_for, forms, converse, d2_rx1 = curve.alpha_for, curve.forms, curve.converse, curve.d2_rx1
-    rho, limit = source.rho, tol * s2
+    s2u, down, ldexp = curve.s2u, -curve.e, math.ldexp  # d*2**down is d in the oracle's unit, sigma2 = s2u
+    rho, limit = source.rho, tol * source.sigma2
     new = tuple.__new__
     points: list[MatchPoint] = []
     # running maxima with builtin max's semantics (y replaces x iff y > x,
@@ -361,7 +346,7 @@ def verify_matching(
             if row is not None:
                 _, psi_value, a1, a2 = row
                 residual = abs(d2_ach - psi_value)
-                oracle_error = abs(_r_joint(s2, rho, d1, d2_rx1(alpha, beta, q)) - capacity)
+                oracle_error = abs(_r_joint(s2u, rho, ldexp(d1, down), ldexp(d2_rx1(alpha, beta, q), down)) - capacity)
                 witness = new(BoundWitness, (a1, a2))
                 points.append(new(MatchPoint, (d1, True, d2_ach, psi_value, residual, witness, oracle_error)))
                 if max_residual is None:

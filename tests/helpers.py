@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import mpmath
 
 from gaussian_bc import ChannelParams, SourceParams, UncodedCoeffs, uncoded_distortions
-from gaussian_bc.closed_forms import BoundWitness, _check_converse_scale, _Curve
+from gaussian_bc.closed_forms import BoundWitness, _Curve
 from gaussian_bc.errors import OutOfRangeError
 from gaussian_bc.params import validate_problem
 from gaussian_bc.rate_distortion import _best_det_at, _r_joint, channel_capacity
-from gaussian_bc.region import MatchPoint, MatchReport, _check_sigma2_squares, _d1_grid
+from gaussian_bc.region import MatchPoint, MatchReport, _d1_grid
 
 DESK_SOURCE = SourceParams(1.0, 0.5)
 DESK_CHANNEL = ChannelParams(1.0, 1.0, 2.0)
@@ -69,8 +70,9 @@ def per_point_verify_matching(
 
     The same checks, kernels and order of operations, without the
     closed-form skip of the uncovered interval: each point takes one
-    alpha solve and the converse kernel's coverage test, and the maxima
-    and the verdict are taken over the covered points afterwards.
+    alpha solve and the converse kernel's coverage test, the oracle runs
+    in the unit of sigma2 as the verifier's does, and the maxima and the
+    verdict are taken over the covered points afterwards.
     """
     validate_problem(source, channel)
     if grid_size < 1:
@@ -79,14 +81,13 @@ def per_point_verify_matching(
         raise OutOfRangeError("tol must be a finite number >= 0")
     s2 = source.sigma2
     curve = _Curve(source, channel)
-    _check_converse_scale(curve)
-    _check_sigma2_squares(s2)
     lo, hi = curve.lo_d, curve.hi_d
     grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:
+        # subnormal ends are too coarse for a grid at any power: sigma2 is the cause
+        cause = "sigma2 too small" if hi < sys.float_info.min else "power too small (or |rho| too close to 1)"
         raise OutOfRangeError(
-            f"power too small (or |rho| too close to 1): the d1 range ({lo!r}, {hi!r}) "
-            f"holds no {grid_size}-point grid in floating point"
+            f"{cause}: the d1 range ({lo!r}, {hi!r}) holds no {grid_size}-point grid in floating point"
         )
     capacity = channel_capacity(channel.power, channel.n1)
     points: list[MatchPoint] = []
@@ -100,7 +101,8 @@ def per_point_verify_matching(
             continue
         _, psi_value, a1, a2 = converse
         d2t = curve.d2_rx1(alpha, beta, q)
-        oracle_error = abs(_r_joint(s2, source.rho, d1, d2t) - capacity)
+        d1_u, d2t_u = math.ldexp(d1, -curve.e), math.ldexp(d2t, -curve.e)
+        oracle_error = abs(_r_joint(curve.s2u, source.rho, d1_u, d2t_u) - capacity)
         points.append(
             MatchPoint(d1, True, d2_ach, psi_value, abs(d2_ach - psi_value), BoundWitness(a1, a2), oracle_error)
         )

@@ -257,10 +257,24 @@ class TestSnrThreshold:
                 d1 = cv * (j + 1) / 201.0
                 assert snr_threshold(source, d1) >= floor - 1e-12
 
-    def test_underflowing_denominator_is_a_sigma2_range_error(self):
-        # d1*(sigma2*(1 - rho**2) - d1) underflows to 0: this raised ZeroDivisionError
-        with pytest.raises(OutOfRangeError, match=r"^sigma2 too small for the SNR threshold"):
-            snr_threshold(SourceParams(1e-300, 0.5), 6.25e-301)
+    def test_the_threshold_is_that_of_d1_over_sigma2_at_every_scale(self):
+        # d1*(sigma2*(1 - rho**2) - d1) underflowed to 0 at the first: this
+        # raised ZeroDivisionError, then an error naming sigma2, and the
+        # second overflowed; in the unit of sigma2 both give the desk value
+        desk = snr_threshold(DESK_SOURCE, 0.625)
+        assert snr_threshold(SourceParams(1e-300, 0.5), 6.25e-301) == pytest.approx(desk, rel=1e-15)
+        assert snr_threshold(SourceParams(1e300, 0.5), 6.25e299) == pytest.approx(desk, rel=1e-15)
+        high_snr = ChannelParams(3.0, 1.0, 2.0)
+        for k in range(-1000, 1001, 7):
+            source = SourceParams(2.0**k, 0.5)
+            assert snr_threshold(source, 0.625 * 2.0**k) == desk, k
+            assert is_uncoded_optimal(source, DESK_CHANNEL, 0.625 * 2.0**k), k
+            assert not is_uncoded_optimal(source, high_snr, 0.625 * 2.0**k), k
+
+    def test_an_underflowing_ratio_names_d1(self):
+        # d1/sigma2 = 5e-324 halves to 0 in the unit of sigma2
+        with pytest.raises(OutOfRangeError, match=r"^d1 too small relative to sigma2 for the SNR threshold, got 5e-324"):
+            snr_threshold(DESK_SOURCE, 5e-324)
 
     def test_is_uncoded_optimal(self):
         assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.625)
@@ -509,11 +523,26 @@ class TestConverseFunctional:
             )
             assert abs(d2u - psi) <= 1e-9
 
-    def test_an_overflowing_converse_is_a_sigma2_range_error(self):
-        # sigma2/(power + n2) overflows: this returned inf
+    def test_a_large_sigma2_over_small_noise_is_accurate(self):
+        # sigma2/(power + n2) overflows: this returned inf, then raised an
+        # error naming sigma2; in the unit of sigma2 the per-witness
+        # functions answer, within 1e-15 relative of 50-digit arithmetic
         source, channel = SourceParams(1e300, 0.5), ChannelParams(1e-12, 1e-11, 2e-11)
-        with pytest.raises(OutOfRangeError, match=r"^sigma2 too large"):
-            d2_converse_bound(source, channel, 9.5e299, BoundWitness(0.5, 0.5))
+        d1, witness = 9.5e299, BoundWitness(0.5, 0.5)
+        alpha = solve_alpha_for_d1(source, channel, d1)
+        with mpmath.workdps(50):
+            s2, rho, d = mpmath.mpf(1e300), mpmath.mpf(0.5), mpmath.mpf(d1)
+            p, n1, n2 = mpmath.mpf(1e-12), mpmath.mpf(1e-11), mpmath.mpf(2e-11)
+            a = mpmath.mpf(alpha)
+            b = 1 - a
+            q = a * a + 2 * a * b * rho + b * b
+            root = s2 * p * (a + b * rho) * (a * rho + b) / (q * (p + n1))
+            a1 = a2 = mpmath.mpf(0.5)
+            eta = s2 - a1 * (s2 - d) * (2 - a1) - a2 * s2 * (2 * rho - a2) + 2 * a1 * a2 * root
+            psi = s2 * (n1 * (s2 * (1 - rho * rho) / eta - 1) + n2) / (p + n2)
+            x_eta, x_psi = float(eta), float(psi)
+        assert abs(combiner_mse_bound(source, channel, d1, witness) - x_eta) <= 1e-15 * x_eta
+        assert abs(d2_converse_bound(source, channel, d1, witness) - x_psi) <= 1e-15 * x_psi
 
     def test_witness_maximality_light(self):
         d1 = 0.6
@@ -530,7 +559,8 @@ class TestConverseFunctional:
     def test_per_witness_bits_are_the_plain_formulas(self):
         # the per-d1 record and the witness kernel keep every bit of the
         # formulas written out plainly here: the root at the alpha of d1,
-        # eta, and the converse d2 from sigma2*(1 - rho**2)*n1/eta
+        # eta, and the converse d2 from sigma2*(1 - rho)*(1 + rho)/eta (the
+        # kernel's unit of sigma2 changes no bit at these scales)
         for source, channel in random_valid_configs(20, seed=53):
             s2, rho = source.sigma2, source.rho
             p, n1, n2 = channel.power, channel.n1, channel.n2
@@ -552,7 +582,7 @@ class TestConverseFunctional:
                     for j in range(21):
                         a1, a2 = 2.0 * i / 20, 2.0 * j / 20
                         eta = s2 - a1 * (s2 - d1) * (2.0 - a1) - a2 * s2 * (2.0 * rho - a2) + 2.0 * a1 * a2 * root
-                        psi = s2 / (p + n2) * (s2 * (1.0 - rho * rho) * n1 / eta + n2 - n1)
+                        psi = s2 * (n1 * (s2 * ((1.0 - rho) * (1.0 + rho)) / eta - 1.0) + n2) / (p + n2)
                         witness = BoundWitness(a1, a2)
                         assert repr(combiner_mse_bound(source, channel, d1, witness)) == repr(eta)
                         assert repr(d2_converse_bound(source, channel, d1, witness)) == repr(psi)
@@ -567,8 +597,6 @@ class TestConverseFunctional:
              "witness components must be finite"),
             (DESK_SOURCE, DESK_CHANNEL, 0.625, BoundWitness(-0.5, 0.5), ParameterError,
              "witness components a1, a2 must have equal sign"),
-            (SourceParams(1e300, 0.5), ChannelParams(1e-12, 1e-11, 2e-11), 9.5e299, BoundWitness(0.5, 0.5),
-             OutOfRangeError, "sigma2 too large relative to power + n2: the converse d2 is inf"),
         ],
     )
     def test_per_witness_errors_keep_their_messages(self, func, source, channel, d1, witness, error, message):

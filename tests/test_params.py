@@ -1,6 +1,7 @@
 """Parameter records, validation and its policy, and the two lossless transforms."""
 
 import inspect
+import io
 import math
 import sys
 
@@ -15,6 +16,7 @@ from gaussian_bc import (
     ParameterError,
     SourceParams,
     UncodedCoeffs,
+    cli,
     closed_forms,
     conditional_variance,
     montecarlo,
@@ -153,6 +155,17 @@ def test_trace_validates_once_per_call_plus_once_per_cache_miss(monkeypatch):
     trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 1001)
     assert len(calls) == 1
     assert closed_forms._rx1_point.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("argv", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
+def test_a_cli_run_validates_its_problem_once(monkeypatch, argv):
+    # the CLI's problem resolver validated as well, so each command
+    # validated twice; now the first library call of each does it alone
+    closed_forms._rx1_point.cache_clear()
+    calls = _count_calls(monkeypatch, "validate_problem")
+    assert cli.run(argv, out=io.StringIO()) == 0
+    assert len(calls) == 1
+    closed_forms._rx1_point.cache_clear()
 
 
 def _count_alpha_solves(monkeypatch):
@@ -311,8 +324,8 @@ def test_kernels_call_no_validating_function(monkeypatch):
     d2t = curve.d2_rx1(alpha, 1.0 - alpha, q)
     eta, _, a1, a2 = curve.converse(alpha, 1.0 - alpha, q)
     closed_forms._witness_eta(DESK_SOURCE, d1, BoundWitness(a1, a2), root=0.5)
-    closed_forms._psi(curve.psi_scale, curve.cv_n1, 1.0, 2.0, eta)
-    rate_distortion._r_joint(1.0, 0.5, d1, d2t)
+    closed_forms._psi(curve.s2u, curve.e, 1.0, 2.0, curve.pn2, 0.75, eta)
+    rate_distortion._r_joint(curve.s2u, 0.5, math.ldexp(d1, -curve.e), math.ldexp(d2t, -curve.e))
     assert calls == [[], []]
 
 

@@ -147,6 +147,21 @@ class TestJointRateOracle:
             truth = joint_rate_mp(sigma2, rho, d1, d2)
             assert abs(r_joint_numeric(SourceParams(sigma2, rho), d1, d2) - truth) <= 1e-13
 
+    def test_the_oracle_is_the_same_at_every_scale(self):
+        # at 1e-300 the sigma2-sized products underflowed and it found no
+        # feasible error covariance, and at 1e300 s2*s2 overflowed and it
+        # returned 0.0; in the unit of sigma2 it keeps every bit at 2**k
+        desk = r_joint_numeric(DESK_SOURCE, 0.6, 0.7)
+        assert r_joint_numeric(SourceParams(1e-300, 0.5), 6e-301, 7e-301) == pytest.approx(desk, abs=1e-15)
+        assert r_joint_numeric(SourceParams(1e300, 0.5), 6e299, 7e299) == pytest.approx(desk, abs=1e-15)
+        for sigma2, rho, d1, d2 in random_oracle_inputs(20, seed=2802):
+            bits = r_joint_numeric(SourceParams(sigma2, rho), d1, d2)
+            for k in range(-1000, 1001, 7):
+                scale = 2.0**k
+                assert r_joint_numeric(SourceParams(sigma2 * scale, rho), d1 * scale, d2 * scale) == bits, k
+        # a distortion far above sigma2 is clamped to it before the unit is taken
+        assert r_joint_numeric(SourceParams(1e-300, 0.5), 1e300, 7e-301) == r_joint_numeric(SourceParams(1e-300, 0.5), 1e-300, 7e-301)
+
     def test_domain(self):
         with pytest.raises(OutOfRangeError):
             r_joint_numeric(DESK_SOURCE, 0.0, 0.5)
@@ -268,6 +283,13 @@ class TestReceiver2FloorFromSideInfo:
 
     def test_divergence_at_vanishing_side_info_distortion(self):
         assert d2_lower_via_rx1(DESK_SOURCE, DESK_CHANNEL, 1e-12) > 1e9
+
+    def test_a_floor_past_the_float_range_is_an_error(self):
+        # this returned inf: the floor is the converse kernel, whose value
+        # past the float range is an error
+        with pytest.raises(OutOfRangeError) as info:
+            d2_lower_via_rx1(DESK_SOURCE, DESK_CHANNEL, 5e-324)
+        assert str(info.value) == "combiner bound too small: the converse d2 at eta = 5e-324 is past the float range"
 
     def test_domain(self):
         with pytest.raises(OutOfRangeError):

@@ -106,11 +106,21 @@ class TestTrace:
             (SourceParams(1e300, 0.5), ChannelParams(1.0, 1.0, 1e5)),
         ],
     )
-    def test_overflowing_distortion_numerator_is_a_sigma2_range_error(self, source, channel):
-        # sigma2 * num overflows at an end of the curve: the first d1 used
-        # to be inf (first two cases), or every d2 (the last one)
-        with pytest.raises(OutOfRangeError, match=r"^sigma2 too large"):
-            trace_uncoded_boundary(source, channel, 11)
+    def test_a_large_sigma2_traces_the_rows_of_sigma2_1(self, source, channel):
+        # sigma2 * num overflowed at an end of the curve: the first d1 used
+        # to be inf (first two cases), or every d2 (the last one); then the
+        # trace refused these as a sigma2 out of range. Each row is now
+        # sigma2 times the ratio of sigma2 = 1, and the converse d2 is
+        # within 1e-15 relative of 50-digit arithmetic
+        points = trace_uncoded_boundary(source, channel, 11)
+        unit = trace_uncoded_boundary(SourceParams(1.0, source.rho), channel, 11)
+        for p, u in zip(points, unit, strict=True):
+            assert (p.alpha, p.a1_star, p.a2_star, p.optimal_flag) == (u.alpha, u.a1_star, u.a2_star, u.optimal_flag)
+            assert (p.d1, p.d2_achievable) == (source.sigma2 * u.d1, source.sigma2 * u.d2_achievable)
+            assert (p.d2_converse is None) == (u.d2_converse is None)
+            if p.d2_converse is not None:
+                d2 = exact_converse(source, channel, p.alpha)[1]
+                assert abs(p.d2_converse - d2) <= 1e-15 * d2
 
     def test_large_sigma2_below_the_overflow_still_traces(self):
         # near the top of the accepted range the rows are those of sigma2 = 1;
@@ -133,16 +143,58 @@ class TestTrace:
             (SourceParams(1e288, 0.5), ChannelParams(1e10, 1.0, 2.0)),  # nan threshold
         ],
     )
-    def test_sigma2_beyond_the_converse_range_is_a_sigma2_range_error(self, source, channel):
-        with pytest.raises(OutOfRangeError, match=r"^sigma2 too (small|large): the converse formulas"):
-            trace_uncoded_boundary(source, channel, 11)
-        with pytest.raises(OutOfRangeError, match=r"^sigma2 too (small|large): the converse formulas"):
-            verify_matching(source, channel, 5, 1e-9)
+    def test_sigma2_beyond_the_old_converse_range_traces_and_verifies(self, source, channel):
+        # these were refused as a sigma2 outside about [1.5e-154, 9.4e153];
+        # the converse and the oracle run in the unit of sigma2, so the
+        # trace flags and the verifier's report are those of sigma2 = 1
+        unit = SourceParams(1.0, source.rho)
+        flags = [(p.optimal_flag, p.d2_converse is None) for p in trace_uncoded_boundary(source, channel, 11)]
+        assert flags == [(p.optimal_flag, p.d2_converse is None) for p in trace_uncoded_boundary(unit, channel, 11)]
+        report, unit_report = verify_matching(source, channel, 5, 1e-9), verify_matching(unit, channel, 5, 1e-9)
+        assert [p.covered for p in report.points] == [p.covered for p in unit_report.points]
+        assert report.passed == unit_report.passed
+        assert report.max_oracle_error_bits == pytest.approx(unit_report.max_oracle_error_bits, abs=1e-15)
 
     @pytest.mark.parametrize("sigma2", [1.5e-154, 9.4e153])
     def test_the_ends_of_the_sigma2_range_still_trace(self, sigma2):
         points = trace_uncoded_boundary(SourceParams(sigma2, 0.5), DESK_CHANNEL, 11)
         assert sum(p.d2_converse is not None for p in points) == 10
+
+    def test_the_converse_d2_is_within_1e_15_of_mpmath(self):
+        # the converse d2 read 1 - rho*rho through the conditional variance,
+        # up to 3.0e-9 relative off with 1 - rho in [1e-12, 0.1], and
+        # multiplied sigma2-sized factors; it now takes the ratio om/x in
+        # the unit of sigma2
+        rng = random.Random(2801)
+        rows = 0
+        for _ in range(150):
+            rho = 1.0 - 10 ** rng.uniform(-12, -1) if rng.random() < 0.7 else rng.random()
+            sigma2, n1 = 10 ** rng.uniform(-250, 250), 10 ** rng.uniform(-100, 100)
+            source = SourceParams(sigma2, rho)
+            channel = ChannelParams(n1 * 10 ** rng.uniform(-6, 6), n1, n1 * rng.uniform(1.01, 100.0))
+            for p in trace_uncoded_boundary(source, channel, 11):
+                if p.d2_converse is not None:
+                    d2 = exact_converse(source, channel, p.alpha)[1]
+                    assert abs(p.d2_converse - d2) <= 1e-15 * d2, (source, channel, p.alpha)
+                    rows += 1
+        assert rows > 800
+
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            # 1 - rho*rho cancels: the converse d2 was 4.3e-12 relative off
+            (SourceParams(1.0, 0.999999998894937), ChannelParams(4.6e-7, 1.0, 130.0)),
+            # eta = sigma2*x is subnormal: it was 1.45e-4 off
+            (SourceParams(1.6081955504962998e-88, 0.8498023827398443),
+             ChannelParams(2.442603629922496e99, 5.915991352087539e-134, 1.4296057624147059e-131)),
+        ],
+    )
+    def test_the_converse_d2_is_accurate_at_its_old_error_classes(self, source, channel):
+        rows = [p for p in trace_uncoded_boundary(source, channel, 101) if p.d2_converse is not None]
+        assert rows
+        for p in rows:
+            d2 = exact_converse(source, channel, p.alpha)[1]
+            assert abs(p.d2_converse - d2) <= 1e-15 * d2, p.alpha
 
     def test_strict_monotonicity_along_the_trace(self):
         points = trace_uncoded_boundary(DESK_SOURCE, DESK_CHANNEL, 101)
