@@ -72,7 +72,6 @@ _MONTECARLO_NAMES = frozenset({
     "MmseCoefficients",
     "SimulationConfig",
     "SimulationReport",
-    "analytic_distortions",
     "mmse_coefficients",
     "power_check",
     "sample_source_pairs",
@@ -108,7 +107,6 @@ __all__ = [
     "SnrThresholdError",
     "SourceParams",
     "UncodedCoeffs",
-    "analytic_distortions",
     "channel_capacity",
     "combiner_mse_bound",
     "conditional_info_bound",

@@ -176,9 +176,10 @@ def _cmd_simulate(args, out) -> int:
         if not 0.0 <= alpha <= 1.0:
             raise GaussianBcError("alpha must be in [0, 1]")
     coeffs = UncodedCoeffs(alpha, 1.0 - alpha)
+    # before any draw: a problem the closed forms refuse runs no samples
+    analytic = closed_forms.uncoded_distortions(source, channel, coeffs)
     config = montecarlo.SimulationConfig(samples=args.samples, seed=args.seed, coeffs=coeffs)
     report = montecarlo.simulate(source, channel, config)
-    analytic = montecarlo.analytic_distortions(source, channel, coeffs)
     fields = [
         ("alpha", _fmt17(alpha)),
         ("beta", _fmt17(1.0 - alpha)),

@@ -34,7 +34,7 @@ decoded by scalar MMSE at each receiver. This module evaluates:
 All functions are pure.
 
 Validation policy: a public function validates its problem once, then
-computes through ``_``-prefixed kernels (``_Curve``, ``_d1_range``,
+computes through ``_``-prefixed kernels (``_Curve``, ``_ends``,
 ``_snr_threshold``, ``_witness_eta`` and ``_psi``). A
 kernel assumes a validated problem and calls no public function, so
 ``region`` calls the kernels directly once it has validated a problem
@@ -47,8 +47,13 @@ out. Built once per problem, it hoists the factors that do not depend on
 alpha or d1 and holds the one channel-scale refusal. The trace calls its
 ``forms`` and ``converse`` once per row, and the verifier and the per-d1
 functions call them at the alpha that its ``alpha_for`` solves for d1.
-``uncoded_distortions`` and ``d2_min_at_rx1`` read their values from it
-too, so the public and the region routes give the same bits.
+``uncoded_distortions`` (the analytic pair ``simulate`` prints) and
+``d2_min_at_rx1`` read their values from it too, so the public and the
+region routes give the same bits. ``_ends`` is the one copy of the
+floors and corners: ``d_min``, the two corners, ``_Curve``'s d1 range
+and the floor of ``rate_distortion.conditional_info_bound`` read it.
+``1 - rho**2`` is always ``om = (1 - rho)*(1 + rho)``, which does not
+cancel near rho = 1.
 
 The converse has one route, ``_Curve.converse``: the converse at the
 optimal witness of the curve point alpha, from rational forms in
@@ -75,8 +80,8 @@ sigma2-sized values, or sigma2 by a channel scale. Each works in the
 unit s2u and scales its result by ``2**e`` once, and scaling by a power
 of two commutes with rounding. So where the plain formula's every
 intermediate is a normal float it gives the same bits, and elsewhere it
-does not underflow or overflow. ``d_min``, ``_d1_range``,
-``d2_min_at_d1min`` and ``_snr_threshold`` do the same.
+does not underflow or overflow. ``_ends`` and ``_snr_threshold`` do the
+same.
 
 ``_rx1_point`` memoizes the per-d1 record ``(alpha, root, cv, s2u, e,
 power + n2)``: the witness sweeps call ``combiner_mse_bound`` and
@@ -105,7 +110,6 @@ from .params import (
     DistortionPair,
     SourceParams,
     UncodedCoeffs,
-    conditional_variance,
     validate_coeffs,
     validate_problem,
     validate_source,
@@ -198,7 +202,7 @@ class _Curve:
         self.rho_n1 = rho * n1
         self.a1_scale = pn1 * self.om
         # the factors of alpha_for
-        lo_d, hi_d = _d1_range(source, channel)
+        lo_d, hi_d = _ends(source, p, n1)
         edge = _RESIDUAL_TOL * s2  # tolerate endpoint rounding
         self.lo_d, self.hi_d, self.lo_edge, self.hi_edge = lo_d, hi_d, lo_d - edge, hi_d + edge
         snap = 4.0 * math.ulp(max(abs(lo_d), abs(hi_d)))
@@ -334,13 +338,18 @@ def _curve_at(source: SourceParams, channel: ChannelParams, alpha: float) -> tup
     return curve, alpha, beta, curve.forms(alpha, beta)[0]
 
 
-def _d1_range(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:
-    """``(d_min(1), d1_min_at_d2min)``: the ends of the d1 curve, at alpha = 1 and 0, in the unit of sigma2."""
+def _ends(source: SourceParams, power: float, noise: float) -> tuple[float, float]:
+    """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
+
+    The distortion at the receiver with noise n when its own component, or
+    the other one, is sent alone: ``d_min(1)`` and ``d1_min_at_d2min`` (the
+    ends of the d1 curve, at alpha = 1 and 0) at n1, ``d_min(2)`` and
+    ``d2_min_at_d1min`` at n2. Taken in the unit s2u of ``sigma2 = s2u*2**e``.
+    """
     s2u, e = math.frexp(source.sigma2)
-    p, n1 = channel.power, channel.n1
-    lo = s2u * n1 / (n1 + p)
-    hi = s2u * (n1 + p * (1.0 - source.rho * source.rho)) / (n1 + p)
-    return math.ldexp(lo, e), math.ldexp(hi, e)
+    pn = noise + power
+    hi = s2u * (noise + power * ((1.0 - source.rho) * (1.0 + source.rho))) / pn
+    return math.ldexp(s2u * noise / pn, e), math.ldexp(hi, e)
 
 
 def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
@@ -352,8 +361,7 @@ def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
         noise = channel.n2
     else:
         raise OutOfRangeError("receiver must be 1 or 2")
-    s2u, e = math.frexp(source.sigma2)
-    return math.ldexp(s2u * noise / (noise + channel.power), e)
+    return _ends(source, channel.power, noise)[0]
 
 
 def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
@@ -363,7 +371,7 @@ def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
     attained by sending the second component alone (alpha=0, beta=1).
     """
     validate_problem(source, channel)
-    return _d1_range(source, channel)[1]
+    return _ends(source, channel.power, channel.n1)[1]
 
 
 def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
@@ -373,9 +381,7 @@ def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
     attained by sending the first component alone (alpha=1, beta=0).
     """
     validate_problem(source, channel)
-    s2u, e = math.frexp(source.sigma2)
-    p, n2 = channel.power, channel.n2
-    return math.ldexp(s2u * (n2 + p * (1.0 - source.rho * source.rho)) / (n2 + p), e)
+    return _ends(source, channel.power, channel.n2)[1]
 
 
 def uncoded_distortions(
@@ -417,7 +423,8 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
     and ``+inf`` otherwise. The infinity is the ordinary IEEE value so
     comparisons against P/n1 stay branch-free. The value depends on d1
     and sigma2 only through d1/sigma2, and is taken in the unit of sigma2
-    (see the module docstring), so it is the same at every scale. A
+    (see the module docstring) with the conditional variance ``s2u*om``,
+    so it is the same at every scale and does not cancel near rho = 1. A
     denominator that still underflows to 0, which takes a d1 below about
     1e-300 times sigma2, raises OutOfRangeError naming d1.
     """
@@ -430,7 +437,7 @@ def _snr_threshold(source: SourceParams, d1: float) -> float:
     if not (0.0 < d1 <= s2):
         raise OutOfRangeError("d1 must satisfy 0 < d1 <= sigma2")
     s2u, e = math.frexp(s2)
-    cv = conditional_variance(SourceParams(s2u, source.rho))
+    cv = s2u * ((1.0 - source.rho) * (1.0 + source.rho))
     d = math.ldexp(d1, -e)
     if d >= cv:
         return math.inf

@@ -5,6 +5,8 @@ correlated Gaussian pairs, encodes them with the power-normalized linear
 map, corrupts each branch with independent Gaussian noise, decodes with
 the scalar MMSE gains, and reports empirical distortions, empirical
 transmit power, and 95% normal-approximation confidence half-widths.
+It writes no distortion formula of its own: the analytic pair a run is
+compared with is ``closed_forms.uncoded_distortions``.
 
 Reproducibility contract
 ------------------------
@@ -54,7 +56,6 @@ from .closed_forms import _checked_q
 from .errors import ParameterError
 from .params import (
     ChannelParams,
-    DistortionPair,
     SourceParams,
     UncodedCoeffs,
     validate_coeffs,
@@ -67,7 +68,6 @@ __all__ = [
     "MmseCoefficients",
     "SimulationConfig",
     "SimulationReport",
-    "analytic_distortions",
     "mmse_coefficients",
     "power_check",
     "sample_source_pairs",
@@ -137,21 +137,6 @@ def _mmse_coefficients(
     c1 = gamma * s2 * (a + b * rho) / (channel.power + channel.n1)
     c2 = gamma * s2 * (b + a * rho) / (channel.power + channel.n2)
     return MmseCoefficients(gamma=gamma, c1=c1, c2=c2)
-
-
-def analytic_distortions(
-    source: SourceParams, channel: ChannelParams, coeffs: UncodedCoeffs
-) -> DistortionPair:
-    """Distortion pair implied by the MMSE gains: sigma2 - c_i**2 * (power + n_i).
-
-    An algebraic route independent of the rational closed forms; the two
-    must agree to rounding, which the tests pin down.
-    """
-    m = mmse_coefficients(source, channel, coeffs)
-    s2 = source.sigma2
-    d1 = s2 - m.c1 * m.c1 * (channel.power + channel.n1)
-    d2 = s2 - m.c2 * m.c2 * (channel.power + channel.n2)
-    return DistortionPair(d1, d2)
 
 
 def _check_draws(samples: int, seed: int) -> None:

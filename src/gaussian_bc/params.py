@@ -150,12 +150,11 @@ def validate_problem(
 def conditional_variance(source: SourceParams) -> float:
     """Variance of one component given the other: ``sigma2 * (1 - rho**2)``.
 
-    The public functions compute this quantity through here so that exact
-    floating-point identities between them hold bit for bit. The row
-    kernel ``closed_forms._Curve`` and the per-witness converse use
-    ``(1 - rho)*(1 + rho)`` instead, which does not cancel near rho = 1.
+    Taken as ``sigma2*om`` with ``om = (1 - rho)*(1 + rho)``, the factor
+    every formula of the package uses for ``1 - rho**2``: it does not
+    cancel near rho = 1, where ``1 - rho*rho`` loses up to ~1e-9 relative.
     """
-    return source.sigma2 * (1.0 - source.rho * source.rho)
+    return source.sigma2 * ((1.0 - source.rho) * (1.0 + source.rho))
 
 
 def negate_rho_transform(source: SourceParams) -> tuple[SourceParams, bool]:

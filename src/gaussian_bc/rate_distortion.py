@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 
-from .closed_forms import _psi
+from .closed_forms import _ends, _psi
 from .errors import InfeasibleDistortionError, OutOfRangeError
 from .params import (
     ChannelParams,
@@ -209,19 +209,26 @@ def conditional_info_bound(
 
     evaluated relative to the receiver-2 floor so that the value is exactly
     0.0 at ``delta2 = d_min(2)`` for every parameter set. Distortions below
-    that floor are unachievable and rejected.
+    that floor are unachievable and rejected. The floor is ``d_min(2)``'s
+    kernel, and the excess over it is taken in the unit of sigma2 (see
+    ``closed_forms``), so the value is the same at every scale of sigma2;
+    an excess past the float range in that unit gives +inf.
     """
     validate_problem(source, channel)
-    s2 = source.sigma2
+    s2u, e = math.frexp(source.sigma2)
     p, n1, n2 = channel.power, channel.n1, channel.n2
-    d2_floor = s2 * n2 / (n2 + p)
+    d2_floor = _ends(source, p, n2)[0]
     if delta2 < d2_floor:
         raise InfeasibleDistortionError(
             f"delta2 is below the single-user minimum {d2_floor!r}"
         )
     # Algebraically identical to the display above; the floor-relative form
     # cancels exactly at delta2 == d2_floor.
-    arg = (p + n2) * (delta2 - d2_floor) / (s2 * n1) + 1.0
+    try:
+        excess = math.ldexp(delta2 - d2_floor, -e)
+    except OverflowError:
+        return math.inf
+    arg = (p + n2) * excess / (s2u * n1) + 1.0
     return max(0.0, 0.5 * math.log2(arg))
 
 

@@ -1,7 +1,8 @@
 """Shared test fixtures: the desk configuration, config draws, reference
-solvers for alpha and for the joint-rate oracle's outer maximum, a
-per-point reference verifier, and the distortion forms and the converse
-at the optimal witness in 50-digit arithmetic."""
+solvers for alpha and for the joint-rate oracle's outer maximum, the
+distortion pair from the MMSE gains, a per-point reference verifier, and
+the distortion forms and the converse at the optimal witness in 50-digit
+arithmetic."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 
 import mpmath
 
-from gaussian_bc import ChannelParams, SourceParams, UncodedCoeffs, uncoded_distortions
+from gaussian_bc import ChannelParams, DistortionPair, SourceParams, UncodedCoeffs, uncoded_distortions
 from gaussian_bc.closed_forms import BoundWitness, _Curve
 from gaussian_bc.errors import OutOfRangeError
 from gaussian_bc.params import validate_problem
@@ -61,6 +62,23 @@ def bisect_alpha_for_d1(source: SourceParams, channel: ChannelParams, d1_target:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def gain_distortions(source: SourceParams, channel: ChannelParams, coeffs: UncodedCoeffs) -> DistortionPair:
+    """Reference distortion pair from the MMSE gains: ``sigma2 - c_i**2*(power + n_i)``.
+
+    An algebraic route apart from the rational forms of
+    ``uncoded_distortions``; the two agree to rounding at moderate SNR.
+    The difference cancels at high SNR (at ``power = 1e17``, alpha = 1,
+    it gives d1 = 0 for 1e-17), so the package prints the rational forms.
+    """
+    from gaussian_bc import mmse_coefficients  # loads numpy, which only the Monte-Carlo tests need
+
+    m = mmse_coefficients(source, channel, coeffs)
+    s2 = source.sigma2
+    d1 = s2 - m.c1 * m.c1 * (channel.power + channel.n1)
+    d2 = s2 - m.c2 * m.c2 * (channel.power + channel.n2)
+    return DistortionPair(d1, d2)
 
 
 def per_point_verify_matching(

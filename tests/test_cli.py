@@ -18,6 +18,7 @@ from gaussian_bc import (
     BoundWitness,
     ChannelParams,
     SourceParams,
+    conditional_info_bound,
     converse_at,
     d1_min_at_d2min,
     d2_min_at_rx1,
@@ -425,6 +426,46 @@ class TestSimulate:
         assert code == 2
         assert "--alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem, alpha",
+        [
+            (["--power", "1e-310", "--n1", "1e-310", "--n2", "2e-310"], ["--alpha", "1"]),
+            (["--power", "1e308", "--n1", "1", "--n2", "1.7e308"], []),
+        ],
+    )
+    def test_a_problem_trace_refuses_is_refused_before_any_draw(self, problem, alpha, monkeypatch, capsys):
+        # simulate ran its samples and then printed analytic_d1=-inf for
+        # the first, and analytic_d2=nan after an overflow warning for the
+        # second. The analytic pair now comes first, so the channel error
+        # is named ahead of a bad --samples too.
+        from gaussian_bc import montecarlo
+
+        assert run_cli(["trace", *problem]) == (2, "")
+        refusal = capsys.readouterr().err
+        assert refusal.startswith("error: --")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("simulate drew samples")
+
+        monkeypatch.setattr(montecarlo, "simulate", no_draws)
+        for samples in ("1000", "0"):
+            assert run_cli(["simulate", "--samples", samples, *problem, *alpha]) == (2, "")
+            assert capsys.readouterr().err == refusal
+
+    @pytest.mark.parametrize("sigma2", [1.0, 1e300])
+    def test_the_analytic_pair_is_accurate_at_high_snr(self, sigma2):
+        # sigma2 - c1**2*(P + n1) cancelled: at sigma2 = 1 it printed
+        # analytic_d1=0 where empirical_d1 is 9.5e-18, and at 1e300 a
+        # negative analytic_d1=-1.487e+284
+        flags = ["--sigma2", repr(sigma2), "--power", "1e17", "--alpha", "1", "--samples", "1000"]
+        code, text = run_cli(["simulate", *flags])
+        assert code == 0
+        values = parse_kv(text)
+        x1, x2, _ = exact_distortions(SourceParams(sigma2, 0.5), ChannelParams(1e17, 1.0, 2.0), 1.0, 0.0)
+        assert abs(float(values["analytic_d1"]) - x1) <= 1e-15 * x1
+        assert abs(float(values["analytic_d2"]) - x2) <= 1e-15 * x2
+        assert float(values["empirical_d1"]) == pytest.approx(x1, rel=0.1)
+
 
 class TestVerify:
     def test_default_config_passes(self):
@@ -663,6 +704,7 @@ def test_every_output_is_free_of_the_channel_scale(problem):
 _UNITLESS_KEYS = {"a1_star", "a2_star", "matched_points", "excluded_points", "matching", "oracle_points",
                   "oracle_max_error_bits", "oracle_consistent", "verify"}
 _FLOOR_KEYS = ("D1_min", "D2_min", "D1_star_at_D2_min", "D2_star_at_D1_min")
+_CAP_D2 = (0.7, 0.85, 1.0)  # receiver-2 distortions, in units of sigma2, above each problem's d_min(2)
 
 
 def _fields(problem, d1, scale):
@@ -676,12 +718,18 @@ def _fields(problem, d1, scale):
     for argv in (["verify", *flags], ["bound", "--d1", repr(d1 * scale), *flags]):
         code, text = run_cli(argv)
         fields += [(code, False)] + [(value, key not in _UNITLESS_KEYS) for key, value in parse_kv(text).items()]
+    code, text = run_cli(["simulate", "--samples", "1", *flags])
+    simulated = parse_kv(text)
+    fields += [(code, False)] + [(simulated[key], True) for key in ("analytic_d1", "analytic_d2")]
     source, channel = SourceParams(sigma2 * scale, rho), ChannelParams(power, n1, n2)
     floors = [d_min(source, channel, 1), d_min(source, channel, 2),
               d1_min_at_d2min(source, channel), closed_forms.d2_min_at_d1min(source, channel)]
     report = parse_kv(run_cli(["report", *flags])[1])
     assert [report[key] for key in _FLOOR_KEYS] == [f"{value:.6g}" for value in floors]
-    return fields + [(value, True) for value in floors]
+    # the information cap is in bits: the same at every scale, and 0 at d_min(2)
+    bits = [conditional_info_bound(source, channel, d2) for d2 in (floors[1], *(x * sigma2 * scale for x in _CAP_D2))]
+    assert bits[0] == 0.0
+    return fields + [(value, True) for value in floors] + [(value, False) for value in bits]
 
 
 @pytest.mark.parametrize(
@@ -694,9 +742,10 @@ def _fields(problem, d1, scale):
     ],
 )
 def test_every_output_scales_exactly_with_sigma2(problem):
-    # a power-of-two sigma2 scales every distortion exactly and leaves
-    # alpha, the witness, the counts, the verdicts and the oracle bits as
-    # they are. trace and verify refused 1120 of 2288 such runs over four
+    # a power-of-two sigma2 scales every distortion exactly, simulate's
+    # analytic pair included, and leaves alpha, the witness, the counts,
+    # the verdicts, the oracle bits and conditional_info_bound as they
+    # are. trace and verify refused 1120 of 2288 such runs over four
     # problems, and 2 fields of the accepted ones did not scale exactly;
     # this held for bound alone, at the desk problem
     d1 = test_region_digests._covered_d1(problem)

@@ -1,8 +1,10 @@
 """Closed forms: corner points, distortion pair, threshold, converse functional."""
 
+import ast
 import math
 import random
 import re
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -32,7 +34,8 @@ from gaussian_bc import (
     uncoded_distortions,
 )
 
-from gaussian_bc import closed_forms
+from gaussian_bc import closed_forms, rate_distortion
+from gaussian_bc.rate_distortion import conditional_info_bound
 from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, exact_distortions, random_valid_configs
 
 
@@ -359,7 +362,7 @@ def builtin_solve_alpha(source, channel, d1_target):
     """``(alpha, branch)``: the alpha inverse as written with builtin max/min, per call, and the branch it took."""
     s2, rho, p, n1 = source.sigma2, source.rho, channel.power, channel.n1
     lo_d = s2 * n1 / (n1 + p)
-    hi_d = s2 * (n1 + p * (1.0 - rho * rho)) / (n1 + p)
+    hi_d = s2 * (n1 + p * ((1.0 - rho) * (1.0 + rho))) / (n1 + p)
     edge = 1e-12 * s2
     if not (lo_d - edge <= d1_target <= hi_d + edge):
         raise OutOfRangeError(f"d1_target must lie in [{lo_d!r}, {hi_d!r}], got {d1_target!r}")
@@ -614,3 +617,89 @@ class TestConverseFunctional:
         with pytest.raises(BoundUndefinedError) as info:
             d2_converse_bound(DESK_SOURCE, channel, d1, witness)
         assert str(info.value) == "combiner bound is nonpositive; the converse is undefined for this witness"
+
+
+def test_floors_corners_and_range_come_from_one_kernel(monkeypatch):
+    # each caller takes its value from _ends at its own noise, so no second
+    # copy of a floor or a corner can drift from it
+    calls = []
+    ends_kernel = closed_forms._ends
+
+    def recording_ends(source, power, noise):
+        calls.append(noise)
+        return ends_kernel(source, power, noise)
+
+    for module in (closed_forms, rate_distortion):
+        monkeypatch.setattr(module, "_ends", recording_ends)
+    s, c = SourceParams(3.0, 0.9), ChannelParams(2.0, 0.5, 1.5)
+    lo1, hi1 = ends_kernel(s, c.power, c.n1)
+    lo2, hi2 = ends_kernel(s, c.power, c.n2)
+    curve = closed_forms._Curve(s, c)
+    values = [d_min(s, c, 1), d_min(s, c, 2), d1_min_at_d2min(s, c), d2_min_at_d1min(s, c),
+              curve.lo_d, curve.hi_d, conditional_info_bound(s, c, lo2)]
+    assert values == [lo1, lo2, hi1, hi2, lo1, hi1, 0.0]
+    # the curve, built first, then the floors, the corners and the bound's floor
+    assert calls == [c.n1, c.n1, c.n2, c.n1, c.n2, c.n2]
+
+
+def _is_rho(node):
+    return (isinstance(node, ast.Name) and node.id == "rho") or (isinstance(node, ast.Attribute) and node.attr == "rho")
+
+
+def _is_one_minus_rho_squared(node):
+    """``1 - rho*rho`` or ``1 - rho**2``, with rho a name or an attribute."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    if not (isinstance(node.left, ast.Constant) and node.left.value == 1):
+        return False
+    square = node.right
+    return isinstance(square, ast.BinOp) and _is_rho(square.left) and (
+        (isinstance(square.op, ast.Mult) and _is_rho(square.right))
+        or (isinstance(square.op, ast.Pow) and isinstance(square.right, ast.Constant) and square.right.value == 2)
+    )
+
+
+def _is_gain_distortion(node):
+    """``sigma2 - c*c*(...)``: sigma2 (``s2``, ``sigma2`` or ``.sigma2``) less a product holding a square."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    left = node.left
+    if not ((isinstance(left, ast.Name) and left.id in {"s2", "sigma2"})
+            or (isinstance(left, ast.Attribute) and left.attr == "sigma2")):
+        return False
+    return any(
+        isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult) and ast.dump(sub.left) == ast.dump(sub.right)
+        for sub in ast.walk(node.right)
+    )
+
+
+def _named(node, name):
+    return (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+        or (isinstance(node, ast.Constant) and node.value == name)
+    )
+
+
+def test_one_copy_of_each_formula():
+    # 1 - rho**2 is written as om = (1 - rho)*(1 + rho) everywhere but in
+    # the simulate stream's sqrt(1 - rho*rho), a part of its reproducibility
+    # contract; and the Monte-Carlo module writes no distortion formula of
+    # its own: simulate prints closed_forms.uncoded_distortions
+    found, stream = [], []
+    for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            in_stream = path.stem == "montecarlo" and isinstance(top, ast.FunctionDef) and top.name == "_source_block"
+            for node in ast.walk(top):
+                where = f"{path.stem}:{getattr(node, 'lineno', '?')}"
+                if _is_one_minus_rho_squared(node):
+                    (stream if in_stream else found).append(f"{where} 1 - rho**2")
+                if _named(node, "analytic_distortions"):
+                    found.append(f"{where} analytic_distortions")
+                if path.stem == "montecarlo" and _is_gain_distortion(node):
+                    found.append(f"{where} sigma2 - c*c*(...)")
+    assert len(stream) == 1  # the scan sees the one form it allows
+    assert found == []

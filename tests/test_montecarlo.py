@@ -18,7 +18,6 @@ from gaussian_bc import (
     SimulationReport,
     SourceParams,
     UncodedCoeffs,
-    analytic_distortions,
     mmse_coefficients,
     negate_rho_transform,
     power_check,
@@ -30,7 +29,7 @@ from gaussian_bc.cli import run as cli_run
 from gaussian_bc import montecarlo
 from gaussian_bc.montecarlo import _SLICE, BLOCK_SIZE, _exact_sum, _map_blocks
 
-from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, gain_distortions, random_valid_configs
 
 MIDPOINT = UncodedCoeffs(0.5, 0.5)
 
@@ -45,14 +44,14 @@ class TestMmseCoefficients:
         src = SourceParams(1.0, 0.0)
         m = mmse_coefficients(src, DESK_CHANNEL, UncodedCoeffs(1.0, 0.0))
         assert m.c2 == 0.0
-        assert analytic_distortions(src, DESK_CHANNEL, UncodedCoeffs(1.0, 0.0)).d2 == 1.0
+        assert gain_distortions(src, DESK_CHANNEL, UncodedCoeffs(1.0, 0.0)).d2 == 1.0
 
     def test_analytic_route_agrees_with_the_rational_forms(self):
         # two independent algebraic routes to the same distortions
         for source, channel in random_valid_configs(20, seed=83):
             for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
                 coeffs = UncodedCoeffs(alpha, 1.0 - alpha)
-                via_gains = analytic_distortions(source, channel, coeffs)
+                via_gains = gain_distortions(source, channel, coeffs)
                 via_forms = uncoded_distortions(source, channel, coeffs)
                 assert via_gains.d1 == pytest.approx(via_forms.d1, rel=1e-12)
                 assert via_gains.d2 == pytest.approx(via_forms.d2, rel=1e-12)
@@ -382,7 +381,7 @@ class TestOracleAgreement:
         for k, (source, channel) in enumerate(random_valid_configs(20, seed=91)):
             alpha = (k + 1) / 21.0
             coeffs = UncodedCoeffs(alpha, 1.0 - alpha)
-            analytic = analytic_distortions(source, channel, coeffs)
+            analytic = gain_distortions(source, channel, coeffs)
             report = simulate(source, channel, SimulationConfig(100_000, 1000 + k, coeffs))
             ok_d1 = abs(report.empirical_d1 - analytic.d1) <= 4 * report.ci_half_width_d1
             ok_d2 = abs(report.empirical_d2 - analytic.d2) <= 4 * report.ci_half_width_d2

@@ -316,7 +316,7 @@ def test_problem_records_are_named_tuples():
 
 def test_kernels_call_no_validating_function(monkeypatch):
     calls = [_count_calls(monkeypatch, name) for name in ("validate_problem", "validate_source")]
-    lo, hi = closed_forms._d1_range(DESK_SOURCE, DESK_CHANNEL)
+    lo, hi = closed_forms._ends(DESK_SOURCE, DESK_CHANNEL.power, DESK_CHANNEL.n1)
     d1 = 0.5 * (lo + hi)
     curve = closed_forms._Curve(DESK_SOURCE, DESK_CHANNEL)
     alpha = curve.alpha_for(d1)

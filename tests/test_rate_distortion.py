@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from gaussian_bc import (
+    ChannelParams,
     InfeasibleDistortionError,
     OutOfRangeError,
     SourceParams,
@@ -266,6 +267,23 @@ class TestConditionalInfoBound:
             conditional_info_bound(DESK_SOURCE, DESK_CHANNEL, d) for d in (0.7, 0.8, 0.9, 1.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_a_large_sigma2_over_large_noises_answers(self):
+        # sigma2*n2 overflowed: the floor was inf, and every delta2 was
+        # refused as "below the single-user minimum inf". In the unit of
+        # sigma2 the value is that of the mantissa problem.
+        source, channel = SourceParams(1e300, 0.5), ChannelParams(1.0, 1e10, 2e10)
+        floor = d_min(source, channel, 2)
+        assert conditional_info_bound(source, channel, floor) == 0.0
+        s2u, e = math.frexp(source.sigma2)
+        for delta2 in (1.5 * floor, 2e300, 1e301):
+            value = conditional_info_bound(source, channel, delta2)
+            assert value > 0.0
+            assert value == conditional_info_bound(SourceParams(s2u, 0.5), channel, math.ldexp(delta2, -e))
+
+    def test_an_excess_past_the_float_range_in_the_unit_is_infinite(self):
+        # delta2 - d_min(2) is past the float range in the unit of sigma2
+        assert conditional_info_bound(SourceParams(1e-300, 0.5), DESK_CHANNEL, 1e300) == math.inf
 
 
 class TestReceiver2FloorFromSideInfo:
