@@ -45,8 +45,8 @@ serves, so both routes give the same bits.
 converse at the optimal witness and the alpha inverse of d1 are written
 out. Built once per problem, it hoists the factors that do not depend on
 alpha or d1 and holds the one channel-scale refusal. The trace calls its
-``forms`` and ``converse`` once per row, and the verifier and the per-d1
-functions call them at the alpha that its ``alpha_for`` solves for d1.
+``forms`` and ``converse`` once per row, and the verifier and
+``_rx1_point`` call them at the alpha its ``alpha_for`` solves for d1.
 ``uncoded_distortions`` (the analytic pair ``simulate`` prints) and
 ``d2_min_at_rx1`` read their values from it too, so the public and the
 region routes give the same bits. ``_ends`` is the one copy of the
@@ -83,10 +83,11 @@ intermediate is a normal float it gives the same bits, and elsewhere it
 does not underflow or overflow. ``_ends`` and ``_snr_threshold`` do the
 same.
 
-``_rx1_point`` memoizes the per-d1 record ``(alpha, root, cv, s2u, e,
-power + n2)``: the witness sweeps call ``combiner_mse_bound`` and
-``d2_converse_bound`` thousands of times at one d1, and a cache hit (a
-key is validated on its first miss only) leaves each call the witness
+``_rx1_point`` memoizes the per-d1 record ``(root, cv, s2u, e, power +
+n2, (d2t, eta*, psi, a1*, a2*))``, the one evaluation of a d1 that every
+per-d1 function reads. The witness sweeps call ``combiner_mse_bound``
+and ``d2_converse_bound`` thousands of times at one d1, and a cache hit
+(a key is validated on its first miss only) leaves each call the witness
 kernel ``_witness_eta`` and, for the converse, ``_psi``.
 """
 
@@ -331,13 +332,6 @@ def _psi(s2u: float, e: int, n1: float, n2: float, pn2: float, cv: float, eta: f
     raise OutOfRangeError(f"combiner bound too small: the converse d2 at eta = {eta!r} is past the float range")
 
 
-def _curve_at(source: SourceParams, channel: ChannelParams, alpha: float) -> tuple[_Curve, float, float, float]:
-    """``(curve, alpha, 1 - alpha, q)``: the row kernel of a validated problem, at the curve point alpha."""
-    curve = _Curve(source, channel)
-    beta = 1.0 - alpha
-    return curve, alpha, beta, curve.forms(alpha, beta)[0]
-
-
 def _ends(source: SourceParams, power: float, noise: float) -> tuple[float, float]:
     """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
 
@@ -499,28 +493,30 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     between ``d_min(1)`` and ``sigma2``. A d1 below ``d_min(1)`` raises
     DistortionRangeError, and one where the threshold fails (the margin A
     of ``_Curve.converse`` is negative at the alpha of d1)
-    SnrThresholdError.
+    SnrThresholdError. Read from the per-d1 record (see ``_rx1_point``).
     """
-    curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
-    return curve.d2_rx1(a, b, q)
+    return _rx1_point(source, channel, d1)[5][0]
 
 
 @lru_cache(maxsize=4096)
 def _rx1_point(
     source: SourceParams, channel: ChannelParams, d1: float
-) -> tuple[float, float, float, float, int, float]:
-    """The record ``(alpha, root, cv, s2u, e, power + n2)`` at d1 of the public per-d1 and per-witness functions.
+) -> tuple[float, float, float, int, float, tuple[float, float, float, float, float]]:
+    """The record ``(root, cv, s2u, e, power + n2, (d2t, eta*, psi, a1*, a2*))`` at d1 of the per-d1 functions.
 
     Validates the problem, on a cache miss only, and raises as
-    :func:`d2_min_at_rx1` does. Coverage is the row kernel's own test at
-    the alpha of d1, so a d1 that ``bound`` accepts is one the trace and
-    ``verify`` cover, at every scale of sigma2. ``root`` is
-    ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its proved
-    perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
+    :func:`d2_min_at_rx1` does. A miss solves the alpha of d1 and keeps
+    the row kernel's ``d2_rx1`` and ``converse`` there, the answers of
+    ``d2_min_at_rx1``, ``optimal_witness`` and ``region.converse_at``, as
+    floats, not the kernel, so the cache stays small. Coverage is the row
+    kernel's own test at the alpha of d1, so a d1 that ``bound`` accepts
+    is one the trace and ``verify`` cover, at every scale of sigma2.
+    ``root`` is ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its
+    proved perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
     at (a, b) = (alpha, 1 - alpha), a product of nonnegative factors with
     no square root of a difference or clamp. ``cv`` is the conditional
     variance ``sigma2*om`` with the row kernel's ``om = (1 - rho)*(1 +
-    rho)``, and the rest are the row kernel's ``_psi`` arguments.
+    rho)``, and the next three are the row kernel's ``_psi`` arguments.
     """
     validate_problem(source, channel)
     curve = _Curve(source, channel)
@@ -533,7 +529,8 @@ def _rx1_point(
     a = curve.alpha_for(d1)
     b = 1.0 - a
     q = curve.forms(a, b)[0]
-    if curve.converse(a, b, q) is None:
+    row = curve.converse(a, b, q)
+    if row is None:
         raise SnrThresholdError(
             "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
             "has no closed form there"
@@ -541,7 +538,7 @@ def _rx1_point(
     rho, p = source.rho, channel.power
     shape = (a + b * rho) * (a * rho + b) / q
     root = source.sigma2 * (p / (p + channel.n1) * shape)
-    return a, root, source.sigma2 * curve.om, curve.s2u, curve.e, curve.pn2
+    return root, source.sigma2 * curve.om, curve.s2u, curve.e, curve.pn2, (curve.d2_rx1(a, b, q), *row)
 
 
 def _witness_eta(source: SourceParams, delta: float, witness: BoundWitness, root: float) -> float:
@@ -570,7 +567,7 @@ def combiner_mse_bound(
     witness. The root is taken in its perfect-square form at the alpha of
     delta (see ``_rx1_point``).
     """
-    return _witness_eta(source, delta, witness, _rx1_point(source, channel, delta)[1])
+    return _witness_eta(source, delta, witness, _rx1_point(source, channel, delta)[0])
 
 
 def d2_converse_bound(
@@ -586,7 +583,7 @@ def d2_converse_bound(
     with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0,
     and an OutOfRangeError where the value is past the float range.
     """
-    _, root, cv, s2u, e, pn2 = _rx1_point(source, channel, delta)
+    root, cv, s2u, e, pn2, _ = _rx1_point(source, channel, delta)
     return _psi(s2u, e, channel.n1, channel.n2, pn2, cv, _witness_eta(source, delta, witness, root))
 
 
@@ -603,7 +600,12 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     Both components are nonnegative wherever the preconditions of
     :func:`d2_min_at_rx1` hold; a2 is 0 at the threshold. The numerator
     of a2 is the coverage margin A, so the float that decides coverage
-    is never negative here.
+    is never negative here. Read from the per-d1 record (see ``_rx1_point``).
     """
-    curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
-    return BoundWitness(*curve.converse(a, b, q)[2:])
+    return _converse_optimum(source, channel, d1)[2]
+
+
+def _converse_optimum(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, BoundWitness]:
+    """``(eta*, psi, witness*)`` at d1: the converse part of the per-d1 record, whose layout stays in this module."""
+    _, eta, psi, a1, a2 = _rx1_point(source, channel, d1)[5]
+    return eta, psi, BoundWitness(a1, a2)

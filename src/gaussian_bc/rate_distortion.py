@@ -209,12 +209,17 @@ def conditional_info_bound(
 
     evaluated relative to the receiver-2 floor so that the value is exactly
     0.0 at ``delta2 = d_min(2)`` for every parameter set. Distortions below
-    that floor are unachievable and rejected. The floor is ``d_min(2)``'s
-    kernel, and the excess over it is taken in the unit of sigma2 (see
-    ``closed_forms``), so the value is the same at every scale of sigma2;
-    an excess past the float range in that unit gives +inf.
+    that floor are unachievable and rejected, and so is a delta2 that is
+    not a finite number. The floor is ``d_min(2)``'s kernel, and the
+    excess over it is taken in the unit of sigma2 (see ``closed_forms``),
+    so the value is the same at every scale of sigma2. Where a product or
+    quotient in the argument of the log leaves the float range in that
+    unit, the argument is taken as a mantissa times a power of two, so
+    the value is finite wherever it is a finite number.
     """
     validate_problem(source, channel)
+    if not math.isfinite(delta2):
+        raise OutOfRangeError(f"delta2 must be a finite number, got {delta2!r}")
     s2u, e = math.frexp(source.sigma2)
     p, n1, n2 = channel.power, channel.n1, channel.n2
     d2_floor = _ends(source, p, n2)[0]
@@ -224,12 +229,21 @@ def conditional_info_bound(
         )
     # Algebraically identical to the display above; the floor-relative form
     # cancels exactly at delta2 == d2_floor.
+    excess = delta2 - d2_floor
     try:
-        excess = math.ldexp(delta2 - d2_floor, -e)
+        arg = (p + n2) * math.ldexp(excess, -e) / (s2u * n1) + 1.0
+    except (OverflowError, ZeroDivisionError):
+        arg = math.inf
+    if arg != math.inf:
+        return max(0.0, 0.5 * math.log2(arg))
+    # a product or quotient left the float range on the way: take the ratio
+    # as a mantissa t times 2**k, and drop the + 1 only where it is below rounding
+    (m1, k1), (m2, k2), (m3, k3) = math.frexp(p + n2), math.frexp(excess), math.frexp(n1)
+    t, k = m1 * m2 / (s2u * m3), k1 + k2 - k3 - e
+    try:
+        return 0.5 * math.log2(math.ldexp(t, k) + 1.0)
     except OverflowError:
-        return math.inf
-    arg = (p + n2) * excess / (s2u * n1) + 1.0
-    return max(0.0, 0.5 * math.log2(arg))
+        return 0.5 * (math.log2(t) + k)
 
 
 def d2_lower_via_rx1(

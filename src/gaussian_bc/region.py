@@ -30,8 +30,8 @@ solves with the same kernel's ``alpha_for``, whose per-problem factors
 the run's one ``_Curve`` holds, and tests as the trace does. No point of
 either goes through the public (memoized) closed forms, so neither
 re-validates the problem nor fills the per-d1 cache
-``closed_forms._rx1_point``, which :func:`converse_at` shares with the
-public per-d1 functions.
+``closed_forms._rx1_point``. :func:`converse_at` is one read of that
+cache's record, which it shares with the public per-d1 functions.
 
 ``BoundaryPoint``, ``MatchPoint`` and ``MatchReport`` are named tuples,
 like every record of the package (see :mod:`.params`). They are
@@ -48,7 +48,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .closed_forms import BoundWitness, _Curve, _curve_at, _rx1_point
+from .closed_forms import BoundWitness, _Curve, _converse_optimum
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams, validate_problem
 from .rate_distortion import _r_joint, channel_capacity
@@ -143,14 +143,11 @@ def converse_at(
     """``(eta, psi, witness)``: the converse at the optimal witness at the given d1.
 
     ``eta`` is the combiner bound at the optimal witness and ``psi`` the
-    converse value. Solves the alpha of d1 once (memoized per d1, with
-    the problem validated on a miss) and evaluates the converse kernel
-    there. Raises DistortionRangeError or SnrThresholdError when the
-    respective precondition fails, so callers can tell the two apart.
+    converse value. One read of the per-d1 record ``closed_forms._rx1_point``
+    (validated on a miss). Raises DistortionRangeError or SnrThresholdError
+    when the respective precondition fails, so callers can tell the two apart.
     """
-    curve, a, b, q = _curve_at(source, channel, _rx1_point(source, channel, d1)[0])
-    eta, psi, a1, a2 = curve.converse(a, b, q)
-    return eta, psi, BoundWitness(a1, a2)
+    return _converse_optimum(source, channel, d1)
 
 
 def _d1_grid(lo: float, hi: float, size: int) -> list[float]:

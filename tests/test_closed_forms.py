@@ -1,6 +1,7 @@
 """Closed forms: corner points, distortion pair, threshold, converse functional."""
 
 import ast
+import io
 import math
 import random
 import re
@@ -34,7 +35,7 @@ from gaussian_bc import (
     uncoded_distortions,
 )
 
-from gaussian_bc import closed_forms, rate_distortion
+from gaussian_bc import cli, closed_forms, rate_distortion, region
 from gaussian_bc.rate_distortion import conditional_info_bound
 from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, exact_distortions, random_valid_configs
 
@@ -642,6 +643,87 @@ def test_floors_corners_and_range_come_from_one_kernel(monkeypatch):
     assert calls == [c.n1, c.n1, c.n2, c.n1, c.n2, c.n2]
 
 
+def _count_kernel_calls(monkeypatch):
+    """Count ``_Curve`` builds and calls of its ``alpha_for``, ``forms`` and ``converse``, from any caller."""
+    counts = dict.fromkeys(("_Curve", "alpha_for", "forms", "converse"), 0)
+    for name in counts:
+        attr = "__init__" if name == "_Curve" else name
+        original = getattr(closed_forms._Curve, attr)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(closed_forms._Curve, attr, counted)
+    return counts
+
+
+# the kernel calls of one evaluation of a d1
+_ONCE = {"_Curve": 1, "alpha_for": 1, "forms": 1, "converse": 1}
+_WITNESS = BoundWitness(0.5, 0.25)
+# the five per-d1 functions, each as the repr of its answer at (source, channel, d1)
+_PER_D1 = {
+    "d2_min_at_rx1": lambda s, c, d1: repr(d2_min_at_rx1(s, c, d1)),
+    "optimal_witness": lambda s, c, d1: repr(optimal_witness(s, c, d1)),
+    "converse_at": lambda s, c, d1: repr(region.converse_at(s, c, d1)),
+    "combiner_mse_bound": lambda s, c, d1: repr(combiner_mse_bound(s, c, d1, _WITNESS)),
+    "d2_converse_bound": lambda s, c, d1: repr(d2_converse_bound(s, c, d1, _WITNESS)),
+}
+
+
+def test_a_bound_run_evaluates_its_d1_once(monkeypatch):
+    # bound printed d2_min_at_rx1 and converse_at, and each built a second
+    # _Curve and evaluated d1 again on top of the per-d1 record: 3/1/3/2
+    closed_forms._rx1_point.cache_clear()
+    counts = _count_kernel_calls(monkeypatch)
+    assert cli.run(["bound", "--d1", "0.7"], out=io.StringIO()) == 0
+    assert counts == _ONCE
+    closed_forms._rx1_point.cache_clear()
+
+
+def test_the_per_d1_functions_agree_whichever_fills_the_cache(monkeypatch):
+    # each of the five, called first on a cleared cache, makes the one
+    # evaluation of d1; every later call of the five reads its record, bit
+    # for bit, and builds no _Curve
+    s, c = SourceParams(1.0, 0.6), ChannelParams(2.0, 1.0, 3.0)
+    for d1 in (0.35, 0.55, 0.75):
+        answers = []
+        for name, first in _PER_D1.items():
+            closed_forms._rx1_point.cache_clear()
+            counts = _count_kernel_calls(monkeypatch)
+            fill = first(s, c, d1)
+            assert counts == _ONCE, name
+            for _ in range(2):
+                answers.append({other: f(s, c, d1) for other, f in _PER_D1.items()})
+            assert answers[-1][name] == fill
+            assert counts == _ONCE, name
+            monkeypatch.undo()
+        assert all(a == answers[0] for a in answers)
+    closed_forms._rx1_point.cache_clear()
+
+
+def test_a_per_d1_record_holds_floats_and_ints_only():
+    # the record keeps the answers of the per-d1 functions as plain floats,
+    # and no row kernel object, so a full cache stays small
+    closed_forms._rx1_point.cache_clear()
+    checked = 0
+    for source, channel in random_valid_configs(10, seed=3001):
+        d1 = uncoded_distortions(source, channel, UncodedCoeffs(0.9, 0.1)).d1
+        try:
+            record = closed_forms._rx1_point(source, channel, d1)
+        except SnrThresholdError:
+            continue
+        checked += 1
+        *head, row = record
+        assert len(head) == 5 and len(row) == 5
+        assert [type(x) for x in head] == [float, float, float, int, float]
+        assert all(type(x) is float for x in row)
+        eta, psi, witness = region.converse_at(source, channel, d1)
+        assert row == (d2_min_at_rx1(source, channel, d1), eta, psi, *witness)
+    assert checked >= 5
+    closed_forms._rx1_point.cache_clear()
+
+
 def _is_rho(node):
     return (isinstance(node, ast.Name) and node.id == "rho") or (isinstance(node, ast.Attribute) and node.attr == "rho")
 
@@ -683,12 +765,18 @@ def _named(node, name):
     )
 
 
+# the functions that may evaluate the converse kernel: the trace and the
+# verifier once per point, and the per-d1 record once per d1
+_CONVERSE_CALLERS = {"_rx1_point", "trace_uncoded_boundary", "verify_matching"}
+
+
 def test_one_copy_of_each_formula():
     # 1 - rho**2 is written as om = (1 - rho)*(1 + rho) everywhere but in
     # the simulate stream's sqrt(1 - rho*rho), a part of its reproducibility
-    # contract; and the Monte-Carlo module writes no distortion formula of
-    # its own: simulate prints closed_forms.uncoded_distortions
-    found, stream = [], []
+    # contract; the Monte-Carlo module writes no distortion formula of its
+    # own: simulate prints closed_forms.uncoded_distortions; and a d1 is
+    # evaluated once, by _rx1_point, whose record every per-d1 function reads
+    found, stream, callers = [], [], set()
     for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
@@ -701,5 +789,14 @@ def test_one_copy_of_each_formula():
                     found.append(f"{where} analytic_distortions")
                 if path.stem == "montecarlo" and _is_gain_distortion(node):
                     found.append(f"{where} sigma2 - c*c*(...)")
+                if _named(node, "_curve_at"):
+                    found.append(f"{where} _curve_at")
+                if path.stem in {"closed_forms", "region"} and isinstance(node, ast.Attribute) and node.attr == "converse":
+                    name = getattr(top, "name", "?")
+                    if name in _CONVERSE_CALLERS:
+                        callers.add(name)
+                    else:
+                        found.append(f"{where} .converse in {name}")
     assert len(stream) == 1  # the scan sees the one form it allows
+    assert callers == _CONVERSE_CALLERS  # and each caller it allows
     assert found == []

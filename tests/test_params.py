@@ -190,8 +190,8 @@ def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
         calls["_rx1_point"].append(args)
         return original(*args)
 
-    for module in (closed_forms, region):
-        monkeypatch.setattr(module, "_rx1_point", counted)
+    for module in (closed_forms, region):  # region reads the record through closed_forms
+        monkeypatch.setattr(module, "_rx1_point", counted, raising=False)
     points = trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 1001)
     assert any(p.d2_converse is not None for p in points)
     assert calls == {"alpha_for": [], "_rx1_point": []}

@@ -281,9 +281,35 @@ class TestConditionalInfoBound:
             assert value > 0.0
             assert value == conditional_info_bound(SourceParams(s2u, 0.5), channel, math.ldexp(delta2, -e))
 
-    def test_an_excess_past_the_float_range_in_the_unit_is_infinite(self):
-        # delta2 - d_min(2) is past the float range in the unit of sigma2
-        assert conditional_info_bound(SourceParams(1e-300, 0.5), DESK_CHANNEL, 1e300) == math.inf
+    @pytest.mark.parametrize(
+        "sigma2, channel, delta2",
+        [
+            (1.0, DESK_CHANNEL, 1e308),
+            (1e-300, DESK_CHANNEL, 1e300),
+            (1.0, ChannelParams(1.0, 1.5e308, 1.6e308), 3.5),
+            (1.0, ChannelParams(1.0, 5e-324, 1.0), 0.9),
+        ],
+    )
+    def test_an_argument_past_the_float_range_answers(self, sigma2, channel, delta2):
+        # (P + n2)*excess/(s2u*n1), or the excess itself, is past the float
+        # range in the unit of sigma2 on the way (the first two returned inf
+        # for about 500 and 1000 bits); or (P + n2)*excess overflows though
+        # the ratio is 2.7, where the + 1 is not below rounding; or s2u*n1
+        # rounds to 0 (a bare ZeroDivisionError): within 1e-15 of 50 digits
+        value = conditional_info_bound(SourceParams(sigma2, 0.5), channel, delta2)
+        with mpmath.workdps(50):
+            s2, d = mpmath.mpf(sigma2), mpmath.mpf(delta2)
+            p, n1, n2 = (mpmath.mpf(x) for x in (channel.power, channel.n1, channel.n2))
+            exact = 0.5 * mpmath.log((p + n2) * (d - s2 * n2 / (p + n2)) / (s2 * n1) + 1, 2)
+        assert abs(value - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("delta2", [math.nan, math.inf, -math.inf])
+    def test_a_delta2_that_is_not_a_finite_number_is_refused(self, delta2):
+        # a nan passed the floor check (nan < floor is false), and max(0, nan)
+        # made the answer 0.0
+        with pytest.raises(OutOfRangeError) as info:
+            conditional_info_bound(DESK_SOURCE, DESK_CHANNEL, delta2)
+        assert str(info.value) == f"delta2 must be a finite number, got {delta2!r}"
 
 
 class TestReceiver2FloorFromSideInfo:
