@@ -44,9 +44,9 @@ serves, so both routes give the same bits.
 ``_Curve`` is the row kernel, and the one place where D1u, D2u, the
 converse at the optimal witness and the alpha inverse of d1 are written
 out. Built once per problem, it hoists the factors that do not depend on
-alpha or d1 and holds the one channel-scale refusal. The trace calls its
-``forms`` and ``converse`` once per row, and the verifier and
-``_rx1_point`` call them at the alpha its ``alpha_for`` solves for d1.
+alpha or d1. The trace calls its ``forms`` and ``converse`` once per
+row, and the verifier and ``_rx1_point`` call them at the alpha its
+``alpha_for`` solves for d1.
 ``uncoded_distortions`` (the analytic pair ``simulate`` prints) and
 ``d2_min_at_rx1`` read their values from it too, so the public and the
 region routes give the same bits. ``_ends`` is the one copy of the
@@ -73,28 +73,33 @@ at the alpha of d1, so no square root is taken there either.
 
 ``_psi`` is the one copy of the converse d2: ``_Curve.converse``,
 ``d2_converse_bound`` and ``rate_distortion.d2_lower_via_rx1`` all call
-it. The region is the same at every scale of sigma2, and so are the
-kernels: sigma2 enters them as the exact split ``sigma2 = s2u*2**e``
-of ``math.frexp``, with s2u in [0.5, 1). No kernel multiplies two
-sigma2-sized values, or sigma2 by a channel scale. Each works in the
-unit s2u and scales its result by ``2**e`` once, and scaling by a power
-of two commutes with rounding. So where the plain formula's every
-intermediate is a normal float it gives the same bits, and elsewhere it
-does not underflow or overflow. ``_ends`` and ``_snr_threshold`` do the
-same.
+it. The region is the same at every scale of sigma2, and at every common
+scale of (P, n1, n2), and so are the kernels. sigma2 enters them as the
+exact split ``sigma2 = s2u*2**e`` of ``math.frexp``, with s2u in
+[0.5, 1): no kernel multiplies two sigma2-sized values, or sigma2 by a
+channel scale, and each works in the unit s2u and scales its result by
+``2**e`` once. The channel enters them as ``_channel_unit``'s
+``(P, n1, n2)*2**-c``, whose c shifts by k when the channel is scaled by
+2**k: every output is homogeneous of degree 0 in (P, n1, n2), so no
+result is scaled back. Scaling by a power of two commutes with rounding.
+So where the plain formula's every intermediate is a normal float the
+units give the same bits, and elsewhere they do not underflow or
+overflow. ``_ends`` and ``_snr_threshold`` do the same. The one channel
+refusal left is ``_channel_unit``'s, of values spread wider than the
+float range can hold in any one unit.
 
-``_rx1_point`` memoizes the per-d1 record ``(root, cv, s2u, e, power +
-n2, (d2t, eta*, psi, a1*, a2*))``, the one evaluation of a d1 that every
-per-d1 function reads. The witness sweeps call ``combiner_mse_bound``
-and ``d2_converse_bound`` thousands of times at one d1, and a cache hit
-(a key is validated on its first miss only) leaves each call the witness
-kernel ``_witness_eta`` and, for the converse, ``_psi``.
+``_rx1_point`` memoizes the per-d1 record ``(root, cv, s2u, e, n1, n2,
+power + n2, (d2t, eta*, psi, a1*, a2*))``, with the channel in its unit:
+the one evaluation of a d1 that every per-d1 function reads. The
+witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
+thousands of times at one d1, and a cache hit (a key is validated on its
+first miss only) leaves each call the witness kernel ``_witness_eta``
+and, for the converse, ``_psi``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -165,9 +170,9 @@ class _Curve:
         D2u(n) = sigma2*((P*a**2*om + n*q) / ((P + n)*q))
 
     (the paper's forms over ``(P + n)**2*q``, with P + n cancelled;
-    ``tests/test_converse_algebra.py``). No sum is squared; the one
-    channel-scale refusal is a ``P + n1`` or ``P + n2`` that is not a
-    normal float.
+    ``tests/test_converse_algebra.py``). No sum is squared, and the
+    channel is taken in ``_channel_unit``, so ``P + n1`` and ``P + n2``
+    are normal floats at every channel the unit accepts.
 
     ``converse`` is the converse at the optimal witness; ``alpha_for``
     inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha). The
@@ -187,17 +192,12 @@ class _Curve:
     )
 
     def __init__(self, source: SourceParams, channel: ChannelParams) -> None:
-        s2, p, n1, n2 = source.sigma2, channel.power, channel.n1, channel.n2
-        rho = source.rho + 0.0
+        s2, rho = source.sigma2, source.rho + 0.0
+        p, n1, n2 = _channel_unit(channel)
         self.s2, self.rho, self.p, self.n1, self.n2 = s2, rho, p, n1, n2
         self.s2u, self.e = math.frexp(s2)  # sigma2 = s2u*2**e exactly, the unit of _psi
-        pn1, pn2 = p + n1, p + n2
-        if not sys.float_info.min <= pn1 <= pn2 <= sys.float_info.max:  # pn1 <= pn2 as n1 < n2
-            small = pn1 < sys.float_info.min
-            noise, n, size = ("n1", n1, "small") if small else ("n2", n2, "large")
-            where = "below the smallest normal float" if small else "past the float range"
-            raise OutOfRangeError(f"{'power' if p >= n else noise} too {size}: power + {noise} is {where}")
-        self.pn1, self.pn2 = pn1, pn2
+        self.pn1 = pn1 = p + n1
+        self.pn2 = p + n2
         self.omr, self.opr = 1.0 - rho, 1.0 + rho
         self.om = self.omr * self.opr
         self.rho_n1 = rho * n1
@@ -332,6 +332,28 @@ def _psi(s2u: float, e: int, n1: float, n2: float, pn2: float, cv: float, eta: f
     raise OutOfRangeError(f"combiner bound too small: the converse d2 at eta = {eta!r} is past the float range")
 
 
+def _channel_unit(channel: ChannelParams) -> tuple[float, float, float]:
+    """``(power, n1, n2)*2**-c``: the channel in the one power-of-two unit every kernel takes it in.
+
+    Every output depends on the channel only through the ratios of P, n1
+    and n2, so a kernel may take the channel in any unit. c is the mean of
+    the binary exponents of the largest input, ``max(power, n2)``, and the
+    smallest, ``min(power, n1)``: it shifts by exactly k when the channel
+    is scaled by 2**k, and it centres the scaled inputs about 1, so no
+    scaled input or sum of two leaves the normal range. The largest input
+    ends below 2**1022 where the smallest ends at 2**-1022 or above; a
+    channel whose largest value is more than about 2**2043 times its
+    smallest (past 1e615) fits no unit, and raises OutOfRangeError naming
+    the smaller of power and n1.
+    """
+    p, n1, n2 = channel.power, channel.n1, channel.n2
+    low = math.frexp(min(p, n1))[1]
+    c = (math.frexp(max(p, n2))[1] + low) >> 1
+    if low - c < -1021:  # the smallest scaled value would be subnormal
+        raise OutOfRangeError(f"{'power' if p < n1 else 'n1'} too small: the channel spans more than the float range")
+    return math.ldexp(p, -c), math.ldexp(n1, -c), math.ldexp(n2, -c)
+
+
 def _ends(source: SourceParams, power: float, noise: float) -> tuple[float, float]:
     """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
 
@@ -349,13 +371,10 @@ def _ends(source: SourceParams, power: float, noise: float) -> tuple[float, floa
 def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
     """Single-user distortion floor ``sigma2 * n_i / (n_i + power)``, taken in the unit of sigma2."""
     validate_problem(source, channel)
-    if receiver == 1:
-        noise = channel.n1
-    elif receiver == 2:
-        noise = channel.n2
-    else:
+    if receiver not in (1, 2):
         raise OutOfRangeError("receiver must be 1 or 2")
-    return _ends(source, channel.power, noise)[0]
+    unit = _channel_unit(channel)  # (power, n1, n2)
+    return _ends(source, unit[0], unit[receiver])[0]
 
 
 def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
@@ -365,7 +384,8 @@ def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
     attained by sending the second component alone (alpha=0, beta=1).
     """
     validate_problem(source, channel)
-    return _ends(source, channel.power, channel.n1)[1]
+    p, n1, _ = _channel_unit(channel)
+    return _ends(source, p, n1)[1]
 
 
 def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
@@ -375,7 +395,8 @@ def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
     attained by sending the first component alone (alpha=1, beta=0).
     """
     validate_problem(source, channel)
-    return _ends(source, channel.power, channel.n2)[1]
+    p, _, n2 = _channel_unit(channel)
+    return _ends(source, p, n2)[1]
 
 
 def uncoded_distortions(
@@ -388,9 +409,9 @@ def uncoded_distortions(
     so the result depends on the weights only through the ratio alpha/beta.
     It is evaluated at the weights times the power of two that puts their
     sum in (0.5, 1], which is exact, so any weights whose raw q is a
-    positive finite float give the pair of their ratio. A ``power + n1``
-    or ``power + n2`` that is not a normal float raises OutOfRangeError
-    (see ``_Curve``).
+    positive finite float give the pair of their ratio. The channel is
+    taken in its unit (see ``_channel_unit``), so the pair is the same
+    at every common power-of-two scale of (power, n1, n2).
     """
     validate_problem(source, channel)
     validate_coeffs(coeffs)
@@ -495,14 +516,14 @@ def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> fl
     of ``_Curve.converse`` is negative at the alpha of d1)
     SnrThresholdError. Read from the per-d1 record (see ``_rx1_point``).
     """
-    return _rx1_point(source, channel, d1)[5][0]
+    return _rx1_point(source, channel, d1)[7][0]
 
 
 @lru_cache(maxsize=4096)
 def _rx1_point(
     source: SourceParams, channel: ChannelParams, d1: float
-) -> tuple[float, float, float, int, float, tuple[float, float, float, float, float]]:
-    """The record ``(root, cv, s2u, e, power + n2, (d2t, eta*, psi, a1*, a2*))`` at d1 of the per-d1 functions.
+) -> tuple[float, float, float, int, float, float, float, tuple[float, float, float, float, float]]:
+    """The record ``(root, cv, s2u, e, n1, n2, power + n2, (d2t, eta*, psi, a1*, a2*))`` at d1 of the per-d1 functions.
 
     Validates the problem, on a cache miss only, and raises as
     :func:`d2_min_at_rx1` does. A miss solves the alpha of d1 and keeps
@@ -516,7 +537,8 @@ def _rx1_point(
     at (a, b) = (alpha, 1 - alpha), a product of nonnegative factors with
     no square root of a difference or clamp. ``cv`` is the conditional
     variance ``sigma2*om`` with the row kernel's ``om = (1 - rho)*(1 +
-    rho)``, and the next three are the row kernel's ``_psi`` arguments.
+    rho)``, and the next five are the row kernel's ``_psi`` arguments,
+    the channel in its unit (see ``_channel_unit``).
     """
     validate_problem(source, channel)
     curve = _Curve(source, channel)
@@ -535,10 +557,10 @@ def _rx1_point(
             "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
             "has no closed form there"
         )
-    rho, p = source.rho, channel.power
-    shape = (a + b * rho) * (a * rho + b) / q
-    root = source.sigma2 * (p / (p + channel.n1) * shape)
-    return root, source.sigma2 * curve.om, curve.s2u, curve.e, curve.pn2, (curve.d2_rx1(a, b, q), *row)
+    shape = (a + b * source.rho) * (a * source.rho + b) / q
+    root = source.sigma2 * (curve.p / curve.pn1 * shape)
+    cv = source.sigma2 * curve.om
+    return root, cv, curve.s2u, curve.e, curve.n1, curve.n2, curve.pn2, (curve.d2_rx1(a, b, q), *row)
 
 
 def _witness_eta(source: SourceParams, delta: float, witness: BoundWitness, root: float) -> float:
@@ -583,8 +605,8 @@ def d2_converse_bound(
     with ``eta = combiner_mse_bound(...)``; undefined (error) when eta <= 0,
     and an OutOfRangeError where the value is past the float range.
     """
-    root, cv, s2u, e, pn2, _ = _rx1_point(source, channel, delta)
-    return _psi(s2u, e, channel.n1, channel.n2, pn2, cv, _witness_eta(source, delta, witness, root))
+    root, cv, s2u, e, n1, n2, pn2, _ = _rx1_point(source, channel, delta)
+    return _psi(s2u, e, n1, n2, pn2, cv, _witness_eta(source, delta, witness, root))
 
 
 def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> BoundWitness:
@@ -607,5 +629,5 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
 
 def _converse_optimum(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, BoundWitness]:
     """``(eta*, psi, witness*)`` at d1: the converse part of the per-d1 record, whose layout stays in this module."""
-    _, eta, psi, a1, a2 = _rx1_point(source, channel, d1)[5]
+    _, eta, psi, a1, a2 = _rx1_point(source, channel, d1)[7]
     return eta, psi, BoundWitness(a1, a2)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_forms import _checked_q
+from .closed_forms import _channel_unit, _checked_q
 from .errors import ParameterError
 from .params import (
     ChannelParams,
@@ -134,8 +134,13 @@ def _mmse_coefficients(
     s2, rho = source.sigma2, source.rho
     q = _checked_q(rho, a, b)
     gamma = math.sqrt(channel.power / (s2 * q))
-    c1 = gamma * s2 * (a + b * rho) / (channel.power + channel.n1)
-    c2 = gamma * s2 * (b + a * rho) / (channel.power + channel.n2)
+    # power + n is m*2**(k - down) with (m, k) the split of the sum in the
+    # channel's unit (P, n1, n2)*2**down: divide by m, then scale once
+    p, n1, n2 = _channel_unit(channel)
+    down = math.frexp(p)[1] - math.frexp(channel.power)[1]
+    (m1, k1), (m2, k2) = math.frexp(p + n1), math.frexp(p + n2)
+    c1 = math.ldexp(gamma * s2 * (a + b * rho) / m1, down - k1)
+    c2 = math.ldexp(gamma * s2 * (b + a * rho) / m2, down - k2)
     return MmseCoefficients(gamma=gamma, c1=c1, c2=c2)
 
 
@@ -310,11 +315,15 @@ def simulate(
     z1_dev = math.sqrt(channel.n1)
     z2_dev = math.sqrt(channel.n2)
     # Squared errors scale like sigma2 and their squares like sigma2**2,
-    # which overflow or underflow at extreme valid sigma2. The errors are
-    # scaled by a power of two near 1/sqrt(sigma2) and the results scaled
-    # back; powers of two commute with rounding, so no bit changes.
+    # which overflow or underflow at extreme valid sigma2; so do the
+    # transmitted powers with P. The errors are scaled by a power of two
+    # near 1/sqrt(sigma2), the inputs by one near 1/sqrt(P), and the
+    # results scaled back; powers of two commute with rounding, so no bit
+    # changes.
     half = math.frexp(source.sigma2)[1] // 2
     unit = math.ldexp(1.0, -half)
+    p_half = math.frexp(channel.power)[1] // 2
+    p_unit = math.ldexp(1.0, -p_half)
 
     n = config.samples
 
@@ -329,6 +338,7 @@ def simulate(
         rng.standard_normal(out=z)  # z2, drawn into z1's spent buffer
         z *= z2_dev
         e2, e2_sq = _squared_error_sums(s2, z, x, c2, unit)
+        x *= p_unit
         x *= x
         return e1, e1_sq, e2, e2_sq, _exact_sum(x)
 
@@ -341,7 +351,7 @@ def simulate(
     return SimulationReport(
         empirical_d1=math.ldexp(sum_e1 / n, scale),
         empirical_d2=math.ldexp(sum_e2 / n, scale),
-        empirical_power=math.fsum(power_sums) / n,
+        empirical_power=math.ldexp(math.fsum(power_sums) / n, 2 * p_half),
         ci_half_width_d1=math.ldexp(_half_width(sum_e1, math.fsum(e1_sq_sums), n), scale),
         ci_half_width_d2=math.ldexp(_half_width(sum_e2, math.fsum(e2_sq_sums), n), scale),
         samples=n,

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 
-from .closed_forms import _ends, _psi
+from .closed_forms import _channel_unit, _ends, _psi
 from .errors import InfeasibleDistortionError, OutOfRangeError
 from .params import (
     ChannelParams,
@@ -103,12 +103,20 @@ def r_conditional(source: SourceParams, delta1: float) -> float:
 
 
 def channel_capacity(power: float, noise: float) -> float:
-    """AWGN capacity ``0.5*log2(1 + power/noise)`` in bits per use."""
+    """AWGN capacity ``0.5*log2(1 + power/noise)`` in bits per use.
+
+    Where ``power/noise`` overflows, the value is taken as
+    ``0.5*(log2(power) - log2(noise))``, so it is finite at every pair of
+    positive finite floats.
+    """
     if not (power > 0):
         raise OutOfRangeError("power must be > 0")
     if not (noise > 0):
         raise OutOfRangeError("noise must be > 0")
-    return 0.5 * math.log2(1.0 + power / noise)
+    snr = power / noise
+    if snr == math.inf:  # past the float range, where the + 1 is below rounding
+        return 0.5 * (math.log2(power) - math.log2(noise))
+    return 0.5 * math.log2(1.0 + snr)
 
 
 def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
@@ -210,18 +218,20 @@ def conditional_info_bound(
     evaluated relative to the receiver-2 floor so that the value is exactly
     0.0 at ``delta2 = d_min(2)`` for every parameter set. Distortions below
     that floor are unachievable and rejected, and so is a delta2 that is
-    not a finite number. The floor is ``d_min(2)``'s kernel, and the
-    excess over it is taken in the unit of sigma2 (see ``closed_forms``),
-    so the value is the same at every scale of sigma2. Where a product or
-    quotient in the argument of the log leaves the float range in that
-    unit, the argument is taken as a mantissa times a power of two, so
-    the value is finite wherever it is a finite number.
+    not a finite number. The floor is ``d_min(2)``'s kernel, the excess
+    over it is taken in the unit of sigma2, and the channel in its own
+    unit (see ``closed_forms``), so the value is the same at every scale
+    of sigma2 and every common scale of the channel, and ``s2u*n1`` is
+    never 0. Where a product or quotient in the argument of the log
+    leaves the float range in those units, the argument is taken as a
+    mantissa times a power of two, so the value is finite wherever it is
+    a finite number.
     """
     validate_problem(source, channel)
     if not math.isfinite(delta2):
         raise OutOfRangeError(f"delta2 must be a finite number, got {delta2!r}")
     s2u, e = math.frexp(source.sigma2)
-    p, n1, n2 = channel.power, channel.n1, channel.n2
+    p, n1, n2 = _channel_unit(channel)
     d2_floor = _ends(source, p, n2)[0]
     if delta2 < d2_floor:
         raise InfeasibleDistortionError(
@@ -232,7 +242,7 @@ def conditional_info_bound(
     excess = delta2 - d2_floor
     try:
         arg = (p + n2) * math.ldexp(excess, -e) / (s2u * n1) + 1.0
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         arg = math.inf
     if arg != math.inf:
         return max(0.0, 0.5 * math.log2(arg))
@@ -255,7 +265,8 @@ def d2_lower_via_rx1(
 
     for ``0 < cond_d1 <= sigma2*(1-rho**2)``; diverges as cond_d1 -> 0, and
     raises OutOfRangeError where it passes the float range. This is the
-    converse d2 kernel ``closed_forms._psi`` at eta = cond_d1, whose
+    converse d2 kernel ``closed_forms._psi`` at eta = cond_d1, with the
+    channel in its unit (see ``closed_forms._channel_unit``), whose
     grouping makes the value equal ``d_min(2)`` bit-for-bit at
     ``cond_d1 == conditional_variance(source)``.
     """
@@ -266,4 +277,5 @@ def d2_lower_via_rx1(
             f"cond_d1 must satisfy 0 < cond_d1 <= {cv!r} (the conditional variance)"
         )
     s2u, e = math.frexp(source.sigma2)
-    return _psi(s2u, e, channel.n1, channel.n2, channel.power + channel.n2, cv, cond_d1)
+    p, n1, n2 = _channel_unit(channel)
+    return _psi(s2u, e, n1, n2, p + n2, cv, cond_d1)

@@ -18,7 +18,8 @@ receiver 1's channel capacity.
 Each public function validates its problem once and then evaluates every
 point through the row kernel ``closed_forms._Curve``, built once per
 call (and, in the verifier, the oracle kernel of :mod:`.rate_distortion`);
-its constructor is the one channel-scale check.
+it takes the channel in the unit ``closed_forms._channel_unit``, so every
+result is the same at every common power-of-two scale of the channel.
 A trace row is two kernel calls: ``forms`` gives q, d1 and the
 achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
@@ -183,11 +184,6 @@ def _low_root(t: float) -> float:
 # The relative band by which the verifier's skip interval is narrowed, in t*
 # and again in d1 (see _uncovered_d1).
 _SKIP_BAND = 1e-6
-# The least P*(1 - rho**2) at which the verifier skips. Off the snaps of
-# alpha_for, alpha*beta > 1e-24, so from here up the margin's terms at a
-# skipped point are normal floats; below it they can be subnormal (n1
-# subnormal and rho near 1, say) and their float no longer decides A's sign.
-_SKIP_MIN_P_OM = 2.0**-900
 
 
 def _uncovered_d1(curve: _Curve) -> tuple[float, float]:
@@ -214,11 +210,11 @@ def _uncovered_d1(curve: _Curve) -> tuple[float, float]:
       alpha by more than 1e-8, against a rounding of a few 1e-16. A range
       under ~2e-6 of d1 wide (a few ulp, say) leaves the interval empty.
 
-    Below ``_SKIP_MIN_P_OM`` or for ``t* >= 1/4`` the interval is empty.
-    Called once per run, after the grid check, which leaves P/n1 > 0.
+    The margin's terms are taken in the channel's unit, where P and n1
+    are normal floats, so no floor on ``P*(1 - rho**2)`` is needed. For
+    ``t* >= 1/4`` the interval is empty. Called once per run, after the
+    grid check, which leaves P/n1 > 0.
     """
-    if not curve.p * curve.om >= _SKIP_MIN_P_OM:
-        return 0.0, 0.0
     t = _product_threshold(curve.rho, curve.p / curve.n1) * (1.0 + _SKIP_BAND)
     if not t < 0.25:
         return 0.0, 0.0
@@ -240,15 +236,13 @@ def trace_uncoded_boundary(
     converse fields are populated iff the row is covered and alpha > 0,
     from the same kernel call.
     The distortions are sigma2 times ratios in [0, 1], so they overflow
-    nowhere sigma2 does not. A channel whose ``power + n1`` is below the
-    smallest normal float or whose ``power + n2`` overflows raises
-    OutOfRangeError (the row kernel's one channel-scale check), and so
-    does a d1 at alpha = 1, its least value, that underflows to 0: the
-    error names power where ``n1/(power + n1)`` itself underflows (P/n1
-    past the float range, where the converse is undefined), and sigma2
-    otherwise. A combiner bound that underflows to 0 at a covered row
-    names power too. The converse is taken in the unit of sigma2 (see
-    ``closed_forms``), so no scale of sigma2 is refused.
+    nowhere sigma2 does not. A d1 at alpha = 1, its least value, that
+    underflows to 0 raises OutOfRangeError: the error names power where
+    ``n1/(power + n1)`` itself underflows (P/n1 past the float range,
+    where the converse is undefined), and sigma2 otherwise. A combiner
+    bound that underflows to 0 at a covered row names power too. The
+    row kernel runs in the unit of sigma2 and in that of the channel (see
+    ``closed_forms``), so no common scale of either is refused.
     """
     validate_problem(source, channel)
     if num_points < 2:
@@ -306,8 +300,9 @@ def verify_matching(
     OutOfRangeError, and so does a d1 range too narrow to hold the grid
     strictly inside it in floating point (its width is
     sigma2*power*(1 - rho**2)/(power + n1); the error names sigma2 where
-    the range is subnormal, and power otherwise), a ``power + n1`` below
-    the smallest normal float, and a ``power + n2`` that overflows.
+    the range is subnormal, and power otherwise). The kernels take the
+    channel in its unit (``closed_forms._channel_unit``), so the report
+    is also the same at every common scale of (power, n1, n2).
     """
     validate_problem(source, channel)
     if grid_size < 1:

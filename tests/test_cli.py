@@ -4,11 +4,13 @@ import ast
 import csv
 import inspect
 import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import gaussian_bc
@@ -21,6 +23,7 @@ from gaussian_bc import (
     conditional_info_bound,
     converse_at,
     d1_min_at_d2min,
+    d2_lower_via_rx1,
     d2_min_at_rx1,
     d_min,
     negate_rho_transform,
@@ -102,6 +105,26 @@ class TestReport:
         assert code == 0
         pairs = parse_kv(text)
         assert [pairs[key] for key in _FLOOR_KEYS] == floors
+
+    def test_floors_and_corners_at_the_top_of_the_float_range(self):
+        # power + n overflowed: this printed D1_min=0, D2_min=0,
+        # D1_star_at_D2_min=0 and D2_star_at_D1_min=nan, and exited 0
+        source, channel = DESK_SOURCE, ChannelParams(1e308, 1e308, 1.7e308)
+        values = [d_min(source, channel, 1), d_min(source, channel, 2),
+                  d1_min_at_d2min(source, channel), closed_forms.d2_min_at_d1min(source, channel)]
+        with mpmath.workdps(50):
+            p, n1, n2 = (mpmath.mpf(x) for x in channel)
+            om = 1 - mpmath.mpf(0.5) ** 2
+            exact = [n1 / (p + n1), n2 / (p + n2), (n1 + p * om) / (p + n1), (n2 + p * om) / (p + n2)]
+        for value, x in zip(values, exact):
+            assert abs(value - x) <= 1e-15 * x
+        code, text = run_cli(["report", "--power", "1e308", "--n1", "1e308", "--n2", "1.7e308"])
+        assert code == 0
+        assert [parse_kv(text)[key] for key in _FLOOR_KEYS] == [f"{float(x):.6g}" for x in exact]
+
+    def test_a_capacity_past_the_float_range_is_finite(self):
+        # power/n1 overflowed, and this printed capacity_rx1=inf
+        assert parse_kv(run_cli(["report", "--power", "1e300", "--n1", "1e-10"])[1])["capacity_rx1"] == "514.899"
 
     def test_explicit_flags_match_default(self):
         _, default_text = run_cli(["report"])
@@ -427,30 +450,31 @@ class TestSimulate:
         assert "--alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "problem, alpha",
+        "channel, alpha",
         [
-            (["--power", "1e-310", "--n1", "1e-310", "--n2", "2e-310"], ["--alpha", "1"]),
-            (["--power", "1e308", "--n1", "1", "--n2", "1.7e308"], []),
+            (ChannelParams(1e-310, 1e-310, 2e-310), 1.0),
+            (ChannelParams(1e308, 1.0, 1.7e308), 0.5),
+            (ChannelParams(1e305, 1e305, 2e305), 0.5),
         ],
     )
-    def test_a_problem_trace_refuses_is_refused_before_any_draw(self, problem, alpha, monkeypatch, capsys):
-        # simulate ran its samples and then printed analytic_d1=-inf for
-        # the first, and analytic_d2=nan after an overflow warning for the
-        # second. The analytic pair now comes first, so the channel error
-        # is named ahead of a bad --samples too.
-        from gaussian_bc import montecarlo
-
-        assert run_cli(["trace", *problem]) == (2, "")
-        refusal = capsys.readouterr().err
-        assert refusal.startswith("error: --")
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("simulate drew samples")
-
-        monkeypatch.setattr(montecarlo, "simulate", no_draws)
-        for samples in ("1000", "0"):
-            assert run_cli(["simulate", "--samples", samples, *problem, *alpha]) == (2, "")
-            assert capsys.readouterr().err == refusal
+    def test_a_channel_at_the_ends_of_the_float_range_simulates(self, channel, alpha):
+        # simulate printed analytic_d1=-inf for the first, and analytic_d2=nan
+        # after an overflow warning for the second; then the first two were
+        # refused with the trace's channel-scale error, and the third, whose
+        # power sums overflow, printed a traceback and exited 1. The MMSE
+        # gains and the analytic pair now take the channel in its unit, and
+        # the power sums are taken in a power-of-two unit of P
+        flags = ["--power", repr(channel.power), "--n1", repr(channel.n1), "--n2", repr(channel.n2)]
+        code, text = run_cli(["simulate", "--samples", "2000", "--alpha", repr(alpha), *flags])
+        assert code == 0
+        pairs = {key: float(value) for key, value in parse_kv(text).items()}
+        x1, x2, _ = exact_distortions(DESK_SOURCE, channel, alpha, 1.0 - alpha)
+        assert abs(pairs["analytic_d1"] - x1) <= 1e-15 * x1
+        assert abs(pairs["analytic_d2"] - x2) <= 1e-15 * x2
+        for i in (1, 2):
+            empirical, analytic = pairs[f"empirical_d{i}"], pairs[f"analytic_d{i}"]
+            assert abs(empirical - analytic) <= 4.0 * pairs[f"ci_half_width_d{i}"]
+        assert pairs["empirical_power"] == pytest.approx(channel.power, rel=0.1)
 
     @pytest.mark.parametrize("sigma2", [1.0, 1e300])
     def test_the_analytic_pair_is_accurate_at_high_snr(self, sigma2):
@@ -649,22 +673,37 @@ class TestTinyNoises:
         assert_accurate_distortions(text, ChannelParams(1e-170, 1e-160, 2e-160))
 
     @pytest.mark.parametrize(
-        "flags, named",
+        "channel, covered",
         [
-            (["--power", "1e-310", "--n1", "1e-310", "--n2", "2e-310"], "--power too small"),
-            (["--power", "1e-315", "--n1", "1e-310", "--n2", "2e-310"], "--n1 too small"),
-            (["--power", "1e308", "--n2", "1e308"], "--power too large"),
-            (["--power", "1e308", "--n2", "1.5e308"], "--n2 too large"),
+            (ChannelParams(1e-310, 1e-310, 2e-310), True),
+            (ChannelParams(1e-315, 1e-310, 2e-310), True),
+            (ChannelParams(1e308, 1.0, 1e308), False),
+            (ChannelParams(1e308, 1.0, 1.5e308), False),
         ],
     )
     @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
-    def test_an_unrepresentable_channel_sum_names_its_flag(self, command, flags, named, capsys):
+    def test_a_channel_sum_outside_the_normal_range_answers(self, command, channel, covered, capsys):
         # power + n1 below the smallest normal float, or power + n2 past
-        # the float range, is a channel-scale error, never a sigma2 one
+        # the float range, exited 2 naming --power, --n1 or --n2. In the
+        # channel's unit the trace is accurate, verify gives its verdict
+        # (a FAIL where P/n1 = 1e308 leaves no grid point covered), and
+        # bound answers or refuses by its own --d1
+        flags = ["--power", repr(channel.power), "--n1", repr(channel.n1), "--n2", repr(channel.n2)]
         code, text = run_cli([*command, *flags])
-        assert code == 2
-        assert text == ""
-        assert capsys.readouterr().err.startswith(f"error: {named}: power + n")
+        err = capsys.readouterr().err
+        if command == ["trace"]:
+            assert code == 0
+            assert_accurate_distortions(text, channel)
+        elif command == ["verify"]:
+            pairs = parse_kv(text)
+            assert list(pairs) == VERIFY_KEYS
+            assert (code, pairs["verify"]) == ((0, "PASS") if covered else (1, "FAIL"))
+        elif code == 0:  # P/n1 = 1: d1 = 0.625 is alpha = 1/2, where D2u(n1) is 0.625 too
+            assert channel.power == channel.n1
+            assert parse_kv(text)["d2_min_rx1"] == "0.625"
+        else:
+            assert (code, text) == (2, "")
+            assert err.startswith("error: --d1 ")
 
     @pytest.mark.parametrize("command", [["trace"], ["verify"], ["bound", "--d1", "0.625"]])
     def test_normal_scale_still_runs(self, command):
@@ -687,18 +726,39 @@ class TestTinyNoises:
 )
 def test_every_output_is_free_of_the_channel_scale(problem):
     # a power-of-two scale of (power, n1, n2) leaves every ratio the
-    # distortions, the witness and the capacity depend on as it is; the
-    # squared-range guards refused 72 of these trace and verify runs,
-    # and bound's bytes moved from k = 600 up
+    # outputs depend on as it is. The squared-range guards refused 72 of
+    # these trace and verify runs, and bound's bytes moved from k = 600
+    # up; then the sums power + n refused the top and bottom scales, and
+    # subnormal products moved trace bytes at the least k. The kernels
+    # take the channel in one power-of-two unit, so every k from the
+    # least that keeps the scaled inputs normal floats to the greatest
+    # that keeps them finite gives the bytes of k = 0
     sigma2, rho, power, n1, n2 = problem
     d1 = test_region_digests._covered_d1(problem)
-    commands = [["trace", "--points", "101"], ["verify"], ["bound", "--d1", repr(d1)]]
-    base = [run_cli([*command, *test_region_digests._flags(problem)]) for command in commands]
-    assert [code for code, _ in base][::2] == [0, 0]  # trace, and bound at a covered d1
-    for k in range(-1000, 1001, 100):
-        scaled = (sigma2, rho, power * 2.0**k, n1 * 2.0**k, n2 * 2.0**k)
-        for command, expected in zip(commands, base):
-            assert run_cli([*command, *test_region_digests._flags(scaled)]) == expected, (k, command)
+    base = _channel_free_outputs(problem, d1, 0)
+    assert [code for code, _ in base[:5]][::2] == [0, 0, 0]  # trace, bound at a covered d1, and simulate
+    k_lo = -1021 - math.frexp(min(power, n1))[1]
+    k_hi = 1024 - math.frexp(max(power, n2))[1]
+    for k in sorted({*range(k_lo, k_hi, 50), k_lo, k_hi}):
+        assert _channel_free_outputs(problem, d1, k) == base, k
+
+
+def _channel_free_outputs(problem, d1, k):
+    """trace, verify, bound, report (less its echo of the channel), simulate's analytic pair, and
+    conditional_info_bound and d2_lower_via_rx1 at three arguments each, at the channel times 2**k."""
+    sigma2, rho, power, n1, n2 = problem
+    channel = ChannelParams(*(math.ldexp(x, k) for x in (power, n1, n2)))
+    flags = test_region_digests._flags((sigma2, rho, *channel))
+    outputs = [run_cli([*command, *flags]) for command in (["trace"], ["verify"], ["bound", "--d1", repr(d1)])]
+    code, text = run_cli(["report", *flags])
+    outputs.append((code, [line for line in text.splitlines() if line.split("=")[0] not in {"power", "n1", "n2"}]))
+    code, text = run_cli(["simulate", "--samples", "1", *flags])
+    outputs.append((code, [line for line in text.splitlines() if line.startswith("analytic_")]))
+    source = SourceParams(sigma2, rho)
+    cv = sigma2 * (1.0 - rho) * (1.0 + rho)
+    floor = d_min(source, channel, 2)
+    outputs += [conditional_info_bound(source, channel, d2) for d2 in (floor, 0.5 * (floor + sigma2), 3.0 * sigma2)]
+    return outputs + [d2_lower_via_rx1(source, channel, x * cv) for x in (1.0, 0.5, 1e-3)]
 
 
 _UNITLESS_KEYS = {"a1_star", "a2_star", "matched_points", "excluded_points", "matching", "oracle_points",

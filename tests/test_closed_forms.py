@@ -4,7 +4,6 @@ import ast
 import io
 import math
 import random
-import re
 from pathlib import Path
 
 import mpmath
@@ -157,17 +156,23 @@ class TestUncodedDistortions:
             assert abs(pair.d2 - x2) <= 1e-15 * x2
 
     @pytest.mark.parametrize(
-        "channel, message",
+        "channel",
         [
-            (ChannelParams(1e-310, 1e-310, 2e-310), "power too small: power + n1 is below the smallest normal float"),
-            (ChannelParams(1e-315, 1e-310, 2e-310), "n1 too small: power + n1 is below the smallest normal float"),
-            (ChannelParams(1e308, 1.0, 1e308), "power too large: power + n2 is past the float range"),
-            (ChannelParams(1e308, 1.0, 1.5e308), "n2 too large: power + n2 is past the float range"),
+            ChannelParams(1e-310, 1e-310, 2e-310),
+            ChannelParams(1e-315, 1e-310, 2e-310),
+            ChannelParams(1e308, 1.0, 1e308),
+            ChannelParams(1e308, 1.0, 1.5e308),
         ],
     )
-    def test_an_unrepresentable_channel_sum_is_named(self, channel, message):
-        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
-            uncoded_distortions(DESK_SOURCE, channel, UncodedCoeffs(0.5, 0.5))
+    def test_a_channel_sum_outside_the_normal_range_is_accurate(self, channel):
+        # power + n1 below the smallest normal float, or power + n2 past
+        # the float range, raised OutOfRangeError naming power, n1 or n2;
+        # in the channel's unit both sums are normal floats
+        for alpha in (0.0, 0.5, 1.0):
+            pair = uncoded_distortions(DESK_SOURCE, channel, UncodedCoeffs(alpha, 1.0 - alpha))
+            x1, x2, _ = exact_distortions(DESK_SOURCE, channel, alpha, 1.0 - alpha)
+            assert abs(pair.d1 - x1) <= 1e-15 * x1
+            assert abs(pair.d2 - x2) <= 1e-15 * x2
 
     @pytest.mark.parametrize(
         "channel, alpha, beta",
@@ -633,14 +638,19 @@ def test_floors_corners_and_range_come_from_one_kernel(monkeypatch):
     for module in (closed_forms, rate_distortion):
         monkeypatch.setattr(module, "_ends", recording_ends)
     s, c = SourceParams(3.0, 0.9), ChannelParams(2.0, 0.5, 1.5)
-    lo1, hi1 = ends_kernel(s, c.power, c.n1)
-    lo2, hi2 = ends_kernel(s, c.power, c.n2)
+    # the channel enters every kernel in its unit, here 2**-1
+    p, n1, n2 = closed_forms._channel_unit(c)
+    assert (p, n1, n2) == (1.0, 0.25, 0.75)
+    lo1, hi1 = ends_kernel(s, p, n1)
+    lo2, hi2 = ends_kernel(s, p, n2)
     curve = closed_forms._Curve(s, c)
     values = [d_min(s, c, 1), d_min(s, c, 2), d1_min_at_d2min(s, c), d2_min_at_d1min(s, c),
               curve.lo_d, curve.hi_d, conditional_info_bound(s, c, lo2)]
     assert values == [lo1, lo2, hi1, hi2, lo1, hi1, 0.0]
+    assert [lo1, lo2, hi1, hi2] == [ends_kernel(s, c.power, c.n1)[0], ends_kernel(s, c.power, c.n2)[0],
+                                    ends_kernel(s, c.power, c.n1)[1], ends_kernel(s, c.power, c.n2)[1]]
     # the curve, built first, then the floors, the corners and the bound's floor
-    assert calls == [c.n1, c.n1, c.n2, c.n1, c.n2, c.n2]
+    assert calls == [n1, n1, n2, n1, n2, n2]
 
 
 def _count_kernel_calls(monkeypatch):
@@ -715,8 +725,11 @@ def test_a_per_d1_record_holds_floats_and_ints_only():
             continue
         checked += 1
         *head, row = record
-        assert len(head) == 5 and len(row) == 5
-        assert [type(x) for x in head] == [float, float, float, int, float]
+        assert len(head) == 7 and len(row) == 5
+        assert [type(x) for x in head] == [float, float, float, int, float, float, float]
+        # the channel fields are the row kernel's, in the channel's unit
+        p, n1, n2 = closed_forms._channel_unit(channel)
+        assert head[4:] == [n1, n2, p + n2]
         assert all(type(x) is float for x in row)
         eta, psi, witness = region.converse_at(source, channel, d1)
         assert row == (d2_min_at_rx1(source, channel, d1), eta, psi, *witness)
@@ -755,6 +768,15 @@ def _is_gain_distortion(node):
     )
 
 
+def _is_raw_channel_sum(node):
+    """A ``+`` with a raw channel field, ``channel.power``, ``channel.n1`` or ``channel.n2``, as an operand."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+        isinstance(side, ast.Attribute) and side.attr in {"power", "n1", "n2"}
+        and isinstance(side.value, ast.Name) and side.value.id == "channel"
+        for side in (node.left, node.right)
+    )
+
+
 def _named(node, name):
     return (
         (isinstance(node, ast.Name) and node.id == name)
@@ -774,8 +796,10 @@ def test_one_copy_of_each_formula():
     # 1 - rho**2 is written as om = (1 - rho)*(1 + rho) everywhere but in
     # the simulate stream's sqrt(1 - rho*rho), a part of its reproducibility
     # contract; the Monte-Carlo module writes no distortion formula of its
-    # own: simulate prints closed_forms.uncoded_distortions; and a d1 is
-    # evaluated once, by _rx1_point, whose record every per-d1 function reads
+    # own: simulate prints closed_forms.uncoded_distortions; a d1 is
+    # evaluated once, by _rx1_point, whose record every per-d1 function
+    # reads; and no module adds a raw channel field: every sum of channel
+    # values is taken in the unit of closed_forms._channel_unit
     found, stream, callers = [], [], set()
     for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -789,6 +813,8 @@ def test_one_copy_of_each_formula():
                     found.append(f"{where} analytic_distortions")
                 if path.stem == "montecarlo" and _is_gain_distortion(node):
                     found.append(f"{where} sigma2 - c*c*(...)")
+                if _is_raw_channel_sum(node):
+                    found.append(f"{where} a raw channel sum")
                 if _named(node, "_curve_at"):
                     found.append(f"{where} _curve_at")
                 if path.stem in {"closed_forms", "region"} and isinstance(node, ast.Attribute) and node.attr == "converse":

@@ -7,12 +7,14 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussian_bc import (
+    ChannelParams,
     ParameterError,
     SimulationConfig,
     SimulationReport,
@@ -39,6 +41,18 @@ class TestMmseCoefficients:
         m = mmse_coefficients(DESK_SOURCE, DESK_CHANNEL, MIDPOINT)
         assert m.gamma == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
         assert m.c1 == pytest.approx(math.sqrt(4.0 / 3.0) * 0.375, rel=1e-12)
+
+    def test_the_gains_at_the_top_of_the_float_range(self):
+        # power + n2 overflowed, and c2 read 0.0 for 3.2075e-155; in the
+        # channel's unit each gain is within 1e-15 of 50 digits
+        channel = ChannelParams(1e308, 1.0, 1.7e308)
+        m = mmse_coefficients(DESK_SOURCE, channel, MIDPOINT)
+        with mpmath.workdps(50):
+            p, n1, n2 = (mpmath.mpf(x) for x in channel)
+            gamma = mpmath.sqrt(p / mpmath.mpf(0.75))  # q = 0.75 at the midpoint and rho = 0.5
+            for gain, noise in ((m.c1, n1), (m.c2, n2)):
+                exact = gamma * mpmath.mpf(0.75) / (p + noise)
+                assert abs(gain - exact) <= 1e-15 * exact
 
     def test_uncorrelated_single_stream_teaches_receiver2_nothing(self):
         src = SourceParams(1.0, 0.0)

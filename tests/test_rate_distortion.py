@@ -85,8 +85,17 @@ class TestScalarRates:
         assert channel_capacity(1.0, 1.0) == 0.5
         assert channel_capacity(3.0, 1.0) == 1.0
         assert channel_capacity(1e-12, 1.0) == pytest.approx(0.0, abs=1e-11)
+        assert channel_capacity(1e300, 1.0) == 0.5 * math.log2(1.0 + 1e300)
         with pytest.raises(OutOfRangeError):
             channel_capacity(0.0, 1.0)
+
+    @pytest.mark.parametrize("power, noise", [(1e300, 1e-10), (1.7976931348623157e308, 5e-324)])
+    def test_a_capacity_whose_snr_overflows_is_finite(self, power, noise):
+        # power/noise overflowed, and the capacity was inf: report printed
+        # capacity_rx1=inf at --power 1e300 --n1 1e-10
+        with mpmath.workdps(50):
+            exact = 0.5 * mpmath.log(1 + mpmath.mpf(power) / mpmath.mpf(noise), 2)
+        assert abs(channel_capacity(power, noise) - exact) <= 1e-15 * exact
 
 
 class TestJointRateOracle:
@@ -258,9 +267,12 @@ class TestConditionalInfoBound:
             channel_capacity(DESK_CHANNEL.power, DESK_CHANNEL.n1), rel=1e-12
         )
 
-    def test_below_floor_is_infeasible(self):
+    @pytest.mark.parametrize("channel, delta2", [(DESK_CHANNEL, 0.6), (ChannelParams(1e308, 1.0, 1.7e308), 0.0)])
+    def test_below_floor_is_infeasible(self, channel, delta2):
+        # at the second, power + n2 overflowed, the floor read 0, and 0.0
+        # was returned for a delta2 below the true floor 0.6296...
         with pytest.raises(InfeasibleDistortionError):
-            conditional_info_bound(DESK_SOURCE, DESK_CHANNEL, 0.6)
+            conditional_info_bound(DESK_SOURCE, channel, delta2)
 
     def test_monotone_increasing(self):
         values = [
@@ -288,6 +300,8 @@ class TestConditionalInfoBound:
             (1e-300, DESK_CHANNEL, 1e300),
             (1.0, ChannelParams(1.0, 1.5e308, 1.6e308), 3.5),
             (1.0, ChannelParams(1.0, 5e-324, 1.0), 0.9),
+            (1.0, ChannelParams(1e308, 1.0, 1.7e308), 0.9),
+            (1.0, ChannelParams(1e308, 1e308, 1.7e308), 0.9),
         ],
     )
     def test_an_argument_past_the_float_range_answers(self, sigma2, channel, delta2):
@@ -295,7 +309,9 @@ class TestConditionalInfoBound:
         # range in the unit of sigma2 on the way (the first two returned inf
         # for about 500 and 1000 bits); or (P + n2)*excess overflows though
         # the ratio is 2.7, where the + 1 is not below rounding; or s2u*n1
-        # rounds to 0 (a bare ZeroDivisionError): within 1e-15 of 50 digits
+        # rounds to 0 (a bare ZeroDivisionError); or P + n2 itself
+        # overflows (the last two returned inf for 511.35 and 0.395 bits):
+        # within 1e-15 of 50 digits
         value = conditional_info_bound(SourceParams(sigma2, 0.5), channel, delta2)
         with mpmath.workdps(50):
             s2, d = mpmath.mpf(sigma2), mpmath.mpf(delta2)
@@ -313,9 +329,15 @@ class TestConditionalInfoBound:
 
 
 class TestReceiver2FloorFromSideInfo:
-    def test_exact_floor_at_the_conditional_variance(self):
+    @pytest.mark.parametrize("channel", [DESK_CHANNEL, ChannelParams(1e308, 1.0, 1.7e308)])
+    def test_exact_floor_at_the_conditional_variance(self, channel):
+        # at the second, power + n2 overflowed, and both read 0.0
         cv = conditional_variance(DESK_SOURCE)
-        assert d2_lower_via_rx1(DESK_SOURCE, DESK_CHANNEL, cv) == d_min(DESK_SOURCE, DESK_CHANNEL, 2)
+        floor = d_min(DESK_SOURCE, channel, 2)
+        assert d2_lower_via_rx1(DESK_SOURCE, channel, cv) == floor
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(channel.n2) / (mpmath.mpf(channel.power) + channel.n2)
+        assert abs(floor - exact) <= 1e-15 * exact
 
     def test_exact_floor_across_random_configs(self):
         for source, channel in random_valid_configs(20, seed=71):

@@ -94,9 +94,16 @@ _THRESHOLD_RHOS = (1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-12)
         (SourceParams(1.0, 0.0), ChannelParams(1.5e-15, 1.0, 2.0), 1),  # a d1 range a few ulp wide
         (SourceParams(1.0, 1e-300), ChannelParams(2.0e-15, 1.0, 2.0), 3),
         (SourceParams(1.0, 0.0), ChannelParams(1e-318, 1e-305, 2e-305), 50),  # power subnormal
-        # n1 subnormal and P*(1 - rho**2) about 1e-321: the margin's terms are
-        # subnormal, so the verifier skips nothing
+        # n1 subnormal and P*(1 - rho**2) about 1e-321: the margin's terms
+        # were subnormal, and the verifier skipped nothing. In the channel's
+        # unit they are normal floats, and it skips 45 of the 50 points
         (SourceParams(1e150, 0.9999999999999993), ChannelParams(2.1236836862603217e-307, 1.5e-323, 1.0), 50),
+        # channels spread over 1e600 and more, where P*(1 - rho**2) is below
+        # 2**-900 even in the channel's unit; the verifier skips there too
+        (SourceParams(6.742806353007217e-126, 0.9999931276537972),
+         ChannelParams(2.14907681692877e-296, 4.072921710345596e-303, 3.443955476734795e+300), 50),
+        (SourceParams(7.309973064432463e+250, 0.9999995265100927),
+         ChannelParams(5.2381455e-316, 1.24e-322, 1.7357564668325392e+283), 50),
     ],
 )
 def test_the_report_is_the_per_point_verifiers_at_the_edges(source, channel, grid_size):
@@ -113,6 +120,10 @@ def test_the_edges_skip_where_expected():
         assert skipped_points(SourceParams(1.0, rho), ChannelParams(2.0 * rho / (1.0 - rho), 1.0, 2.0), 50) == 0
     lo, hi = _uncovered_d1(_Curve(SourceParams(1.0, 0.0), ChannelParams(1.5e-15, 1.0, 2.0)))
     assert not lo < hi
+    # a subnormal n1 near rho = 1 skipped nothing while the margin's terms
+    # were subnormal; in the channel's unit they are normal floats
+    source, channel = SourceParams(1e150, 0.9999999999999993), ChannelParams(2.1236836862603217e-307, 1.5e-323, 1.0)
+    assert skipped_points(source, channel, 50) == 45
 
 
 def per_point_covered(curve, d1):
