@@ -61,6 +61,21 @@ def _fmt6(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _fmt6_ratio(num: float, den: float) -> str:
+    """``_fmt6(num/den)``, or the exact quotient of the two floats where that is not a normal float.
+
+    An overflowing or subnormal quotient prints as ``%.6g`` would print the
+    exact one (``1e+310``, ``1e-320``): ``decimal`` rounds it to 6
+    significant digits, and it is imported on that path only.
+    """
+    ratio = num / den
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        return _fmt6(ratio)
+    from decimal import Context, Decimal
+
+    return f"{Context(prec=6).divide(Decimal(num), Decimal(den)).normalize():g}"
+
+
 def _fmt17(value: float) -> str:
     return f"{value:.17g}"
 
@@ -104,7 +119,7 @@ def _cmd_report(args, out) -> int:
         ("D1_star_at_D2_min", _fmt6(closed_forms.d1_min_at_d2min(source, channel))),
         ("D2_star_at_D1_min", _fmt6(closed_forms.d2_min_at_d1min(source, channel))),
         ("simple_threshold", _fmt6(floor)),
-        ("snr_rx1", _fmt6(p / n1)),
+        ("snr_rx1", _fmt6_ratio(p, n1)),
         ("capacity_rx1", _fmt6(rate_distortion.channel_capacity(p, n1))),
         ("capacity_rx2", _fmt6(rate_distortion.channel_capacity(p, n2))),
         ("uncoded_optimal_everywhere", _bool(p / n1 <= floor)),

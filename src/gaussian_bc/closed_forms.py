@@ -33,13 +33,17 @@ decoded by scalar MMSE at each receiver. This module evaluates:
 
 All functions are pure.
 
-Validation policy: a public function validates its problem once, then
-computes through ``_``-prefixed kernels (``_Curve``, ``_ends``,
-``_snr_threshold``, ``_witness_eta`` and ``_psi``). A
-kernel assumes a validated problem and calls no public function, so
-``region`` calls the kernels directly once it has validated a problem
-itself. Every kernel keeps the operation order of the public function it
-serves, so both routes give the same bits.
+Validation policy: building the row kernel ``_Curve`` is the one
+boundary of a problem. Its constructor validates the problem first and
+then fixes its units (below), so holding a curve means holding a valid
+problem in its units. Every public function that evaluates a problem,
+here and in ``region``, ``rate_distortion`` and ``montecarlo``, builds
+one curve and reads the units, floors and corners from it; only
+``is_uncoded_optimal``, which needs no curve, validates its problem
+itself. The curve's methods and the other ``_``-prefixed kernels
+(``_snr_threshold``, ``_witness_eta`` and ``_psi``) never validate and
+call no public function. Every kernel keeps the operation order of the
+public function it serves, so all routes give the same bits.
 
 ``_Curve`` is the row kernel, and the one place where D1u, D2u, the
 converse at the optimal witness and the alpha inverse of d1 are written
@@ -49,9 +53,10 @@ row, and the verifier and ``_rx1_point`` call them at the alpha its
 ``alpha_for`` solves for d1.
 ``uncoded_distortions`` (the analytic pair ``simulate`` prints) and
 ``d2_min_at_rx1`` read their values from it too, so the public and the
-region routes give the same bits. ``_ends`` is the one copy of the
-floors and corners: ``d_min``, the two corners, ``_Curve``'s d1 range
-and the floor of ``rate_distortion.conditional_info_bound`` read it.
+region routes give the same bits. ``_Curve.ends`` is the one copy of
+the floors and corners: ``d_min``, the two corners, the curve's own d1
+range and the floor of ``rate_distortion.conditional_info_bound`` read
+it.
 ``1 - rho**2`` is always ``om = (1 - rho)*(1 + rho)``, which does not
 cancel near rho = 1.
 
@@ -84,17 +89,19 @@ channel scale, and each works in the unit s2u and scales its result by
 result is scaled back. Scaling by a power of two commutes with rounding.
 So where the plain formula's every intermediate is a normal float the
 units give the same bits, and elsewhere they do not underflow or
-overflow. ``_ends`` and ``_snr_threshold`` do the same. The one channel
-refusal left is ``_channel_unit``'s, of values spread wider than the
-float range can hold in any one unit.
+overflow. ``_snr_threshold``, which takes a source alone, splits sigma2
+the same way; every other kernel reads both units from the curve, which
+takes them when it is built. The one channel refusal left is
+``_channel_unit``'s, of values spread wider than the float range can
+hold in any one unit, and it runs as the curve is built.
 
 ``_rx1_point`` memoizes the per-d1 record ``(root, cv, s2u, e, n1, n2,
 power + n2, (d2t, eta*, psi, a1*, a2*))``, with the channel in its unit:
 the one evaluation of a d1 that every per-d1 function reads. The
 witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
-thousands of times at one d1, and a cache hit (a key is validated on its
-first miss only) leaves each call the witness kernel ``_witness_eta``
-and, for the converse, ``_psi``.
+thousands of times at one d1, and a cache hit (a key builds its curve,
+and so is validated, on its first miss only) leaves each call the
+witness kernel ``_witness_eta`` and, for the converse, ``_psi``.
 """
 
 from __future__ import annotations
@@ -160,7 +167,12 @@ def _checked_q(rho: float, alpha: float, beta: float) -> float:
 
 
 class _Curve:
-    """The row kernel of one validated problem: the one copy of D1u, D2u and the converse.
+    """The row kernel of one problem, and its boundary: the one copy of D1u, D2u and the converse.
+
+    Building one validates the problem (``validate_problem``, before
+    anything else) and fixes its units: ``sigma2 = s2u*2**e`` and the
+    channel ``(p, n1, n2)`` in ``_channel_unit``. No method validates
+    again.
 
     With ``q = a**2 + 2*a*b*rho + b**2`` at the weights (a, b) and
     ``om = (1 - rho)*(1 + rho)``, the distortions at a receiver with
@@ -192,6 +204,7 @@ class _Curve:
     )
 
     def __init__(self, source: SourceParams, channel: ChannelParams) -> None:
+        validate_problem(source, channel)
         s2, rho = source.sigma2, source.rho + 0.0
         p, n1, n2 = _channel_unit(channel)
         self.s2, self.rho, self.p, self.n1, self.n2 = s2, rho, p, n1, n2
@@ -203,7 +216,7 @@ class _Curve:
         self.rho_n1 = rho * n1
         self.a1_scale = pn1 * self.om
         # the factors of alpha_for
-        lo_d, hi_d = _ends(source, p, n1)
+        lo_d, hi_d = self.ends(n1)
         edge = _RESIDUAL_TOL * s2  # tolerate endpoint rounding
         self.lo_d, self.hi_d, self.lo_edge, self.hi_edge = lo_d, hi_d, lo_d - edge, hi_d + edge
         snap = 4.0 * math.ulp(max(abs(lo_d), abs(hi_d)))
@@ -213,6 +226,20 @@ class _Curve:
             self.snap_lo, self.snap_hi = lo_d, hi_d
         self.n1_share = n1 / pn1
         self.c = self.opr * p / pn1
+
+    def ends(self, noise: float) -> tuple[float, float]:
+        """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
+
+        The distortion at the receiver with noise n when its own component,
+        or the other one, is sent alone: ``d_min(1)`` and ``d1_min_at_d2min``
+        (``lo_d`` and ``hi_d``, the ends of the d1 curve at alpha = 1 and 0)
+        at n1, ``d_min(2)`` and ``d2_min_at_d1min`` at n2. Taken in the unit
+        s2u of ``sigma2 = s2u*2**e``.
+        """
+        s2u, p = self.s2u, self.p
+        pn = noise + p
+        hi = s2u * (noise + p * self.om) / pn
+        return math.ldexp(s2u * noise / pn, self.e), math.ldexp(hi, self.e)
 
     def alpha_for(self, d1: float) -> float:
         """Invert the d1 curve: the alpha in [0, 1] with ``D1u(alpha, 1 - alpha) = d1``.
@@ -354,27 +381,12 @@ def _channel_unit(channel: ChannelParams) -> tuple[float, float, float]:
     return math.ldexp(p, -c), math.ldexp(n1, -c), math.ldexp(n2, -c)
 
 
-def _ends(source: SourceParams, power: float, noise: float) -> tuple[float, float]:
-    """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
-
-    The distortion at the receiver with noise n when its own component, or
-    the other one, is sent alone: ``d_min(1)`` and ``d1_min_at_d2min`` (the
-    ends of the d1 curve, at alpha = 1 and 0) at n1, ``d_min(2)`` and
-    ``d2_min_at_d1min`` at n2. Taken in the unit s2u of ``sigma2 = s2u*2**e``.
-    """
-    s2u, e = math.frexp(source.sigma2)
-    pn = noise + power
-    hi = s2u * (noise + power * ((1.0 - source.rho) * (1.0 + source.rho))) / pn
-    return math.ldexp(s2u * noise / pn, e), math.ldexp(hi, e)
-
-
 def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
     """Single-user distortion floor ``sigma2 * n_i / (n_i + power)``, taken in the unit of sigma2."""
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     if receiver not in (1, 2):
         raise OutOfRangeError("receiver must be 1 or 2")
-    unit = _channel_unit(channel)  # (power, n1, n2)
-    return _ends(source, unit[0], unit[receiver])[0]
+    return curve.lo_d if receiver == 1 else curve.ends(curve.n2)[0]
 
 
 def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
@@ -383,9 +395,7 @@ def d1_min_at_d2min(source: SourceParams, channel: ChannelParams) -> float:
     Equals ``sigma2 * (n1 + power*(1 - rho**2)) / (n1 + power)`` and is
     attained by sending the second component alone (alpha=0, beta=1).
     """
-    validate_problem(source, channel)
-    p, n1, _ = _channel_unit(channel)
-    return _ends(source, p, n1)[1]
+    return _Curve(source, channel).hi_d
 
 
 def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
@@ -394,9 +404,8 @@ def d2_min_at_d1min(source: SourceParams, channel: ChannelParams) -> float:
     Equals ``sigma2 * (n2 + power*(1 - rho**2)) / (n2 + power)`` and is
     attained by sending the first component alone (alpha=1, beta=0).
     """
-    validate_problem(source, channel)
-    p, _, n2 = _channel_unit(channel)
-    return _ends(source, p, n2)[1]
+    curve = _Curve(source, channel)
+    return curve.ends(curve.n2)[1]
 
 
 def uncoded_distortions(
@@ -413,7 +422,7 @@ def uncoded_distortions(
     taken in its unit (see ``_channel_unit``), so the pair is the same
     at every common power-of-two scale of (power, n1, n2).
     """
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     validate_coeffs(coeffs)
     a, b = coeffs.alpha, coeffs.beta
     _checked_q(source.rho, a, b)  # before the forms divide by q
@@ -423,7 +432,7 @@ def uncoded_distortions(
     m, e = math.frexp(a + b)
     if m == 0.5:
         e -= 1
-    _, d1, d2 = _Curve(source, channel).forms(math.ldexp(a, -e), math.ldexp(b, -e))
+    _, d1, d2 = curve.forms(math.ldexp(a, -e), math.ldexp(b, -e))
     return DistortionPair(d1, d2)
 
 
@@ -499,7 +508,6 @@ def solve_alpha_for_d1(
     dimensionless ratios enter, so extreme P/n1 cannot overflow it; the
     d1 residual stays within 1e-12 * sigma2.
     """
-    validate_problem(source, channel)
     return _Curve(source, channel).alpha_for(d1_target)
 
 
@@ -525,8 +533,8 @@ def _rx1_point(
 ) -> tuple[float, float, float, int, float, float, float, tuple[float, float, float, float, float]]:
     """The record ``(root, cv, s2u, e, n1, n2, power + n2, (d2t, eta*, psi, a1*, a2*))`` at d1 of the per-d1 functions.
 
-    Validates the problem, on a cache miss only, and raises as
-    :func:`d2_min_at_rx1` does. A miss solves the alpha of d1 and keeps
+    Builds the problem's curve, which validates it, on a cache miss only,
+    and raises as :func:`d2_min_at_rx1` does. A miss solves the alpha of d1 and keeps
     the row kernel's ``d2_rx1`` and ``converse`` there, the answers of
     ``d2_min_at_rx1``, ``optimal_witness`` and ``region.converse_at``, as
     floats, not the kernel, so the cache stays small. Coverage is the row
@@ -540,7 +548,6 @@ def _rx1_point(
     rho)``, and the next five are the row kernel's ``_psi`` arguments,
     the channel in its unit (see ``_channel_unit``).
     """
-    validate_problem(source, channel)
     curve = _Curve(source, channel)
     if not d1 < curve.hi_d:
         raise DistortionRangeError(

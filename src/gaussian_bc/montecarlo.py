@@ -52,16 +52,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_forms import _channel_unit, _checked_q
+from .closed_forms import _Curve, _checked_q
 from .errors import ParameterError
-from .params import (
-    ChannelParams,
-    SourceParams,
-    UncodedCoeffs,
-    validate_coeffs,
-    validate_problem,
-    validate_source,
-)
+from .params import ChannelParams, SourceParams, UncodedCoeffs, validate_coeffs, validate_source
 
 __all__ = [
     "BLOCK_SIZE",
@@ -122,23 +115,34 @@ def mmse_coefficients(
     source: SourceParams, channel: ChannelParams, coeffs: UncodedCoeffs
 ) -> MmseCoefficients:
     """Closed-form encoder gain and per-receiver MMSE decode gains."""
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     validate_coeffs(coeffs)
-    return _mmse_coefficients(source, channel, coeffs)
+    return _mmse_coefficients(curve, source, channel.power, coeffs)
 
 
 def _mmse_coefficients(
-    source: SourceParams, channel: ChannelParams, coeffs: UncodedCoeffs
+    curve: _Curve, source: SourceParams, power: float, coeffs: UncodedCoeffs
 ) -> MmseCoefficients:
+    """The gains of the problem of ``curve``, whose raw source and power are ``source`` and ``power``.
+
+    gamma is taken in the unit s2u of ``sigma2 = s2u*2**e``: with
+    ``power = m*2**k`` and ``j = k - e`` made even by doubling m, it is
+    ``sqrt(m/(s2u*q))*2**(j/2)``, which is the plain root bit for bit
+    wherever the plain intermediates are normal floats, and finite at
+    every other scale.
+    """
     a, b = coeffs.alpha, coeffs.beta
     s2, rho = source.sigma2, source.rho
     q = _checked_q(rho, a, b)
-    gamma = math.sqrt(channel.power / (s2 * q))
+    m, k = math.frexp(power)
+    j = k - curve.e
+    if j & 1:
+        m, j = 2.0 * m, j - 1
+    gamma = math.ldexp(math.sqrt(m / (curve.s2u * q)), j >> 1)
     # power + n is m*2**(k - down) with (m, k) the split of the sum in the
     # channel's unit (P, n1, n2)*2**down: divide by m, then scale once
-    p, n1, n2 = _channel_unit(channel)
-    down = math.frexp(p)[1] - math.frexp(channel.power)[1]
-    (m1, k1), (m2, k2) = math.frexp(p + n1), math.frexp(p + n2)
+    down = math.frexp(curve.p)[1] - k
+    (m1, k1), (m2, k2) = math.frexp(curve.pn1), math.frexp(curve.pn2)
     c1 = math.ldexp(gamma * s2 * (a + b * rho) / m1, down - k1)
     c2 = math.ldexp(gamma * s2 * (b + a * rho) / m2, down - k2)
     return MmseCoefficients(gamma=gamma, c1=c1, c2=c2)
@@ -306,10 +310,10 @@ def simulate(
     verifying that the MMSE choice is a strict minimum of the empirical
     distortion.
     """
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     validate_coeffs(config.coeffs)
     _check_draws(config.samples, config.seed)
-    m = _mmse_coefficients(source, channel, config.coeffs)
+    m = _mmse_coefficients(curve, source, channel.power, config.coeffs)
     c1, c2 = decode_gains if decode_gains is not None else (m.c1, m.c2)
     a, b = config.coeffs.alpha, config.coeffs.beta
     z1_dev = math.sqrt(channel.n1)
@@ -320,7 +324,7 @@ def simulate(
     # near 1/sqrt(sigma2), the inputs by one near 1/sqrt(P), and the
     # results scaled back; powers of two commute with rounding, so no bit
     # changes.
-    half = math.frexp(source.sigma2)[1] // 2
+    half = curve.e // 2
     unit = math.ldexp(1.0, -half)
     p_half = math.frexp(channel.power)[1] // 2
     p_unit = math.ldexp(1.0, -p_half)

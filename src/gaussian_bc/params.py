@@ -13,16 +13,20 @@ than baked into the constructors, so that invalid draws can be
 represented and then rejected by the checker -- which is what the
 property tests and the CLI error paths need.
 
-Validation policy: a problem is validated once, at the boundary. Each
-public function of ``closed_forms``, ``region`` and ``rate_distortion``
-that takes a source or a channel, and the ``montecarlo`` simulator,
-checks it with the checkers here before computing with it, then works
-through ``_``-prefixed kernels that assume a valid problem and never
-re-validate it. The CLI does not validate: the first library call of
-each command validates its problem, once per run. The per-d1
-cache ``closed_forms._rx1_point`` validates on a cache miss only, and
-the per-d1 and per-witness functions validate through it (see
-``closed_forms``).
+Validation policy: a problem is validated once, at its one boundary:
+building the row kernel ``closed_forms._Curve``, whose constructor calls
+:func:`validate_problem` before anything else and then fixes the
+problem's units. Every public function of ``closed_forms``, ``region``,
+``rate_distortion`` and ``montecarlo`` that evaluates a problem builds
+one curve and reads the units, floors and corners from it; the curve's
+methods and the other ``_``-prefixed kernels never re-validate. Only
+``closed_forms.is_uncoded_optimal``, which needs no curve, calls
+:func:`validate_problem` itself, and a function that takes a source
+alone calls :func:`validate_source`. The CLI does not validate: the
+first library call of each command validates its problem, once per
+run. The per-d1 cache ``closed_forms._rx1_point`` builds its curve, and
+so validates, on a cache miss only, and the per-d1 and per-witness
+functions validate through it (see ``closed_forms``).
 
 Two transforms make arbitrary inputs canonical without loss:
 

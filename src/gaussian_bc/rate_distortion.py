@@ -58,15 +58,9 @@ from __future__ import annotations
 
 import math
 
-from .closed_forms import _channel_unit, _ends, _psi
+from .closed_forms import _Curve, _psi
 from .errors import InfeasibleDistortionError, OutOfRangeError
-from .params import (
-    ChannelParams,
-    SourceParams,
-    conditional_variance,
-    validate_problem,
-    validate_source,
-)
+from .params import ChannelParams, SourceParams, conditional_variance, validate_source
 
 __all__ = [
     "channel_capacity",
@@ -76,6 +70,9 @@ __all__ = [
     "r_joint_numeric",
     "r_scalar",
 ]
+
+# The SNR below which channel_capacity takes log1p, not log2 of 1 + snr
+_SMALL_SNR = 2.0**-20
 
 
 def r_scalar(variance: float, delta: float) -> float:
@@ -107,7 +104,8 @@ def channel_capacity(power: float, noise: float) -> float:
 
     Where ``power/noise`` overflows, the value is taken as
     ``0.5*(log2(power) - log2(noise))``, so it is finite at every pair of
-    positive finite floats.
+    positive finite floats. Below an SNR of 2**-20, where ``1 + snr``
+    would round away the SNR's low digits, it is taken through ``log1p``.
     """
     if not (power > 0):
         raise OutOfRangeError("power must be > 0")
@@ -116,6 +114,8 @@ def channel_capacity(power: float, noise: float) -> float:
     snr = power / noise
     if snr == math.inf:  # past the float range, where the + 1 is below rounding
         return 0.5 * (math.log2(power) - math.log2(noise))
+    if snr < _SMALL_SNR:
+        return 0.5 * math.log1p(snr) / math.log(2.0)
     return 0.5 * math.log2(1.0 + snr)
 
 
@@ -227,12 +227,11 @@ def conditional_info_bound(
     mantissa times a power of two, so the value is finite wherever it is
     a finite number.
     """
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     if not math.isfinite(delta2):
         raise OutOfRangeError(f"delta2 must be a finite number, got {delta2!r}")
-    s2u, e = math.frexp(source.sigma2)
-    p, n1, n2 = _channel_unit(channel)
-    d2_floor = _ends(source, p, n2)[0]
+    s2u, e, n1, pn2 = curve.s2u, curve.e, curve.n1, curve.pn2
+    d2_floor = curve.ends(curve.n2)[0]
     if delta2 < d2_floor:
         raise InfeasibleDistortionError(
             f"delta2 is below the single-user minimum {d2_floor!r}"
@@ -241,14 +240,14 @@ def conditional_info_bound(
     # cancels exactly at delta2 == d2_floor.
     excess = delta2 - d2_floor
     try:
-        arg = (p + n2) * math.ldexp(excess, -e) / (s2u * n1) + 1.0
+        arg = pn2 * math.ldexp(excess, -e) / (s2u * n1) + 1.0
     except OverflowError:
         arg = math.inf
     if arg != math.inf:
         return max(0.0, 0.5 * math.log2(arg))
     # a product or quotient left the float range on the way: take the ratio
     # as a mantissa t times 2**k, and drop the + 1 only where it is below rounding
-    (m1, k1), (m2, k2), (m3, k3) = math.frexp(p + n2), math.frexp(excess), math.frexp(n1)
+    (m1, k1), (m2, k2), (m3, k3) = math.frexp(pn2), math.frexp(excess), math.frexp(n1)
     t, k = m1 * m2 / (s2u * m3), k1 + k2 - k3 - e
     try:
         return 0.5 * math.log2(math.ldexp(t, k) + 1.0)
@@ -270,12 +269,10 @@ def d2_lower_via_rx1(
     grouping makes the value equal ``d_min(2)`` bit-for-bit at
     ``cond_d1 == conditional_variance(source)``.
     """
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     cv = conditional_variance(source)
     if not (0 < cond_d1 <= cv):
         raise OutOfRangeError(
             f"cond_d1 must satisfy 0 < cond_d1 <= {cv!r} (the conditional variance)"
         )
-    s2u, e = math.frexp(source.sigma2)
-    p, n1, n2 = _channel_unit(channel)
-    return _psi(s2u, e, n1, n2, p + n2, cv, cond_d1)
+    return _psi(curve.s2u, curve.e, curve.n1, curve.n2, curve.pn2, cv, cond_d1)

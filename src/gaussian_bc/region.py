@@ -15,11 +15,13 @@ the same covered grid points it checks the other side of the theorem:
 the joint rate-distortion oracle at ``(d1, d2_min_at_rx1(d1))`` equals
 receiver 1's channel capacity.
 
-Each public function validates its problem once and then evaluates every
-point through the row kernel ``closed_forms._Curve``, built once per
-call (and, in the verifier, the oracle kernel of :mod:`.rate_distortion`);
-it takes the channel in the unit ``closed_forms._channel_unit``, so every
-result is the same at every common power-of-two scale of the channel.
+Each public function builds the row kernel ``closed_forms._Curve`` once
+per call, before its own argument checks. Building it is the problem's
+validation and fixes its units (sigma2 as ``s2u*2**e``, the channel in
+``closed_forms._channel_unit``), so every result is the same at every
+common power-of-two scale of the channel. Every point is then evaluated
+through that curve (and, in the verifier, the oracle kernel of
+:mod:`.rate_distortion`), which never validates again.
 A trace row is two kernel calls: ``forms`` gives q, d1 and the
 achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 from .closed_forms import BoundWitness, _Curve, _converse_optimum
 from .errors import BoundUndefinedError, OutOfRangeError
-from .params import ChannelParams, SourceParams, validate_problem
+from .params import ChannelParams, SourceParams
 from .rate_distortion import _r_joint, channel_capacity
 
 __all__ = [
@@ -244,11 +246,10 @@ def trace_uncoded_boundary(
     row kernel runs in the unit of sigma2 and in that of the channel (see
     ``closed_forms``), so no common scale of either is refused.
     """
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
     p, n1 = channel.power, channel.n1
-    curve = _Curve(source, channel)
     forms, converse = curve.forms, curve.converse
     if not forms(1.0, 0.0)[1] > 0.0:  # d1 at alpha = 1, the least on the curve
         if not curve.n1_share > 0.0:
@@ -304,12 +305,11 @@ def verify_matching(
     channel in its unit (``closed_forms._channel_unit``), so the report
     is also the same at every common scale of (power, n1, n2).
     """
-    validate_problem(source, channel)
+    curve = _Curve(source, channel)
     if grid_size < 1:
         raise OutOfRangeError("grid_size must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRangeError("tol must be a finite number >= 0")
-    curve = _Curve(source, channel)
     lo, hi = curve.lo_d, curve.hi_d
     grid = _d1_grid(lo, hi, grid_size)
     if not lo < grid[0] <= grid[-1] < hi:

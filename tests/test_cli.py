@@ -20,6 +20,7 @@ from gaussian_bc import (
     BoundWitness,
     ChannelParams,
     SourceParams,
+    channel_capacity,
     conditional_info_bound,
     converse_at,
     d1_min_at_d2min,
@@ -125,6 +126,22 @@ class TestReport:
     def test_a_capacity_past_the_float_range_is_finite(self):
         # power/n1 overflowed, and this printed capacity_rx1=inf
         assert parse_kv(run_cli(["report", "--power", "1e300", "--n1", "1e-10"])[1])["capacity_rx1"] == "514.899"
+
+    @pytest.mark.parametrize("argv, snr", [
+        (["--power", "1e300", "--n1", "1e-10"], "1e+310"),  # power/n1 overflowed: snr_rx1=inf
+        (["--power", "1e-300", "--n1", "1e20", "--n2", "1e21"], "1e-320"),  # subnormal: 9.99989e-321
+    ])
+    def test_an_snr_outside_the_normal_range_prints_its_exact_quotient(self, argv, snr):
+        assert parse_kv(run_cli(["report", *argv])[1])["snr_rx1"] == snr
+
+    @pytest.mark.parametrize("snr", [1e-12, 1e-15, 1e-17])
+    def test_a_small_snr_keeps_the_digits_of_its_capacity(self, snr):
+        # log2(1 + snr) lost them: 8.00857e-16 for 7.21348e-16 at 1e-15, 0 at 1e-17
+        with mpmath.workdps(50):
+            exact = mpmath.log(1 + mpmath.mpf(snr), 2) / 2
+            assert abs(channel_capacity(snr, 1.0) - exact) <= 1e-15 * exact
+        text = run_cli(["report", "--power", repr(snr)])[1]
+        assert parse_kv(text)["capacity_rx1"] == f"{float(exact):.6g}"
 
     def test_explicit_flags_match_default(self):
         _, default_text = run_cli(["report"])

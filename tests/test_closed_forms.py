@@ -626,31 +626,35 @@ class TestConverseFunctional:
 
 
 def test_floors_corners_and_range_come_from_one_kernel(monkeypatch):
-    # each caller takes its value from _ends at its own noise, so no second
-    # copy of a floor or a corner can drift from it
+    # each caller takes its value from _Curve.ends at its own noise, so no
+    # second copy of a floor or a corner can drift from it
     calls = []
-    ends_kernel = closed_forms._ends
+    ends_kernel = closed_forms._Curve.ends
 
-    def recording_ends(source, power, noise):
+    def recording_ends(curve, noise):
         calls.append(noise)
-        return ends_kernel(source, power, noise)
+        return ends_kernel(curve, noise)
 
-    for module in (closed_forms, rate_distortion):
-        monkeypatch.setattr(module, "_ends", recording_ends)
     s, c = SourceParams(3.0, 0.9), ChannelParams(2.0, 0.5, 1.5)
-    # the channel enters every kernel in its unit, here 2**-1
-    p, n1, n2 = closed_forms._channel_unit(c)
-    assert (p, n1, n2) == (1.0, 0.25, 0.75)
-    lo1, hi1 = ends_kernel(s, p, n1)
-    lo2, hi2 = ends_kernel(s, p, n2)
     curve = closed_forms._Curve(s, c)
+    # the channel enters every kernel in its unit, here 2**-1
+    p, n1, n2 = curve.p, curve.n1, curve.n2
+    assert (p, n1, n2) == (1.0, 0.25, 0.75)
+    lo1, hi1 = curve.ends(n1)
+    lo2, hi2 = curve.ends(n2)
+    # the units leave every bit of the plain formulas on the raw channel
+    om = (1.0 - s.rho) * (1.0 + s.rho)
+    assert [lo1, lo2, hi1, hi2] == [s.sigma2 * c.n1 / (c.n1 + c.power), s.sigma2 * c.n2 / (c.n2 + c.power),
+                                    s.sigma2 * (c.n1 + c.power * om) / (c.n1 + c.power),
+                                    s.sigma2 * (c.n2 + c.power * om) / (c.n2 + c.power)]
+    monkeypatch.setattr(closed_forms._Curve, "ends", recording_ends)
     values = [d_min(s, c, 1), d_min(s, c, 2), d1_min_at_d2min(s, c), d2_min_at_d1min(s, c),
-              curve.lo_d, curve.hi_d, conditional_info_bound(s, c, lo2)]
-    assert values == [lo1, lo2, hi1, hi2, lo1, hi1, 0.0]
-    assert [lo1, lo2, hi1, hi2] == [ends_kernel(s, c.power, c.n1)[0], ends_kernel(s, c.power, c.n2)[0],
-                                    ends_kernel(s, c.power, c.n1)[1], ends_kernel(s, c.power, c.n2)[1]]
-    # the curve, built first, then the floors, the corners and the bound's floor
-    assert calls == [n1, n1, n2, n1, n2, n2]
+              conditional_info_bound(s, c, lo2)]
+    assert values == [lo1, lo2, hi1, hi2, 0.0]
+    assert [curve.lo_d, curve.hi_d] == [lo1, hi1]
+    # every curve built takes its d1 range at n1; receiver 2's floor, its
+    # corner and the bound's floor then read n2 from the same kernel
+    assert calls == [n1, n1, n2, n1, n1, n2, n1, n2]
 
 
 def _count_kernel_calls(monkeypatch):
@@ -787,6 +791,25 @@ def _named(node, name):
     )
 
 
+def _calls_by_owner(node, owner="<module>"):
+    """Every call under node, with the dotted name of the def or class it is written in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls_by_owner(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls_by_owner(child, owner)
+
+
+# the defs that may call each step of a problem's boundary: building the row
+# kernel validates the problem and takes the channel's unit, and
+# is_uncoded_optimal, which builds no kernel, validates its own problem
+_BOUNDARY = {
+    "validate_problem": {"_Curve.__init__", "is_uncoded_optimal"},
+    "_channel_unit": {"_Curve.__init__"},
+}
+
 # the functions that may evaluate the converse kernel: the trace and the
 # verifier once per point, and the per-d1 record once per d1
 _CONVERSE_CALLERS = {"_rx1_point", "trace_uncoded_boundary", "verify_matching"}
@@ -798,11 +821,20 @@ def test_one_copy_of_each_formula():
     # contract; the Monte-Carlo module writes no distortion formula of its
     # own: simulate prints closed_forms.uncoded_distortions; a d1 is
     # evaluated once, by _rx1_point, whose record every per-d1 function
-    # reads; and no module adds a raw channel field: every sum of channel
-    # values is taken in the unit of closed_forms._channel_unit
-    found, stream, callers = [], [], set()
+    # reads; no module adds a raw channel field: every sum of channel
+    # values is taken in the unit of closed_forms._channel_unit; and
+    # building _Curve is the one boundary of a problem, so the problem is
+    # validated and put in its units nowhere else
+    found, stream, callers, boundary = [], [], set(), []
     for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, call in _calls_by_owner(tree):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name in _BOUNDARY:
+                if owner in _BOUNDARY[name]:
+                    boundary.append((path.stem, owner, name))
+                else:
+                    found.append(f"{path.stem}:{call.lineno} {name} in {owner}")
         for top in tree.body:
             in_stream = path.stem == "montecarlo" and isinstance(top, ast.FunctionDef) and top.name == "_source_block"
             for node in ast.walk(top):
@@ -825,4 +857,9 @@ def test_one_copy_of_each_formula():
                         found.append(f"{where} .converse in {name}")
     assert len(stream) == 1  # the scan sees the one form it allows
     assert callers == _CONVERSE_CALLERS  # and each caller it allows
+    assert sorted(boundary) == [  # and the one call site of each boundary step it allows
+        ("closed_forms", "_Curve.__init__", "_channel_unit"),
+        ("closed_forms", "_Curve.__init__", "validate_problem"),
+        ("closed_forms", "is_uncoded_optimal", "validate_problem"),
+    ]
     assert found == []

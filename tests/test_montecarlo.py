@@ -149,6 +149,16 @@ class TestSimulate:
                 assert value / sigma2 == pytest.approx(getattr(base, field), rel=1e-12)
                 if math.frexp(sigma2)[0] == 0.5:  # a power of two scales every step exactly
                     assert value == getattr(base, field) * sigma2
+        # at channels far from 1, power/(sigma2*q) left the float range, and
+        # the run printed inf, nan or 0; scaling sigma2 alone by 4**k scales
+        # the distortions and half-widths by exactly 4**k and leaves the power
+        for channel in (ChannelParams(1e150, 1e150, 2e150), ChannelParams(1e-150, 1e-150, 2e-150)):
+            base = simulate(DESK_SOURCE, channel, config)
+            for k in range(-500, 511, 10):
+                report = simulate(SourceParams(DESK_SOURCE.sigma2 * 4.0**k, DESK_SOURCE.rho), channel, config)
+                assert report.empirical_power == base.empirical_power, k
+                for field in fields:
+                    assert getattr(report, field) == math.ldexp(getattr(base, field), 2 * k), (k, field)
 
 
 def fixed_workers(monkeypatch, workers: int) -> None:

@@ -203,10 +203,10 @@ def test_verify_validates_once_and_solves_alpha_only_outside_the_uncovered_inter
     for power in (3.0, 2.0, 1.0):  # P/n1 = 3 leaves part of the grid uncovered; 2 is 2*rho/(1 - rho)
         channel = ChannelParams(power, 1.0, 2.0)
         closed_forms._rx1_point.cache_clear()
+        lo, hi = region._uncovered_d1(closed_forms._Curve(DESK_SOURCE, channel))  # built before the count
         calls = _count_calls(monkeypatch, "validate_problem")
         solves = _count_alpha_solves(monkeypatch)
         report = region.verify_matching(DESK_SOURCE, channel, 40, 1e-9)
-        lo, hi = region._uncovered_d1(closed_forms._Curve(DESK_SOURCE, channel))
         assert len(calls) == 1
         assert solves == [point.d1 for point in report.points if not lo < point.d1 < hi]
         assert closed_forms._rx1_point.cache_info().currsize == 0
@@ -315,10 +315,19 @@ def test_problem_records_are_named_tuples():
 
 
 def test_kernels_call_no_validating_function(monkeypatch):
+    # building the row kernel is the validation: its constructor validates
+    # the problem once, and no method of it, nor any other kernel, again
     calls = [_count_calls(monkeypatch, name) for name in ("validate_problem", "validate_source")]
-    lo, hi = closed_forms._ends(DESK_SOURCE, DESK_CHANNEL.power, DESK_CHANNEL.n1)
-    d1 = 0.5 * (lo + hi)
+    with pytest.raises(ParameterError, match="n1 must be < n2"):
+        closed_forms._Curve(DESK_SOURCE, ChannelParams(1.0, 2.0, 2.0))
+    calls[0].clear()
     curve = closed_forms._Curve(DESK_SOURCE, DESK_CHANNEL)
+    assert calls[0] == [(DESK_SOURCE, DESK_CHANNEL)]
+    for recorded in calls:
+        recorded.clear()
+    lo, hi = curve.ends(curve.n1)
+    curve.ends(curve.n2)
+    d1 = 0.5 * (lo + hi)
     alpha = curve.alpha_for(d1)
     q, _, _ = curve.forms(alpha, 1.0 - alpha)
     d2t = curve.d2_rx1(alpha, 1.0 - alpha, q)
