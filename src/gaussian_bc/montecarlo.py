@@ -14,12 +14,18 @@ The sample range is partitioned into fixed blocks of 65536 symbols.
 Block ``i`` uses ``numpy.random.Generator(PCG64(SeedSequence((seed, i))))``
 (128-bit state) and draws, in this order and nothing else:
 ``s1``, ``u``, ``z1``, ``z2``, each via ``standard_normal``. Each per-block
-sum is exact and rounded once: the values are split into exponent bins of
-integer mantissa chunks (one fixed bin per float64 exponent), every bin is
-summed exactly, and the bins are folded into one integer (the binned
-summation of Demmel & Nguyen, "Parallel Reproducible Summation", IEEE TC
-2015). A correctly rounded sum is unique, so this is the float
-``math.fsum`` returns. The blocks run on up to two threads, the caller's
+sum is the exact sum rounded once. Two levels of the error-free
+extraction of Rump, Ogita & Oishi ("Accurate floating-point summation",
+SIAM J. Sci. Comput. 2008) split the values, scaled to the block's
+largest one, into integer parts summed exactly and small tails summed in
+floats; a proved error bound on the tails brackets the exact sum, and
+where both ends of the bracket round to the same float, that float is
+the sum. Where they do not (about once in 2**38 sums of squares), the
+binned summation of Demmel & Nguyen ("Parallel Reproducible Summation",
+IEEE TC 2015) gives it exactly. A correctly rounded sum is unique, so
+either route gives the float ``math.fsum`` returns. The extraction runs
+in numpy passes, which release the GIL, over two scratch buffers per
+thread. The blocks run on up to two threads, the caller's
 and one more, which take alternate blocks, so at most two blocks are in
 memory at once. A block's sums depend only on its index, and they are
 stored by index and reduced in block order with ``math.fsum``. So the
@@ -139,13 +145,32 @@ def _mmse_coefficients(
     if j & 1:
         m, j = 2.0 * m, j - 1
     gamma = math.ldexp(math.sqrt(m / (curve.s2u * q)), j >> 1)
-    # power + n is m*2**(k - down) with (m, k) the split of the sum in the
-    # channel's unit (P, n1, n2)*2**down: divide by m, then scale once
+    # the channel's unit is (P, n1, n2)*2**down
     down = math.frexp(curve.p)[1] - k
-    (m1, k1), (m2, k2) = math.frexp(curve.pn1), math.frexp(curve.pn2)
-    c1 = math.ldexp(gamma * s2 * (a + b * rho) / m1, down - k1)
-    c2 = math.ldexp(gamma * s2 * (b + a * rho) / m2, down - k2)
+    c1 = _over(gamma * s2 * (a + b * rho), curve.pn1, down)
+    c2 = _over(gamma * s2 * (b + a * rho), curve.pn2, down)
     return MmseCoefficients(gamma=gamma, c1=c1, c2=c2)
+
+
+def _over(num: float, total: float, down: int) -> float:
+    """``num/(total*2**-down)``, rounded once, for a sum ``total`` taken in the unit ``2**-down``.
+
+    With ``total = m*2**k``, the quotient is ``num/m*2**s`` for
+    ``s = down - k``. At ``s >= 0`` it is no subnormal, so ``ldexp``
+    scales the rounded ``num/m`` exactly, or raises OverflowError. At
+    ``s < 0`` the scale goes into the divisor, ``m*2**j`` with
+    ``j = min(-s, 1024)`` a normal float, and the rest, ``2**(s + j)``
+    (1 unless the sum is past the float range), into num, so that the
+    one division rounds a subnormal quotient too. Where that leaves
+    ``num*2**(s + j)`` subnormal, the quotient is below 2**-2045 and
+    rounds to zero either way.
+    """
+    m, k = math.frexp(total)
+    s = down - k
+    if s >= 0:
+        return math.ldexp(num / m, s)
+    j = min(-s, 1024)
+    return math.ldexp(num, s + j) / math.ldexp(m, j)
 
 
 def _check_draws(samples: int, seed: int) -> None:
@@ -227,13 +252,101 @@ def _map_blocks(compute, blocks: int) -> list:
     return results
 
 
-_SLICE = 1 << 14  # values binned per bincount call: bounds the reducer's temporaries
+_SLICE = 1 << 14  # values per pass of either reducer: bounds its scratch and temporaries
+_LEVEL = 36  # bits of the scaled values taken by each level of the extraction
 _EXP_BIAS = 1073  # frexp exponents run from -1073 (5e-324) to 1024 (float max)
 _BINS = _EXP_BIAS + 1025  # one bin per float64 exponent
+_scratch = threading.local()  # each thread's two _SLICE buffers, made by its first sum
 
 
 def _exact_sum(values: np.ndarray) -> float:
     """The correctly rounded sum of a float64 array: the float ``math.fsum`` returns.
+
+    Precondition: ``values.size = n <= BLOCK_SIZE = 2**16``. Two fixed
+    levels of the error-free extraction of Rump, Ogita & Oishi
+    ("Accurate floating-point summation", SIAM J. Sci. Comput. 2008)
+    bracket the exact sum between two integers; when both ends round to
+    the same nonzero float, that float is the answer, and otherwise
+    ``_binned_sum`` gives it (the float filter with an exact fallback of
+    Shewchuk's adaptive predicates). Every pass is a numpy ufunc or
+    reduction over a slice of ``_SLICE`` values in the thread's reused
+    scratch, so the sum holds the GIL only between passes.
+
+    The bracket. With ``M = max|v|`` and ``e = frexp(M)[1]``, every
+    ``|v| < 2**e``. Each value is scaled to ``t = v*2**(36 - e)``, so
+    ``|t| < 2**36``; that is exact except where t is subnormal, which
+    loses at most 2**-1075. Level 1 takes ``h = trunc(t)`` and
+    ``t -= h``, and level 2 does the same after ``t *= 2**36``. Each step
+    is exact: a ``|t| >= 1`` has an ulp of at least 2**-52, so its
+    fraction is a multiple of that ulp below 1, and a ``|t| < 1`` is its
+    own fraction (``floor`` would round ``1 + t`` for a small negative
+    t). Each h is an integer below 2**36 in magnitude, so a slice's sum
+    of them is below 2**50 and exact in any order; these accumulate in
+    Python ints W1 and W2, and the sums of the tails, each ``|t| < 1``,
+    in the float r. So ``sum(values) = 2**(e - 72)*(W + R + d)`` with
+    ``W = 2**36*W1 + W2``, R the exact sum of the tails, and
+    ``|d| <= n*2**(36 - 1075) <= 2**-1023`` the subnormal loss. r is R
+    summed by n - 1 roundings in some order, slices included, so
+    ``|r - R| <= (n - 1)*2**-53/(1 - (n - 1)*2**-53)*n``, which is below
+    ``2**-21*(1 - 2**-17)`` for ``n <= 2**16`` (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2002, section 4.2). Hence
+    ``2**21*(R + d)`` lies strictly within 1 of ``2**21*r`` (an exact
+    product), and ``lo = 2**21*W + floor(2**21*r) - 1`` and
+    ``hi = 2**21*W + ceil(2**21*r) + 1`` bracket ``2**21*(W + R + d)``.
+    Both are rounded by int true division, which CPython rounds
+    correctly, subnormals included, after scaling by ``2**(e - 93)``.
+    Rounding is monotone, so equal candidates are the rounded sum.
+
+    An empty array sums to 0.0, as in ``math.fsum`` (``values.max()``
+    raises on it). The fallback runs on an M that is 0, inf or nan, an e
+    below -987 (where ``2**(36 - e)`` is not a normal float), a
+    candidate past the float range, and unequal or zero candidates: a
+    zero sum must come from the binned path, for the sign of zero. On
+    nonnegative values the sum is at least M, so the rounding boundaries
+    lie at least 2**19 units of ``2**(e - 72)`` apart, and the bracket,
+    3*2**-21 units wide, meets one about once in 2**38 sums. Sums that
+    cancel or land on a tie fall back often; the sum of two floats of
+    one binade is a tie half the time.
+    """
+    if values.size == 0:
+        return 0.0
+    top = max(values.max(), -values.min())
+    e = math.frexp(top)[1]
+    if not 0.0 < top < math.inf or e < _LEVEL - 1023:
+        return _binned_sum(values)
+    try:
+        t_buf, h_buf = _scratch.buffers
+    except AttributeError:
+        t_buf, h_buf = _scratch.buffers = np.empty(_SLICE), np.empty(_SLICE)
+    scale = math.ldexp(1.0, _LEVEL - e)
+    w1 = w2 = 0
+    r = 0.0
+    for start in range(0, values.size, _SLICE):
+        part = values[start : start + _SLICE]
+        t, h = t_buf[: part.size], h_buf[: part.size]
+        np.multiply(part, scale, out=t)
+        np.trunc(t, out=h)
+        t -= h
+        w1 += int(h.sum())
+        t *= 2.0**_LEVEL
+        np.trunc(t, out=h)
+        t -= h
+        w2 += int(h.sum())
+        r += float(t.sum())
+    w = ((w1 << _LEVEL) + w2) << 21
+    r *= 2.0**21
+    try:
+        lo = _scaled(w + math.floor(r) - 1, e - 2 * _LEVEL - 21)
+        hi = _scaled(w + math.ceil(r) + 1, e - 2 * _LEVEL - 21)
+    except OverflowError:
+        return _binned_sum(values)
+    if lo == hi != 0.0:
+        return lo
+    return _binned_sum(values)
+
+
+def _binned_sum(values: np.ndarray) -> float:
+    """``_exact_sum``'s exact fallback, by exponent bins.
 
     Precondition: ``values.size <= BLOCK_SIZE``. ``frexp`` splits each
     value into a binary exponent and a 53-bit integer mantissa, held as
@@ -242,10 +355,10 @@ def _exact_sum(values: np.ndarray) -> float:
     fixed bins that cover every float64 exponent, and the bins accumulate
     across slices. Each bin sum is an integer below 2**53 for up to 2**26
     values, hence exact in float64. The bins are folded, from the lowest
-    nonzero one, into one Python int and rounded once by int true
-    division, which CPython rounds correctly, subnormals included. An
-    exact sum too large for a float raises OverflowError, as ``math.fsum``
-    does.
+    nonzero one, into one Python int and rounded once (the binned
+    summation of Demmel & Nguyen, "Parallel Reproducible Summation", IEEE
+    TC 2015). An exact sum too large for a float raises OverflowError, as
+    ``math.fsum`` does.
     """
     hi_bins = np.zeros(_BINS)
     lo_bins = np.zeros(_BINS)
@@ -268,7 +381,11 @@ def _exact_sum(values: np.ndarray) -> float:
     total = 0
     for k, hi, lo in zip((used - low).tolist(), hi_bins[used].tolist(), lo_bins[used].tolist()):
         total += ((int(hi) << 26) + int(lo)) << k
-    shift = low - _EXP_BIAS - 53
+    return _scaled(total, low - _EXP_BIAS - 53)
+
+
+def _scaled(total: int, shift: int) -> float:
+    """``total*2**shift`` rounded once: int true division rounds correctly, subnormals included."""
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 

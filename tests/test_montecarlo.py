@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -53,6 +54,25 @@ class TestMmseCoefficients:
             for gain, noise in ((m.c1, n1), (m.c2, n2)):
                 exact = gamma * mpmath.mpf(0.75) / (p + noise)
                 assert abs(gain - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize(
+        "sigma2, channel",
+        [
+            (1.0, ChannelParams(1.0, 1.0, 1.7e308)),
+            (1.0, ChannelParams(0.5, 1.0, 1.25 * 2.0**1023)),
+            (2.0**-1020, ChannelParams(2.0**1023, 1.0, 1.5 * 2.0**1023)),  # power + n2 is past the float range
+        ],
+    )
+    def test_a_subnormal_gain_is_rounded_once(self, sigma2, channel):
+        # c2 = gamma*sigma2*(beta + alpha*rho)/(power + n2), one rounding
+        # of the exact quotient; the first case read 5.09426708108493e-309
+        m = mmse_coefficients(SourceParams(sigma2, 0.5), channel, MIDPOINT)
+        num = m.gamma * sigma2 * (0.5 + 0.5 * 0.5)
+        want = float(Fraction(num) / (Fraction(channel.power) + Fraction(channel.n2)))
+        assert 0.0 < want < sys.float_info.min
+        assert m.c2 == want
+        if channel.n2 == 1.7e308:
+            assert m.c2 == 5.094267081084936e-309
 
     def test_uncorrelated_single_stream_teaches_receiver2_nothing(self):
         src = SourceParams(1.0, 0.0)
@@ -372,6 +392,106 @@ class TestExactSum:
     )
     def test_inf_and_nan_among_finite_values_reduce_like_fsum(self, finite, specials):
         assert_specials_reduce_like_fsum(finite + specials)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list:
+    """The sizes of the arrays ``_exact_sum`` hands to its binned fallback."""
+    calls = []
+    binned = montecarlo._binned_sum
+
+    def counted(values):
+        calls.append(values.size)
+        return binned(values)
+
+    monkeypatch.setattr(montecarlo, "_binned_sum", counted)
+    return calls
+
+
+def halfway_block() -> np.ndarray:
+    """BLOCK_SIZE values whose exact sum lies halfway between two floats."""
+    rng = np.random.default_rng(33)
+    values = (2**29 + rng.integers(0, 2**29, BLOCK_SIZE)) * 2.0**-30  # multiples of 2**-30 in [0.5, 1)
+    values[-1] = 2.0**-38
+    exact = sum(map(Fraction, values.tolist()), Fraction(0))
+    assert 2**15 <= exact < 2**16  # its ulp is 2**-37, and the last value is half of one
+    assert (exact * 2**37).denominator == 2
+    return values
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "values, want",
+        [([1.0, 2.0**-53], 1.0), ([1.0, 3 * 2.0**-53], 1.0000000000000004), ([2.0**-53, 1.0], 1.0)],
+    )
+    def test_ties_round_to_even_through_the_fallback(self, fallbacks, values, want):
+        assert _exact_sum(np.array(values)) == want == math.fsum(values)
+        assert fallbacks == [len(values)]
+
+    def test_a_block_on_a_halfway_point_rounds_to_even_through_the_fallback(self, fallbacks):
+        values = halfway_block()
+        assert _exact_sum(values).hex() == math.fsum(values).hex()
+        assert fallbacks == [BLOCK_SIZE]
+
+    @pytest.mark.parametrize("zeros", [[], [-0.0], [-0.0, 0.0]])
+    @pytest.mark.parametrize("size", [1, 7, BLOCK_SIZE // 2])
+    def test_pairs_that_cancel_give_the_signed_zero_of_fsum(self, fallbacks, size, zeros):
+        rng = np.random.default_rng(size)
+        half = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1000, size))
+        values = np.concatenate([half, zeros, -half])
+        rng.shuffle(values)
+        assert _exact_sum(values).hex() == math.fsum(values).hex()
+        assert fallbacks == [values.size]
+
+    def test_small_negative_values_after_a_cancellation(self):
+        # floor(t) would leave the fraction 1 + t of a small negative t,
+        # which rounds: that moved 214 of these 300 sums; trunc(t) leaves t
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            big = rng.uniform(1.0, 2.0, 2)
+            small = np.ldexp(-1.0 - rng.integers(1, 2**52, 20) * 2.0**-52, rng.integers(-70, -36, 20))
+            values = np.concatenate([big, -big, small])
+            rng.shuffle(values)
+            assert _exact_sum(values).hex() == math.fsum(values).hex()
+
+    def test_squares_are_certified_without_the_fallback(self, fallbacks):
+        rng = np.random.default_rng(5)
+        for scale in (1e-140, 1.0, 1e150):  # squares from 1e-280 up, inside the scaling window
+            values = np.square(rng.standard_normal(BLOCK_SIZE) * scale)
+            assert _exact_sum(values).hex() == math.fsum(values).hex()
+        assert fallbacks == []
+
+    def test_the_fallback_never_runs_in_a_seeded_simulate(self, fallbacks):
+        configs = [(DESK_SOURCE, DESK_CHANNEL), *random_valid_configs(2, seed=41)]
+        for k, (source, channel) in enumerate(configs):
+            simulate(source, channel, SimulationConfig(10**6, 300 + k, UncodedCoeffs(0.3, 0.7)))
+        assert fallbacks == []
+
+
+class TestScratch:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_never_share_a_buffer(self, monkeypatch, workers):
+        fixed_workers(monkeypatch, workers)
+        rng = np.random.default_rng(21)
+        arrays = [rng.standard_normal(BLOCK_SIZE - k) ** 2 * 2.0**k for k in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between numpy passes
+        try:
+            sums = _map_blocks(lambda i: _exact_sum(arrays[i]), len(arrays))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [x.hex() for x in sums] == [math.fsum(a).hex() for a in arrays]
+
+    def test_a_warm_sum_allocates_less_than_one_slice(self):
+        values = np.square(np.random.default_rng(8).standard_normal(BLOCK_SIZE))
+        _exact_sum(values)  # this thread's scratch
+        tracemalloc.start()
+        try:
+            _exact_sum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _SLICE * values.itemsize
 
 
 class TestSampleStatistics:
