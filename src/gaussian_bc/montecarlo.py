@@ -20,10 +20,9 @@ SIAM J. Sci. Comput. 2008) split the values, scaled to the block's
 largest one, into integer parts summed exactly and small tails summed in
 floats; a proved error bound on the tails brackets the exact sum, and
 where both ends of the bracket round to the same float, that float is
-the sum. Where they do not (about once in 2**38 sums of squares), the
-binned summation of Demmel & Nguyen ("Parallel Reproducible Summation",
-IEEE TC 2015) gives it exactly. A correctly rounded sum is unique, so
-either route gives the float ``math.fsum`` returns. The extraction runs
+the sum. Where they do not (a zero sum, or one at or next to a halfway
+point between two floats), ``math.fsum`` gives it. A correctly rounded
+sum is unique, so either route gives the same float. The extraction runs
 in numpy passes, which release the GIL, over two scratch buffers per
 thread. The blocks run on up to two threads, the caller's
 and one more, which take alternate blocks, so at most two blocks are in
@@ -59,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_forms import _Curve, _checked_q
-from .errors import ParameterError
+from .errors import OutOfRangeError, ParameterError
 from .params import ChannelParams, SourceParams, UncodedCoeffs, validate_coeffs, validate_source
 
 __all__ = [
@@ -135,7 +134,8 @@ def _mmse_coefficients(
     ``power = m*2**k`` and ``j = k - e`` made even by doubling m, it is
     ``sqrt(m/(s2u*q))*2**(j/2)``, which is the plain root bit for bit
     wherever the plain intermediates are normal floats, and finite at
-    every other scale.
+    every other scale. A gain past the float range raises
+    OutOfRangeError naming the parameter that is too small.
     """
     a, b = coeffs.alpha, coeffs.beta
     s2, rho = source.sigma2, source.rho
@@ -144,11 +144,17 @@ def _mmse_coefficients(
     j = k - curve.e
     if j & 1:
         m, j = 2.0 * m, j - 1
-    gamma = math.ldexp(math.sqrt(m / (curve.s2u * q)), j >> 1)
+    try:
+        gamma = math.ldexp(math.sqrt(m / (curve.s2u * q)), j >> 1)
+    except OverflowError:
+        raise OutOfRangeError("sigma2 too small relative to power: the encoder gain is past the float range") from None
     # the channel's unit is (P, n1, n2)*2**down
     down = math.frexp(curve.p)[1] - k
-    c1 = _over(gamma * s2 * (a + b * rho), curve.pn1, down)
-    c2 = _over(gamma * s2 * (b + a * rho), curve.pn2, down)
+    try:
+        c1 = _over(gamma * s2 * (a + b * rho), curve.pn1, down)
+        c2 = _over(gamma * s2 * (b + a * rho), curve.pn2, down)
+    except OverflowError:
+        raise OutOfRangeError("power too small relative to sigma2: a decode gain is past the float range") from None
     return MmseCoefficients(gamma=gamma, c1=c1, c2=c2)
 
 
@@ -252,22 +258,20 @@ def _map_blocks(compute, blocks: int) -> list:
     return results
 
 
-_SLICE = 1 << 14  # values per pass of either reducer: bounds its scratch and temporaries
+_SLICE = 1 << 14  # values per pass of the extraction: bounds its scratch and temporaries
 _LEVEL = 36  # bits of the scaled values taken by each level of the extraction
-_EXP_BIAS = 1073  # frexp exponents run from -1073 (5e-324) to 1024 (float max)
-_BINS = _EXP_BIAS + 1025  # one bin per float64 exponent
 _scratch = threading.local()  # each thread's two _SLICE buffers, made by its first sum
 
 
 def _exact_sum(values: np.ndarray) -> float:
-    """The correctly rounded sum of a float64 array: the float ``math.fsum`` returns.
+    """The correctly rounded exact sum of a float64 array.
 
     Precondition: ``values.size = n <= BLOCK_SIZE = 2**16``. Two fixed
     levels of the error-free extraction of Rump, Ogita & Oishi
     ("Accurate floating-point summation", SIAM J. Sci. Comput. 2008)
     bracket the exact sum between two integers; when both ends round to
     the same nonzero float, that float is the answer, and otherwise
-    ``_binned_sum`` gives it (the float filter with an exact fallback of
+    ``_fsum`` gives it (the float filter with an exact fallback of
     Shewchuk's adaptive predicates). Every pass is a numpy ufunc or
     reduction over a slice of ``_SLICE`` values in the thread's reused
     scratch, so the sum holds the GIL only between passes.
@@ -297,23 +301,36 @@ def _exact_sum(values: np.ndarray) -> float:
     correctly, subnormals included, after scaling by ``2**(e - 93)``.
     Rounding is monotone, so equal candidates are the rounded sum.
 
-    An empty array sums to 0.0, as in ``math.fsum`` (``values.max()``
-    raises on it). The fallback runs on an M that is 0, inf or nan, an e
-    below -987 (where ``2**(36 - e)`` is not a normal float), a
-    candidate past the float range, and unequal or zero candidates: a
-    zero sum must come from the binned path, for the sign of zero. On
-    nonnegative values the sum is at least M, so the rounding boundaries
-    lie at least 2**19 units of ``2**(e - 72)`` apart, and the bracket,
-    3*2**-21 units wide, meets one about once in 2**38 sums. Sums that
-    cancel or land on a tie fall back often; the sum of two floats of
-    one binade is a tie half the time.
+    The contract. A finite array gives its exact sum rounded once, with
+    the sign of a zero sum as ``math.fsum`` gives it, and raises
+    OverflowError iff that sum is past the float range. An array holding
+    an inf or a nan goes to ``_special_sum``, which sums its inf and nan
+    values as ``math.fsum`` does (an inf, a nan, or ValueError for
+    -inf + inf), also where ``math.fsum`` would first raise OverflowError
+    on the finite ones. An empty array sums to 0.0 (``values.max()``
+    raises on it).
+
+    The fallback. ``_fsum`` is ``math.fsum``, and on its intermediate
+    overflow the exact rational sum; it runs on an M of 0, an e below
+    -987 (where ``2**(36 - e)`` is not a normal float), a candidate past
+    the float range, and unequal or zero candidates (a zero sum takes
+    its sign from ``math.fsum``). On nonnegative values the sum is at
+    least M, so the rounding boundaries lie at least 2**19 units of
+    ``2**(e - 72)`` apart, and the bracket, 3*2**-21 units wide, meets
+    one about once in 2**38 sums of random squares. A sum exactly on a
+    tie always falls back. In ``simulate`` every fallback seen was one:
+    at alpha 0 or 1 and a large P/n1 (1e27 and up), the squared errors
+    are rounding residues with few distinct values, whose sums land on
+    halfway points. Sums that cancel fall back often too.
     """
     if values.size == 0:
         return 0.0
     top = max(values.max(), -values.min())
+    if not top < math.inf:  # an inf or a nan
+        return _special_sum(values)
     e = math.frexp(top)[1]
-    if not 0.0 < top < math.inf or e < _LEVEL - 1023:
-        return _binned_sum(values)
+    if top == 0.0 or e < _LEVEL - 1023:
+        return _fsum(values)
     try:
         t_buf, h_buf = _scratch.buffers
     except AttributeError:
@@ -339,49 +356,29 @@ def _exact_sum(values: np.ndarray) -> float:
         lo = _scaled(w + math.floor(r) - 1, e - 2 * _LEVEL - 21)
         hi = _scaled(w + math.ceil(r) + 1, e - 2 * _LEVEL - 21)
     except OverflowError:
-        return _binned_sum(values)
+        return _fsum(values)
     if lo == hi != 0.0:
         return lo
-    return _binned_sum(values)
+    return _fsum(values)
 
 
-def _binned_sum(values: np.ndarray) -> float:
-    """``_exact_sum``'s exact fallback, by exponent bins.
+def _fsum(values: np.ndarray) -> float:
+    """``_exact_sum``'s fallback for finite values: ``math.fsum``, which rounds the exact sum once.
 
-    Precondition: ``values.size <= BLOCK_SIZE``. ``frexp`` splits each
-    value into a binary exponent and a 53-bit integer mantissa, held as
-    two chunks below 2**27 and 2**26. The values are taken in slices of
-    ``_SLICE``; one ``bincount`` per chunk sums a slice per exponent, over
-    fixed bins that cover every float64 exponent, and the bins accumulate
-    across slices. Each bin sum is an integer below 2**53 for up to 2**26
-    values, hence exact in float64. The bins are folded, from the lowest
-    nonzero one, into one Python int and rounded once (the binned
-    summation of Demmel & Nguyen, "Parallel Reproducible Summation", IEEE
-    TC 2015). An exact sum too large for a float raises OverflowError, as
-    ``math.fsum`` does.
+    ``math.fsum`` raises OverflowError where a partial sum leaves the
+    float range, also where the exact sum does not (``[M, M, -M, -M, x]``
+    for the float max M); there the sum is taken in ``Fraction``, whose
+    conversion raises OverflowError only where the exact sum is past the
+    range. The partial sums of nonnegative values, which are all that
+    ``simulate`` sums, never pass their exact sum, so ``fractions`` is
+    imported on that path only.
     """
-    hi_bins = np.zeros(_BINS)
-    lo_bins = np.zeros(_BINS)
-    for start in range(0, values.size, _SLICE):
-        mant, exp = np.frexp(values[start : start + _SLICE])
-        exp += _EXP_BIAS
-        mant *= 2.0**27
-        hi_chunks = np.trunc(mant)
-        hi = np.bincount(exp, weights=hi_chunks, minlength=_BINS)
-        if not np.isfinite(hi).all():  # an inf or a nan: no chunks to split
-            return _special_sum(values)
-        hi_bins += hi
-        mant -= hi_chunks
-        mant *= 2.0**26
-        lo_bins += np.bincount(exp, weights=mant, minlength=_BINS)
-    used = np.flatnonzero(np.logical_or(hi_bins, lo_bins))
-    if used.size == 0:
-        return 0.0
-    low = int(used[0])
-    total = 0
-    for k, hi, lo in zip((used - low).tolist(), hi_bins[used].tolist(), lo_bins[used].tolist()):
-        total += ((int(hi) << 26) + int(lo)) << k
-    return _scaled(total, low - _EXP_BIAS - 53)
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        from fractions import Fraction
+
+        return float(sum(map(Fraction, values.tolist()), Fraction(0)))
 
 
 def _scaled(total: int, shift: int) -> float:
@@ -390,7 +387,7 @@ def _scaled(total: int, shift: int) -> float:
 
 
 def _special_sum(values: np.ndarray) -> float:
-    """What ``math.fsum`` returns for an array holding an inf or a nan."""
+    """The sum of an array holding an inf or a nan: its inf and nan values summed as ``math.fsum`` sums them."""
     specials = values[~np.isfinite(values)]
     infs = specials[np.isinf(specials)]
     if infs.size and infs.min() != infs.max():

@@ -493,6 +493,23 @@ class TestSimulate:
             assert abs(empirical - analytic) <= 4.0 * pairs[f"ci_half_width_d{i}"]
         assert pairs["empirical_power"] == pytest.approx(channel.power, rel=0.1)
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--sigma2", "1.7e308", "--power", "5e-324", "--n1", "5e-324", "--n2", "1e-323"], "--power"),
+            (["--sigma2", "5e-324", "--power", "1.7e308", "--n1", "1", "--n2", "2"], "--sigma2"),
+        ],
+    )
+    def test_a_gain_past_the_float_range_names_its_flag(self, flags, named, capsys):
+        # a decode gain (the first) or the encoder gain (the second) past
+        # the float range printed an OverflowError traceback and exited 1
+        code, text = run_cli(["simulate", "--samples", "100", *flags])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} too small relative to ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sigma2", [1.0, 1e300])
     def test_the_analytic_pair_is_accurate_at_high_snr(self, sigma2):
         # sigma2 - c1**2*(P + n1) cancelled: at sigma2 = 1 it printed
@@ -1036,8 +1053,10 @@ def test_importing_the_cli_loads_no_executor_or_logging():
         "from gaussian_bc.montecarlo import simulate\n"
         "print(gaussian_bc.simulate is simulate, SimulationConfig.__module__, 'numpy' in sys.modules)\n"
         "print('dataclasses' in sys.modules)\n"
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
     )
-    assert _fresh_python(code).splitlines() == ["[]", "True gaussian_bc.montecarlo True", "False"]
+    # fractions, which loads decimal, is imported on the reducer's rare path only
+    assert _fresh_python(code).splitlines() == ["[]", "True gaussian_bc.montecarlo True", "False", "[]"]
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         gaussian_bc.not_a_name
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gaussian_bc import (
     ChannelParams,
+    OutOfRangeError,
     ParameterError,
     SimulationConfig,
     SimulationReport,
@@ -54,6 +55,19 @@ class TestMmseCoefficients:
             for gain, noise in ((m.c1, n1), (m.c2, n2)):
                 exact = gamma * mpmath.mpf(0.75) / (p + noise)
                 assert abs(gain - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize(
+        "source, channel, named",
+        [
+            # c1, about 2.5e315, raised OverflowError in _over
+            (SourceParams(1.7e308, 0.5), ChannelParams(5e-324, 5e-324, 1e-323), "power too small relative to sigma2"),
+            # gamma, about 6.8e315, raised OverflowError
+            (SourceParams(5e-324, 0.5), ChannelParams(1.7e308, 1.0, 2.0), "sigma2 too small relative to power"),
+        ],
+    )
+    def test_a_gain_past_the_float_range_is_refused(self, source, channel, named):
+        with pytest.raises(OutOfRangeError, match=f"^{named}"):
+            mmse_coefficients(source, channel, MIDPOINT)
 
     @pytest.mark.parametrize(
         "sigma2, channel",
@@ -369,6 +383,18 @@ class TestExactSum:
         assert _exact_sum(np.array([big, big, -big])) == big
         with pytest.raises(OverflowError):
             _exact_sum(np.array([big, big]))
+        # math.fsum raises OverflowError on each of these at 1e308 + 1e308
+        assert _exact_sum(np.array([1e308, 1e308, math.inf])) == math.inf
+        assert math.isnan(_exact_sum(np.array([1e308, 1e308, math.nan])))
+        with pytest.raises(ValueError):
+            _exact_sum(np.array([1e308, 1e308, -math.inf, math.inf]))
+
+    def test_intermediate_overflow_of_fsum_in_the_fallback(self, fallbacks):
+        # the bracket's candidates differ in sign, and math.fsum overflows
+        # at big + big, so the fallback sums the block in Fraction
+        big = np.finfo(np.float64).max
+        assert _exact_sum(np.array([big, big, -big, -big, 5e-324])) == 5e-324
+        assert fallbacks == [5]
 
     @pytest.mark.parametrize(
         "values",
@@ -396,15 +422,15 @@ class TestExactSum:
 
 @pytest.fixture
 def fallbacks(monkeypatch) -> list:
-    """The sizes of the arrays ``_exact_sum`` hands to its binned fallback."""
+    """The sizes of the arrays ``_exact_sum`` hands to its ``math.fsum`` fallback."""
     calls = []
-    binned = montecarlo._binned_sum
+    fsum = montecarlo._fsum
 
     def counted(values):
         calls.append(values.size)
-        return binned(values)
+        return fsum(values)
 
-    monkeypatch.setattr(montecarlo, "_binned_sum", counted)
+    monkeypatch.setattr(montecarlo, "_fsum", counted)
     return calls
 
 
