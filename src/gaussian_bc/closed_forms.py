@@ -41,16 +41,19 @@ here and in ``region``, ``rate_distortion`` and ``montecarlo``, builds
 one curve and reads the units, floors and corners from it; only
 ``is_uncoded_optimal``, which needs no curve, validates its problem
 itself. The curve's methods and the other ``_``-prefixed kernels
-(``_snr_threshold``, ``_witness_eta`` and ``_psi``) never validate and
-call no public function. Every kernel keeps the operation order of the
+(``_snr_threshold``, ``_product_threshold``, ``_low_root``,
+``_witness_eta`` and ``_psi``) never validate and call no public
+function. Every kernel keeps the operation order of the
 public function it serves, so all routes give the same bits.
 
 ``_Curve`` is the row kernel, and the one place where D1u, D2u, the
 converse at the optimal witness and the alpha inverse of d1 are written
 out. Built once per problem, it hoists the factors that do not depend on
 alpha or d1. The trace calls its ``forms`` and ``converse`` once per
-row, and the verifier and ``_rx1_point`` call them at the alpha its
-``alpha_for`` solves for d1.
+row. Its ``at_d1`` is the one evaluation of a d1, which the verifier
+and ``_rx1_point`` share: a d1 inside the interval the curve leaves
+uncovered is not covered without a solve, and at any other d1
+``alpha_for`` solves the alpha and ``forms`` and ``converse`` run there.
 ``uncoded_distortions`` (the analytic pair ``simulate`` prints) and
 ``d2_min_at_rx1`` read their values from it too, so the public and the
 region routes give the same bits. ``_Curve.ends`` is the one copy of
@@ -67,8 +70,13 @@ also the one coverage rule. On the curve, ``T(D1u(alpha)) - P/n1``
 carries the factor ``A = rho*n1*q - P*alpha*(1 - alpha)*(1 - rho**2)``
 (its other factors have a fixed sign), and A is the numerator of the
 witness's a2*, so the kernel returns None where A < 0 and the point is
-covered otherwise. ``snr_threshold`` and ``is_uncoded_optimal`` keep the
-paper's d1-coordinate formula; no region or per-d1 function calls them.
+covered otherwise. On the curve b = 1 - a, A is affine in a*b, so a
+point is covered iff ``a*b <= t*`` (``_product_threshold``). The curve
+takes the d1 interval that leaves uncovered as it is built
+(``_Curve._uncovered``), narrowed until the per-point test agrees at
+every d1 inside it, so this module alone decides coverage.
+``snr_threshold`` and ``is_uncoded_optimal`` keep the paper's
+d1-coordinate formula; no region or per-d1 function calls them.
 
 At any other
 witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
@@ -97,11 +105,12 @@ hold in any one unit, and it runs as the curve is built.
 
 ``_rx1_point`` memoizes the per-d1 record ``(root, cv, s2u, e, n1, n2,
 power + n2, (d2t, eta*, psi, a1*, a2*))``, with the channel in its unit:
-the one evaluation of a d1 that every per-d1 function reads. The
-witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
-thousands of times at one d1, and a cache hit (a key builds its curve,
-and so is validated, on its first miss only) leaves each call the
-witness kernel ``_witness_eta`` and, for the converse, ``_psi``.
+the curve's ``at_d1`` kept as floats, which every per-d1 function
+reads. The witness sweeps call ``combiner_mse_bound`` and
+``d2_converse_bound`` thousands of times at one d1, and a cache hit (a
+key builds its curve, and so is validated, on its first miss only)
+leaves each call the witness kernel ``_witness_eta`` and, for the
+converse, ``_psi``.
 """
 
 from __future__ import annotations
@@ -166,13 +175,35 @@ def _checked_q(rho: float, alpha: float, beta: float) -> float:
     return q
 
 
+def _product_threshold(rho: float, snr: float) -> float:
+    """``t*``: a curve point is covered iff ``alpha*(1 - alpha) <= t*``, with snr = P/n1.
+
+    ``t* = rho*n1/((1 - rho)*(2*rho*n1 + P*(1 + rho)))``, here divided
+    through by n1 so that no product of two channel scales can overflow
+    (``tests/test_converse_algebra.py`` proves the factorization). ``t* >=
+    1/4``, where every point is covered, iff ``P/n1 <= 2*rho/(1 - rho)``,
+    the paper's simple threshold. Needs ``snr > 0`` at rho = 0.
+    """
+    return rho / ((1.0 - rho) * (2.0 * rho + snr * (1.0 + rho)))
+
+
+def _low_root(t: float) -> float:
+    """The lesser root ``a`` of ``a*(1 - a) = t`` for ``0 <= t <= 1/4``, in cancellation-free form."""
+    return 2.0 * t / (1.0 + math.sqrt(1.0 - 4.0 * t))
+
+
+# The relative band by which the uncovered d1 interval is narrowed, in t*
+# and again in d1 (see _Curve._uncovered).
+_SKIP_BAND = 1e-6
+
+
 class _Curve:
     """The row kernel of one problem, and its boundary: the one copy of D1u, D2u and the converse.
 
     Building one validates the problem (``validate_problem``, before
     anything else) and fixes its units: ``sigma2 = s2u*2**e`` and the
-    channel ``(p, n1, n2)`` in ``_channel_unit``. No method validates
-    again.
+    channel ``(p, n1, n2) = (power, n1, n2)*2**-ce`` in ``_channel_unit``.
+    No method validates again.
 
     With ``q = a**2 + 2*a*b*rho + b**2`` at the weights (a, b) and
     ``om = (1 - rho)*(1 + rho)``, the distortions at a receiver with
@@ -187,9 +218,11 @@ class _Curve:
     are normal floats at every channel the unit accepts.
 
     ``converse`` is the converse at the optimal witness; ``alpha_for``
-    inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha). The
-    constructor computes once per problem every factor that does not
-    depend on the weights or on d1; each method keeps the operation order of the
+    inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha); ``at_d1``
+    is the two at the alpha of a d1. The constructor computes once per
+    problem every factor that does not depend on the weights or on d1,
+    and the d1 interval ``(skip_lo, skip_hi)`` the curve leaves uncovered
+    (``_uncovered``); each method keeps the operation order of the
     formula it writes out, so a hoisted factor is the float its
     expression would give in place. ``forms`` returns q with D1u(n1) and
     D2u(n2), and ``d2_rx1`` and ``converse`` take that q, so a trace row
@@ -201,12 +234,13 @@ class _Curve:
     __slots__ = (
         "s2", "s2u", "e", "rho", "p", "n1", "n2", "pn1", "pn2", "om", "rho_n1", "a1_scale",
         "lo_d", "hi_d", "lo_edge", "hi_edge", "snap_lo", "snap_hi", "n1_share", "c", "omr", "opr",
+        "ce", "skip_lo", "skip_hi",
     )
 
     def __init__(self, source: SourceParams, channel: ChannelParams) -> None:
         validate_problem(source, channel)
         s2, rho = source.sigma2, source.rho + 0.0
-        p, n1, n2 = _channel_unit(channel)
+        p, n1, n2, self.ce = _channel_unit(channel)
         self.s2, self.rho, self.p, self.n1, self.n2 = s2, rho, p, n1, n2
         self.s2u, self.e = math.frexp(s2)  # sigma2 = s2u*2**e exactly, the unit of _psi
         self.pn1 = pn1 = p + n1
@@ -226,6 +260,7 @@ class _Curve:
             self.snap_lo, self.snap_hi = lo_d, hi_d
         self.n1_share = n1 / pn1
         self.c = self.opr * p / pn1
+        self.skip_lo, self.skip_hi = self._uncovered()
 
     def ends(self, noise: float) -> tuple[float, float]:
         """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
@@ -273,6 +308,66 @@ class _Curve:
         alpha = 1.0 - w / (omr_w + math.sqrt(0.0 if 0.0 > rad else rad))
         alpha = 0.0 if 0.0 > alpha else alpha
         return 1.0 if 1.0 < alpha else alpha
+
+    def _uncovered(self) -> tuple[float, float]:
+        """``(lo, hi)``: every d1 with ``lo < d1 < hi`` is a point the per-point test of ``at_d1`` finds not covered.
+
+        For ``t* < 1/4`` the uncovered alphas are ``(a_lo, 1 - a_lo)``, with
+        ``a_lo = _low_root(t*)``, so the uncovered d1 are ``(D1u(1 - a_lo),
+        D1u(a_lo))``. The interval returned is that one narrowed until the
+        float test at every d1 inside it (``alpha_for``, then the sign of
+        ``converse``'s margin A) agrees with the exact one:
+
+        - t* is raised by ``_SKIP_BAND``. A is ``-rho*n1*eps`` where
+          ``alpha*beta = t*(1 + eps)``, and its float is within a few ulp of
+          ``rho*n1``, so a relative 1e-6 in t* decides its sign;
+        - the interval is clamped inside the snaps of ``alpha_for``, whose
+          alphas 0 and 1 are covered (at rho = 0 as well). Off the snaps,
+          which are 4 ulp of the larger end, the exact beta is above 2e-8 and
+          alpha above 5e-17, so the absolute rounding of ``1 - alpha`` (1e-16)
+          stays below 1e-8 of beta;
+        - the ends are pulled in by ``_SKIP_BAND`` of d1. Near the flat alpha
+          = 1 end the solve reads beta off ``w = d1/sigma2 - n1/(P + n1)``,
+          whose rounding is a few ulp of d1/sigma2: the band moves w by 1e-6
+          of d1/sigma2, ~1e9 times more. Near the alpha = 0 end it moves
+          alpha by more than 1e-8, against a rounding of a few 1e-16. A range
+          under ~2e-6 of d1 wide (a few ulp, say) leaves the interval empty.
+
+        The margin's terms are taken in the channel's unit, where P and n1
+        are normal floats, so no floor on ``P*(1 - rho**2)`` is needed. For
+        ``t* >= 1/4`` the interval is empty, and so it is where P/n1
+        underflows to 0 in that unit: t* is then 0/0 at rho = 0, and at
+        least 1/2 at every other rho.
+        """
+        snr = self.p / self.n1
+        t = _product_threshold(self.rho, snr) * (1.0 + _SKIP_BAND) if snr > 0.0 else 1.0
+        if not t < 0.25:
+            return 0.0, 0.0
+        a = _low_root(t)
+        lo, hi = self.forms(1.0 - a, a)[1], self.forms(a, 1.0 - a)[1]
+        lo = self.snap_lo if self.snap_lo > lo else lo
+        hi = self.snap_hi if self.snap_hi < hi else hi
+        return lo * (1.0 + _SKIP_BAND), hi * (1.0 - _SKIP_BAND)
+
+    def at_d1(self, d1: float) -> tuple[float, float, float, float, float, tuple[float, float, float, float]] | None:
+        """``(a, b, q, D2u(n2), D2u(n1), converse)`` at the curve point of d1, or None where it is not covered.
+
+        The one evaluation of a d1, which ``verify`` and the per-d1 record
+        (``_rx1_point``) share. A d1 strictly inside the uncovered interval
+        ``(skip_lo, skip_hi)`` (``_uncovered``) is not covered and takes no
+        solve. At any other d1, ``alpha_for`` solves its alpha once, (a, b)
+        = (alpha, 1 - alpha), and ``converse`` there decides, at the q of
+        ``forms``, and is returned as it is, ``(eta*, psi, a1*, a2*)``; the
+        answer is the one solving every d1 gives. ``d1`` must lie within
+        ``alpha_for``'s range.
+        """
+        if self.skip_lo < d1 < self.skip_hi:
+            return None
+        a = self.alpha_for(d1)
+        b = 1.0 - a
+        q, _, d2 = self.forms(a, b)
+        row = self.converse(a, b, q)
+        return None if row is None else (a, b, q, d2, self.d2_rx1(a, b, q), row)
 
     def forms(self, a: float, b: float) -> tuple[float, float, float]:
         """``(q, D1u(n1), D2u(n2))`` at the weights (a, b)."""
@@ -359,8 +454,8 @@ def _psi(s2u: float, e: int, n1: float, n2: float, pn2: float, cv: float, eta: f
     raise OutOfRangeError(f"combiner bound too small: the converse d2 at eta = {eta!r} is past the float range")
 
 
-def _channel_unit(channel: ChannelParams) -> tuple[float, float, float]:
-    """``(power, n1, n2)*2**-c``: the channel in the one power-of-two unit every kernel takes it in.
+def _channel_unit(channel: ChannelParams) -> tuple[float, float, float, int]:
+    """``(power, n1, n2)*2**-c`` and c: the channel in the one power-of-two unit every kernel takes it in.
 
     Every output depends on the channel only through the ratios of P, n1
     and n2, so a kernel may take the channel in any unit. c is the mean of
@@ -378,7 +473,7 @@ def _channel_unit(channel: ChannelParams) -> tuple[float, float, float]:
     c = (math.frexp(max(p, n2))[1] + low) >> 1
     if low - c < -1021:  # the smallest scaled value would be subnormal
         raise OutOfRangeError(f"{'power' if p < n1 else 'n1'} too small: the channel spans more than the float range")
-    return math.ldexp(p, -c), math.ldexp(n1, -c), math.ldexp(n2, -c)
+    return math.ldexp(p, -c), math.ldexp(n1, -c), math.ldexp(n2, -c), c
 
 
 def d_min(source: SourceParams, channel: ChannelParams, receiver: int) -> float:
@@ -534,12 +629,13 @@ def _rx1_point(
     """The record ``(root, cv, s2u, e, n1, n2, power + n2, (d2t, eta*, psi, a1*, a2*))`` at d1 of the per-d1 functions.
 
     Builds the problem's curve, which validates it, on a cache miss only,
-    and raises as :func:`d2_min_at_rx1` does. A miss solves the alpha of d1 and keeps
-    the row kernel's ``d2_rx1`` and ``converse`` there, the answers of
-    ``d2_min_at_rx1``, ``optimal_witness`` and ``region.converse_at``, as
-    floats, not the kernel, so the cache stays small. Coverage is the row
-    kernel's own test at the alpha of d1, so a d1 that ``bound`` accepts
-    is one the trace and ``verify`` cover, at every scale of sigma2.
+    and raises as :func:`d2_min_at_rx1` does. A miss keeps the row
+    kernel's ``at_d1``, whose ``d2_rx1`` and ``converse`` are the answers
+    of ``d2_min_at_rx1``, ``optimal_witness`` and ``region.converse_at``,
+    as floats, not the kernel, so the cache stays small. Coverage is the
+    evaluation ``verify`` makes of the same d1, so a d1 that ``bound``
+    accepts is one ``verify`` covers, at every scale of sigma2, and a d1
+    inside the uncovered interval is refused with no solve.
     ``root`` is ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its
     proved perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
     at (a, b) = (alpha, 1 - alpha), a product of nonnegative factors with
@@ -555,19 +651,17 @@ def _rx1_point(
         )
     if not curve.lo_edge <= d1:  # the edge slack of alpha_for
         raise DistortionRangeError(f"d1 must be >= {curve.lo_d!r} (d_min(1)), got {d1!r}")
-    a = curve.alpha_for(d1)
-    b = 1.0 - a
-    q = curve.forms(a, b)[0]
-    row = curve.converse(a, b, q)
-    if row is None:
+    point = curve.at_d1(d1)
+    if point is None:
         raise SnrThresholdError(
             "d1 lies where power/n1 exceeds the SNR threshold; the companion floor "
             "has no closed form there"
         )
+    a, b, q = point[:3]
     shape = (a + b * source.rho) * (a * source.rho + b) / q
     root = source.sigma2 * (curve.p / curve.pn1 * shape)
     cv = source.sigma2 * curve.om
-    return root, cv, curve.s2u, curve.e, curve.n1, curve.n2, curve.pn2, (curve.d2_rx1(a, b, q), *row)
+    return root, cv, curve.s2u, curve.e, curve.n1, curve.n2, curve.pn2, (point[4], *point[5])
 
 
 def _witness_eta(source: SourceParams, delta: float, witness: BoundWitness, root: float) -> float:

@@ -122,37 +122,40 @@ def mmse_coefficients(
     """Closed-form encoder gain and per-receiver MMSE decode gains."""
     curve = _Curve(source, channel)
     validate_coeffs(coeffs)
-    return _mmse_coefficients(curve, source, channel.power, coeffs)
+    return _mmse_coefficients(curve, coeffs)
 
 
-def _mmse_coefficients(
-    curve: _Curve, source: SourceParams, power: float, coeffs: UncodedCoeffs
-) -> MmseCoefficients:
-    """The gains of the problem of ``curve``, whose raw source and power are ``source`` and ``power``.
+def _mmse_coefficients(curve: _Curve, coeffs: UncodedCoeffs) -> MmseCoefficients:
+    """The gains of the problem of ``curve``, read from its units alone.
 
     gamma is taken in the unit s2u of ``sigma2 = s2u*2**e``: with
-    ``power = m*2**k`` and ``j = k - e`` made even by doubling m, it is
-    ``sqrt(m/(s2u*q))*2**(j/2)``, which is the plain root bit for bit
-    wherever the plain intermediates are normal floats, and finite at
-    every other scale. A gain past the float range raises
-    OutOfRangeError naming the parameter that is too small.
+    ``power = m*2**k`` (the curve's ``p*2**ce``) and ``j = k - e`` made
+    even by doubling m, it is ``root*2**h`` with ``root = sqrt(m/(s2u*q))``
+    and ``h = j/2``, which is the plain root bit for bit wherever the
+    plain intermediates are normal floats, and finite at every other
+    scale. The decode gains take their numerator
+    ``gamma*sigma2*(own + other*rho)`` as ``root*s2u*(own + other*rho)``
+    times ``2**(h + e)``, and their sum ``power + n`` in the channel's
+    unit ``2**ce``, so the one shift ``h + e - ce`` goes to ``_over``:
+    neither overflows where the gain itself does not. A gain past the
+    float range raises OutOfRangeError naming the parameter that is too
+    small.
     """
-    a, b = coeffs.alpha, coeffs.beta
-    s2, rho = source.sigma2, source.rho
+    a, b, rho = coeffs.alpha, coeffs.beta, curve.rho
     q = _checked_q(rho, a, b)
-    m, k = math.frexp(power)
-    j = k - curve.e
+    m, k = math.frexp(curve.p)
+    j = k + curve.ce - curve.e
     if j & 1:
         m, j = 2.0 * m, j - 1
+    root = math.sqrt(m / (curve.s2u * q))
     try:
-        gamma = math.ldexp(math.sqrt(m / (curve.s2u * q)), j >> 1)
+        gamma = math.ldexp(root, j >> 1)
     except OverflowError:
         raise OutOfRangeError("sigma2 too small relative to power: the encoder gain is past the float range") from None
-    # the channel's unit is (P, n1, n2)*2**down
-    down = math.frexp(curve.p)[1] - k
+    shift = (j >> 1) + curve.e - curve.ce
     try:
-        c1 = _over(gamma * s2 * (a + b * rho), curve.pn1, down)
-        c2 = _over(gamma * s2 * (b + a * rho), curve.pn2, down)
+        c1 = _over(root * curve.s2u * (a + b * rho), curve.pn1, shift)
+        c2 = _over(root * curve.s2u * (b + a * rho), curve.pn2, shift)
     except OverflowError:
         raise OutOfRangeError("power too small relative to sigma2: a decode gain is past the float range") from None
     return MmseCoefficients(gamma=gamma, c1=c1, c2=c2)
@@ -166,8 +169,8 @@ def _over(num: float, total: float, down: int) -> float:
     scales the rounded ``num/m`` exactly, or raises OverflowError. At
     ``s < 0`` the scale goes into the divisor, ``m*2**j`` with
     ``j = min(-s, 1024)`` a normal float, and the rest, ``2**(s + j)``
-    (1 unless the sum is past the float range), into num, so that the
-    one division rounds a subnormal quotient too. Where that leaves
+    (1 unless the quotient is below the normal range), into num, so that
+    the one division rounds a subnormal quotient too. Where that leaves
     ``num*2**(s + j)`` subnormal, the quotient is below 2**-2045 and
     rounds to zero either way.
     """
@@ -427,7 +430,7 @@ def simulate(
     curve = _Curve(source, channel)
     validate_coeffs(config.coeffs)
     _check_draws(config.samples, config.seed)
-    m = _mmse_coefficients(curve, source, channel.power, config.coeffs)
+    m = _mmse_coefficients(curve, config.coeffs)
     c1, c2 = decode_gains if decode_gains is not None else (m.c1, m.c2)
     a, b = config.coeffs.alpha, config.coeffs.beta
     z1_dev = math.sqrt(channel.n1)

@@ -222,10 +222,12 @@ def conditional_info_bound(
     over it is taken in the unit of sigma2, and the channel in its own
     unit (see ``closed_forms``), so the value is the same at every scale
     of sigma2 and every common scale of the channel, and ``s2u*n1`` is
-    never 0. Where a product or quotient in the argument of the log
-    leaves the float range in those units, the argument is taken as a
-    mantissa times a power of two, so the value is finite wherever it is
-    a finite number.
+    never 0. The ratio in the argument of the log is taken as a mantissa
+    t times a power of two 2**k (``math.frexp``), which is the plain
+    ratio's float wherever the plain intermediates are normal, and the
+    value is finite wherever it is a finite number: where ``t*2**k`` is
+    past the float range, the + 1 is far below rounding and the log is
+    ``log2(t) + k``.
     """
     curve = _Curve(source, channel)
     if not math.isfinite(delta2):
@@ -239,14 +241,6 @@ def conditional_info_bound(
     # Algebraically identical to the display above; the floor-relative form
     # cancels exactly at delta2 == d2_floor.
     excess = delta2 - d2_floor
-    try:
-        arg = pn2 * math.ldexp(excess, -e) / (s2u * n1) + 1.0
-    except OverflowError:
-        arg = math.inf
-    if arg != math.inf:
-        return max(0.0, 0.5 * math.log2(arg))
-    # a product or quotient left the float range on the way: take the ratio
-    # as a mantissa t times 2**k, and drop the + 1 only where it is below rounding
     (m1, k1), (m2, k2), (m3, k3) = math.frexp(pn2), math.frexp(excess), math.frexp(n1)
     t, k = m1 * m2 / (s2u * m3), k1 + k2 - k3 - e
     try:

@@ -25,16 +25,15 @@ through that curve (and, in the verifier, the oracle kernel of
 A trace row is two kernel calls: ``forms`` gives q, d1 and the
 achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
-alpha already, so it solves none. The verifier first takes the d1
-interval that the closed-form threshold ``alpha*(1 - alpha) <= t*``
-leaves uncovered (``_uncovered_d1``, once per run) and records a grid
-point inside it as not covered without a solve; every other point it
-solves with the same kernel's ``alpha_for``, whose per-problem factors
-the run's one ``_Curve`` holds, and tests as the trace does. No point of
-either goes through the public (memoized) closed forms, so neither
-re-validates the problem nor fills the per-d1 cache
-``closed_forms._rx1_point``. :func:`converse_at` is one read of that
-cache's record, which it shares with the public per-d1 functions.
+alpha already, so it solves none. The verifier evaluates each grid point
+with the kernel's ``at_d1``, the one evaluation of a d1, which the
+per-d1 record ``closed_forms._rx1_point`` makes too: a d1 inside the
+interval the curve leaves uncovered is not covered without a solve, and
+any other is solved and tested as the trace tests a row. This module
+evaluates no threshold of its own. No point of either goes through the
+public (memoized) closed forms, so neither re-validates the problem nor
+fills the per-d1 cache. :func:`converse_at` is one read of that cache's
+record, which it shares with the public per-d1 functions.
 
 ``BoundaryPoint``, ``MatchPoint`` and ``MatchReport`` are named tuples,
 like every record of the package (see :mod:`.params`). They are
@@ -166,67 +165,6 @@ def _d1_grid(lo: float, hi: float, size: int) -> list[float]:
     return [math.ldexp(lo + (hi - lo) * (i + 1) / (size + 1), e) for i in range(size)]
 
 
-def _product_threshold(rho: float, snr: float) -> float:
-    """``t*``: a curve point is covered iff ``alpha*(1 - alpha) <= t*``, with snr = P/n1.
-
-    ``t* = rho*n1/((1 - rho)*(2*rho*n1 + P*(1 + rho)))``, here divided
-    through by n1 so that no product of two channel scales can overflow
-    (``tests/test_converse_algebra.py`` proves the factorization). ``t* >=
-    1/4``, where every point is covered, iff ``P/n1 <= 2*rho/(1 - rho)``,
-    the paper's simple threshold. Needs ``snr > 0`` at rho = 0.
-    """
-    return rho / ((1.0 - rho) * (2.0 * rho + snr * (1.0 + rho)))
-
-
-def _low_root(t: float) -> float:
-    """The lesser root ``a`` of ``a*(1 - a) = t`` for ``0 <= t <= 1/4``, in cancellation-free form."""
-    return 2.0 * t / (1.0 + math.sqrt(1.0 - 4.0 * t))
-
-
-# The relative band by which the verifier's skip interval is narrowed, in t*
-# and again in d1 (see _uncovered_d1).
-_SKIP_BAND = 1e-6
-
-
-def _uncovered_d1(curve: _Curve) -> tuple[float, float]:
-    """``(lo, hi)``: every d1 with ``lo < d1 < hi`` is a point the verifier's per-point test finds not covered.
-
-    For ``t* < 1/4`` the uncovered alphas are ``(a_lo, 1 - a_lo)``, with
-    ``a_lo = _low_root(t*)``, so the uncovered d1 are ``(D1u(1 - a_lo),
-    D1u(a_lo))``. The interval returned is that one narrowed until the
-    float test at every d1 inside it (``alpha_for``, then the sign of
-    ``converse``'s margin A) agrees with the exact one:
-
-    - t* is raised by ``_SKIP_BAND``. A is ``-rho*n1*eps`` where
-      ``alpha*beta = t*(1 + eps)``, and its float is within a few ulp of
-      ``rho*n1``, so a relative 1e-6 in t* decides its sign;
-    - the interval is clamped inside the snaps of ``alpha_for``, whose
-      alphas 0 and 1 are covered (at rho = 0 as well). Off the snaps,
-      which are 4 ulp of the larger end, the exact beta is above 2e-8 and
-      alpha above 5e-17, so the absolute rounding of ``1 - alpha`` (1e-16)
-      stays below 1e-8 of beta;
-    - the ends are pulled in by ``_SKIP_BAND`` of d1. Near the flat alpha
-      = 1 end the solve reads beta off ``w = d1/sigma2 - n1/(P + n1)``,
-      whose rounding is a few ulp of d1/sigma2: the band moves w by 1e-6
-      of d1/sigma2, ~1e9 times more. Near the alpha = 0 end it moves
-      alpha by more than 1e-8, against a rounding of a few 1e-16. A range
-      under ~2e-6 of d1 wide (a few ulp, say) leaves the interval empty.
-
-    The margin's terms are taken in the channel's unit, where P and n1
-    are normal floats, so no floor on ``P*(1 - rho**2)`` is needed. For
-    ``t* >= 1/4`` the interval is empty. Called once per run, after the
-    grid check, which leaves P/n1 > 0.
-    """
-    t = _product_threshold(curve.rho, curve.p / curve.n1) * (1.0 + _SKIP_BAND)
-    if not t < 0.25:
-        return 0.0, 0.0
-    a = _low_root(t)
-    lo, hi = curve.forms(1.0 - a, a)[1], curve.forms(a, 1.0 - a)[1]
-    lo = curve.snap_lo if curve.snap_lo > lo else lo
-    hi = curve.snap_hi if curve.snap_hi < hi else hi
-    return lo * (1.0 + _SKIP_BAND), hi * (1.0 - _SKIP_BAND)
-
-
 def trace_uncoded_boundary(
     source: SourceParams, channel: ChannelParams, num_points: int
 ) -> list[BoundaryPoint]:
@@ -282,13 +220,14 @@ def verify_matching(
     """Check that achievability and converse coincide on a d1 grid.
 
     The grid is uniform over the open interval between ``d_min(1)`` and
-    ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. A point
-    strictly inside the closed-form uncovered interval ``_uncovered_d1``
-    is not covered and takes no solve. At any other point the alpha is
-    solved once, and the converse kernel's coverage test there (the sign
-    of its margin A) decides whether it is covered; either way a point
-    not covered is excluded from the pass/fail verdict, and the report
-    is the one that solving every point gives. A covered point passes
+    ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Each point is
+    the row kernel's ``at_d1``: a point strictly inside the curve's
+    closed-form uncovered interval is not covered and takes no solve. At
+    any other point the alpha is solved once, and the converse kernel's
+    coverage test there (the sign of its margin A) decides whether it is
+    covered; either way a point not covered is excluded from the
+    pass/fail verdict, and the report is the one that solving every point
+    gives. ``d2_min_at_rx1`` refuses exactly the points not covered. A covered point passes
     when its residual is at most ``tol*sigma2``; a nan residual never
     passes, and a grid with no covered point does not pass. Each covered
     point also carries the joint-rate oracle's error against receiver 1's
@@ -319,8 +258,7 @@ def verify_matching(
             f"{cause}: the d1 range ({lo!r}, {hi!r}) holds no {grid_size}-point grid in floating point"
         )
     capacity = channel_capacity(channel.power, channel.n1)
-    skip_lo, skip_hi = _uncovered_d1(curve)
-    alpha_for, forms, converse, d2_rx1 = curve.alpha_for, curve.forms, curve.converse, curve.d2_rx1
+    at_d1 = curve.at_d1
     s2u, down, ldexp = curve.s2u, -curve.e, math.ldexp  # d*2**down is d in the oracle's unit, sigma2 = s2u
     rho, limit = source.rho, tol * source.sigma2
     new = tuple.__new__
@@ -330,25 +268,21 @@ def verify_matching(
     max_residual = max_oracle_error = None
     within = True
     for d1 in grid:
-        if not skip_lo < d1 < skip_hi:
-            alpha = alpha_for(d1)
-            beta = 1.0 - alpha
-            q, _, d2_ach = forms(alpha, beta)
-            row = converse(alpha, beta, q)
-            if row is not None:
-                _, psi_value, a1, a2 = row
-                residual = abs(d2_ach - psi_value)
-                oracle_error = abs(_r_joint(s2u, rho, ldexp(d1, down), ldexp(d2_rx1(alpha, beta, q), down)) - capacity)
-                witness = new(BoundWitness, (a1, a2))
-                points.append(new(MatchPoint, (d1, True, d2_ach, psi_value, residual, witness, oracle_error)))
-                if max_residual is None:
-                    max_residual, max_oracle_error = residual, oracle_error
-                else:
-                    max_residual = residual if residual > max_residual else max_residual
-                    max_oracle_error = oracle_error if oracle_error > max_oracle_error else max_oracle_error
-                within = within and residual <= limit
-                continue
-        points.append(new(MatchPoint, (d1, False, None, None, None, None, None)))
+        point = at_d1(d1)
+        if point is None:
+            points.append(new(MatchPoint, (d1, False, None, None, None, None, None)))
+            continue
+        _, _, _, d2_ach, d2t, (_, psi_value, a1, a2) = point
+        residual = abs(d2_ach - psi_value)
+        oracle_error = abs(_r_joint(s2u, rho, ldexp(d1, down), ldexp(d2t, down)) - capacity)
+        witness = new(BoundWitness, (a1, a2))
+        points.append(new(MatchPoint, (d1, True, d2_ach, psi_value, residual, witness, oracle_error)))
+        if max_residual is None:
+            max_residual, max_oracle_error = residual, oracle_error
+        else:
+            max_residual = residual if residual > max_residual else max_residual
+            max_oracle_error = oracle_error if oracle_error > max_oracle_error else max_oracle_error
+        within = within and residual <= limit
     return MatchReport(
         grid_size=grid_size,
         tol=tol,

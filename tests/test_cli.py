@@ -493,6 +493,15 @@ class TestSimulate:
             assert abs(empirical - analytic) <= 4.0 * pairs[f"ci_half_width_d{i}"]
         assert pairs["empirical_power"] == pytest.approx(channel.power, rel=0.1)
 
+    def test_sigma2_and_power_at_the_top_of_the_float_range_simulate(self):
+        # gamma*sigma2 overflowed in the decode gains, and the run printed
+        # empirical_d1=inf and ci_half_width_d1=nan, then exited 0
+        flags = ["--sigma2", "1.7e308", "--power", "1.7e308", "--rho", "0", "--alpha", "0.5", "--samples", "100"]
+        code, text = run_cli(["simulate", *flags])
+        assert code == 0
+        values = {key: float(value) for key, value in parse_kv(text).items()}
+        assert len(values) == 11 and all(math.isfinite(value) for value in values.values())
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -1092,3 +1101,27 @@ def test_the_cached_parser_gives_every_call_a_fresh_process_result(tmp_path, cap
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         if "{out}" in argv:
             assert reused_out.read_text(encoding="utf-8") == fresh_out.read_text(encoding="utf-8")
+
+
+# rho = 0 and P/n1 = 1e-600, which underflows to 0 in every unit: the row
+# kernel's uncovered interval, built with every curve, is empty there
+# rather than 0/0, and each command prints what it printed when only
+# verify built that interval
+ZERO_SNR = ["--rho", "0", "--power", "1e-300", "--n1", "1e300", "--n2", "2e300"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["report"], "sigma2=1\nrho=0\npower=1e-300\nn1=1e+300\nn2=2e+300\nD1_min=1\nD2_min=1\n"
+         "D1_star_at_D2_min=1\nD2_star_at_D1_min=1\nsimple_threshold=0\nsnr_rx1=1e-600\ncapacity_rx1=0\n"
+         "capacity_rx2=0\nuncoded_optimal_everywhere=true\n"),
+        (["trace", "--points", "5"], f"{CSV_HEADER}\n0,1,1,,,,true\n0.25,1,1,,,,false\n0.5,1,1,,,,false\n"
+         "0.75,1,1,,,,false\n1,1,1,1,1,0,true\n"),
+        (["bound", "--d1", "0.9999999999999999"], "d1=0.99999999999999989\nd2_min_rx1=1\ncombiner_mse_bound=1\n"
+         "a1_star=1\na2_star=0\nd2_converse=1\n"),
+    ],
+)
+def test_the_commands_answer_where_the_snr_underflows_to_zero(argv, want):
+    closed_forms._rx1_point.cache_clear()
+    assert run_cli([*argv, *ZERO_SNR]) == (0, want)

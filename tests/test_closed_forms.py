@@ -732,7 +732,7 @@ def test_a_per_d1_record_holds_floats_and_ints_only():
         assert len(head) == 7 and len(row) == 5
         assert [type(x) for x in head] == [float, float, float, int, float, float, float]
         # the channel fields are the row kernel's, in the channel's unit
-        p, n1, n2 = closed_forms._channel_unit(channel)
+        p, n1, n2, _ = closed_forms._channel_unit(channel)
         assert head[4:] == [n1, n2, p + n2]
         assert all(type(x) is float for x in row)
         eta, psi, witness = region.converse_at(source, channel, d1)
@@ -810,9 +810,18 @@ _BOUNDARY = {
     "_channel_unit": {"_Curve.__init__"},
 }
 
-# the functions that may evaluate the converse kernel: the trace and the
-# verifier once per point, and the per-d1 record once per d1
-_CONVERSE_CALLERS = {"_rx1_point", "trace_uncoded_boundary", "verify_matching"}
+# the defs that may evaluate the converse kernel: the trace once per row,
+# and the row kernel itself, whose at_d1 is the one evaluation of a d1 that
+# the verifier and the per-d1 record share
+_CONVERSE_CALLERS = {"_Curve", "trace_uncoded_boundary"}
+# the defs that may solve the alpha of a d1: the row kernel (in at_d1) and
+# the public solve
+_ALPHA_CALLERS = {"_Curve", "solve_alpha_for_d1"}
+# the names of the coverage threshold, which the region module never evaluates
+_THRESHOLD_NAMES = {
+    "_product_threshold", "_low_root", "_SKIP_BAND", "_uncovered", "_uncovered_d1",
+    "snr_threshold", "_snr_threshold", "simple_snr_threshold", "is_uncoded_optimal",
+}
 
 
 def test_one_copy_of_each_formula():
@@ -826,8 +835,11 @@ def test_one_copy_of_each_formula():
     # building _Curve is the one boundary of a problem, so the problem is
     # validated and put in its units nowhere else; and an exact sum is
     # montecarlo._exact_sum, whose fallback is math.fsum, so no binned
-    # (bincount) reducer is written beside it
+    # (bincount) reducer is written beside it; and a d1's alpha is solved
+    # and tested in the row kernel alone, whose uncovered interval region
+    # reads through at_d1, naming no threshold of its own
     found, stream, callers, boundary = [], [], set(), []
+    alpha_callers = set()
     for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for owner, call in _calls_by_owner(tree):
@@ -859,8 +871,17 @@ def test_one_copy_of_each_formula():
                         callers.add(name)
                     else:
                         found.append(f"{where} .converse in {name}")
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "alpha_for":
+                    name = getattr(top, "name", "?")
+                    if name in _ALPHA_CALLERS:
+                        alpha_callers.add(name)
+                    else:
+                        found.append(f"{where} .alpha_for in {name}")
+                if path.stem == "region" and any(_named(node, name) for name in _THRESHOLD_NAMES):
+                    found.append(f"{where} a threshold kernel in region")
     assert len(stream) == 1  # the scan sees the one form it allows
     assert callers == _CONVERSE_CALLERS  # and each caller it allows
+    assert alpha_callers == _ALPHA_CALLERS
     assert sorted(boundary) == [  # and the one call site of each boundary step it allows
         ("closed_forms", "_Curve.__init__", "_channel_unit"),
         ("closed_forms", "_Curve.__init__", "validate_problem"),

@@ -13,7 +13,7 @@ threshold test ``P/n1 <= T(d1)`` is, on the curve, the sign of the
 kernel's margin A. On the curve b = 1 - a, A is affine in the product
 a*b, so a point is covered iff ``a*b <= t*``; the proofs of that form and
 of ``t* - 1/4`` sit with a float check of it against the kernel's own
-coverage test, and with a 50-digit check of the verifier's uncovered
+coverage test, and with a 50-digit check of the row kernel's uncovered
 interval: t*, its root a_lo and the d1 ends ``D1u(1 - a_lo)``, ``D1u(a_lo)``.
 """
 
@@ -23,8 +23,7 @@ import mpmath
 import sympy as sp
 
 from gaussian_bc import ChannelParams, SourceParams, trace_uncoded_boundary
-from gaussian_bc.closed_forms import _Curve
-from gaussian_bc.region import _SKIP_BAND, _low_root, _product_threshold
+from gaussian_bc.closed_forms import _SKIP_BAND, _Curve, _low_root, _product_threshold
 
 s2, rho, p, n1, n2, a, b = sp.symbols("sigma2 rho P n1 n2 a b", positive=True)
 q = a**2 + 2 * a * b * rho + b**2

@@ -56,6 +56,20 @@ class TestMmseCoefficients:
                 exact = gamma * mpmath.mpf(0.75) / (p + noise)
                 assert abs(gain - exact) <= 1e-15 * exact
 
+    def test_the_gains_where_gamma_times_sigma2_is_past_the_float_range(self):
+        # gamma*sigma2, about 2.4e308, overflowed, and c1 and c2 read inf;
+        # the numerator is now taken in the unit of sigma2, and each gain,
+        # about 0.7071, is within 1e-15 of 50 digits
+        source, channel = SourceParams(1.7e308, 0.0), ChannelParams(1.7e308, 1.0, 2.0)
+        m = mmse_coefficients(source, channel, MIDPOINT)
+        with mpmath.workdps(50):
+            s2, p, n1, n2 = (mpmath.mpf(x) for x in (source.sigma2, *channel))
+            gamma = mpmath.sqrt(p / (s2 * mpmath.mpf(0.5)))  # q = 0.5 at the midpoint and rho = 0
+            for gain, noise in ((m.c1, n1), (m.c2, n2)):
+                exact = gamma * s2 * mpmath.mpf(0.5) / (p + noise)
+                assert abs(gain - exact) <= 1e-15 * exact
+        assert m.c1 == pytest.approx(0.7071, rel=1e-4)
+
     @pytest.mark.parametrize(
         "source, channel, named",
         [

@@ -203,7 +203,8 @@ def test_verify_validates_once_and_solves_alpha_only_outside_the_uncovered_inter
     for power in (3.0, 2.0, 1.0):  # P/n1 = 3 leaves part of the grid uncovered; 2 is 2*rho/(1 - rho)
         channel = ChannelParams(power, 1.0, 2.0)
         closed_forms._rx1_point.cache_clear()
-        lo, hi = region._uncovered_d1(closed_forms._Curve(DESK_SOURCE, channel))  # built before the count
+        curve = closed_forms._Curve(DESK_SOURCE, channel)  # built before the count
+        lo, hi = curve.skip_lo, curve.skip_hi
         calls = _count_calls(monkeypatch, "validate_problem")
         solves = _count_alpha_solves(monkeypatch)
         report = region.verify_matching(DESK_SOURCE, channel, 40, 1e-9)

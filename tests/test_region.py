@@ -580,8 +580,10 @@ class TestFusedRowKernel:
 
             monkeypatch.setattr(_Curve, name, counted)
         trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 101)
-        # one more forms call checks d1 at alpha = 1, the end of the curve, before the rows
-        assert calls == {"forms": 101 + 1, "converse": 101, "d2_rx1": 0}
+        # building the curve takes the two ends of its uncovered interval
+        # (P/n1 = 3 is above the simple threshold 2), and one more forms
+        # call checks d1 at alpha = 1, the end of the curve, before the rows
+        assert calls == {"forms": 2 + 1 + 101, "converse": 101, "d2_rx1": 0}
 
 
 def test_result_rows_are_named_tuples():

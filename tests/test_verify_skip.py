@@ -1,7 +1,8 @@
 """The verifier's closed-form skip of the uncovered d1 interval is invisible in its report.
 
-``region.verify_matching`` records a grid point strictly inside
-``region._uncovered_d1`` as not covered without solving its alpha. These
+``region.verify_matching`` records a grid point strictly inside the row
+kernel's uncovered interval ``(skip_lo, skip_hi)`` (``closed_forms._Curve``,
+through its ``at_d1``) as not covered without solving its alpha. These
 tests hold it to the per-point verifier of ``helpers`` (every point
 solved and tested) over a wide box of problems and at the named edges,
 report against report, and probe the interval's ends a few ulp inside.
@@ -12,10 +13,11 @@ import random
 
 import pytest
 
-from gaussian_bc import ChannelParams, SourceParams, verify_matching
+from gaussian_bc import ChannelParams, SourceParams, converse_at, d2_min_at_rx1, verify_matching
+from gaussian_bc import closed_forms
 from gaussian_bc.closed_forms import _Curve
-from gaussian_bc.errors import GaussianBcError
-from gaussian_bc.region import _d1_grid, _uncovered_d1
+from gaussian_bc.errors import GaussianBcError, SnrThresholdError
+from gaussian_bc.region import _d1_grid
 from helpers import DESK_CHANNEL, per_point_verify_matching
 
 
@@ -56,7 +58,7 @@ def assert_same_outcome(source, channel, grid_size):
 def skipped_points(source, channel, grid_size):
     """The grid points the verifier records as not covered without a solve."""
     curve = _Curve(source, channel)
-    lo, hi = _uncovered_d1(curve)
+    lo, hi = curve.skip_lo, curve.skip_hi
     return sum(lo < d1 < hi for d1 in _d1_grid(curve.lo_d, curve.hi_d, grid_size))
 
 
@@ -118,8 +120,8 @@ def test_the_edges_skip_where_expected():
     assert skipped_points(SourceParams(1.0, 0.5), ChannelParams(1e300, 1.0, 2.0), 1000) == 1000
     for rho in _THRESHOLD_RHOS:
         assert skipped_points(SourceParams(1.0, rho), ChannelParams(2.0 * rho / (1.0 - rho), 1.0, 2.0), 50) == 0
-    lo, hi = _uncovered_d1(_Curve(SourceParams(1.0, 0.0), ChannelParams(1.5e-15, 1.0, 2.0)))
-    assert not lo < hi
+    curve = _Curve(SourceParams(1.0, 0.0), ChannelParams(1.5e-15, 1.0, 2.0))
+    assert not curve.skip_lo < curve.skip_hi
     # a subnormal n1 near rho = 1 skipped nothing while the margin's terms
     # were subnormal; in the channel's unit they are normal floats
     source, channel = SourceParams(1e150, 0.9999999999999993), ChannelParams(2.1236836862603217e-307, 1.5e-323, 1.0)
@@ -141,7 +143,7 @@ def test_a_few_ulp_inside_the_ends_the_per_point_test_says_not_covered():
             curve = _Curve(source, channel)
         except GaussianBcError:
             continue
-        lo, hi = _uncovered_d1(curve)
+        lo, hi = curve.skip_lo, curve.skip_hi
         if not lo < hi:
             continue
         ends = [lo + k * math.ulp(lo) for k in (1, 2, 3)] + [hi - k * math.ulp(hi) for k in (1, 2, 3)]
@@ -150,3 +152,31 @@ def test_a_few_ulp_inside_the_ends_the_per_point_test_says_not_covered():
                 assert not per_point_covered(curve, d1), (source, channel, d1)
                 probed += 1
     assert probed > 9_000
+
+
+def test_bound_refuses_exactly_the_points_verify_does_not_cover():
+    # verify and the per-d1 record share the row kernel's evaluation of a
+    # d1, so the companion floor raises SnrThresholdError at the grid points
+    # verify reports as not covered, and nowhere else; at a covered point
+    # the converse and the witness are verify's, bit for bit
+    rng = random.Random(2704)
+    closed_forms._rx1_point.cache_clear()
+    counts = {True: 0, False: 0}
+    for _ in range(80):
+        source, channel = wide_box_problem(rng)
+        try:
+            report = verify_matching(source, channel, 50, 1e-9)
+        except GaussianBcError:
+            continue
+        for point in report.points:
+            try:
+                d2_min_at_rx1(source, channel, point.d1)
+            except SnrThresholdError:
+                assert not point.covered, (source, channel, point.d1)
+            else:
+                assert point.covered, (source, channel, point.d1)
+                _, psi, witness = converse_at(source, channel, point.d1)
+                assert repr((psi, witness)) == repr((point.d2_converse, point.witness))
+            counts[point.covered] += 1
+    closed_forms._rx1_point.cache_clear()
+    assert min(counts.values()) > 500
