@@ -44,7 +44,10 @@ itself. The curve's methods and the other ``_``-prefixed kernels
 (``_snr_threshold``, ``_product_threshold``, ``_low_root``,
 ``_witness_eta`` and ``_psi``) never validate and call no public
 function. Every kernel keeps the operation order of the
-public function it serves, so all routes give the same bits.
+public function it serves, so all routes give the same bits. A d1 is
+checked once too, where it enters: ``solve_alpha_for_d1`` checks its
+target's range, ``_rx1_point`` its d1's, and ``region.verify_matching``
+its grid's; the curve's ``alpha_for`` and ``at_d1`` check none.
 
 ``_Curve`` is the row kernel, and the one place where D1u, D2u, the
 converse at the optimal witness and the alpha inverse of d1 are written
@@ -106,11 +109,11 @@ hold in any one unit, and it runs as the curve is built.
 ``_rx1_point`` memoizes the per-d1 record ``(root, cv, s2u, e, n1, n2,
 power + n2, (d2t, eta*, psi, a1*, a2*))``, with the channel in its unit:
 the curve's ``at_d1`` kept as floats, which every per-d1 function
-reads. The witness sweeps call ``combiner_mse_bound`` and
-``d2_converse_bound`` thousands of times at one d1, and a cache hit (a
-key builds its curve, and so is validated, on its first miss only)
-leaves each call the witness kernel ``_witness_eta`` and, for the
-converse, ``_psi``.
+reads (``converse_at`` among them, which ``region`` exports). The
+witness sweeps call ``combiner_mse_bound`` and ``d2_converse_bound``
+thousands of times at one d1, and a cache hit (a key builds its curve,
+and so is validated, on its first miss only) leaves each call the
+witness kernel ``_witness_eta`` and, for the converse, ``_psi``.
 """
 
 from __future__ import annotations
@@ -219,9 +222,10 @@ class _Curve:
 
     ``converse`` is the converse at the optimal witness; ``alpha_for``
     inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha); ``at_d1``
-    is the two at the alpha of a d1. The constructor computes once per
-    problem every factor that does not depend on the weights or on d1,
-    and the d1 interval ``(skip_lo, skip_hi)`` the curve leaves uncovered
+    is the two at the alpha of a d1. Neither checks the range of its d1,
+    which its caller has checked where the d1 entered. The constructor
+    computes once per problem every factor that does not depend on the
+    weights or on d1, and the d1 interval ``(skip_lo, skip_hi)`` the curve leaves uncovered
     (``_uncovered``); each method keeps the operation order of the
     formula it writes out, so a hoisted factor is the float its
     expression would give in place. ``forms`` returns q with D1u(n1) and
@@ -253,7 +257,7 @@ class _Curve:
         lo_d, hi_d = self.ends(n1)
         edge = _RESIDUAL_TOL * s2  # tolerate endpoint rounding
         self.lo_d, self.hi_d, self.lo_edge, self.hi_edge = lo_d, hi_d, lo_d - edge, hi_d + edge
-        snap = 4.0 * math.ulp(max(abs(lo_d), abs(hi_d)))
+        snap = 4.0 * math.ulp(hi_d)  # 0 <= lo_d <= hi_d
         if hi_d - lo_d > 2.0 * snap:
             self.snap_lo, self.snap_hi = lo_d + snap, hi_d - snap
         else:  # a range a few ulp wide snaps its ends only
@@ -280,34 +284,37 @@ class _Curve:
         """Invert the d1 curve: the alpha in [0, 1] with ``D1u(alpha, 1 - alpha) = d1``.
 
         The kernel of :func:`solve_alpha_for_d1`, which gives the formula.
-        A target within ``_RESIDUAL_TOL*sigma2`` outside the range is
-        clamped to its end, and one farther out raises OutOfRangeError.
+        It checks no range: each d1 is checked once, where it enters
+        (``solve_alpha_for_d1``, ``_rx1_point`` and ``verify``'s grid).
+        A target below ``lo_d`` snaps to alpha = 1, and one above ``hi_d``
+        to alpha = 0. On a curve one float wide ``hi_d`` is ``lo_d`` and
+        snaps to 1, so ``solve_alpha_for_d1``, the one caller whose target
+        may lie above ``hi_d``, takes such a target as ``hi_d``.
+
         Near-endpoint targets snap to the alpha endpoints: the d1 curve is
         quadratically flat at alpha = 1 (and at alpha = 0 when rho = 0),
         so inverting a target an ulp away from an endpoint would amplify
-        that ulp to ~sqrt(ulp) in alpha. The snap, 4 ulp of the larger
-        end, stays far inside the residual contract; a range at most two
-        snaps wide snaps only a target equal to an end. ``max`` and
-        ``min`` are written as conditional expressions, for the reason
-        given at ``rate_distortion._best_det_at``.
+        that ulp to ~sqrt(ulp) in alpha. The snap, 4 ulp of ``hi_d``,
+        stays far inside the residual contract; a range at most two snaps
+        wide snaps only a target at or past an end. Inside such a range,
+        a few ulp wide, three guards fire (each pinned by a test): ``w``
+        rounds to 0 or below at the alpha = 1 end, the radicand rounds
+        below 0, and the root lands below alpha = 0. The root is ``1 -
+        w/den`` with ``w > 0`` and ``den > 0``, so no alpha exceeds 1.
+        Each ``max`` is written as a conditional expression, for the
+        reason given at ``rate_distortion._best_det_at``.
         """
-        lo_d, hi_d = self.lo_d, self.hi_d
-        if not (self.lo_edge <= d1 <= self.hi_edge):
-            raise OutOfRangeError(f"d1_target must lie in [{lo_d!r}, {hi_d!r}], got {d1!r}")
-        target = lo_d if lo_d > d1 else d1
-        target = hi_d if hi_d < target else target
-        if target <= self.snap_lo:
+        if d1 <= self.snap_lo:
             return 1.0
-        if target >= self.snap_hi:
+        if d1 >= self.snap_hi:
             return 0.0
-        w = target / self.s2 - self.n1_share
+        w = d1 / self.s2 - self.n1_share
         if not w > 0.0:  # rounding below the alpha = 1 end
             return 1.0
         omr_w = self.omr * w
         rad = omr_w * (self.c - self.opr * w)
         alpha = 1.0 - w / (omr_w + math.sqrt(0.0 if 0.0 > rad else rad))
-        alpha = 0.0 if 0.0 > alpha else alpha
-        return 1.0 if 1.0 < alpha else alpha
+        return 0.0 if 0.0 > alpha else alpha
 
     def _uncovered(self) -> tuple[float, float]:
         """``(lo, hi)``: every d1 with ``lo < d1 < hi`` is a point the per-point test of ``at_d1`` finds not covered.
@@ -358,8 +365,10 @@ class _Curve:
         solve. At any other d1, ``alpha_for`` solves its alpha once, (a, b)
         = (alpha, 1 - alpha), and ``converse`` there decides, at the q of
         ``forms``, and is returned as it is, ``(eta*, psi, a1*, a2*)``; the
-        answer is the one solving every d1 gives. ``d1`` must lie within
-        ``alpha_for``'s range.
+        answer is the one solving every d1 gives. It checks no range:
+        ``_rx1_point`` refuses a d1 outside ``[lo_edge, hi_d)``, and
+        ``verify``'s grid lies inside ``(lo_d, hi_d)``, before either
+        calls it.
         """
         if self.skip_lo < d1 < self.skip_hi:
             return None
@@ -602,8 +611,17 @@ def solve_alpha_for_d1(
     ``t = w / ((1-rho)*w + sqrt((1-rho)*w*(c - (1+rho)*w)))``. Only
     dimensionless ratios enter, so extreme P/n1 cannot overflow it; the
     d1 residual stays within 1e-12 * sigma2.
+
+    The one caller of ``_Curve.alpha_for`` whose target comes from
+    outside the curve, so the range is checked here: a target more than
+    ``1e-12 * sigma2`` outside the interval raises OutOfRangeError, and
+    one above ``d1_min_at_d2min`` is taken as that end (on a curve one
+    float wide the kernel would snap it to alpha = 0, not 1).
     """
-    return _Curve(source, channel).alpha_for(d1_target)
+    curve = _Curve(source, channel)
+    if not (curve.lo_edge <= d1_target <= curve.hi_edge):
+        raise OutOfRangeError(f"d1_target must lie in [{curve.lo_d!r}, {curve.hi_d!r}], got {d1_target!r}")
+    return curve.alpha_for(curve.hi_d if curve.hi_d < d1_target else d1_target)
 
 
 def d2_min_at_rx1(source: SourceParams, channel: ChannelParams, d1: float) -> float:
@@ -629,9 +647,10 @@ def _rx1_point(
     """The record ``(root, cv, s2u, e, n1, n2, power + n2, (d2t, eta*, psi, a1*, a2*))`` at d1 of the per-d1 functions.
 
     Builds the problem's curve, which validates it, on a cache miss only,
-    and raises as :func:`d2_min_at_rx1` does. A miss keeps the row
+    and raises as :func:`d2_min_at_rx1` does: its range check is the one
+    of every per-d1 function. A miss keeps the row
     kernel's ``at_d1``, whose ``d2_rx1`` and ``converse`` are the answers
-    of ``d2_min_at_rx1``, ``optimal_witness`` and ``region.converse_at``,
+    of ``d2_min_at_rx1``, ``optimal_witness`` and ``converse_at``,
     as floats, not the kernel, so the cache stays small. Coverage is the
     evaluation ``verify`` makes of the same d1, so a d1 that ``bound``
     accepts is one ``verify`` covers, at every scale of sigma2, and a d1
@@ -649,7 +668,7 @@ def _rx1_point(
         raise DistortionRangeError(
             f"d1 must be < {curve.hi_d!r} (the range condition), got {d1!r}"
         )
-    if not curve.lo_edge <= d1:  # the edge slack of alpha_for
+    if not curve.lo_edge <= d1:  # the edge slack of solve_alpha_for_d1
         raise DistortionRangeError(f"d1 must be >= {curve.lo_d!r} (d_min(1)), got {d1!r}")
     point = curve.at_d1(d1)
     if point is None:
@@ -725,10 +744,18 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     of a2 is the coverage margin A, so the float that decides coverage
     is never negative here. Read from the per-d1 record (see ``_rx1_point``).
     """
-    return _converse_optimum(source, channel, d1)[2]
+    return BoundWitness(*_rx1_point(source, channel, d1)[7][3:])
 
 
-def _converse_optimum(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, BoundWitness]:
-    """``(eta*, psi, witness*)`` at d1: the converse part of the per-d1 record, whose layout stays in this module."""
+def converse_at(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, BoundWitness]:
+    """``(eta, psi, witness)``: the converse at the optimal witness at the given d1.
+
+    ``eta`` is the combiner bound at the optimal witness and ``psi`` the
+    converse value. One read of the per-d1 record (see ``_rx1_point``),
+    validated on a miss. Raises DistortionRangeError or SnrThresholdError
+    when the respective precondition fails, so callers can tell the two
+    apart. Public as ``region.converse_at``, so it is not in this
+    module's ``__all__``.
+    """
     _, eta, psi, a1, a2 = _rx1_point(source, channel, d1)[7]
     return eta, psi, BoundWitness(a1, a2)

@@ -425,7 +425,8 @@ def simulate(
 
     ``decode_gains`` overrides the MMSE gains (c1, c2) -- useful for
     verifying that the MMSE choice is a strict minimum of the empirical
-    distortion.
+    distortion. A statistic past the float range raises OutOfRangeError
+    naming sigma2 (a distortion or its half-width) or power.
     """
     curve = _Curve(source, channel)
     validate_coeffs(config.coeffs)
@@ -468,16 +469,27 @@ def simulate(
     )
     sum_e1 = math.fsum(e1_sums)
     sum_e2 = math.fsum(e2_sums)
-    scale = 2 * half
     return SimulationReport(
-        empirical_d1=math.ldexp(sum_e1 / n, scale),
-        empirical_d2=math.ldexp(sum_e2 / n, scale),
-        empirical_power=math.ldexp(math.fsum(power_sums) / n, 2 * p_half),
-        ci_half_width_d1=math.ldexp(_half_width(sum_e1, math.fsum(e1_sq_sums), n), scale),
-        ci_half_width_d2=math.ldexp(_half_width(sum_e2, math.fsum(e2_sq_sums), n), scale),
+        empirical_d1=_scaled_back(sum_e1 / n, half, "sigma2"),
+        empirical_d2=_scaled_back(sum_e2 / n, half, "sigma2"),
+        empirical_power=_scaled_back(math.fsum(power_sums) / n, p_half, "power"),
+        ci_half_width_d1=_scaled_back(_half_width(sum_e1, math.fsum(e1_sq_sums), n), half, "sigma2"),
+        ci_half_width_d2=_scaled_back(_half_width(sum_e2, math.fsum(e2_sq_sums), n), half, "sigma2"),
         samples=n,
         seed=config.seed,
     )
+
+
+def _scaled_back(value: float, half: int, name: str) -> float:
+    """A statistic taken in the unit ``2**-(2*half)``, scaled back once per run.
+
+    Past the float range it raises OutOfRangeError naming the parameter
+    the statistic grows with; the one-sample half-width, +inf, stays so.
+    """
+    try:
+        return math.ldexp(value, 2 * half)
+    except OverflowError:
+        raise OutOfRangeError(f"{name} too large: a simulated statistic is past the float range") from None
 
 
 def _half_width(total: float, total_sq: float, n: int) -> float:

@@ -32,8 +32,9 @@ interval the curve leaves uncovered is not covered without a solve, and
 any other is solved and tested as the trace tests a row. This module
 evaluates no threshold of its own. No point of either goes through the
 public (memoized) closed forms, so neither re-validates the problem nor
-fills the per-d1 cache. :func:`converse_at` is one read of that cache's
-record, which it shares with the public per-d1 functions.
+fills the per-d1 cache. :func:`converse_at`, exported from here and
+defined in ``closed_forms`` (which does not list it), is one read of
+that cache's record, which it shares with the public per-d1 functions.
 
 ``BoundaryPoint``, ``MatchPoint`` and ``MatchReport`` are named tuples,
 like every record of the package (see :mod:`.params`). They are
@@ -50,7 +51,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .closed_forms import BoundWitness, _Curve, _converse_optimum
+from .closed_forms import BoundWitness, _Curve, converse_at
 from .errors import BoundUndefinedError, OutOfRangeError
 from .params import ChannelParams, SourceParams
 from .rate_distortion import _r_joint, channel_capacity
@@ -137,19 +138,6 @@ class MatchReport(NamedTuple):
     @property
     def excluded_count(self) -> int:
         return sum(1 for p in self.points if not p.covered)
-
-
-def converse_at(
-    source: SourceParams, channel: ChannelParams, d1: float
-) -> tuple[float, float, BoundWitness]:
-    """``(eta, psi, witness)``: the converse at the optimal witness at the given d1.
-
-    ``eta`` is the combiner bound at the optimal witness and ``psi`` the
-    converse value. One read of the per-d1 record ``closed_forms._rx1_point``
-    (validated on a miss). Raises DistortionRangeError or SnrThresholdError
-    when the respective precondition fails, so callers can tell the two apart.
-    """
-    return _converse_optimum(source, channel, d1)
 
 
 def _d1_grid(lo: float, hi: float, size: int) -> list[float]:

@@ -1106,7 +1106,8 @@ def test_the_cached_parser_gives_every_call_a_fresh_process_result(tmp_path, cap
 # rho = 0 and P/n1 = 1e-600, which underflows to 0 in every unit: the row
 # kernel's uncovered interval, built with every curve, is empty there
 # rather than 0/0, and each command prints what it printed when only
-# verify built that interval
+# verify built that interval, but for report's verdict: P/n1 > 0, the
+# simple threshold, so the uncoded scheme is not optimal everywhere
 ZERO_SNR = ["--rho", "0", "--power", "1e-300", "--n1", "1e300", "--n2", "2e300"]
 
 
@@ -1115,7 +1116,7 @@ ZERO_SNR = ["--rho", "0", "--power", "1e-300", "--n1", "1e300", "--n2", "2e300"]
     [
         (["report"], "sigma2=1\nrho=0\npower=1e-300\nn1=1e+300\nn2=2e+300\nD1_min=1\nD2_min=1\n"
          "D1_star_at_D2_min=1\nD2_star_at_D1_min=1\nsimple_threshold=0\nsnr_rx1=1e-600\ncapacity_rx1=0\n"
-         "capacity_rx2=0\nuncoded_optimal_everywhere=true\n"),
+         "capacity_rx2=0\nuncoded_optimal_everywhere=false\n"),
         (["trace", "--points", "5"], f"{CSV_HEADER}\n0,1,1,,,,true\n0.25,1,1,,,,false\n0.5,1,1,,,,false\n"
          "0.75,1,1,,,,false\n1,1,1,1,1,0,true\n"),
         (["bound", "--d1", "0.9999999999999999"], "d1=0.99999999999999989\nd2_min_rx1=1\ncombiner_mse_bound=1\n"
@@ -1125,3 +1126,35 @@ ZERO_SNR = ["--rho", "0", "--power", "1e-300", "--n1", "1e300", "--n2", "2e300"]
 def test_the_commands_answer_where_the_snr_underflows_to_zero(argv, want):
     closed_forms._rx1_point.cache_clear()
     assert run_cli([*argv, *ZERO_SNR]) == (0, want)
+
+
+def test_report_is_optimal_everywhere_iff_every_trace_row_is_covered():
+    # report compared the float P/n1, 0.0 at ZERO_SNR, with the simple
+    # threshold 0 and printed true, while the trace flags alpha 0.25, 0.5
+    # and 0.75 as not covered; 5 points hold alpha = 0.5, the least covered
+    problems = [ZERO_SNR]
+    for source, channel in random_valid_configs(40, seed=3601):
+        problems.append([f"--{name}={value!r}" for name, value in zip(("sigma2", "rho", "power", "n1", "n2"),
+                                                                       (*source, *channel))])
+    verdicts = set()
+    for flags in problems:
+        verdict = parse_kv(run_cli(["report", *flags])[1])["uncoded_optimal_everywhere"]
+        rows = run_cli(["trace", "--points", "5", *flags])[1].splitlines()[1:]
+        assert verdict == ("true" if all(row.endswith(",true") for row in rows) else "false"), flags
+        verdicts.add(verdict)
+    assert verdicts == {"true", "false"}
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--sigma2", "1.7e308", "--power", "2.0237354034692595e-198", "--rho", "0", "--samples", "2"], "--sigma2"),
+        (["--power", "1.7e308", "--samples", "2", "--seed", "2"], "--power"),
+    ],
+)
+def test_a_simulated_statistic_past_the_float_range_names_its_flag(flags, named, capsys):
+    # the ldexp that scales ci_half_width_d2 (the first) or the empirical
+    # power (the second) back overflowed: an OverflowError traceback, exit 1
+    assert run_cli(["simulate", *flags]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: {named} too large: a simulated statistic is past the float range\n"

@@ -449,6 +449,67 @@ class TestAlphaInverseBits:
             solve_alpha_for_d1(DESK_SOURCE, DESK_CHANNEL, 0.4)
 
 
+def narrow_problems(count, seed):
+    """Seeded problems whose d1 range is about 1 to 8 ulp wide, alternately at rho = 0 and with 1 - rho in 1e-16..1e-13."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rho = 0.0 if i % 2 == 0 else 1.0 - 10.0 ** rng.uniform(-16.0, -13.0)
+        om = (1.0 - rho) * (1.0 + rho)
+        n1 = 10.0 ** rng.uniform(-12.0, 12.0)
+        # the range is sigma2*P*om/(P + n1) wide
+        power = n1 * rng.uniform(0.5, 4.0) * 2.0**-52 / om
+        yield SourceParams(10.0 ** rng.uniform(-20.0, 20.0), rho), ChannelParams(power, n1, n1 * 10.0 ** rng.uniform(0.0, 3.0))
+
+
+class TestAlphaGuardsOnNarrowCurves:
+    """The guards of ``_Curve.alpha_for`` past its snaps, each reached inside a d1 range a few ulp wide.
+
+    There the solve's rounding can leave ``w = d1/sigma2 - n1/(P + n1)``
+    at 0, the radicand a hair below 0, or the root below alpha = 0.
+    """
+
+    @pytest.mark.parametrize(
+        "source, channel, d1, alpha",
+        [
+            pytest.param(
+                SourceParams(1.5210769953036328e+21, 0.0),
+                ChannelParams(1.754151931891333e-23, 2.7497298290091354e-08, 2.7497433219489974e-08),
+                1.521076995303632e+21, 1.0, id="w <= 0",
+            ),
+            pytest.param(
+                SourceParams(2.6571956734824662e+17, 0.0),
+                ChannelParams(0.0011521734351932604, 1921794306861.7288, 1921968833057.5642),
+                2.6571956734824662e+17, 0.0, id="radicand below 0",
+            ),
+            pytest.param(
+                SourceParams(0.00011203699573262111, 0.9098311663200133),
+                ChannelParams(0.00019852841183085624, 300615795430.76434, 300615795430.8215),
+                0.00011203699573262107, 0.0, id="root below 0",
+            ),
+        ],
+    )
+    def test_each_guard_answers_within_the_contract(self, source, channel, d1, alpha):
+        lo, hi = d_min(source, channel, 1), d1_min_at_d2min(source, channel)
+        assert lo < d1 < hi and 2.0 * math.ulp(hi) <= hi - lo <= 6.0 * math.ulp(hi)
+        got = solve_alpha_for_d1(source, channel, d1)
+        assert got == alpha == builtin_solve_alpha(source, channel, d1)[0]
+        assert abs(uncoded_distortions(source, channel, UncodedCoeffs(got, 1.0 - got)).d1 - d1) <= 1e-12 * source.sigma2
+
+    def test_every_target_of_a_narrow_range_meets_the_contract(self):
+        # seed 66's first nine problems reach all three guards, the
+        # radicand's at rho = 0 in the ninth
+        for source, channel in narrow_problems(9, seed=66):
+            lo, hi = d_min(source, channel, 1), d1_min_at_d2min(source, channel)
+            assert hi - lo <= 8.0 * math.ulp(hi)
+            d1 = lo
+            while d1 <= hi:
+                alpha = solve_alpha_for_d1(source, channel, d1)
+                assert 0.0 <= alpha <= 1.0, (source, channel, d1)
+                got = uncoded_distortions(source, channel, UncodedCoeffs(alpha, 1.0 - alpha)).d1
+                assert abs(got - d1) <= 1e-12 * source.sigma2, (source, channel, d1)
+                d1 = math.nextafter(d1, math.inf)
+
+
 class TestCompanionFloor:
     def test_desk_values(self):
         assert d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, 0.625) == pytest.approx(0.625, rel=1e-12)
