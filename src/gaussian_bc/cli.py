@@ -93,10 +93,12 @@ def _cmd_report(args, out) -> int:
     source, channel = _resolve_problem(args)
     p, n1, n2 = channel.power, channel.n1, channel.n2
     floor = closed_forms.simple_snr_threshold(source)
+    # d_min validates the channel, so the quotient below never sees a zero,
+    # infinite or NaN flag
+    d1_min = closed_forms.d_min(source, channel, 1)
     snr = p / n1
-    if sys.float_info.min <= snr <= sys.float_info.max:
-        snr_text = _fmt6(snr)
-    else:
+    snr_text = _fmt6(snr)
+    if not sys.float_info.min <= snr <= sys.float_info.max:
         # an overflowing or subnormal quotient is taken exactly, with
         # modules imported on this path only: it prints as %.6g would print
         # it (1e+310, 1e-320), and one that underflows to 0 is not 0 against
@@ -112,7 +114,7 @@ def _cmd_report(args, out) -> int:
         ("power", _fmt6(p)),
         ("n1", _fmt6(n1)),
         ("n2", _fmt6(n2)),
-        ("D1_min", _fmt6(closed_forms.d_min(source, channel, 1))),
+        ("D1_min", _fmt6(d1_min)),
         ("D2_min", _fmt6(closed_forms.d_min(source, channel, 2))),
         ("D1_star_at_D2_min", _fmt6(closed_forms.d1_min_at_d2min(source, channel))),
         ("D2_star_at_D1_min", _fmt6(closed_forms.d2_min_at_d1min(source, channel))),

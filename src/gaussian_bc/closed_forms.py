@@ -742,9 +742,9 @@ def optimal_witness(source: SourceParams, channel: ChannelParams, d1: float) -> 
     Both components are nonnegative wherever the preconditions of
     :func:`d2_min_at_rx1` hold; a2 is 0 at the threshold. The numerator
     of a2 is the coverage margin A, so the float that decides coverage
-    is never negative here. Read from the per-d1 record (see ``_rx1_point``).
+    is never negative here. The witness of :func:`converse_at`.
     """
-    return BoundWitness(*_rx1_point(source, channel, d1)[7][3:])
+    return converse_at(source, channel, d1)[2]
 
 
 def converse_at(source: SourceParams, channel: ChannelParams, d1: float) -> tuple[float, float, BoundWitness]:

@@ -869,6 +869,11 @@ class TestArgumentErrors:
             (["report", "--n1", "2", "--n2", "2"], "--n1"),
             (["report", "--sigma2", "0"], "--sigma2"),
             (["report", "--power", "-1"], "--power"),
+            (["report", "--n1", "0"], "--n1"),
+            (["report", "--n1", "nan"], "--n1"),
+            (["report", "--n1", "inf"], "--n1"),
+            (["report", "--power", "nan"], "--power"),
+            (["report", "--power", "inf"], "--power"),
         ],
     )
     def test_parameter_errors_name_the_flag(self, argv, flag, capsys):
