@@ -38,10 +38,9 @@ boundary of a problem. Its constructor validates the problem first and
 then fixes its units (below), so holding a curve means holding a valid
 problem in its units. Every public function that evaluates a problem,
 here and in ``region``, ``rate_distortion`` and ``montecarlo``, builds
-one curve and reads the units, floors and corners from it; only
-``is_uncoded_optimal``, which needs no curve, validates its problem
-itself. The curve's methods and the other ``_``-prefixed kernels
-(``_snr_threshold``, ``_product_threshold``, ``_low_root``,
+one curve and reads the units, floors and corners from it. The curve's
+methods and the other ``_``-prefixed kernels (``_product_threshold``,
+``_low_root``, the coverage margins and their exact fallback,
 ``_witness_eta`` and ``_psi``) never validate and call no public
 function. Every kernel keeps the operation order of the
 public function it serves, so all routes give the same bits. A d1 is
@@ -54,8 +53,8 @@ converse at the optimal witness and the alpha inverse of d1 are written
 out. Built once per problem, it hoists the factors that do not depend on
 alpha or d1. The trace calls its ``forms`` and ``converse`` once per
 row. Its ``at_d1`` is the one evaluation of a d1, which the verifier
-and ``_rx1_point`` share: a d1 inside the interval the curve leaves
-uncovered is not covered without a solve, and at any other d1
+and ``_rx1_point`` share: the d1 predicate ``covers`` decides first, so
+a d1 that is not covered takes no solve, and at a covered d1
 ``alpha_for`` solves the alpha and ``forms`` and ``converse`` run there.
 ``uncoded_distortions`` (the analytic pair ``simulate`` prints) and
 ``d2_min_at_rx1`` read their values from it too, so the public and the
@@ -68,18 +67,32 @@ cancel near rho = 1.
 
 The converse has one route, ``_Curve.converse``: the converse at the
 optimal witness of the curve point alpha, from rational forms in
-(alpha, 1 - alpha) with no square root, alpha solve or clamp. It is
-also the one coverage rule. On the curve, ``T(D1u(alpha)) - P/n1``
-carries the factor ``A = rho*n1*q - P*alpha*(1 - alpha)*(1 - rho**2)``
-(its other factors have a fixed sign), and A is the numerator of the
-witness's a2*, so the kernel returns None where A < 0 and the point is
-covered otherwise. On the curve b = 1 - a, A is affine in a*b, so a
-point is covered iff ``a*b <= t*`` (``_product_threshold``). The curve
-takes the d1 interval that leaves uncovered as it is built
-(``_Curve._uncovered``), narrowed until the per-point test agrees at
-every d1 inside it, so this module alone decides coverage.
-``snr_threshold`` and ``is_uncoded_optimal`` keep the paper's
-d1-coordinate formula; no region or per-d1 function calls them.
+(alpha, 1 - alpha) with no square root or alpha solve.
+
+Coverage (the paper's ``P/n1 <= T(d1)``) is one exact predicate in each
+coordinate, both on the curve, so this module alone decides it:
+
+* in d1, ``_Curve.covers``: the sign of ``_d1_margin``, the threshold
+  test multiplied out so that nothing cancels. ``is_uncoded_optimal``,
+  and through ``at_d1`` the verifier and every per-d1 function
+  (``bound``), read it;
+* in alpha, inside ``_Curve.converse``: the sign of ``A = rho*n1*q -
+  P*alpha*(1 - alpha)*(1 - rho**2)``, the numerator of the witness's
+  a2*. On the curve ``T(D1u(alpha)) - P/n1`` carries the factor A (its
+  other factors have a fixed sign). The trace, whose rows are indexed by
+  alpha, reads it, so ``region`` names no threshold.
+
+Each predicate evaluates its margin in floats with a stated forward error
+bound, and falls back to exact rational arithmetic on its float inputs
+(``_exact_nonneg``) only inside that bound: Shewchuk's static-filter
+adaptive predicate ("Adaptive Precision Floating-Point Arithmetic and
+Fast Robust Geometric Predicates", Discrete Comput. Geom. 1997). So a d1
+or a row is covered exactly where the paper's condition holds at its
+floats, and ``is_uncoded_optimal``, ``bound`` and ``verify`` agree at
+every d1. On the curve b = 1 - a, A is affine in a*b, so a point is
+covered iff ``a*b <= t*`` (``_product_threshold``); no predicate uses
+that form. ``snr_threshold`` keeps the paper's quotient as a value; no
+coverage function calls it.
 
 At any other
 witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
@@ -100,9 +113,9 @@ channel scale, and each works in the unit s2u and scales its result by
 result is scaled back. Scaling by a power of two commutes with rounding.
 So where the plain formula's every intermediate is a normal float the
 units give the same bits, and elsewhere they do not underflow or
-overflow. ``_snr_threshold``, which takes a source alone, splits sigma2
-the same way; every other kernel reads both units from the curve, which
-takes them when it is built. The one channel refusal left is
+overflow. ``snr_threshold``, which takes a source alone, splits sigma2
+the same way; every kernel reads both units from the curve, which takes
+them when it is built. The one channel refusal left is
 ``_channel_unit``'s, of values spread wider than the float range can
 hold in any one unit, and it runs as the curve is built.
 
@@ -195,9 +208,53 @@ def _low_root(t: float) -> float:
     return 2.0 * t / (1.0 + math.sqrt(1.0 - 4.0 * t))
 
 
-# The relative band by which the uncovered d1 interval is narrowed, in t*
-# and again in d1 (see _Curve._uncovered).
-_SKIP_BAND = 1e-6
+# The float filters of the two coverage predicates (``_Curve.covers`` in d1,
+# ``_Curve.converse`` in alpha): a float margin farther from 0 than its
+# bound has the sign of the exact margin, and one inside it is decided by
+# ``_exact_nonneg``. The relative bounds are 32 and 16 units of 2**-53,
+# twice the worst case derived at each predicate; ``_UNDERFLOW`` covers
+# the absolute error of the products that may underflow.
+_D1_EPS = 2.0**-48
+_ALPHA_EPS = 2.0**-49
+_UNDERFLOW = 2.0**-1068
+
+
+def _d1_margin(s2, rho, power, n1, d1):
+    """``n1*((cv - d1)**2 + rho**2*sigma2*cv) - power*d1*(cv - d1)``, ``cv = sigma2*(1 - rho)*(1 + rho)``.
+
+    The margin of the paper's threshold in d1, in any arithmetic (the
+    exact fallback calls it on Fractions): a d1 is covered iff it is >= 0.
+    It is ``n1*num - power*den`` for the threshold ``T = num/den`` of
+    :func:`snr_threshold` (``tests/test_converse_algebra.py``), with
+    ``num = sigma2*cv - 2*d1*cv + d1**2`` written as ``(cv - d1)**2 +
+    rho**2*sigma2*cv``, a sum of nonnegative terms that cannot cancel.
+    From cv up the first term is >= 0 and the second <= 0, so the one
+    inequality also holds where T is infinite.
+    """
+    cv = s2 * (1 - rho) * (1 + rho)
+    gap = cv - d1
+    return n1 * (gap * gap + rho * rho * s2 * cv) - power * d1 * gap
+
+
+def _alpha_margin(rho, power, n1, a, b):
+    """The margin ``A = rho*n1*q - power*a*b*(1 - rho)*(1 + rho)`` at the weights (a, b), in any arithmetic."""
+    q = a * a + 2 * a * b * rho + b * b
+    return rho * n1 * q - power * a * b * (1 - rho) * (1 + rho)
+
+
+def _exact_nonneg(margin, *floats: float) -> bool:
+    """Whether ``margin(*floats) >= 0`` in exact rational arithmetic: the fallback of both coverage predicates.
+
+    Every float is a rational number and each margin is a polynomial in
+    its floats, so ``fractions.Fraction`` decides its sign exactly.
+    A predicate calls this only where its float margin lies inside its
+    error bound, a d1 or an alpha within a few ulp of an end of the
+    covered set, so ``fractions`` (and the ``decimal`` it loads, ~2 ms)
+    is imported on this path only.
+    """
+    from fractions import Fraction
+
+    return margin(*map(Fraction, floats)) >= 0
 
 
 class _Curve:
@@ -220,13 +277,14 @@ class _Curve:
     channel is taken in ``_channel_unit``, so ``P + n1`` and ``P + n2``
     are normal floats at every channel the unit accepts.
 
-    ``converse`` is the converse at the optimal witness; ``alpha_for``
-    inverts D1u(n1) along the curve (a, b) = (alpha, 1 - alpha); ``at_d1``
-    is the two at the alpha of a d1. Neither checks the range of its d1,
-    which its caller has checked where the d1 entered. The constructor
-    computes once per problem every factor that does not depend on the
-    weights or on d1, and the d1 interval ``(skip_lo, skip_hi)`` the curve leaves uncovered
-    (``_uncovered``); each method keeps the operation order of the
+    ``converse`` is the converse at the optimal witness, and decides
+    coverage at its weights (the alpha predicate); ``covers`` decides it
+    at a d1 (the d1 predicate); ``alpha_for`` inverts D1u(n1) along the
+    curve (a, b) = (alpha, 1 - alpha); ``at_d1`` is ``covers``, then the
+    converse at the alpha of a covered d1. None checks the range of its
+    d1, which its caller has checked where the d1 entered. The
+    constructor computes once per problem every factor that does not
+    depend on the weights or on d1; each method keeps the operation order of the
     formula it writes out, so a hoisted factor is the float its
     expression would give in place. ``forms`` returns q with D1u(n1) and
     D2u(n2), and ``d2_rx1`` and ``converse`` take that q, so a trace row
@@ -238,7 +296,7 @@ class _Curve:
     __slots__ = (
         "s2", "s2u", "e", "rho", "p", "n1", "n2", "pn1", "pn2", "om", "rho_n1", "a1_scale",
         "lo_d", "hi_d", "lo_edge", "hi_edge", "snap_lo", "snap_hi", "n1_share", "c", "omr", "opr",
-        "ce", "skip_lo", "skip_hi",
+        "ce", "cvu", "side", "tiny",
     )
 
     def __init__(self, source: SourceParams, channel: ChannelParams) -> None:
@@ -264,7 +322,11 @@ class _Curve:
             self.snap_lo, self.snap_hi = lo_d, hi_d
         self.n1_share = n1 / pn1
         self.c = self.opr * p / pn1
-        self.skip_lo, self.skip_hi = self._uncovered()
+        # the factors of covers: the conditional variance in the unit s2u,
+        # rho**2*s2u times it, and the underflow floor of its error bound
+        self.cvu = cvu = self.s2u * self.om
+        self.side = rho * rho * self.s2u * cvu
+        self.tiny = (p + n1 + 1.0) * _UNDERFLOW
 
     def ends(self, noise: float) -> tuple[float, float]:
         """``(sigma2*n/(n + P), sigma2*(n + P*om)/(n + P))``: the one copy of the floors and corners.
@@ -316,67 +378,55 @@ class _Curve:
         alpha = 1.0 - w / (omr_w + math.sqrt(0.0 if 0.0 > rad else rad))
         return 0.0 if 0.0 > alpha else alpha
 
-    def _uncovered(self) -> tuple[float, float]:
-        """``(lo, hi)``: every d1 with ``lo < d1 < hi`` is a point the per-point test of ``at_d1`` finds not covered.
+    def covers(self, d1: float) -> bool:
+        """Whether the d1 is covered (``power/n1 <= snr_threshold(d1)``), decided exactly: the d1 predicate.
 
-        For ``t* < 1/4`` the uncovered alphas are ``(a_lo, 1 - a_lo)``, with
-        ``a_lo = _low_root(t*)``, so the uncovered d1 are ``(D1u(1 - a_lo),
-        D1u(a_lo))``. The interval returned is that one narrowed until the
-        float test at every d1 inside it (``alpha_for``, then the sign of
-        ``converse``'s margin A) agrees with the exact one:
-
-        - t* is raised by ``_SKIP_BAND``. A is ``-rho*n1*eps`` where
-          ``alpha*beta = t*(1 + eps)``, and its float is within a few ulp of
-          ``rho*n1``, so a relative 1e-6 in t* decides its sign;
-        - the interval is clamped inside the snaps of ``alpha_for``, whose
-          alphas 0 and 1 are covered (at rho = 0 as well). Off the snaps,
-          which are 4 ulp of the larger end, the exact beta is above 2e-8 and
-          alpha above 5e-17, so the absolute rounding of ``1 - alpha`` (1e-16)
-          stays below 1e-8 of beta;
-        - the ends are pulled in by ``_SKIP_BAND`` of d1. Near the flat alpha
-          = 1 end the solve reads beta off ``w = d1/sigma2 - n1/(P + n1)``,
-          whose rounding is a few ulp of d1/sigma2: the band moves w by 1e-6
-          of d1/sigma2, ~1e9 times more. Near the alpha = 0 end it moves
-          alpha by more than 1e-8, against a rounding of a few 1e-16. A range
-          under ~2e-6 of d1 wide (a few ulp, say) leaves the interval empty.
-
-        The margin's terms are taken in the channel's unit, where P and n1
-        are normal floats, so no floor on ``P*(1 - rho**2)`` is needed. For
-        ``t* >= 1/4`` the interval is empty, and so it is where P/n1
-        underflows to 0 in that unit: t* is then 0/0 at rho = 0, and at
-        least 1/2 at every other rho.
+        The sign of ``_d1_margin``, evaluated in the unit s2u (``d =
+        d1*2**-e``, ``cvu = s2u*om``) and the channel's unit, with the
+        per-problem factors hoisted. Its float is within
+        ``14u*n1*((cvu + d)**2 + side) + 7u*power*d*(cvu + d)`` of the
+        exact margin at the same d (u = 2**-53): cvu carries 4 roundings,
+        so ``cvu - d`` is within ``5u*(cvu + d)`` of its exact value, and
+        at most 9 more roundings reach either product. The products that
+        may underflow, and d where it rounds to a subnormal, add at most
+        ``(8*n1 + 2*power + 3)*2**-1075``. The bound takes the relative
+        part at 32u and ``tiny = (power + n1 + 1)*2**-1068`` for the
+        rest. Outside the bound the float sign is the exact one; inside,
+        ``_exact_nonneg`` takes the margin of the float inputs themselves,
+        homogeneous in sigma2 and in the channel, so the units do not move
+        its sign. It checks no range: every caller's d1 lies in (0,
+        sigma2].
         """
-        snr = self.p / self.n1
-        t = _product_threshold(self.rho, snr) * (1.0 + _SKIP_BAND) if snr > 0.0 else 1.0
-        if not t < 0.25:
-            return 0.0, 0.0
-        a = _low_root(t)
-        lo, hi = self.forms(1.0 - a, a)[1], self.forms(a, 1.0 - a)[1]
-        lo = self.snap_lo if self.snap_lo > lo else lo
-        hi = self.snap_hi if self.snap_hi < hi else hi
-        return lo * (1.0 + _SKIP_BAND), hi * (1.0 - _SKIP_BAND)
+        d = math.ldexp(d1, -self.e)
+        cvu, side = self.cvu, self.side
+        gap = cvu - d
+        pd = self.p * d
+        margin = self.n1 * (gap * gap + side) - pd * gap
+        span = cvu + d
+        bound = (self.n1 * (span * span + side) + pd * span) * _D1_EPS + self.tiny
+        return margin > bound or (
+            margin >= -bound and _exact_nonneg(_d1_margin, self.s2, self.rho, self.p, self.n1, d1)
+        )
 
     def at_d1(self, d1: float) -> tuple[float, float, float, float, float, tuple[float, float, float, float]] | None:
         """``(a, b, q, D2u(n2), D2u(n1), converse)`` at the curve point of d1, or None where it is not covered.
 
         The one evaluation of a d1, which ``verify`` and the per-d1 record
-        (``_rx1_point``) share. A d1 strictly inside the uncovered interval
-        ``(skip_lo, skip_hi)`` (``_uncovered``) is not covered and takes no
-        solve. At any other d1, ``alpha_for`` solves its alpha once, (a, b)
-        = (alpha, 1 - alpha), and ``converse`` there decides, at the q of
-        ``forms``, and is returned as it is, ``(eta*, psi, a1*, a2*)``; the
-        answer is the one solving every d1 gives. It checks no range:
-        ``_rx1_point`` refuses a d1 outside ``[lo_edge, hi_d)``, and
-        ``verify``'s grid lies inside ``(lo_d, hi_d)``, before either
+        (``_rx1_point``) share. The d1 predicate ``covers`` decides first,
+        so a d1 that is not covered takes no solve. At a covered d1,
+        ``alpha_for`` solves its alpha once, (a, b) = (alpha, 1 - alpha),
+        and ``converse`` runs there at the q of ``forms``, as covered, and
+        is returned as it is, ``(eta*, psi, a1*, a2*)``. It checks no
+        range: ``_rx1_point`` refuses a d1 outside ``[lo_edge, hi_d)``,
+        and ``verify``'s grid lies inside ``(lo_d, hi_d)``, before either
         calls it.
         """
-        if self.skip_lo < d1 < self.skip_hi:
+        if not self.covers(d1):
             return None
         a = self.alpha_for(d1)
         b = 1.0 - a
         q, _, d2 = self.forms(a, b)
-        row = self.converse(a, b, q)
-        return None if row is None else (a, b, q, d2, self.d2_rx1(a, b, q), row)
+        return a, b, q, d2, self.d2_rx1(a, b, q), self.converse(a, b, q, True)
 
     def forms(self, a: float, b: float) -> tuple[float, float, float]:
         """``(q, D1u(n1), D2u(n2))`` at the weights (a, b)."""
@@ -390,10 +440,12 @@ class _Curve:
         """D2u(n1), the second component at receiver 1, at the weights (a, b) of form q."""
         return self.s2 * ((self.p * a * a * self.om + self.n1 * q) / (self.pn1 * q))
 
-    def converse(self, a: float, b: float, q: float) -> tuple[float, float, float, float] | None:
+    def converse(self, a: float, b: float, q: float, covered: bool = False) -> tuple[float, float, float, float] | None:
         """``(eta*, psi, a1*, a2*)``: the converse at the optimal witness, at the curve point a = alpha, b = 1 - alpha.
 
-        None where the point is not covered. The witness is returned as
+        None where the point is not covered; a caller that has decided
+        coverage already (``at_d1``, by the d1 predicate) passes
+        ``covered``. The witness is returned as
         its two floats: a trace row stores them as they are, and only the
         public functions that return a witness build a ``BoundWitness``.
         On the curve the optimal witness and its combiner bound are
@@ -416,25 +468,47 @@ class _Curve:
         ``sigma2*(1 - rho**2)/eta*`` as ``om/x``, with eta* = sigma2*x,
         so neither sigma2 nor a cancelling ``1 - rho*rho`` enters it.
 
-        The point is covered iff ``A >= 0``: ``T(D1u(alpha)) - P/n1`` is A
-        times factors of fixed sign below the conditional variance, and
-        A > 0 on the stretch above it where the threshold is infinite
-        (rho > 0; ``tests/test_converse_algebra.py``). One float of A is
-        both the test and a2*'s numerator, so a covered point never has
-        a2* < 0. A does not involve sigma2, so coverage does not depend
-        on its scale.
+        The alpha predicate: the point is covered iff the exact A at the
+        floats (a, b) is >= 0. ``T(D1u(alpha)) - P/n1`` is A times factors
+        of fixed sign below the conditional variance, and A > 0 on the
+        stretch above it where the threshold is infinite (rho > 0;
+        ``tests/test_converse_algebra.py``). A does not involve sigma2, so
+        coverage does not depend on its scale. Its two terms are
+        nonnegative and each carries at most 6 roundings (q 4, om 3), so
+        the float A is within ``6u*(held + spent)`` of the exact one (u =
+        2**-53), plus a few 2**-1075 where a product underflows; the
+        filter takes 16u and ``_UNDERFLOW``, and ``_exact_nonneg`` decides
+        inside that.
+
+        a2* is ``A/den`` where the float A is >= 0, and 0.0 where it is
+        negative at a covered point, so a covered point never carries a2*
+        < 0. The float A is then off an exact A >= 0 by its error: by its
+        rounding, inside the filter's bound, at the trace's own (a, b);
+        by the solve's error at the alpha ``alpha_for`` solves for a d1
+        the d1 predicate covers, where the exact alpha has A >= 0. So the
+        exact a2* is >= 0 and the quotient below 0 is error; 0.0 is the
+        nonnegative value nearest to it, and no farther from the exact
+        a2* than the quotient is.
         """
         om = self.om
         pa = self.p * a
-        margin = self.rho_n1 * q - pa * b * om
-        if margin < 0.0:
-            return None
+        held = self.rho_n1 * q
+        spent = pa * b * om
+        margin = held - spent
+        if not covered:
+            bound = (held + spent) * _ALPHA_EPS + _UNDERFLOW
+            if not (margin > bound or (
+                margin >= -bound and _exact_nonneg(_alpha_margin, self.rho, self.p, self.n1, a, b)
+            )):
+                return None
         den = pa * a * om + self.n1 * q
         lead = a + b * self.rho
         # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
         a1 = self.a1_scale * q / den * (a / lead if lead > 0.0 else 1.0)
         x = self.n1 / den * om * q  # eta* in units of sigma2
-        return self.s2 * x, _psi(self.s2u, self.e, self.n1, self.n2, self.pn2, om, x), a1, margin / den
+        return self.s2 * x, _psi(self.s2u, self.e, self.n1, self.n2, self.pn2, om, x), a1, (
+            margin / den if margin >= 0.0 else 0.0
+        )
 
 
 def _psi(s2u: float, e: int, n1: float, n2: float, pn2: float, cv: float, eta: float) -> float:
@@ -557,10 +631,6 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
     1e-300 times sigma2, raises OutOfRangeError naming d1.
     """
     validate_source(source)
-    return _snr_threshold(source, d1)
-
-
-def _snr_threshold(source: SourceParams, d1: float) -> float:
     s2 = source.sigma2
     if not (0.0 < d1 <= s2):
         raise OutOfRangeError("d1 must satisfy 0 < d1 <= sigma2")
@@ -590,9 +660,16 @@ def simple_snr_threshold(source: SourceParams) -> float:
 
 
 def is_uncoded_optimal(source: SourceParams, channel: ChannelParams, d1: float) -> bool:
-    """True iff ``power/n1 <= snr_threshold(source, d1)``."""
-    validate_problem(source, channel)
-    return channel.power / channel.n1 <= _snr_threshold(source, d1)
+    """True iff ``power/n1 <= snr_threshold(source, d1)`` in exact arithmetic, for every d1 in (0, sigma2].
+
+    The curve's d1 predicate (``_Curve.covers``), which ``bound`` and
+    ``verify`` read too, so the three agree at every d1. It takes no
+    quotient of the threshold, so no d1 in the range is refused.
+    """
+    curve = _Curve(source, channel)
+    if not (0.0 < d1 <= source.sigma2):
+        raise OutOfRangeError("d1 must satisfy 0 < d1 <= sigma2")
+    return curve.covers(d1)
 
 
 def solve_alpha_for_d1(
@@ -652,9 +729,10 @@ def _rx1_point(
     kernel's ``at_d1``, whose ``d2_rx1`` and ``converse`` are the answers
     of ``d2_min_at_rx1``, ``optimal_witness`` and ``converse_at``,
     as floats, not the kernel, so the cache stays small. Coverage is the
-    evaluation ``verify`` makes of the same d1, so a d1 that ``bound``
-    accepts is one ``verify`` covers, at every scale of sigma2, and a d1
-    inside the uncovered interval is refused with no solve.
+    d1 predicate that ``verify`` and ``is_uncoded_optimal`` read at the
+    same d1, so a d1 that ``bound`` accepts is one both cover, exactly,
+    at every scale of sigma2, and a d1 that is not covered is refused
+    with no solve.
     ``root`` is ``sqrt((sigma2 - d1)*(sigma2 - d2_min_at_rx1(d1)))`` in its
     proved perfect-square form ``sigma2*P*(a + b*rho)*(a*rho + b)/(q*(P + n1))``
     at (a, b) = (alpha, 1 - alpha), a product of nonnegative factors with

@@ -18,11 +18,11 @@ building the row kernel ``closed_forms._Curve``, whose constructor calls
 :func:`validate_problem` before anything else and then fixes the
 problem's units. Every public function of ``closed_forms``, ``region``,
 ``rate_distortion`` and ``montecarlo`` that evaluates a problem builds
-one curve and reads the units, floors and corners from it; the curve's
-methods and the other ``_``-prefixed kernels never re-validate. Only
-``closed_forms.is_uncoded_optimal``, which needs no curve, calls
-:func:`validate_problem` itself, and a function that takes a source
-alone calls :func:`validate_source`. The CLI does not validate: the
+one curve and reads the units, floors and corners from it (coverage
+too: ``closed_forms.is_uncoded_optimal`` reads the curve's d1
+predicate); the curve's methods and the other ``_``-prefixed kernels
+never re-validate. No other function calls :func:`validate_problem`,
+and a function that takes a source alone calls :func:`validate_source`. The CLI does not validate: the
 first library call of each command validates its problem, once per
 run. The per-d1 cache ``closed_forms._rx1_point`` builds its curve, and
 so validates, on a cache miss only, and the per-d1 and per-witness

@@ -3,11 +3,13 @@
 The achievable boundary of the uncoded scheme is traced by sweeping the
 mixing weight alpha over [0, 1] (beta = 1 - alpha); the map alpha -> d1
 is monotone decreasing, so consumers can re-interpolate in either
-coordinate. A point is covered (SNR at or below the threshold at its d1)
-iff the margin ``A = rho*n1*q - power*alpha*(1 - alpha)*(1 - rho**2)``
-of the converse kernel is >= 0 at its alpha: the one coverage rule of
-the trace flag, of the verifier's covered points and of
-:func:`converse_at`. A covered point with alpha > 0 (d1 strictly below
+coordinate. A point is covered iff the SNR is at or below the threshold
+at its d1, decided exactly by the row kernel ``closed_forms._Curve``: a
+trace row by the sign of the converse kernel's margin ``A =
+rho*n1*q - power*alpha*(1 - alpha)*(1 - rho**2)`` at its own alpha, and
+a verifier's grid point, like :func:`converse_at`, by the kernel's d1
+predicate. Each falls back to exact rational arithmetic where its float
+margin is within rounding of 0. A covered point with alpha > 0 (d1 strictly below
 ``d1_min_at_d2min``) also carries the converse value at the optimal
 witness; the two curves coincide there, which :func:`verify_matching`
 checks on a grid (a grid with no covered point fails that check). At
@@ -27,10 +29,10 @@ achievable d2, and ``converse``, at the same q, the converse at the
 optimal witness, whose None is "not covered". The trace has each row's
 alpha already, so it solves none. The verifier evaluates each grid point
 with the kernel's ``at_d1``, the one evaluation of a d1, which the
-per-d1 record ``closed_forms._rx1_point`` makes too: a d1 inside the
-interval the curve leaves uncovered is not covered without a solve, and
-any other is solved and tested as the trace tests a row. This module
-evaluates no threshold of its own. No point of either goes through the
+per-d1 record ``closed_forms._rx1_point`` makes too: the d1 predicate
+decides, so a d1 that is not covered takes no solve, and a covered one
+is solved and its converse taken. This module evaluates no threshold of
+its own. No point of either goes through the
 public (memoized) closed forms, so neither re-validates the problem nor
 fills the per-d1 cache. :func:`converse_at`, exported from here and
 defined in ``closed_forms`` (which does not list it), is one read of
@@ -71,10 +73,10 @@ class BoundaryPoint(NamedTuple):
 
     The fields are the CSV columns ``alpha, d1, d2_uncoded, d2_converse,
     a1_star, a2_star, optimal_flag`` in order. ``optimal_flag`` records
-    whether the SNR threshold condition holds at this d1, decided as the
-    sign of the converse kernel's margin A at alpha (on the stretch from
-    the conditional variance up, where the threshold is infinite, A > 0
-    and the flag is true). ``d2_converse`` and the optimal witness
+    whether the SNR threshold condition holds at this d1, decided exactly
+    as the sign of the converse kernel's margin A at the row's floats
+    (alpha, 1 - alpha) (on the stretch from the conditional variance up,
+    where the threshold is infinite, A > 0 and the flag is true). ``d2_converse`` and the optimal witness
     ``(a1_star, a2_star)`` are set iff the flag is true and alpha > 0; the
     alpha = 0 row sits at ``d1_min_at_d2min``, where the converse is
     undefined.
@@ -160,7 +162,7 @@ def trace_uncoded_boundary(
 
     Points are ordered by ascending alpha, hence strictly decreasing d1 and
     strictly increasing d2. Each row's flag is the converse kernel's
-    coverage test at the row's own alpha (the sign of its margin A), and
+    exact coverage test at the row's own alpha (the sign of its margin A), and
     converse fields are populated iff the row is covered and alpha > 0,
     from the same kernel call.
     The distortions are sigma2 times ratios in [0, 1], so they overflow
@@ -209,13 +211,12 @@ def verify_matching(
 
     The grid is uniform over the open interval between ``d_min(1)`` and
     ``d1_min_at_d2min``; grid_size = 1 probes the midpoint. Each point is
-    the row kernel's ``at_d1``: a point strictly inside the curve's
-    closed-form uncovered interval is not covered and takes no solve. At
-    any other point the alpha is solved once, and the converse kernel's
-    coverage test there (the sign of its margin A) decides whether it is
-    covered; either way a point not covered is excluded from the
-    pass/fail verdict, and the report is the one that solving every point
-    gives. ``d2_min_at_rx1`` refuses exactly the points not covered. A covered point passes
+    the row kernel's ``at_d1``: its d1 predicate decides, exactly,
+    whether the point is covered (``is_uncoded_optimal`` reads the same
+    predicate), a point not covered takes no solve and is excluded from
+    the pass/fail verdict, and at a covered point the alpha is solved
+    once and the converse taken there. ``d2_min_at_rx1`` refuses exactly
+    the points not covered. A covered point passes
     when its residual is at most ``tol*sigma2``; a nan residual never
     passes, and a grid with no covered point does not pass. Each covered
     point also carries the joint-rate oracle's error against receiver 1's

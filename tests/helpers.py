@@ -1,7 +1,8 @@
 """Shared test fixtures: the desk configuration, config draws, reference
 solvers for alpha and for the joint-rate oracle's outer maximum, the
-distortion pair from the MMSE gains, a per-point reference verifier, and
-the distortion forms and the converse at the optimal witness in 50-digit
+distortion pair from the MMSE gains, the paper's coverage condition in
+exact rational arithmetic, a per-point reference verifier, and the
+distortion forms and the converse at the optimal witness in 50-digit
 arithmetic."""
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 
@@ -81,16 +83,39 @@ def gain_distortions(source: SourceParams, channel: ChannelParams, coeffs: Uncod
     return DistortionPair(d1, d2)
 
 
+def exact_covered(source: SourceParams, channel: ChannelParams, d1: float) -> bool:
+    """The paper's condition ``P/n1 <= T(d1)`` in exact rational arithmetic on the float inputs.
+
+    Written in the paper's own form, ``T = (sigma2*cv - 2*d1*cv + d1**2)
+    / (d1*(cv - d1))`` with ``cv = sigma2*(1 - rho**2)`` and ``T`` infinite
+    from cv up, multiplied out by the positive ``n1*d1*(cv - d1)``; no
+    kernel of the package is called.
+    """
+    s2, rho, d = Fraction(source.sigma2), Fraction(source.rho), Fraction(d1)
+    p, n1 = Fraction(channel.power), Fraction(channel.n1)
+    cv = s2 * (1 - rho**2)
+    return d >= cv or p * d * (cv - d) <= n1 * (s2 * cv - 2 * d * cv + d**2)
+
+
+def exact_alpha_covered(source: SourceParams, channel: ChannelParams, alpha: float, beta: float) -> bool:
+    """The trace's coverage at the float weights (alpha, beta): ``rho*n1*q >= P*alpha*beta*(1 - rho**2)``, exactly."""
+    rho, a, b = Fraction(source.rho), Fraction(alpha), Fraction(beta)
+    p, n1 = Fraction(channel.power), Fraction(channel.n1)
+    q = a**2 + 2 * a * b * rho + b**2
+    return rho * n1 * q >= p * a * b * (1 - rho**2)
+
+
 def per_point_verify_matching(
     source: SourceParams, channel: ChannelParams, grid_size: int, tol: float
 ) -> MatchReport:
-    """Reference verifier: ``region.verify_matching`` with every grid point solved and tested.
+    """Reference verifier: ``region.verify_matching`` with every grid point solved and decided exactly.
 
-    The same checks, kernels and order of operations, without the
-    closed-form skip of the uncovered interval: each point takes one
-    alpha solve and the converse kernel's coverage test, the oracle runs
-    in the unit of sigma2 as the verifier's does, and the maxima and the
-    verdict are taken over the covered points afterwards.
+    The same checks, kernels and order of operations, but each point's
+    alpha is solved, and its coverage is :func:`exact_covered`, not the
+    kernel's predicate; a covered point takes the converse kernel as
+    covered, the oracle runs in the unit of sigma2 as the verifier's
+    does, and the maxima and the verdict are taken over the covered
+    points afterwards.
     """
     validate_problem(source, channel)
     if grid_size < 1:
@@ -113,11 +138,10 @@ def per_point_verify_matching(
         alpha = curve.alpha_for(d1)
         beta = 1.0 - alpha
         q, _, d2_ach = curve.forms(alpha, beta)
-        converse = curve.converse(alpha, beta, q)
-        if converse is None:
+        if not exact_covered(source, channel, d1):
             points.append(MatchPoint(d1, False, None, None, None, None, None))
             continue
-        _, psi_value, a1, a2 = converse
+        _, psi_value, a1, a2 = curve.converse(alpha, beta, q, True)
         d2t = curve.d2_rx1(alpha, beta, q)
         d1_u, d2t_u = math.ldexp(d1, -curve.e), math.ldexp(d2t, -curve.e)
         oracle_error = abs(_r_joint(curve.s2u, source.rho, d1_u, d2t_u) - capacity)

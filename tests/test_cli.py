@@ -34,7 +34,7 @@ from gaussian_bc import (
 from gaussian_bc.cli import run
 
 import test_region_digests
-from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, exact_distortions, random_valid_configs
+from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, exact_covered, exact_distortions, random_valid_configs
 
 CSV_HEADER = "alpha,d1,d2_uncoded,d2_converse,a1_star,a2_star,optimal_flag"
 
@@ -413,6 +413,20 @@ class TestBound:
         assert abs(values["d2_converse"] - x_psi) <= 1e-15 * x_psi
         assert abs(values["a1_star"] - x_a1) <= 1e-15 * x_a1
         assert abs(values["a2_star"] - x_a2) <= 1e-15 * a2_scale
+
+    def test_a_d1_in_the_threshold_band_bounds_as_is_uncoded_optimal_says(self):
+        # a d1 a few ulp inside the covered set: the float margin at the
+        # solved alpha rounded below 0, so bound exited 2 naming --d1 while
+        # is_uncoded_optimal said True; both read the exact d1 predicate now,
+        # and the witness's a2* is the nearest nonnegative value, 0.0
+        values = [12.360253090540596, 0.6154600218841743, 7.801356887697093, 0.02324932948743886, 0.1982586006693727]
+        d1 = 0.03679312439835286
+        source, channel = SourceParams(*values[:2]), ChannelParams(*values[2:])
+        flags = [text for flag, value in zip(("--sigma2", "--rho", "--power", "--n1", "--n2"), values) for text in (flag, repr(value))]
+        code, text = run_cli(["bound", *flags, "--d1", repr(d1)])
+        assert code == 0
+        assert closed_forms.is_uncoded_optimal(source, channel, d1) and exact_covered(source, channel, d1)
+        assert float(parse_kv(text)["a2_star"]) >= 0.0
 
     def test_simulate_keeps_naming_its_own_target_flag(self, capsys):
         code, _ = run_cli(["simulate", "--d1-target", "0.1", "--samples", "10"])
@@ -1003,21 +1017,21 @@ def test_sigma2_inside_the_converse_range_still_runs(sigma2):
 
 
 def test_trace_verify_and_bound_evaluate_no_snr_threshold(monkeypatch):
-    # on the region path coverage is the sign of the converse kernel's
-    # margin; the d1-coordinate threshold serves the public functions only
+    # coverage is decided by the curve's exact predicates, which take no
+    # quotient of the threshold: no coverage function evaluates it
     calls = []
-    original = closed_forms._snr_threshold
+    original = closed_forms.snr_threshold
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(closed_forms, "_snr_threshold", counted)
+    monkeypatch.setattr(closed_forms, "snr_threshold", counted)
     for argv in (["trace", "--power", "3"], ["verify", "--power", "3"], ["bound", "--power", "3", "--d1", "0.78"]):
         assert run_cli(argv)[0] == 0
-    assert calls == []
     assert closed_forms.is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.625)
-    assert len(calls) == 1
+    assert not closed_forms.is_uncoded_optimal(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 0.625)
+    assert calls == []
 
 
 def test_cli_reads_no_private_name_of_another_module():
@@ -1053,9 +1067,12 @@ def _fresh_python(code):
 def test_importing_the_cli_loads_no_executor_or_logging():
     # concurrent.futures pulls in logging, which adds ~5 ms to every start-up,
     # numpy ~150 ms, which only simulate needs, and dataclasses ~8-10 ms
-    # (through inspect and ast); no command loads csv
+    # (through inspect and ast); no command loads csv; fractions and the
+    # decimal it loads (~2.4 ms) serve rare exact paths only: the coverage
+    # predicates' fallback and report's quotient off the normal range
     heavy = (
-        "print(sorted(m for m in ('concurrent.futures', 'logging', 'numpy', 'dataclasses', 'inspect', 'csv')"
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'numpy', 'dataclasses', 'inspect', 'csv',"
+        " 'fractions', 'decimal')"
         " if m in sys.modules))\n"
     )
     assert _fresh_python("import gaussian_bc.cli\n" + heavy) == "[]"

@@ -285,6 +285,17 @@ class TestSnrThreshold:
         with pytest.raises(OutOfRangeError, match=r"^d1 too small relative to sigma2 for the SNR threshold, got 5e-324"):
             snr_threshold(DESK_SOURCE, 5e-324)
 
+    def test_is_uncoded_optimal_answers_every_d1_up_to_sigma2(self):
+        # the d1 predicate takes no quotient of the threshold, so the least
+        # d1, whose threshold denominator underflows, is answered; d1 outside
+        # (0, sigma2] is refused
+        assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 5e-324)
+        assert is_uncoded_optimal(DESK_SOURCE, ChannelParams(1e300, 1.0, 2.0), 5e-324)
+        assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 1.0)
+        for d1 in (0.0, -0.5, math.nextafter(1.0, 2.0), math.nan):
+            with pytest.raises(OutOfRangeError, match=r"^d1 must satisfy 0 < d1 <= sigma2"):
+                is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, d1)
+
     def test_is_uncoded_optimal(self):
         assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.625)
         assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.8)  # above sigma2*(1-rho^2)
@@ -864,10 +875,9 @@ def _calls_by_owner(node, owner="<module>"):
 
 
 # the defs that may call each step of a problem's boundary: building the row
-# kernel validates the problem and takes the channel's unit, and
-# is_uncoded_optimal, which builds no kernel, validates its own problem
+# kernel validates the problem and takes the channel's unit
 _BOUNDARY = {
-    "validate_problem": {"_Curve.__init__", "is_uncoded_optimal"},
+    "validate_problem": {"_Curve.__init__"},
     "_channel_unit": {"_Curve.__init__"},
 }
 
@@ -878,10 +888,12 @@ _CONVERSE_CALLERS = {"_Curve", "trace_uncoded_boundary"}
 # the defs that may solve the alpha of a d1: the row kernel (in at_d1) and
 # the public solve
 _ALPHA_CALLERS = {"_Curve", "solve_alpha_for_d1"}
-# the names of the coverage threshold, which the region module never evaluates
+# the names of the coverage threshold and its predicates, which the region
+# module never evaluates
 _THRESHOLD_NAMES = {
     "_product_threshold", "_low_root", "_SKIP_BAND", "_uncovered", "_uncovered_d1",
     "snr_threshold", "_snr_threshold", "simple_snr_threshold", "is_uncoded_optimal",
+    "covers", "_d1_margin", "_alpha_margin", "_exact_nonneg",
 }
 
 
@@ -897,8 +909,8 @@ def test_one_copy_of_each_formula():
     # validated and put in its units nowhere else; and an exact sum is
     # montecarlo._exact_sum, whose fallback is math.fsum, so no binned
     # (bincount) reducer is written beside it; and a d1's alpha is solved
-    # and tested in the row kernel alone, whose uncovered interval region
-    # reads through at_d1, naming no threshold of its own
+    # and tested in the row kernel alone, whose d1 predicate region reads
+    # through at_d1, naming no threshold of its own
     found, stream, callers, boundary = [], [], set(), []
     alpha_callers = set()
     for path in sorted(Path(closed_forms.__file__).parent.glob("*.py")):
@@ -946,6 +958,5 @@ def test_one_copy_of_each_formula():
     assert sorted(boundary) == [  # and the one call site of each boundary step it allows
         ("closed_forms", "_Curve.__init__", "_channel_unit"),
         ("closed_forms", "_Curve.__init__", "validate_problem"),
-        ("closed_forms", "is_uncoded_optimal", "validate_problem"),
     ]
     assert found == []

@@ -8,13 +8,15 @@ every form is homogeneous of degree 0 in (a, b), so the identities hold
 on the normalized curve b = 1 - a as well. The per-witness functions
 (``combiner_mse_bound``, ``d2_converse_bound``) rely on the first: they
 take ``sqrt((sigma2 - d1)*(sigma2 - d2t))`` as the perfect square ROOT.
-The region path's coverage rule relies on the last two: the paper's
-threshold test ``P/n1 <= T(d1)`` is, on the curve, the sign of the
-kernel's margin A. On the curve b = 1 - a, A is affine in the product
-a*b, so a point is covered iff ``a*b <= t*``; the proofs of that form and
-of ``t* - 1/4`` sit with a float check of it against the kernel's own
-coverage test, and with a 50-digit check of the row kernel's uncovered
-interval: t*, its root a_lo and the d1 ends ``D1u(1 - a_lo)``, ``D1u(a_lo)``.
+The coverage predicates rely on the threshold identities: the paper's
+test ``P/n1 <= T(d1)`` is the sign of the d1 predicate's margin
+(``closed_forms._d1_margin``), and, on the curve, the sign of the
+kernel's margin A (``closed_forms._alpha_margin``). On the curve b = 1 -
+a, A is affine in the product a*b, so a point is covered iff ``a*b <=
+t*``; the proofs of that form and of ``t* - 1/4`` sit with a float check
+of it against the kernel's own coverage test, and with a 50-digit check
+of the covered set's ends: t*, its root a_lo and the d1 ends ``D1u(1 -
+a_lo)``, ``D1u(a_lo)``.
 """
 
 import random
@@ -23,7 +25,7 @@ import mpmath
 import sympy as sp
 
 from gaussian_bc import ChannelParams, SourceParams, trace_uncoded_boundary
-from gaussian_bc.closed_forms import _SKIP_BAND, _Curve, _low_root, _product_threshold
+from gaussian_bc.closed_forms import _alpha_margin, _Curve, _d1_margin, _low_root, _product_threshold
 
 s2, rho, p, n1, n2, a, b = sp.symbols("sigma2 rho P n1 n2 a b", positive=True)
 q = a**2 + 2 * a * b * rho + b**2
@@ -103,6 +105,15 @@ def snr_threshold(d1):
     """``closed_forms.snr_threshold`` below the conditional variance cv."""
     cv = s2 * om
     return (s2 * cv - 2 * d1 * cv + d1**2) / (d1 * (cv - d1))
+
+
+def test_the_d1_margin_is_the_threshold_test_times_its_denominator():
+    # n1*num - P*den for T = num/den, so below cv (den > 0) P/n1 <= T iff
+    # the margin is >= 0; the code's margin is the same polynomial
+    cv = s2 * om
+    margin = _d1_margin(s2, rho, p, n1, D1)
+    assert vanishes(margin - n1 * D1 * (cv - D1) * (snr_threshold(D1) - p / n1))
+    assert vanishes(_alpha_margin(rho, p, n1, a, b) - MARGIN)
 
 
 def test_below_cv_the_threshold_test_is_the_sign_of_the_margin():
@@ -207,8 +218,6 @@ def test_the_uncovered_interval_against_50_digits():
     assert checked > 1000
     assert worst["t"] <= 6 * u and worst["a_of_t"] <= 3 * u and worst["a"] <= 8 * u
     assert worst["lo"] <= 8 * u and worst["hi"] <= 8 * u
-    # the verifier's band in d1 is ~1e9 times the ends' error
-    assert max(worst["lo"], worst["hi"]) <= 1e-9 * _SKIP_BAND
 
 
 def test_the_alpha_root_solves_d1u_equals_d1():

@@ -197,24 +197,22 @@ def test_trace_solves_no_alpha_and_no_companion_floor(monkeypatch):
     assert calls == {"alpha_for": [], "_rx1_point": []}
 
 
-def test_verify_validates_once_and_solves_alpha_only_outside_the_uncovered_interval(monkeypatch):
-    # a grid point strictly inside the closed-form uncovered interval is
-    # recorded as not covered with no solve; every other point takes one
+def test_verify_validates_once_and_solves_alpha_only_at_covered_points(monkeypatch):
+    # the d1 predicate decides each grid point before any solve, so the
+    # solves are exactly the covered points, in grid order
     for power in (3.0, 2.0, 1.0):  # P/n1 = 3 leaves part of the grid uncovered; 2 is 2*rho/(1 - rho)
         channel = ChannelParams(power, 1.0, 2.0)
         closed_forms._rx1_point.cache_clear()
-        curve = closed_forms._Curve(DESK_SOURCE, channel)  # built before the count
-        lo, hi = curve.skip_lo, curve.skip_hi
         calls = _count_calls(monkeypatch, "validate_problem")
         solves = _count_alpha_solves(monkeypatch)
         report = region.verify_matching(DESK_SOURCE, channel, 40, 1e-9)
         assert len(calls) == 1
-        assert solves == [point.d1 for point in report.points if not lo < point.d1 < hi]
+        assert solves == [point.d1 for point in report.points if point.covered]
         assert closed_forms._rx1_point.cache_info().currsize == 0
         if power <= 2.0:  # at or below the simple threshold every point is covered and solved
             assert report.covered_count == len(solves) == 40
         else:
-            assert 0 < report.covered_count <= len(solves) < 40
+            assert 0 < report.covered_count == len(solves) < 40
         monkeypatch.undo()
 
 

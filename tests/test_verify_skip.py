@@ -1,11 +1,14 @@
-"""The verifier's closed-form skip of the uncovered d1 interval is invisible in its report.
+"""The coverage predicates decide exactly, and the verifier's skip of an uncovered point is invisible.
 
-``region.verify_matching`` records a grid point strictly inside the row
-kernel's uncovered interval ``(skip_lo, skip_hi)`` (``closed_forms._Curve``,
-through its ``at_d1``) as not covered without solving its alpha. These
-tests hold it to the per-point verifier of ``helpers`` (every point
-solved and tested) over a wide box of problems and at the named edges,
-report against report, and probe the interval's ends a few ulp inside.
+``region.verify_matching`` records a grid point that the row kernel's d1
+predicate (``closed_forms._Curve.covers``, through its ``at_d1``) refuses
+as not covered without solving its alpha. These tests hold it to the
+per-point verifier of ``helpers`` (every point solved, coverage decided
+by the paper's condition in exact rational arithmetic) over a wide box of
+problems and at the named edges, report against report. A band sweep
+steps d1 and the trace's alpha ulp by ulp across both ends of the covered
+set, where a float verdict can round either way, and holds every route
+to the exact verdict there.
 """
 
 import math
@@ -13,12 +16,20 @@ import random
 
 import pytest
 
-from gaussian_bc import ChannelParams, SourceParams, converse_at, d2_min_at_rx1, verify_matching
+from gaussian_bc import (
+    ChannelParams,
+    SourceParams,
+    converse_at,
+    d2_min_at_rx1,
+    is_uncoded_optimal,
+    region,
+    verify_matching,
+)
 from gaussian_bc import closed_forms
-from gaussian_bc.closed_forms import _Curve
+from gaussian_bc.closed_forms import _Curve, _low_root, _product_threshold
 from gaussian_bc.errors import GaussianBcError, SnrThresholdError
 from gaussian_bc.region import _d1_grid
-from helpers import DESK_CHANNEL, per_point_verify_matching
+from helpers import DESK_CHANNEL, exact_alpha_covered, exact_covered, per_point_verify_matching
 
 
 def wide_box_problem(rng: random.Random) -> tuple[SourceParams, ChannelParams]:
@@ -56,10 +67,9 @@ def assert_same_outcome(source, channel, grid_size):
 
 
 def skipped_points(source, channel, grid_size):
-    """The grid points the verifier records as not covered without a solve."""
+    """The grid points the verifier records as not covered without a solve: those the d1 predicate refuses."""
     curve = _Curve(source, channel)
-    lo, hi = curve.skip_lo, curve.skip_hi
-    return sum(lo < d1 < hi for d1 in _d1_grid(curve.lo_d, curve.hi_d, grid_size))
+    return sum(not curve.covers(d1) for d1 in _d1_grid(curve.lo_d, curve.hi_d, grid_size))
 
 
 def test_the_report_is_the_per_point_verifiers_over_a_wide_box():
@@ -113,62 +123,119 @@ def test_the_report_is_the_per_point_verifiers_at_the_edges(source, channel, gri
 
 
 def test_the_edges_skip_where_expected():
-    # t* = 0 skips every grid point; at the simple threshold and on a
-    # range a few ulp wide the interval is empty
+    # t* = 0 skips every grid point; at the simple threshold every point is
+    # covered; on a d1 range a few ulp wide at rho = 0 (or 1e-300) no grid
+    # point is covered either, exactly as the paper's condition says
     assert skipped_points(SourceParams(1.0, 0.0), DESK_CHANNEL, 1000) == 1000
     assert skipped_points(SourceParams(1.0, 1e-300), DESK_CHANNEL, 50) == 50
     assert skipped_points(SourceParams(1.0, 0.5), ChannelParams(1e300, 1.0, 2.0), 1000) == 1000
     for rho in _THRESHOLD_RHOS:
         assert skipped_points(SourceParams(1.0, rho), ChannelParams(2.0 * rho / (1.0 - rho), 1.0, 2.0), 50) == 0
-    curve = _Curve(SourceParams(1.0, 0.0), ChannelParams(1.5e-15, 1.0, 2.0))
-    assert not curve.skip_lo < curve.skip_hi
+    assert skipped_points(SourceParams(1.0, 0.0), ChannelParams(1.5e-15, 1.0, 2.0), 1) == 1
+    assert skipped_points(SourceParams(1.0, 1e-300), ChannelParams(2.0e-15, 1.0, 2.0), 3) == 3
     # a subnormal n1 near rho = 1 skipped nothing while the margin's terms
     # were subnormal; in the channel's unit they are normal floats
     source, channel = SourceParams(1e150, 0.9999999999999993), ChannelParams(2.1236836862603217e-307, 1.5e-323, 1.0)
     assert skipped_points(source, channel, 50) == 45
 
 
-def per_point_covered(curve, d1):
-    alpha = curve.alpha_for(d1)
-    beta = 1.0 - alpha
-    return curve.converse(alpha, beta, curve.forms(alpha, beta)[0]) is not None
+def band_problem(rng: random.Random) -> tuple[SourceParams, ChannelParams]:
+    """A problem above the simple threshold (t* < 1/4), so that the covered set has two inner ends."""
+    rho = rng.uniform(0.01, 0.99)
+    n1 = 10 ** rng.uniform(-2, 2)
+    power = n1 * 2.0 * rho / (1.0 - rho) * 10 ** rng.uniform(0.01, 3)
+    return SourceParams(10 ** rng.uniform(-3, 3), rho), ChannelParams(power, n1, n1 * rng.uniform(1.1, 10.0))
 
 
-def test_a_few_ulp_inside_the_ends_the_per_point_test_says_not_covered():
-    rng = random.Random(2702)
-    probed = 0
-    for _ in range(3000):
-        source, channel = wide_box_problem(rng)
-        try:
-            curve = _Curve(source, channel)
-        except GaussianBcError:
-            continue
-        lo, hi = curve.skip_lo, curve.skip_hi
-        if not lo < hi:
-            continue
-        ends = [lo + k * math.ulp(lo) for k in (1, 2, 3)] + [hi - k * math.ulp(hi) for k in (1, 2, 3)]
-        for d1 in ends:
-            if lo < d1 < hi:
-                assert not per_point_covered(curve, d1), (source, channel, d1)
-                probed += 1
-    assert probed > 9_000
+def ulp_steps(x: float, reach: int) -> list[float]:
+    """The floats from ``reach`` ulp below x to ``reach`` ulp above it, in order."""
+    below, above = [x], [x]
+    for _ in range(reach):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
 
 
-def test_bound_refuses_exactly_the_points_verify_does_not_cover():
+def test_every_route_gives_the_exact_verdict_in_the_band(monkeypatch):
+    # d1 within 40 ulp of both crossings D1u(a_lo) and D1u(1 - a_lo), and
+    # the trace's alpha within 40 ulp of a_lo and of 1 - a_lo: there a
+    # float verdict can round either way. is_uncoded_optimal, bound (the
+    # companion floor's SnrThresholdError), verify's covered flag (its grid
+    # set to the band) and the trace's row kernel (forms, then converse)
+    # each equal the paper's condition in exact rational arithmetic, and
+    # no covered point carries a2* < 0
+    rng = random.Random(3701)
+    closed_forms._rx1_point.cache_clear()
+    tally = {True: 0, False: 0}
+    rows = {True: 0, False: 0}
+    for _ in range(40):
+        source, channel = band_problem(rng)
+        curve = _Curve(source, channel)
+        a_lo = _low_root(_product_threshold(source.rho, channel.power / channel.n1))
+        band = sorted(
+            d1
+            for end in (curve.forms(a_lo, 1.0 - a_lo)[1], curve.forms(1.0 - a_lo, a_lo)[1])
+            for d1 in ulp_steps(end, 40)
+            if curve.lo_d < d1 < curve.hi_d
+        )
+        exact = [exact_covered(source, channel, d1) for d1 in band]
+        monkeypatch.setattr(region, "_d1_grid", lambda lo, hi, size: band)
+        report = verify_matching(source, channel, len(band), 1e-9)
+        assert [point.covered for point in report.points] == exact, source
+        for d1, covered in zip(band, exact):
+            assert is_uncoded_optimal(source, channel, d1) == covered, (source, channel, d1)
+            try:
+                _, _, witness = converse_at(source, channel, d1)
+            except SnrThresholdError:
+                assert not covered, (source, channel, d1)
+            else:
+                assert covered and witness.a2 >= 0.0, (source, channel, d1, witness)
+            tally[covered] += 1
+        for alpha in ulp_steps(a_lo, 40) + ulp_steps(1.0 - a_lo, 40):
+            beta = 1.0 - alpha
+            row = curve.converse(alpha, beta, curve.forms(alpha, beta)[0])
+            covered = exact_alpha_covered(source, channel, alpha, beta)
+            assert (row is not None) == covered, (source, channel, alpha)
+            assert row is None or row[3] >= 0.0
+            rows[covered] += 1
+    closed_forms._rx1_point.cache_clear()
+    assert min(tally.values()) > 2000 and min(rows.values()) > 2000
+
+
+def test_bound_refuses_exactly_the_points_verify_does_not_cover(monkeypatch):
     # verify and the per-d1 record share the row kernel's evaluation of a
     # d1, so the companion floor raises SnrThresholdError at the grid points
-    # verify reports as not covered, and nowhere else; at a covered point
-    # the converse and the witness are verify's, bit for bit
+    # verify reports as not covered, and nowhere else, and those are the
+    # points where the paper's condition fails in exact arithmetic; at a
+    # covered point the converse and the witness are verify's, bit for bit.
+    # Next to its own grid, verify takes points a relative 1e-12 .. 1e-3
+    # off each end of the covered set, so no interval of points skipped
+    # unsolved can reach past an end unseen
     rng = random.Random(2704)
     closed_forms._rx1_point.cache_clear()
     counts = {True: 0, False: 0}
     for _ in range(80):
         source, channel = wide_box_problem(rng)
         try:
-            report = verify_matching(source, channel, 50, 1e-9)
+            curve = _Curve(source, channel)
+        except GaussianBcError:
+            continue
+        grid = _d1_grid(curve.lo_d, curve.hi_d, 50)
+        t_star = _product_threshold(source.rho, channel.power / channel.n1) if channel.power > 0.0 else 1.0
+        if t_star < 0.25:
+            a_lo = _low_root(t_star)
+            for end in (curve.forms(a_lo, 1.0 - a_lo)[1], curve.forms(1.0 - a_lo, a_lo)[1]):
+                grid += [end * (1.0 + k * 10.0**-j) for j in (12, 9, 6, 3) for k in (-1, 1)]
+        grid = sorted(d1 for d1 in set(grid) if curve.lo_d < d1 < curve.hi_d)
+        if not grid:
+            continue
+        monkeypatch.setattr(region, "_d1_grid", lambda lo, hi, size, grid=grid: grid)
+        try:
+            report = verify_matching(source, channel, len(grid), 1e-9)
         except GaussianBcError:
             continue
         for point in report.points:
+            assert point.covered == exact_covered(source, channel, point.d1), (source, channel, point.d1)
             try:
                 d2_min_at_rx1(source, channel, point.d1)
             except SnrThresholdError:
