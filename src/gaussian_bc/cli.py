@@ -14,6 +14,11 @@ The trace CSV contract is stable: columns
 order, header always present, ``,`` separator, ``\\n`` terminators,
 floats printed with 17 significant digits (round-trip exact), absent
 converse values as empty fields.
+
+Each run parses its argv once. An argv that starts with a command name
+goes straight to that command's own parser; any other argv (none, ``-h``,
+an unknown command, an option first) goes to the top-level parser. Both
+routes print the same help, usage and error text.
 """
 
 from __future__ import annotations
@@ -243,8 +248,11 @@ def _cmd_verify(args, out) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and shared by later calls.
 
-    ``parse_args`` returns a new namespace each time and no handler
-    touches the parser, so one instance serves every ``run``.
+    Each parse returns a new namespace and no handler touches a parser,
+    so one instance serves every ``run``. Its ``commands`` attribute maps
+    each command name to that command's own parser (the subparsers
+    action's ``choices``), which ``run`` hands the rest of an argv that
+    starts with the name.
     """
     parser = argparse.ArgumentParser(
         prog="gaussian-bc",
@@ -286,6 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=1e-9, help="matching residual tolerance, relative to sigma2 (default 1e-9)")
     p_verify.set_defaults(handler=_cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -319,8 +328,18 @@ def run(argv: list[str] | None = None, out=None) -> int:
     """Parse argv and execute one subcommand; returns the process exit code."""
     out = sys.stdout if out is None else out
     parser = _build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        if command is None:  # no argv, -h, an unknown command or an option first
+            args = parser.parse_args(argv)
+        else:
+            # what the top-level parse would do, minus its own pass over
+            # every token: the command's parser takes the rest, and any
+            # token it leaves is the top-level parser's error
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse exits 2 on argument errors
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -478,7 +478,10 @@ class _Curve:
         the float A is within ``6u*(held + spent)`` of the exact one (u =
         2**-53), plus a few 2**-1075 where a product underflows; the
         filter takes 16u and ``_UNDERFLOW``, and ``_exact_nonneg`` decides
-        inside that.
+        inside that. An end of the curve, a or b exactly 0, is covered
+        without it: there A is ``rho*n1*q`` exactly, and rho >= 0 (at rho
+        = 0 both terms are exactly 0 and the float margin lies inside the
+        underflow term of the bound).
 
         a2* is ``A/den`` where the float A is >= 0, and 0.0 where it is
         negative at a covered point, so a covered point never carries a2*
@@ -498,7 +501,10 @@ class _Curve:
         if not covered:
             bound = (held + spent) * _ALPHA_EPS + _UNDERFLOW
             if not (margin > bound or (
-                margin >= -bound and _exact_nonneg(_alpha_margin, self.rho, self.p, self.n1, a, b)
+                margin >= -bound and (
+                    a == 0.0 or b == 0.0  # a weight of exactly 0 leaves A = rho*n1*q >= 0
+                    or _exact_nonneg(_alpha_margin, self.rho, self.p, self.n1, a, b)
+                )
             )):
                 return None
         den = pa * a * om + self.n1 * q

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, CSV contract, exit codes, flag-named errors."""
 
+import argparse
 import ast
 import csv
 import inspect
@@ -32,6 +33,7 @@ from gaussian_bc import (
     trace_uncoded_boundary,
 )
 from gaussian_bc.cli import run
+from gaussian_bc.errors import GaussianBcError
 
 import test_region_digests
 from helpers import DESK_CHANNEL, DESK_SOURCE, exact_converse, exact_covered, exact_distortions, random_valid_configs
@@ -1123,6 +1125,87 @@ def test_the_cached_parser_gives_every_call_a_fresh_process_result(tmp_path, cap
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         if "{out}" in argv:
             assert reused_out.read_text(encoding="utf-8") == fresh_out.read_text(encoding="utf-8")
+
+
+def _two_level_run(argv):
+    """The route every argv took before ``run`` parsed once: the top-level parser's full parse, then the handler."""
+    try:
+        args = cli._build_parser().parse_args(cli._attach_negative_values(argv))
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
+    try:
+        return args.handler(args, sys.stdout)
+    except GaussianBcError as exc:
+        print(f"error: {cli._flagged(str(exc))}", file=sys.stderr)
+        return 2
+
+
+PARSE_ROUTES = [
+    # the top-level parser's own argvs
+    [], ["-h"], ["--help"], ["-h", "verify"], ["frobnicate"], ["frobnicate", "-h"],
+    ["--rho", "0.3", "verify"], ["--rho=-0.5", "report"],
+    # each command's help, and abbreviated flags
+    ["report", "-h"], ["trace", "-h"], ["bound", "--help"], ["simulate", "-h"], ["verify", "-h"],
+    ["trace", "--poi", "5"], ["verify", "--sig", "2", "--grid", "5"], ["report", "--he"],
+    ["verify", "--grid", "5", "-h"], ["simulate", "--s", "3"],
+    # usage errors
+    ["trace", "--points"], ["bound"], ["trace", "--points", "x"],
+    ["verify", "--frob"], ["report", "extra"], ["verify", "--frob", "x", "--grid", "5", "y"],
+    ["verify", "--", "--grid", "5"], ["verify", "--grid", "5", "--"], ["report", "-x"],
+    ["simulate", "--alpha", "0.25", "--d1-target", "0.6"],
+    # negative values, and runs that reach a handler
+    ["report", "--rho=-0.5"], ["trace", "--points", "3", "--rho", "-1e-05"],
+    ["report", "--rho", "-1e-05", "--power", "-inf"], ["bound", "--d1", "0.6"], ["bound", "--d1", "5"],
+    ["simulate", "--samples", "100", "--seed", "3"], ["verify", "--grid", "5"], ["verify", "--grid", "5", "--power", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ROUTES)
+def test_one_parse_prints_what_the_two_level_parse_printed(argv, capsys):
+    # run hands an argv that starts with a command to that command's parser
+    # alone; exit code, stdout and stderr are those of the full top-level
+    # parse, help and usage errors included
+    want = _two_level_run(list(argv)), *capsys.readouterr()
+    assert (run(list(argv)), *capsys.readouterr()) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"], ["trace", "--points", "3"], ["bound", "--d1", "0.6"], ["simulate", "--samples", "100"],
+     ["verify", "--grid", "5"]],
+)
+def test_each_command_parses_its_argv_once(argv, monkeypatch):
+    # the two-level parse ran the top-level parser over every token and then
+    # the command's parser over the same tokens again
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(argv)[0] == 0
+    assert parsers == [f"gaussian-bc {argv[0]}"]
+
+
+def test_a_trace_at_rho_0_takes_no_exact_fallback():
+    # its alpha = 0 and alpha = 1 rows have A = 0 exactly, inside the float
+    # filter's underflow term; a weight of exactly 0 is covered without the
+    # fallback, whose fractions and decimal take ~2.4 ms to import
+    code = (
+        "from gaussian_bc import cli, closed_forms\n"
+        "calls = []\n"
+        "exact = closed_forms._exact_nonneg\n"
+        "closed_forms._exact_nonneg = lambda *args: calls.append(args) or exact(*args)\n"
+        "code = cli.run(['trace', '--rho', '0', '--points', '5'])\n"
+        "print(code, len(calls), sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+    )
+    assert _fresh_python(code) == (
+        f"{CSV_HEADER}\n0,1,0.66666666666666663,,,,true\n0.25,0.94999999999999996,0.69999999999999996,,,,false\n"
+        "0.5,0.75,0.83333333333333337,,,,false\n0.75,0.55000000000000004,0.96666666666666667,,,,false\n"
+        "1,0.5,1,1,1,0,true\n0 0 []"
+    )
 
 
 # rho = 0 and P/n1 = 1e-600, which underflows to 0 in every unit: the row
