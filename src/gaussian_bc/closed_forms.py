@@ -102,7 +102,13 @@ at the alpha of d1, so no square root is taken there either.
 
 ``_psi`` is the one copy of the converse d2: ``_Curve.converse``,
 ``d2_converse_bound`` and ``rate_distortion.d2_lower_via_rx1`` all call
-it. The region is the same at every scale of sigma2, and at every common
+it. Its two errors (eta <= 0, a value past the float range) are a
+witness's own off the curve. On the curve their one cause is P/n1 past
+the float range, so ``_Curve.converse``, which ``trace``, ``verify``
+and ``bound`` share, re-raises either as an OutOfRangeError naming
+power: the one place a curve failure is diagnosed.
+
+The region is the same at every scale of sigma2, and at every common
 scale of (P, n1, n2), and so are the kernels. sigma2 enters them as the
 exact split ``sigma2 = s2u*2**e`` of ``math.frexp``, with s2u in
 [0.5, 1): no kernel multiplies two sigma2-sized values, or sigma2 by a
@@ -314,7 +320,8 @@ class _Curve:
         # the factors of alpha_for
         lo_d, hi_d = self.ends(n1)
         edge = _RESIDUAL_TOL * s2  # tolerate endpoint rounding
-        self.lo_d, self.hi_d, self.lo_edge, self.hi_edge = lo_d, hi_d, lo_d - edge, hi_d + edge
+        # the slack below lo_d stops at the least positive float: no distortion <= 0 is in range
+        self.lo_d, self.hi_d, self.lo_edge, self.hi_edge = lo_d, hi_d, max(lo_d - edge, 5e-324), hi_d + edge
         snap = 4.0 * math.ulp(hi_d)  # 0 <= lo_d <= hi_d
         if hi_d - lo_d > 2.0 * snap:
             self.snap_lo, self.snap_hi = lo_d + snap, hi_d - snap
@@ -467,6 +474,11 @@ class _Curve:
         ``D2u(n2)`` it equals in exact arithmetic. It takes the ratio
         ``sigma2*(1 - rho**2)/eta*`` as ``om/x``, with eta* = sigma2*x,
         so neither sigma2 nor a cancelling ``1 - rho*rho`` enters it.
+        Where ``_psi`` fails here, P/n1 is past the float range: x
+        underflows to 0, or ``om/x`` overflows. Its BoundUndefinedError
+        or OutOfRangeError is re-raised as ``OutOfRangeError("power too
+        large relative to n1 ...")``, which the CLI reports as
+        ``--power``; the callers map nothing.
 
         The alpha predicate: the point is covered iff the exact A at the
         floats (a, b) is >= 0. ``T(D1u(alpha)) - P/n1`` is A times factors
@@ -512,9 +524,11 @@ class _Curve:
         # a/lead is 1 for every a > 0 at rho = 0, and the alpha = 0 end takes that value
         a1 = self.a1_scale * q / den * (a / lead if lead > 0.0 else 1.0)
         x = self.n1 / den * om * q  # eta* in units of sigma2
-        return self.s2 * x, _psi(self.s2u, self.e, self.n1, self.n2, self.pn2, om, x), a1, (
-            margin / den if margin >= 0.0 else 0.0
-        )
+        try:
+            psi = _psi(self.s2u, self.e, self.n1, self.n2, self.pn2, om, x)
+        except (BoundUndefinedError, OutOfRangeError) as exc:
+            raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {self.p / self.n1:.3g}): {exc}") from exc
+        return self.s2 * x, psi, a1, margin / den if margin >= 0.0 else 0.0
 
 
 def _psi(s2u: float, e: int, n1: float, n2: float, pn2: float, cv: float, eta: float) -> float:
@@ -699,7 +713,9 @@ def solve_alpha_for_d1(
     outside the curve, so the range is checked here: a target more than
     ``1e-12 * sigma2`` outside the interval raises OutOfRangeError, and
     one above ``d1_min_at_d2min`` is taken as that end (on a curve one
-    float wide the kernel would snap it to alpha = 0, not 1).
+    float wide the kernel would snap it to alpha = 0, not 1). The slack
+    below ``d_min(1)`` stops at the least positive float, so a target
+    <= 0 is refused at every P/n1 (``_rx1_point`` shares the edge).
     """
     curve = _Curve(source, channel)
     if not (curve.lo_edge <= d1_target <= curve.hi_edge):

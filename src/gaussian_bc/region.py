@@ -31,8 +31,11 @@ alpha already, so it solves none. The verifier evaluates each grid point
 with the kernel's ``at_d1``, the one evaluation of a d1, which the
 per-d1 record ``closed_forms._rx1_point`` makes too: the d1 predicate
 decides, so a d1 that is not covered takes no solve, and a covered one
-is solved and its converse taken. This module evaluates no threshold of
-its own. No point of either goes through the
+is solved and its converse taken. A trace makes no kernel call outside
+its rows. This module evaluates no threshold of its own, and diagnoses
+no kernel failure: a converse the kernel cannot hold (P/n1 past the
+float range) is already an OutOfRangeError naming power when it
+arrives. No point of either goes through the
 public (memoized) closed forms, so neither re-validates the problem nor
 fills the per-d1 cache. :func:`converse_at`, exported from here and
 defined in ``closed_forms`` (which does not list it), is one read of
@@ -54,7 +57,7 @@ import sys
 from typing import NamedTuple
 
 from .closed_forms import BoundWitness, _Curve, converse_at
-from .errors import BoundUndefinedError, OutOfRangeError
+from .errors import OutOfRangeError
 from .params import ChannelParams, SourceParams
 from .rate_distortion import _r_joint, channel_capacity
 
@@ -166,41 +169,34 @@ def trace_uncoded_boundary(
     converse fields are populated iff the row is covered and alpha > 0,
     from the same kernel call.
     The distortions are sigma2 times ratios in [0, 1], so they overflow
-    nowhere sigma2 does not. A d1 at alpha = 1, its least value, that
-    underflows to 0 raises OutOfRangeError: the error names power where
-    ``n1/(power + n1)`` itself underflows (P/n1 past the float range,
-    where the converse is undefined), and sigma2 otherwise. A combiner
-    bound that underflows to 0 at a covered row names power too. The
-    row kernel runs in the unit of sigma2 and in that of the channel (see
-    ``closed_forms``), so no common scale of either is refused.
+    nowhere sigma2 does not. A covered row whose converse the kernel
+    cannot hold as a float (P/n1 past the float range; the alpha = 1 row
+    is always covered) raises the kernel's OutOfRangeError naming power.
+    Short of that, a d1 at alpha = 1, the last row's and the least on
+    the curve, that underflows to 0 raises OutOfRangeError naming
+    sigma2. The row kernel runs in the unit of sigma2 and in that of the
+    channel (see ``closed_forms``), so no common scale of either is
+    refused.
     """
     curve = _Curve(source, channel)
     if num_points < 2:
         raise OutOfRangeError("num_points must be >= 2")
-    p, n1 = channel.power, channel.n1
     forms, converse = curve.forms, curve.converse
-    if not forms(1.0, 0.0)[1] > 0.0:  # d1 at alpha = 1, the least on the curve
-        if not curve.n1_share > 0.0:
-            raise OutOfRangeError(
-                f"power too large relative to n1 (P/n1 = {p / n1:.3g}): n1/(power + n1) underflows to 0"
-            )
-        raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
     points: list[BoundaryPoint] = []
     # tuple.__new__ is what BoundaryPoint._make does, minus a Python frame per row
     new = tuple.__new__
     last = num_points - 1
-    try:
-        for i in range(num_points):
-            alpha = i / last
-            beta = 1.0 - alpha
-            q, d1, d2 = forms(alpha, beta)
-            row = converse(alpha, beta, q)
-            if row is not None and alpha > 0.0:
-                points.append(new(BoundaryPoint, (alpha, d1, d2, row[1], row[2], row[3], True)))
-            else:
-                points.append(new(BoundaryPoint, (alpha, d1, d2, None, None, None, row is not None)))
-    except BoundUndefinedError as exc:
-        raise OutOfRangeError(f"power too large relative to n1 (P/n1 = {p / n1:.3g}): {exc}") from exc
+    for i in range(num_points):
+        alpha = i / last
+        beta = 1.0 - alpha
+        q, d1, d2 = forms(alpha, beta)
+        row = converse(alpha, beta, q)
+        if row is not None and alpha > 0.0:
+            points.append(new(BoundaryPoint, (alpha, d1, d2, row[1], row[2], row[3], True)))
+        else:
+            points.append(new(BoundaryPoint, (alpha, d1, d2, None, None, None, row is not None)))
+    if not d1 > 0.0:  # d1 at alpha = 1 (i/last is exactly 1.0), the least on the curve
+        raise OutOfRangeError("sigma2 too small: d1 at alpha = 1, sigma2*n1/(power + n1), underflows to 0")
     return points
 
 

@@ -7,6 +7,7 @@ import inspect
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -263,11 +264,12 @@ class TestTrace:
         "flags, named",
         [
             (["--sigma2", "1e10", "--power", "1e100", "--n1", "1e-224", "--n2", "2e-224"], "--power"),
+            (["--power", "1e300", "--n1", "1e-10", "--n2", "2e-10"], "--power"),
         ],
     )
     def test_unrepresentable_trace_names_its_flag(self, flags, named, capsys):
         # the converse undefined at a P/n1 past the float range used to
-        # name no flag
+        # name no flag; the second printed "combiner bound too small"
         code, text = run_cli(["trace", *flags])
         assert code == 2
         assert text == ""
@@ -434,6 +436,17 @@ class TestBound:
         code, _ = run_cli(["simulate", "--d1-target", "0.1", "--samples", "10"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --d1-target must lie in [0.5, 0.875]")
+
+    @pytest.mark.parametrize("d1", ["0", "-0.0", "-5e-13"])
+    @pytest.mark.parametrize("command, flag", [("bound", "--d1"), ("simulate", "--d1-target")])
+    def test_a_distortion_at_or_below_zero_names_its_flag(self, command, flag, d1, capsys):
+        # at P/n1 = 1e13, d_min(1) = 1e-13 lies inside the 1e-12*sigma2 slack
+        # below it, which reached past 0: bound printed d1=0 and a full bound,
+        # and simulate ran at alpha = 1
+        samples = ["--samples", "2"] if command == "simulate" else []
+        code, text = run_cli([command, "--power", "1e13", f"{flag}={d1}", *samples])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {flag} must ")
 
 
 class TestSimulate:
@@ -1263,3 +1276,56 @@ def test_a_simulated_statistic_past_the_float_range_names_its_flag(flags, named,
     assert run_cli(["simulate", *flags]) == (2, "")
     err = capsys.readouterr().err
     assert err == f"error: {named} too large: a simulated statistic is past the float range\n"
+
+
+_OWN_FLAGS = {
+    "trace": ("--sigma2", "--rho", "--power", "--n1", "--n2", "--points", "--output"),
+    "verify": ("--sigma2", "--rho", "--power", "--n1", "--n2", "--grid", "--tol"),
+    "bound": ("--sigma2", "--rho", "--power", "--n1", "--n2", "--d1"),
+}
+
+
+def _past_the_float_range_argvs(seed, runs):
+    """Seeded trace, verify and bound argvs with P/n1 log-uniform in 1e300..1e610.
+
+    Half of the bound runs ask at d_min(1), the one end of the curve that is
+    covered at such a P/n1 (0 is asked as the least positive float).
+    """
+    rng = random.Random(seed)
+    for _ in range(runs):
+        command = rng.choice(sorted(_OWN_FLAGS))
+        sigma2, rho = 10.0 ** rng.uniform(-300, 300), rng.random()
+        ratio = rng.uniform(300, 610)
+        low = rng.uniform(-307, 307 - ratio)
+        n1, power = 10.0 ** low, 10.0 ** (low + ratio)
+        n2 = n1 * (1.0 + 10.0 ** rng.uniform(-3, 3))
+        argv = [command, *(f"--{name}={value!r}" for name, value in
+                           zip(("sigma2", "rho", "power", "n1", "n2"), (sigma2, rho, power, n1, n2)))]
+        if command == "bound":
+            d1 = sigma2 * 10.0 ** rng.uniform(-330, 0)
+            if rng.random() < 0.5:
+                try:
+                    d1 = d_min(SourceParams(sigma2, rho), ChannelParams(power, n1, n2), 1)
+                except GaussianBcError:
+                    pass
+            argv.append(f"--d1={max(d1, 5e-324)!r}")
+        else:
+            argv.append("--points=5" if command == "trace" else "--grid=5")
+        yield argv
+
+
+def test_every_refusal_past_the_float_range_names_one_of_its_own_flags(capsys):
+    # _psi's "combiner bound is nonpositive" and "combiner bound too small"
+    # reached stderr as they were from bound and trace, naming no flag;
+    # the row kernel now refuses a converse it cannot hold as --power
+    powers = set()
+    for argv in _past_the_float_range_argvs(3907, 300):
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("error: --"), (argv, err)
+            assert err[len("error: "):].split(" ")[0] in _OWN_FLAGS[argv[0]], (argv, err)
+            if err.startswith("error: --power too large relative to n1"):
+                powers.add(argv[0])
+    assert powers == {"trace", "bound"}

@@ -687,7 +687,9 @@ class TestConverseFunctional:
 
     def test_a_nonpositive_combiner_bound_leaves_the_converse_undefined(self):
         # at P/n1 = 1e20 and d1 = d_min(1) = 1e-20, the witness (1, 0) gives
-        # eta = sigma2 - (sigma2 - d1), which rounds to 0
+        # eta = sigma2 - (sigma2 - d1), which rounds to 0; off the curve the
+        # error stays _psi's own (only the row kernel maps it to power), and
+        # the witness sweep catches it by type
         channel = ChannelParams(1e20, 1.0, 2.0)
         d1 = d_min(DESK_SOURCE, channel, 1)
         witness = BoundWitness(1.0, 0.0)
@@ -695,6 +697,28 @@ class TestConverseFunctional:
         with pytest.raises(BoundUndefinedError) as info:
             d2_converse_bound(DESK_SOURCE, channel, d1, witness)
         assert str(info.value) == "combiner bound is nonpositive; the converse is undefined for this witness"
+
+
+class TestNoDistortionAtOrBelowZero:
+    # at P/n1 = 1e13, d_min(1) = 1e-13 lies inside the 1e-12*sigma2 slack
+    # below it, which reached past 0: each per-d1 function answered at d1 = 0
+    CHANNEL = ChannelParams(1e13, 1.0, 2.0)
+
+    @pytest.mark.parametrize("d1", [0.0, -0.0, -5e-13])
+    @pytest.mark.parametrize("func", [d2_min_at_rx1, region.converse_at, solve_alpha_for_d1, is_uncoded_optimal])
+    def test_a_per_d1_function_refuses_it(self, func, d1):
+        with pytest.raises(OutOfRangeError, match=r"^d1"):
+            func(DESK_SOURCE, self.CHANNEL, d1)
+
+    @pytest.mark.parametrize("d1", [0.0, -0.0, -5e-13])
+    def test_the_converse_bound_refuses_it(self, d1):
+        with pytest.raises(DistortionRangeError):
+            d2_converse_bound(DESK_SOURCE, self.CHANNEL, d1, BoundWitness(1.0, 0.0))
+
+    def test_the_slack_below_the_floor_still_holds(self):
+        d1 = d_min(DESK_SOURCE, self.CHANNEL, 1) / 2.0
+        assert solve_alpha_for_d1(DESK_SOURCE, self.CHANNEL, d1) == 1.0
+        assert d2_min_at_rx1(DESK_SOURCE, self.CHANNEL, d1) > 0.0
 
 
 def test_floors_corners_and_range_come_from_one_kernel(monkeypatch):

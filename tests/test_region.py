@@ -580,9 +580,9 @@ class TestFusedRowKernel:
 
             monkeypatch.setattr(_Curve, name, counted)
         trace_uncoded_boundary(DESK_SOURCE, ChannelParams(3.0, 1.0, 2.0), 101)
-        # building the curve takes no forms call; one forms call checks d1
-        # at alpha = 1, the end of the curve, before the rows
-        assert calls == {"forms": 1 + 101, "converse": 101, "d2_rx1": 0}
+        # building the curve takes no forms call, and the check of d1 at
+        # alpha = 1 reads the last row: no kernel call outside the rows
+        assert calls == {"forms": 101, "converse": 101, "d2_rx1": 0}
 
 
 def test_result_rows_are_named_tuples():
