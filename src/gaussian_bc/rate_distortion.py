@@ -27,7 +27,8 @@ d* = sigma2 - rho**2*(sigma2 - f), the MMSE of the free component given
 the pinned one observed with error f. So each segment's maximum is the
 better of its two candidates d = cap and d = min(cap, d*); no search.
 The two segments share the candidate where both entries sit at their
-caps, so the oracle evaluates three candidates in all.
+caps, so the oracle evaluates at most three: a segment candidate clamped
+to its cap is the corner, and is not evaluated again.
 
 ``verify`` calls the oracle kernel at every covered grid point, and the
 kernel is a few dozen float operations, so a builtin ``max`` or ``min``
@@ -75,20 +76,39 @@ __all__ = [
 _SMALL_SNR = 2.0**-20
 
 
+def _half_log2_ratio(num: float, den: float) -> float:
+    """``0.5*log2(num/den)`` for finite ``num >= den > 0``.
+
+    Where ``num/den`` overflows, the value is taken as
+    ``0.5*(log2(num) - log2(den))``, so it is finite.
+    """
+    ratio = num / den
+    if ratio == math.inf:
+        return 0.5 * (math.log2(num) - math.log2(den))
+    return 0.5 * math.log2(ratio)
+
+
 def r_scalar(variance: float, delta: float) -> float:
-    """Rate for a single Gaussian component: ``max(0, 0.5*log2(variance/delta))``."""
-    if not (variance > 0):
-        raise OutOfRangeError("variance must be > 0")
+    """Rate for a single Gaussian component: ``max(0, 0.5*log2(variance/delta))``.
+
+    A delta at or above the variance is free: 0 bits. Below it the value
+    is finite at every positive delta (see ``_half_log2_ratio``).
+    """
+    if not (0 < variance < math.inf):
+        raise OutOfRangeError(f"variance must be a finite number > 0, got {variance!r}")
     if not (delta > 0):
         raise OutOfRangeError("delta must be > 0")
-    return max(0.0, 0.5 * math.log2(variance / delta))
+    if delta >= variance:
+        return 0.0
+    return _half_log2_ratio(variance, delta)
 
 
 def r_conditional(source: SourceParams, delta1: float) -> float:
     """Rate for the first component with the second as two-sided side information.
 
     ``0.5*log2(sigma2*(1-rho**2)/delta1)`` for
-    ``0 < delta1 <= sigma2*(1-rho**2)``.
+    ``0 < delta1 <= sigma2*(1-rho**2)``, finite at every such delta1
+    (see ``_half_log2_ratio``).
     """
     validate_source(source)
     cv = conditional_variance(source)
@@ -96,24 +116,25 @@ def r_conditional(source: SourceParams, delta1: float) -> float:
         raise OutOfRangeError(
             f"delta1 must satisfy 0 < delta1 <= {cv!r} (the conditional variance)"
         )
-    return 0.5 * math.log2(cv / delta1)
+    return _half_log2_ratio(cv, delta1)
 
 
 def channel_capacity(power: float, noise: float) -> float:
     """AWGN capacity ``0.5*log2(1 + power/noise)`` in bits per use.
 
-    Where ``power/noise`` overflows, the value is taken as
-    ``0.5*(log2(power) - log2(noise))``, so it is finite at every pair of
-    positive finite floats. Below an SNR of 2**-20, where ``1 + snr``
-    would round away the SNR's low digits, it is taken through ``log1p``.
+    Where ``power/noise`` overflows, the + 1 is far below rounding and
+    the value is ``_half_log2_ratio(power, noise)``, so it is finite at
+    every pair of positive finite floats; a power or noise that is not
+    finite is refused. Below an SNR of 2**-20, where ``1 + snr`` would
+    round away the SNR's low digits, it is taken through ``log1p``.
     """
-    if not (power > 0):
-        raise OutOfRangeError("power must be > 0")
-    if not (noise > 0):
-        raise OutOfRangeError("noise must be > 0")
+    if not (0 < power < math.inf):
+        raise OutOfRangeError(f"power must be a finite number > 0, got {power!r}")
+    if not (0 < noise < math.inf):
+        raise OutOfRangeError(f"noise must be a finite number > 0, got {noise!r}")
     snr = power / noise
-    if snr == math.inf:  # past the float range, where the + 1 is below rounding
-        return 0.5 * (math.log2(power) - math.log2(noise))
+    if snr == math.inf:
+        return _half_log2_ratio(power, noise)
     if snr < _SMALL_SNR:
         return 0.5 * math.log1p(snr) / math.log(2.0)
     return 0.5 * math.log2(1.0 + snr)
@@ -130,9 +151,10 @@ def _best_det_at(sigma2: float, rho_sig: float, d1: float, d2: float) -> float:
     empty. The result is symmetric in (d1, d2) bit for bit, as IEEE
     products are.
 
-    ``verify`` runs this kernel three times per covered grid point, so it
-    takes no builtin ``max``/``min``: a call to either costs about four
-    conditional expressions here. Each ``max(x, y)`` is written
+    ``verify`` runs this kernel at every covered grid point, once where
+    both segment candidates clamp to the corner, so it takes no builtin
+    ``max``/``min``: a call to either costs about four conditional
+    expressions here. Each ``max(x, y)`` is written
     ``y if y > x else x`` and each ``min(x, y)`` ``y if y < x else x``,
     which is what the builtins return, nan and signed zeros included.
     """
@@ -160,8 +182,12 @@ def _r_joint(s2: float, rho: float, delta1: float, delta2: float) -> float:
     beyond it; so each segment's maximum is at ``min(free_cap, d_star)``,
     with the cap itself kept as a candidate so that rounding near d_star
     cannot lose it. The two segments share that cap candidate, the corner
-    where both diagonal entries sit at their caps, so three candidates
-    cover both.
+    where both diagonal entries sit at their caps. A segment's stationary
+    candidate is evaluated only where ``d_star < free_cap``. Elsewhere,
+    nan included, it clamps to the corner, which ``_best_det_at`` gives
+    bit for bit with its arguments in either order, so it cannot beat
+    the corner. So at most three candidates cover both, and one does
+    where both clamp, as at the covered points of ``verify``.
     """
     rho_sig = rho * s2
     cap1 = s2 if s2 < delta1 else delta1
@@ -170,13 +196,15 @@ def _r_joint(s2: float, rho: float, delta1: float, delta2: float) -> float:
     rr = rho * rho
     best = _best_det_at(s2, rho_sig, cap2, cap1)  # the corner
     d_star = s2 - rr * (s2 - cap1)  # d1 pinned at its cap, d2 free
-    det = _best_det_at(s2, rho_sig, d_star if d_star < cap2 else cap2, cap1)
-    if det > best:
-        best = det
+    if d_star < cap2:
+        det = _best_det_at(s2, rho_sig, d_star, cap1)
+        if det > best:
+            best = det
     d_star = s2 - rr * (s2 - cap2)  # d2 pinned at its cap, d1 free
-    det = _best_det_at(s2, rho_sig, d_star if d_star < cap1 else cap1, cap2)
-    if det > best:
-        best = det
+    if d_star < cap1:
+        det = _best_det_at(s2, rho_sig, d_star, cap2)
+        if det > best:
+            best = det
     if not (best > 0.0):
         # Unreachable: the MMSE-chain error covariance is always feasible.
         raise OutOfRangeError("no feasible error covariance found")

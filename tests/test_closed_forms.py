@@ -984,3 +984,31 @@ def test_one_copy_of_each_formula():
         ("closed_forms", "_Curve.__init__", "validate_problem"),
     ]
     assert found == []
+
+
+def test_the_per_point_kernels_call_no_builtin_max_or_min():
+    # verify and the trace run these at every grid point or row, and a
+    # builtin max or min call costs 4-10 conditional expressions there, so
+    # each kernel writes them as conditional expressions; _Curve.__init__
+    # runs once per problem and may call them
+    package = Path(closed_forms.__file__).parent
+    defs = {}
+    for stem in ("closed_forms", "rate_distortion"):
+        tree = ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+        defs.update(
+            (f"{stem}.{node.name}", node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+    names = ("rate_distortion._best_det_at", "rate_distortion._r_joint", "closed_forms._psi", "closed_forms._witness_eta")
+    kernels = {name: defs[name] for name in names}
+    methods = [node for node in defs["closed_forms._Curve"].body if isinstance(node, ast.FunctionDef)]
+    kernels.update((f"closed_forms._Curve.{node.name}", node) for node in methods if node.name != "__init__")
+    assert len(kernels) > 4  # and _Curve's methods are found
+    found = [
+        f"{name}:{node.lineno} {node.func.id}"
+        for name, kernel in kernels.items()
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in {"max", "min"}
+    ]
+    assert found == []

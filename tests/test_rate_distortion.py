@@ -23,7 +23,7 @@ from gaussian_bc import (
     r_scalar,
 )
 
-from gaussian_bc.rate_distortion import _r_joint
+from gaussian_bc.rate_distortion import _best_det_at, _r_joint
 from helpers import DESK_CHANNEL, DESK_SOURCE, random_valid_configs, scan_r_joint
 
 
@@ -96,6 +96,46 @@ class TestScalarRates:
         with mpmath.workdps(50):
             exact = 0.5 * mpmath.log(1 + mpmath.mpf(power) / mpmath.mpf(noise), 2)
         assert abs(channel_capacity(power, noise) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize(
+        "rate, args, ratio",
+        [
+            # the quotient underflowed to 0: a bare "math domain error"
+            (r_scalar, (1e-300, 1e300), None),
+            (r_scalar, (1.0, math.inf), None),
+            # the quotient overflowed, and the rate was inf
+            (r_scalar, (1.0, 5e-324), (1.0, 5e-324)),
+            (r_scalar, (1e300, 1e-300), (1e300, 1e-300)),
+            (r_conditional, (SourceParams(1.0, 0.5), 5e-324), (0.75, 5e-324)),
+            (r_conditional, (SourceParams(1e300, 0.5), 1e-300), (conditional_variance(SourceParams(1e300, 0.5)), 1e-300)),
+        ],
+    )
+    def test_a_scalar_rate_at_the_edges_of_the_float_range_is_finite(self, rate, args, ratio):
+        # ratio is the (num, den) of the rate's 0.5*log2, None where the rate is free
+        value = rate(*args)
+        if ratio is None:
+            assert repr(value) == "0.0"
+            return
+        with mpmath.workdps(50):
+            exact = 0.5 * mpmath.log(mpmath.mpf(ratio[0]) / mpmath.mpf(ratio[1]), 2)
+        assert math.isfinite(value)
+        assert abs(value - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize(
+        "rate, args, name",
+        [
+            (channel_capacity, (math.inf, 1.0), "power"),
+            (channel_capacity, (math.inf, math.inf), "power"),
+            (channel_capacity, (1.0, math.inf), "noise"),
+            (channel_capacity, (1.0, math.nan), "noise"),
+            (r_scalar, (math.inf, 1.0), "variance"),
+            (r_scalar, (math.inf, math.inf), "variance"),
+        ],
+    )
+    def test_a_scalar_rate_refuses_a_value_that_is_not_finite(self, rate, args, name):
+        # channel_capacity(inf, 1.0) returned inf, and (inf, inf) nan
+        with pytest.raises(OutOfRangeError, match=f"^{name} must be a finite number > 0"):
+            rate(*args)
 
 
 class TestJointRateOracle:
@@ -221,9 +261,10 @@ def outcome(func, *args):
 class TestOracleKernelBits:
     """The oracle kernel returns the bits of its builtin max/min form.
 
-    The kernel writes each max/min as a conditional expression and
-    evaluates the corner candidate, which both segments share, once;
-    compared by ``repr``, which tells -0.0 from 0.0 and shows nan.
+    The kernel writes each max/min as a conditional expression,
+    evaluates the corner candidate, which both segments share, once, and
+    skips a segment candidate clamped to the corner; compared by
+    ``repr``, which tells -0.0 from 0.0 and shows nan.
     """
 
     @staticmethod
@@ -237,11 +278,22 @@ class TestOracleKernelBits:
             yield sigma2, rho, d1, d2 if i % 5 else d1
 
     def test_equal_to_the_builtin_form(self):
-        capped = 0
+        # the kernel evaluates a segment's stationary candidate only where
+        # d_star < cap; elsewhere it is the corner, swapped on the second
+        # segment, so that skip needs the determinant's symmetry bit for bit
+        capped, evaluated = 0, [0, 0]
         for args in self.inputs(20000, seed=2301):
             assert outcome(_r_joint, *args) == outcome(builtin_r_joint, *args), args
             capped += max(args[2:]) > args[0]
+            s2, rho = args[:2]
+            cap1, cap2 = (min(d, s2) for d in args[2:])
+            evaluated[0] += s2 - rho * rho * (s2 - cap1) < cap2
+            evaluated[1] += s2 - rho * rho * (s2 - cap2) < cap1
+            for x, y in ((cap1, cap2), args[2:]):
+                assert repr(_best_det_at(s2, rho * s2, x, y)) == repr(_best_det_at(s2, rho * s2, y, x)), args
         assert capped > 5000
+        # both routes of each segment's test are taken
+        assert all(1000 < count < 20000 - 1000 for count in evaluated), evaluated
 
     def test_the_infeasible_case_keeps_its_error(self):
         # sigma2-sized products underflow: no error covariance has det > 0

@@ -317,6 +317,22 @@ class TestVerifyMatching:
         assert len(curves) == 1
         assert len(oracle_calls) == report.covered_count
 
+    @pytest.mark.parametrize("channel", [ChannelParams(3.0, 1.0, 2.0), DESK_CHANNEL], ids=["partly-covered", "covered"])
+    def test_one_determinant_per_covered_point(self, monkeypatch, channel):
+        # at a covered point both segment candidates of the oracle clamp to
+        # the corner, so its one determinant is the corner's
+        dets = []
+        best_det_at = rate_distortion._best_det_at
+
+        def counted_best_det_at(*args):
+            dets.append(args)
+            return best_det_at(*args)
+
+        monkeypatch.setattr(rate_distortion, "_best_det_at", counted_best_det_at)
+        report = verify_matching(DESK_SOURCE, channel, 50, 1e-9)
+        assert report.passed and report.covered_count > 0
+        assert len(dets) == report.covered_count
+
     def test_single_point_is_the_midpoint(self):
         report = verify_matching(DESK_SOURCE, DESK_CHANNEL, 1, 1e-9)
         assert len(report.points) == 1
