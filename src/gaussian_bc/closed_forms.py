@@ -91,8 +91,8 @@ or a row is covered exactly where the paper's condition holds at its
 floats, and ``is_uncoded_optimal``, ``bound`` and ``verify`` agree at
 every d1. On the curve b = 1 - a, A is affine in a*b, so a point is
 covered iff ``a*b <= t*`` (``_product_threshold``); no predicate uses
-that form. ``snr_threshold`` keeps the paper's quotient as a value; no
-coverage function calls it.
+that form. ``snr_threshold`` is the quotient of ``_d1_margin``'s terms;
+no predicate reads it.
 
 At any other
 witness, ``combiner_mse_bound`` and ``d2_converse_bound`` take the root
@@ -226,18 +226,22 @@ _UNDERFLOW = 2.0**-1068
 
 
 def _d1_margin(s2, rho, power, n1, d1):
-    """``n1*((cv - d1)**2 + rho**2*sigma2*cv) - power*d1*(cv - d1)``, ``cv = sigma2*(1 - rho)*(1 + rho)``.
+    """``n1*((cv - d1)**2 + rho**2*sigma2*cv) - power*d1*(cv - d1)``, ``cv = sigma2*((1 - rho)*(1 + rho))``.
 
     The margin of the paper's threshold in d1, in any arithmetic (the
     exact fallback calls it on Fractions): a d1 is covered iff it is >= 0.
-    It is ``n1*num - power*den`` for the threshold ``T = num/den`` of
-    :func:`snr_threshold` (``tests/test_converse_algebra.py``), with
-    ``num = sigma2*cv - 2*d1*cv + d1**2`` written as ``(cv - d1)**2 +
-    rho**2*sigma2*cv``, a sum of nonnegative terms that cannot cancel.
-    From cv up the first term is >= 0 and the second <= 0, so the one
-    inequality also holds where T is infinite.
+    It is ``n1*num - power*den`` for the threshold ``T = num/den``
+    (``tests/test_converse_algebra.py``), with ``num = (cv - d1)**2 +
+    rho**2*sigma2*cv``, the paper's numerator regrouped as a sum of
+    nonnegative terms that cannot cancel, and ``den = d1*(cv - d1)``.
+    It is also the one source of the value's terms: :func:`snr_threshold`
+    reads num as the margin at ``(power, n1) = (0, 1)`` and den as minus
+    the margin at ``(1, 0)``, both exact in floats. From cv up the first
+    term is >= 0 and the second <= 0, so the one inequality also holds
+    where T is infinite. cv is grouped as the package's ``om``, so in
+    floats its gap is the one ``snr_threshold`` tests against.
     """
-    cv = s2 * (1 - rho) * (1 + rho)
+    cv = s2 * ((1 - rho) * (1 + rho))
     gap = cv - d1
     return n1 * (gap * gap + rho * rho * s2 * cv) - power * d1 * gap
 
@@ -637,17 +641,23 @@ def uncoded_distortions(
 def snr_threshold(source: SourceParams, d1: float) -> float:
     """SNR threshold below which the uncoded scheme is optimal at this d1.
 
-    For ``0 < d1 < sigma2*(1 - rho**2)`` the value is
+    With ``cv = sigma2*(1 - rho**2)``, for ``0 < d1 < cv`` the value is
 
-        (sigma2**2*(1-rho**2) - 2*d1*sigma2*(1-rho**2) + d1**2)
-        / (d1 * (sigma2*(1-rho**2) - d1))
+        ((cv - d1)**2 + rho**2*sigma2*cv) / (d1*(cv - d1))
 
     and ``+inf`` otherwise. The infinity is the ordinary IEEE value so
-    comparisons against P/n1 stay branch-free. The value depends on d1
-    and sigma2 only through d1/sigma2, and is taken in the unit of sigma2
-    (see the module docstring) with the conditional variance ``s2u*om``,
-    so it is the same at every scale and does not cancel near rho = 1. A
-    denominator that still underflows to 0, which takes a d1 below about
+    comparisons against P/n1 stay branch-free. Numerator and denominator
+    are the terms of the coverage margin ``_d1_margin``, the one copy of
+    the threshold, so the numerator is a sum of nonnegative terms and
+    nothing cancels. The value is their quotient; no predicate reads it
+    (``is_uncoded_optimal`` decides by the margin's sign). It depends on
+    d1 and sigma2 only through d1/sigma2, and is taken in the unit of
+    sigma2 (see the module docstring) with the conditional variance
+    ``cv = s2u*om``, so it is the same at every scale. Its error is that
+    of rounding cv, amplified by ``cv/(cv - d)``: it is within ``8u*(1 +
+    cv/(cv - d))`` relative of the exact threshold at the float inputs
+    (u = 2**-53, d = d1 in the unit; ``tests/test_accuracy.py``). A
+    denominator that underflows to 0, which takes a d1 below about
     1e-300 times sigma2, raises OutOfRangeError naming d1.
     """
     validate_source(source)
@@ -659,14 +669,13 @@ def snr_threshold(source: SourceParams, d1: float) -> float:
     d = math.ldexp(d1, -e)
     if d >= cv:
         return math.inf
-    num = s2u * cv - 2.0 * d * cv + d * d
-    den = d * (cv - d)
+    den = -_d1_margin(s2u, source.rho, 1.0, 0.0, d)
     if den == 0.0:
         raise OutOfRangeError(
             f"d1 too small relative to sigma2 for the SNR threshold, got {d1!r}: "
             "d1*(sigma2*(1 - rho**2) - d1), in the unit of sigma2, underflows to 0"
         )
-    return num / den
+    return _d1_margin(s2u, source.rho, 0.0, 1.0, d) / den
 
 
 def simple_snr_threshold(source: SourceParams) -> float:
@@ -786,7 +795,11 @@ def _rx1_point(
 def _witness_eta(source: SourceParams, delta: float, witness: BoundWitness, root: float) -> float:
     """The combiner bound eta at a finite, equal-sign witness, given ``_rx1_point``'s root at delta."""
     a1, a2 = witness.a1, witness.a2
-    if not (math.isfinite(a1) and math.isfinite(a2)):
+    try:
+        finite = math.isfinite(a1) and math.isfinite(a2)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise ParameterError("witness components must be finite")
     if a1 * a2 < 0.0:
         raise ParameterError("witness components a1, a2 must have equal sign")

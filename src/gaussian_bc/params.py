@@ -106,7 +106,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """Whether x is an int or float inside the float range; an int past it is not."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def validate_source(source: SourceParams) -> SourceParams:

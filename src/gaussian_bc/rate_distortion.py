@@ -58,6 +58,7 @@ exactly in IEEE arithmetic, not just up to rounding.
 from __future__ import annotations
 
 import math
+import sys
 
 from .closed_forms import _Curve, _psi
 from .errors import InfeasibleDistortionError, OutOfRangeError
@@ -74,6 +75,10 @@ __all__ = [
 
 # The SNR below which channel_capacity takes log1p, not log2 of 1 + snr
 _SMALL_SNR = 2.0**-20
+# The largest finite float. An input checked against it, not by
+# math.isfinite, is compared exactly: an int past the float range is
+# refused by name, where math.isfinite would raise OverflowError
+_FLOAT_MAX = sys.float_info.max
 
 
 def _half_log2_ratio(num: float, den: float) -> float:
@@ -94,7 +99,7 @@ def r_scalar(variance: float, delta: float) -> float:
     A delta at or above the variance is free: 0 bits. Below it the value
     is finite at every positive delta (see ``_half_log2_ratio``).
     """
-    if not (0 < variance < math.inf):
+    if not (0 < variance <= _FLOAT_MAX):
         raise OutOfRangeError(f"variance must be a finite number > 0, got {variance!r}")
     if not (delta > 0):
         raise OutOfRangeError("delta must be > 0")
@@ -128,9 +133,9 @@ def channel_capacity(power: float, noise: float) -> float:
     finite is refused. Below an SNR of 2**-20, where ``1 + snr`` would
     round away the SNR's low digits, it is taken through ``log1p``.
     """
-    if not (0 < power < math.inf):
+    if not (0 < power <= _FLOAT_MAX):
         raise OutOfRangeError(f"power must be a finite number > 0, got {power!r}")
-    if not (0 < noise < math.inf):
+    if not (0 < noise <= _FLOAT_MAX):
         raise OutOfRangeError(f"noise must be a finite number > 0, got {noise!r}")
     snr = power / noise
     if snr == math.inf:
@@ -258,7 +263,7 @@ def conditional_info_bound(
     ``log2(t) + k``.
     """
     curve = _Curve(source, channel)
-    if not math.isfinite(delta2):
+    if not (-_FLOAT_MAX <= delta2 <= _FLOAT_MAX):
         raise OutOfRangeError(f"delta2 must be a finite number, got {delta2!r}")
     s2u, e, n1, pn2 = curve.s2u, curve.e, curve.n1, curve.pn2
     d2_floor = curve.ends(curve.n2)[0]

@@ -232,7 +232,7 @@ def verify_matching(
     curve = _Curve(source, channel)
     if grid_size < 1:
         raise OutOfRangeError("grid_size must be >= 1")
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not (0.0 <= tol <= sys.float_info.max):  # exact for an int past the float range
         raise OutOfRangeError("tol must be a finite number >= 0")
     lo, hi = curve.lo_d, curve.hi_d
     grid = _d1_grid(lo, hi, grid_size)

@@ -1,9 +1,10 @@
 """Shared test fixtures: the desk configuration, config draws, reference
 solvers for alpha and for the joint-rate oracle's outer maximum, the
 distortion pair from the MMSE gains, the paper's coverage condition in
-exact rational arithmetic, a per-point reference verifier, and the
+exact rational arithmetic, a per-point reference verifier, the
 distortion forms and the converse at the optimal witness in 50-digit
-arithmetic."""
+arithmetic, and the paper's SNR threshold in 60-digit arithmetic with
+the error budget of ``snr_threshold``."""
 
 from __future__ import annotations
 
@@ -266,3 +267,36 @@ def exact_distortions(
             return s2 * (p * p * a * a * om + p * n * (a * a * tr + 2 * a * b * rho + b * b) + n * n * q) / ((p + n) ** 2 * q)
 
         return float(d1u(n1)), float(d2u(n2)), float(d2u(n1))
+
+
+def exact_snr_threshold(source: SourceParams, d1: float) -> mpmath.mpf:
+    """The paper's threshold ``T(d1)`` at the float inputs, from 60-digit arithmetic.
+
+    Written in the paper's expanded form, ``(sigma2*cv - 2*d1*cv +
+    d1**2)/(d1*(cv - d1))`` with ``cv = sigma2*(1 - rho**2)``, infinite
+    from cv up. Its terms cancel where rho is small and d1 near cv, by at
+    most ~32 digits at rho >= 1e-16, which 60 digits hold.
+    """
+    with mpmath.workdps(60):
+        s2, rho, d = mpmath.mpf(source.sigma2), mpmath.mpf(source.rho), mpmath.mpf(d1)
+        cv = s2 * (1 - rho * rho)
+        if d >= cv:
+            return mpmath.inf
+        return (s2 * cv - 2 * d * cv + d * d) / (d * (cv - d))
+
+
+def snr_threshold_budget(source: SourceParams, d1: float) -> float:
+    """``8u*(1 + cv/(cv - d))``: the relative error budget of ``snr_threshold`` at d1 (u = 2**-53).
+
+    ``cv = s2u*om`` and ``d = d1*2**-e`` are the floats the function takes
+    in the unit of sigma2 (``sigma2 = s2u*2**e``). Rounding cv moves
+    ``cv - d`` by a few ulp of cv, which the quotient amplifies by
+    ``cv/(cv - d)``. Infinite where ``d >= cv``, where the value is.
+    """
+    s2u, e = math.frexp(source.sigma2)
+    rho = source.rho
+    cv, d = mpmath.mpf(s2u * ((1.0 - rho) * (1.0 + rho))), mpmath.mpf(math.ldexp(d1, -e))
+    if d >= cv:
+        return math.inf
+    with mpmath.workdps(30):
+        return float(8 * mpmath.mpf(2) ** -53 * (1 + cv / (cv - d)))

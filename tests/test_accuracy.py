@@ -1,4 +1,4 @@
-"""Accuracy of the floors, corners and conditional-variance forms against 50-digit mpmath.
+"""Accuracy of the floors, corners, conditional-variance forms and SNR threshold against mpmath.
 
 Draws with ``1 - rho`` log-uniform in 1e-12..1e-1, where ``1 - rho*rho``
 cancels, and sigma2 log-uniform in 1e-100..1e100. Each function's worst
@@ -6,6 +6,13 @@ relative error over the draws must stay within ``BOUND``. Written with
 ``1 - rho*rho``, the conditional variance was up to 3.7e-9 relative off
 and the corners up to 5.1e-11; with ``om = (1 - rho)*(1 + rho)`` each is
 a few ulp.
+
+``snr_threshold`` is pinned on its whole domain too: sigma2 in 1e+-300,
+rho from 1e-16 up to 1 - 1e-15, and d1 up to within 1e-15 of cv, each
+value within its budget ``8u*(1 + cv/(cv - d))`` of 60-digit mpmath
+(``helpers.snr_threshold_budget``). With the paper's expanded numerator,
+which cancels where rho is small and d1 near cv, it was up to 2.6e8
+relative off there.
 """
 
 import functools
@@ -26,6 +33,8 @@ from gaussian_bc import (
     r_conditional,
     snr_threshold,
 )
+
+from helpers import exact_snr_threshold, snr_threshold_budget
 
 BOUND = 1e-15
 DRAWS = 4000
@@ -75,3 +84,63 @@ def worst_errors() -> dict[str, float]:
 )
 def test_within_bound_of_mpmath_near_rho_1_at_every_scale(name):
     assert worst_errors()[name] <= BOUND
+
+
+WIDE_DRAWS = 6000
+
+
+def _within_budget(source: SourceParams, d1: float) -> tuple[bool, float]:
+    """Whether ``snr_threshold`` at d1 is within its budget of mpmath, and its error in units of the budget.
+
+    Where the value is infinite, d1 must lie within the budget of the
+    exact cv: only rounding cv may put it there.
+    """
+    value, exact, budget = snr_threshold(source, d1), exact_snr_threshold(source, d1), snr_threshold_budget(source, d1)
+    if value == math.inf:
+        cv = mpmath.mpf(source.sigma2) * (1 - mpmath.mpf(source.rho) ** 2)
+        return exact == mpmath.inf or d1 >= cv * (1 - mpmath.mpf(2) ** -50), 0.0
+    error = float(abs(value - exact) / exact) / budget
+    return error <= 1.0, error
+
+
+@pytest.mark.parametrize(
+    "sigma2, rho, d1",
+    [
+        # the cancelling numerator was 1.1e-10, 1.2e-6 and 2.6e8 relative off
+        (1.0, 1e-3, 0.999),
+        (1.0, 1e-6, 0.99999),
+        (236.85953704493895, 1.0168250703792798e-12, 236.85953704493772),
+        # the touchpoint d1 = sigma2*(1 - rho), where T is the floor
+        # 2*rho/(1 - rho); at sigma2 = 1 and rho = 1e-3 it is the first case
+        (1.7, 1e-3, 1.7 * (1.0 - 1e-3)),
+        (1.7, 1e-6, 1.7 * (1.0 - 1e-6)),
+        (1.7, 1e-12, 1.7 * (1.0 - 1e-12)),
+    ],
+)
+def test_the_snr_threshold_is_within_its_budget_at_small_rho(sigma2, rho, d1):
+    ok, error = _within_budget(SourceParams(sigma2, rho), d1)
+    assert ok, error
+
+
+def test_the_snr_threshold_is_within_its_budget_over_its_domain():
+    rng = random.Random(41)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    worst, finite = 0.0, 0
+    for i in range(WIDE_DRAWS):
+        sigma2 = log_uniform(1e-300, 1e300)
+        # half the draws put rho near 0, where the expanded numerator
+        # cancels, and half put 1 - rho near 0
+        rho = log_uniform(1e-16, 0.5) if i % 2 else 1.0 - log_uniform(1e-15, 0.5)
+        source = SourceParams(sigma2, rho)
+        cv = conditional_variance(source)
+        # d1 within a relative gap g of cv, g log-uniform, or uniform below cv
+        d1 = cv * (1.0 - log_uniform(1e-15, 0.5)) if i % 4 < 2 else (1.0 - rng.random()) * cv
+        ok, error = _within_budget(source, d1)
+        assert ok, (source, d1, error)
+        worst = max(worst, error)
+        finite += snr_threshold(source, d1) < math.inf
+    assert finite > WIDE_DRAWS // 2  # the budget is checked, not skipped
+    assert worst > 0.01  # and the draws reach the rounding of cv

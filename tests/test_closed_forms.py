@@ -21,6 +21,7 @@ from gaussian_bc import (
     SourceParams,
     UncodedCoeffs,
     combiner_mse_bound,
+    conditional_variance,
     d1_min_at_d2min,
     d2_converse_bound,
     d2_min_at_d1min,
@@ -36,7 +37,15 @@ from gaussian_bc import (
 
 from gaussian_bc import cli, closed_forms, rate_distortion, region
 from gaussian_bc.rate_distortion import conditional_info_bound
-from helpers import DESK_CHANNEL, DESK_SOURCE, bisect_alpha_for_d1, exact_distortions, random_valid_configs
+from helpers import (
+    DESK_CHANNEL,
+    DESK_SOURCE,
+    bisect_alpha_for_d1,
+    exact_distortions,
+    exact_snr_threshold,
+    random_valid_configs,
+    snr_threshold_budget,
+)
 
 
 def rel_err(value, expected):
@@ -295,6 +304,40 @@ class TestSnrThreshold:
         for d1 in (0.0, -0.5, math.nextafter(1.0, 2.0), math.nan):
             with pytest.raises(OutOfRangeError, match=r"^d1 must satisfy 0 < d1 <= sigma2"):
                 is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, d1)
+
+    def test_the_value_reads_its_terms_from_the_coverage_margin(self, monkeypatch):
+        # one copy of the threshold: the numerator is the margin at (power,
+        # n1) = (0, 1) and the denominator minus the margin at (1, 0)
+        margin, calls = closed_forms._d1_margin, []
+        monkeypatch.setattr(closed_forms, "_d1_margin", lambda *args: calls.append(args[2:4]) or margin(*args))
+        assert snr_threshold(DESK_SOURCE, 0.5) == 2.0
+        assert calls == [(1.0, 0.0), (0.0, 1.0)]
+
+    def test_the_value_and_the_predicate_agree_on_the_small_rho_band(self):
+        # where rho is small and d1 near cv, the expanded numerator cancelled:
+        # at the first problem the value was 0.0515 against 2.0e-10, so it
+        # said covered where is_uncoded_optimal says not. P/n1 is placed
+        # outside the value's budget on either side of the exact threshold
+        source, d1 = SourceParams(236.85953704493895, 1.0168250703792798e-12), 236.85953704493772
+        channel = ChannelParams(1e-3, 1, 2)
+        assert is_uncoded_optimal(source, channel, d1) == (channel.power / channel.n1 <= snr_threshold(source, d1))
+        rng = random.Random(4101)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        for _ in range(1000):
+            source = SourceParams(log_uniform(1e-100, 1e100), log_uniform(1e-16, 1e-2))
+            cv = conditional_variance(source)
+            d1 = cv * (1.0 - log_uniform(1e-13, 0.5))
+            exact, budget = exact_snr_threshold(source, d1), snr_threshold_budget(source, d1)
+            assert budget < 0.25
+            n1 = log_uniform(1e-3, 1e3)
+            for side in (-1.0, 1.0):
+                channel = ChannelParams(float(exact * (1 + side * 2 * budget)) * n1, n1, 2.0 * n1)
+                covered = is_uncoded_optimal(source, channel, d1)
+                assert covered == (side < 0), (source, channel, d1)
+                assert covered == (channel.power / channel.n1 <= snr_threshold(source, d1)), (source, channel, d1)
 
     def test_is_uncoded_optimal(self):
         assert is_uncoded_optimal(DESK_SOURCE, DESK_CHANNEL, 0.625)

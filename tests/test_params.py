@@ -13,6 +13,7 @@ from gaussian_bc import (
     BoundWitness,
     ChannelParams,
     DistortionPair,
+    OutOfRangeError,
     ParameterError,
     SourceParams,
     UncodedCoeffs,
@@ -124,6 +125,45 @@ def test_every_public_problem_function_rejects_an_invalid_problem(func, names, f
     args[field] = bad
     with pytest.raises(ParameterError):
         func(*(args[name] for name in names))
+
+
+# An int past the float range, which math.isfinite refuses with a bare
+# OverflowError; each input check must name it as it names a nan or an inf.
+_BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: validate_problem(SourceParams(_BIG, 0.5), DESK_CHANNEL),
+                     ParameterError, "sigma2 must be a finite number", id="validate_problem-sigma2"),
+        pytest.param(lambda: validate_problem(DESK_SOURCE, ChannelParams(1.0, 1.0, _BIG)),
+                     ParameterError, "n2 must be a finite number", id="validate_problem-n2"),
+        pytest.param(lambda: params.validate_coeffs(UncodedCoeffs(_BIG, 1.0)),
+                     ParameterError, "alpha must be a finite number", id="validate_coeffs"),
+        pytest.param(lambda: negate_rho_transform(SourceParams(_BIG, 0.5)),
+                     ParameterError, "sigma2 must be a finite number", id="negate_rho_transform"),
+        pytest.param(lambda: scale_variance_transform(0.5, 0.5, 1.0, 1.0, _BIG, 1.0),
+                     ParameterError, "scale factor a1", id="scale_variance_transform"),
+        pytest.param(lambda: rate_distortion.channel_capacity(_BIG, 1),
+                     OutOfRangeError, "power must be a finite number", id="channel_capacity-power"),
+        pytest.param(lambda: rate_distortion.channel_capacity(1, _BIG),
+                     OutOfRangeError, "noise must be a finite number", id="channel_capacity-noise"),
+        pytest.param(lambda: rate_distortion.r_scalar(_BIG, 1.0),
+                     OutOfRangeError, "variance must be a finite number", id="r_scalar"),
+        pytest.param(lambda: rate_distortion.conditional_info_bound(DESK_SOURCE, DESK_CHANNEL, _BIG),
+                     OutOfRangeError, "delta2 must be a finite number", id="conditional_info_bound"),
+        pytest.param(lambda: region.verify_matching(DESK_SOURCE, DESK_CHANNEL, 5, _BIG),
+                     OutOfRangeError, "tol must be a finite number", id="verify_matching-tol"),
+        pytest.param(lambda: closed_forms.combiner_mse_bound(DESK_SOURCE, DESK_CHANNEL, 0.625, BoundWitness(_BIG, 1.0)),
+                     ParameterError, "witness components must be finite", id="combiner_mse_bound-a1"),
+        pytest.param(lambda: closed_forms.d2_converse_bound(DESK_SOURCE, DESK_CHANNEL, 0.625, BoundWitness(1.0, _BIG)),
+                     ParameterError, "witness components must be finite", id="d2_converse_bound-a2"),
+    ],
+)
+def test_an_int_past_the_float_range_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_problem_function_list_covers_the_three_modules():
