@@ -154,6 +154,7 @@ from .params import (
     DistortionPair,
     SourceParams,
     UncodedCoeffs,
+    _shown,
     validate_coeffs,
     validate_problem,
     validate_source,
@@ -728,7 +729,7 @@ def solve_alpha_for_d1(
     """
     curve = _Curve(source, channel)
     if not (curve.lo_edge <= d1_target <= curve.hi_edge):
-        raise OutOfRangeError(f"d1_target must lie in [{curve.lo_d!r}, {curve.hi_d!r}], got {d1_target!r}")
+        raise OutOfRangeError(f"d1_target must lie in [{curve.lo_d!r}, {curve.hi_d!r}], got {_shown(d1_target)}")
     return curve.alpha_for(curve.hi_d if curve.hi_d < d1_target else d1_target)
 
 
@@ -775,10 +776,10 @@ def _rx1_point(
     curve = _Curve(source, channel)
     if not d1 < curve.hi_d:
         raise DistortionRangeError(
-            f"d1 must be < {curve.hi_d!r} (the range condition), got {d1!r}"
+            f"d1 must be < {curve.hi_d!r} (the range condition), got {_shown(d1)}"
         )
     if not curve.lo_edge <= d1:  # the edge slack of solve_alpha_for_d1
-        raise DistortionRangeError(f"d1 must be >= {curve.lo_d!r} (d_min(1)), got {d1!r}")
+        raise DistortionRangeError(f"d1 must be >= {curve.lo_d!r} (d_min(1)), got {_shown(d1)}")
     point = curve.at_d1(d1)
     if point is None:
         raise SnrThresholdError(

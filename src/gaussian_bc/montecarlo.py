@@ -22,12 +22,14 @@ floats; a proved error bound on the tails brackets the exact sum, and
 where both ends of the bracket round to the same float, that float is
 the sum. Where they do not (a zero sum, or one at or next to a halfway
 point between two floats), ``math.fsum`` gives it. A correctly rounded
-sum is unique, so either route gives the same float. The extraction runs
-in numpy passes, which release the GIL, over two scratch buffers per
-thread. The blocks run on up to two threads, the caller's
-and one more, which take alternate blocks, so at most two blocks are in
-memory at once. A block's sums depend only on its index, and they are
-stored by index and reduced in block order with ``math.fsum``. So the
+sum is unique, so either route gives the same float. A block is
+computed in five reused buffers of its thread and allocates no array:
+the draws are written into them, and each sum is 11 numpy passes over
+the whole block, each of which releases the GIL while it runs. The
+blocks run on up to two threads, the caller's and one more, which take
+alternate blocks, so at most two blocks are in memory at once. A
+block's sums depend only on its index, and they are stored by index
+and reduced in block order with ``math.fsum``. So the
 result is a pure function of ``(params, coeffs, samples, seed)`` --
 bit-identical across runs and thread counts, independent of scheduling,
 and stable for n up to 1e8 without summation drift.
@@ -190,30 +192,49 @@ def _check_draws(samples: int, seed: int) -> None:
         raise ParameterError("seed must be an integer in [0, 2**64)")
 
 
-def _source_block(source: SourceParams, samples: int, seed: int, block: int):
-    """Block ``block``'s generator and source draws, as ``(rng, s1, s2)``.
+def _source_block(source: SourceParams, seed: int, block: int, s1: np.ndarray, s2: np.ndarray, spare: np.ndarray):
+    """Block ``block``'s generator, its source draws written into ``s1`` and ``s2``.
 
-    The generator is seeded with ``SeedSequence((seed, block))`` and has
-    drawn ``s1`` then ``u``; a caller that needs noise draws it from
-    ``rng`` next, which keeps the draw order of the reproducibility
-    contract. ``s2`` is built in ``u``'s buffer: ``u + rho*s1`` is
-    ``rho*s1 + u`` bit for bit, as float addition commutes.
+    The three arrays are float64 and of the block's length; ``spare``
+    takes ``rho*s1`` and is dead on return. The generator is seeded with
+    ``SeedSequence((seed, block))`` and has drawn ``s1`` then ``u``; a
+    caller that needs noise draws it from the generator next, which keeps
+    the draw order of the reproducibility contract. ``s2`` is built in
+    ``u``'s buffer: ``u + rho*s1`` is ``rho*s1 + u`` bit for bit, as float
+    addition commutes, and ``standard_normal(out=...)`` draws the values
+    that ``standard_normal(size)`` returns.
     """
-    start = block * BLOCK_SIZE
-    count = min(BLOCK_SIZE, samples - start)
     s_dev = math.sqrt(source.sigma2)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-    s1 = rng.standard_normal(count)
+    rng.standard_normal(out=s1)
     s1 *= s_dev
-    s2 = rng.standard_normal(count)
+    rng.standard_normal(out=s2)
     s2 *= s_dev
     s2 *= math.sqrt(1.0 - source.rho * source.rho)
-    s2 += source.rho * s1
-    return rng, s1, s2
+    np.multiply(s1, source.rho, out=spare)
+    s2 += spare
+    return rng
 
 
 def _block_count(samples: int) -> int:
     return (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+_buffers = threading.local()  # each thread's five BLOCK_SIZE block buffers, made by its first block
+
+
+def _block_buffers(count: int) -> np.ndarray:
+    """This thread's five block buffers, cut to ``count`` values: a (5, count) view of rows.
+
+    The buffers, 2.5 MB, are made on the thread's first block and kept
+    for the thread's life, so a later block allocates no array; the
+    worker threads of ``_map_blocks`` each have their own.
+    """
+    try:
+        block = _buffers.block
+    except AttributeError:
+        block = _buffers.block = np.empty((5, BLOCK_SIZE))
+    return block[:, :count]
 
 
 def _worker_count(blocks: int) -> int:
@@ -261,12 +282,10 @@ def _map_blocks(compute, blocks: int) -> list:
     return results
 
 
-_SLICE = 1 << 14  # values per pass of the extraction: bounds its scratch and temporaries
 _LEVEL = 36  # bits of the scaled values taken by each level of the extraction
-_scratch = threading.local()  # each thread's two _SLICE buffers, made by its first sum
 
 
-def _exact_sum(values: np.ndarray) -> float:
+def _exact_sum(values: np.ndarray, t: np.ndarray, h: np.ndarray) -> float:
     """The correctly rounded exact sum of a float64 array.
 
     Precondition: ``values.size = n <= BLOCK_SIZE = 2**16``. Two fixed
@@ -275,9 +294,11 @@ def _exact_sum(values: np.ndarray) -> float:
     bracket the exact sum between two integers; when both ends round to
     the same nonzero float, that float is the answer, and otherwise
     ``_fsum`` gives it (the float filter with an exact fallback of
-    Shewchuk's adaptive predicates). Every pass is a numpy ufunc or
-    reduction over a slice of ``_SLICE`` values in the thread's reused
-    scratch, so the sum holds the GIL only between passes.
+    Shewchuk's adaptive predicates). ``t`` and ``h`` are the caller's
+    scratch, float64 arrays of n values, and ``values`` is never written,
+    so the fallback sums it as given. Each of the 11 passes is a numpy
+    ufunc or reduction over the whole array, so the sum holds the GIL
+    only between passes.
 
     The bracket. With ``M = max|v|`` and ``e = frexp(M)[1]``, every
     ``|v| < 2**e``. Each value is scaled to ``t = v*2**(36 - e)``, so
@@ -287,13 +308,14 @@ def _exact_sum(values: np.ndarray) -> float:
     is exact: a ``|t| >= 1`` has an ulp of at least 2**-52, so its
     fraction is a multiple of that ulp below 1, and a ``|t| < 1`` is its
     own fraction (``floor`` would round ``1 + t`` for a small negative
-    t). Each h is an integer below 2**36 in magnitude, so a slice's sum
-    of them is below 2**50 and exact in any order; these accumulate in
-    Python ints W1 and W2, and the sums of the tails, each ``|t| < 1``,
-    in the float r. So ``sum(values) = 2**(e - 72)*(W + R + d)`` with
+    t). Each h is an integer below 2**36 in magnitude, so with
+    ``n <= 2**16`` every partial sum of a level's h is an integer below
+    2**52, and the level's sum, W1 or W2, is exact in any order; the sum
+    of the tails, each ``|t| < 1``, is the float r. So
+    ``sum(values) = 2**(e - 72)*(W + R + d)`` with
     ``W = 2**36*W1 + W2``, R the exact sum of the tails, and
     ``|d| <= n*2**(36 - 1075) <= 2**-1023`` the subnormal loss. r is R
-    summed by n - 1 roundings in some order, slices included, so
+    summed by n - 1 roundings in some order, so
     ``|r - R| <= (n - 1)*2**-53/(1 - (n - 1)*2**-53)*n``, which is below
     ``2**-21*(1 - 2**-17)`` for ``n <= 2**16`` (Higham, "Accuracy and
     Stability of Numerical Algorithms", 2002, section 4.2). Hence
@@ -334,27 +356,15 @@ def _exact_sum(values: np.ndarray) -> float:
     e = math.frexp(top)[1]
     if top == 0.0 or e < _LEVEL - 1023:
         return _fsum(values)
-    try:
-        t_buf, h_buf = _scratch.buffers
-    except AttributeError:
-        t_buf, h_buf = _scratch.buffers = np.empty(_SLICE), np.empty(_SLICE)
-    scale = math.ldexp(1.0, _LEVEL - e)
-    w1 = w2 = 0
-    r = 0.0
-    for start in range(0, values.size, _SLICE):
-        part = values[start : start + _SLICE]
-        t, h = t_buf[: part.size], h_buf[: part.size]
-        np.multiply(part, scale, out=t)
-        np.trunc(t, out=h)
-        t -= h
-        w1 += int(h.sum())
-        t *= 2.0**_LEVEL
-        np.trunc(t, out=h)
-        t -= h
-        w2 += int(h.sum())
-        r += float(t.sum())
-    w = ((w1 << _LEVEL) + w2) << 21
-    r *= 2.0**21
+    np.multiply(values, math.ldexp(1.0, _LEVEL - e), out=t)
+    np.trunc(t, out=h)
+    t -= h
+    w1 = int(h.sum())
+    t *= 2.0**_LEVEL
+    np.trunc(t, out=h)
+    t -= h
+    w = ((w1 << _LEVEL) + int(h.sum())) << 21
+    r = float(t.sum()) * 2.0**21
     try:
         lo = _scaled(w + math.floor(r) - 1, e - 2 * _LEVEL - 21)
         hi = _scaled(w + math.ceil(r) + 1, e - 2 * _LEVEL - 21)
@@ -398,20 +408,24 @@ def _special_sum(values: np.ndarray) -> float:
     return float(specials.sum())
 
 
-def _squared_error_sums(s: np.ndarray, z: np.ndarray, x: np.ndarray, c: float, unit: float):
+def _squared_error_sums(
+    s: np.ndarray, z: np.ndarray, x: np.ndarray, c: float, unit: float, t: np.ndarray, h: np.ndarray
+):
     """Exact sums of ``e`` and ``e**2`` for ``e = (unit*(s - c*(x + z)))**2``.
 
     Works in place in ``z``, in the operand order of the unfused
-    expression, so every product and sum is bit-identical to it.
+    expression, so every product and sum is bit-identical to it. The
+    sums take ``t`` and ``h`` as their scratch, which may be ``s``'s
+    buffer: ``s`` is read before the first sum.
     """
     z += x
     z *= c
     np.subtract(s, z, out=z)
     z *= unit
     z *= z
-    total = _exact_sum(z)
+    total = _exact_sum(z, t, h)
     z *= z
-    return total, _exact_sum(z)
+    return total, _exact_sum(z, t, h)
 
 
 def simulate(
@@ -450,19 +464,22 @@ def simulate(
     n = config.samples
 
     def block_sums(i: int) -> tuple[float, float, float, float, float]:
-        rng, s1, s2 = _source_block(source, n, config.seed, i)
-        x = a * s1
-        x += b * s2
+        # s1 is dead once e1 is formed, and from then on it is the sums' scratch t
+        s1, s2, x, z, h = _block_buffers(min(BLOCK_SIZE, n - i * BLOCK_SIZE))
+        rng = _source_block(source, config.seed, i, s1, s2, x)
+        np.multiply(s2, b, out=z)
+        np.multiply(s1, a, out=x)
+        x += z
         x *= m.gamma
-        z = rng.standard_normal(s1.size)
+        rng.standard_normal(out=z)  # z1
         z *= z1_dev
-        e1, e1_sq = _squared_error_sums(s1, z, x, c1, unit)
+        e1, e1_sq = _squared_error_sums(s1, z, x, c1, unit, s1, h)
         rng.standard_normal(out=z)  # z2, drawn into z1's spent buffer
         z *= z2_dev
-        e2, e2_sq = _squared_error_sums(s2, z, x, c2, unit)
+        e2, e2_sq = _squared_error_sums(s2, z, x, c2, unit, s1, h)
         x *= p_unit
         x *= x
-        return e1, e1_sq, e2, e2_sq, _exact_sum(x)
+        return e1, e1_sq, e2, e2_sq, _exact_sum(x, s1, h)
 
     e1_sums, e1_sq_sums, e2_sums, e2_sq_sums, power_sums = zip(
         *_map_blocks(block_sums, _block_count(n))
@@ -512,11 +529,15 @@ def sample_source_pairs(
     """
     validate_source(source)
     _check_draws(samples, seed)
-    flip = -1.0 if sign_flip else 1.0
-    _, s1_blocks, s2_blocks = zip(
-        *(_source_block(source, samples, seed, i) for i in range(_block_count(samples)))
-    )
-    return flip * np.concatenate(s1_blocks), np.concatenate(s2_blocks)
+    s1, s2 = np.empty(samples), np.empty(samples)
+    spare = np.empty(min(samples, BLOCK_SIZE))
+    for i in range(_block_count(samples)):
+        start = i * BLOCK_SIZE
+        stop = min(start + BLOCK_SIZE, samples)
+        _source_block(source, seed, i, s1[start:stop], s2[start:stop], spare[: stop - start])
+    if sign_flip:
+        s1 *= -1.0
+    return s1, s2
 
 
 def power_check(report: SimulationReport, channel: ChannelParams, tol_rel: float) -> bool:

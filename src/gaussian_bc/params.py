@@ -113,6 +113,14 @@ def _finite(x: float) -> bool:
         return False
 
 
+def _shown(x: float) -> str:
+    """``repr(x)`` for a refusal message; an int too long for ``repr`` is named as one past the float range."""
+    try:
+        return repr(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return "an int past the float range"
+
+
 def validate_source(source: SourceParams) -> SourceParams:
     """Check the source invariants; return the record or raise ParameterError."""
     _require(_finite(source.sigma2), "sigma2 must be a finite number")

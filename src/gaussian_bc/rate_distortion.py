@@ -62,7 +62,7 @@ import sys
 
 from .closed_forms import _Curve, _psi
 from .errors import InfeasibleDistortionError, OutOfRangeError
-from .params import ChannelParams, SourceParams, conditional_variance, validate_source
+from .params import ChannelParams, SourceParams, _shown, conditional_variance, validate_source
 
 __all__ = [
     "channel_capacity",
@@ -100,7 +100,7 @@ def r_scalar(variance: float, delta: float) -> float:
     is finite at every positive delta (see ``_half_log2_ratio``).
     """
     if not (0 < variance <= _FLOAT_MAX):
-        raise OutOfRangeError(f"variance must be a finite number > 0, got {variance!r}")
+        raise OutOfRangeError(f"variance must be a finite number > 0, got {_shown(variance)}")
     if not (delta > 0):
         raise OutOfRangeError("delta must be > 0")
     if delta >= variance:
@@ -134,9 +134,9 @@ def channel_capacity(power: float, noise: float) -> float:
     round away the SNR's low digits, it is taken through ``log1p``.
     """
     if not (0 < power <= _FLOAT_MAX):
-        raise OutOfRangeError(f"power must be a finite number > 0, got {power!r}")
+        raise OutOfRangeError(f"power must be a finite number > 0, got {_shown(power)}")
     if not (0 < noise <= _FLOAT_MAX):
-        raise OutOfRangeError(f"noise must be a finite number > 0, got {noise!r}")
+        raise OutOfRangeError(f"noise must be a finite number > 0, got {_shown(noise)}")
     snr = power / noise
     if snr == math.inf:
         return _half_log2_ratio(power, noise)
@@ -264,7 +264,7 @@ def conditional_info_bound(
     """
     curve = _Curve(source, channel)
     if not (-_FLOAT_MAX <= delta2 <= _FLOAT_MAX):
-        raise OutOfRangeError(f"delta2 must be a finite number, got {delta2!r}")
+        raise OutOfRangeError(f"delta2 must be a finite number, got {_shown(delta2)}")
     s2u, e, n1, pn2 = curve.s2u, curve.e, curve.n1, curve.pn2
     d2_floor = curve.ends(curve.n2)[0]
     if delta2 < d2_floor:

@@ -31,7 +31,7 @@ from gaussian_bc import (
 )
 from gaussian_bc.cli import run as cli_run
 from gaussian_bc import montecarlo
-from gaussian_bc.montecarlo import _SLICE, BLOCK_SIZE, _exact_sum, _map_blocks
+from gaussian_bc.montecarlo import BLOCK_SIZE, _exact_sum, _map_blocks
 
 from helpers import DESK_CHANNEL, DESK_SOURCE, gain_distortions, random_valid_configs
 
@@ -308,6 +308,11 @@ class TestBlockPool:
         assert traced_peak(40) <= small + 64 * 1024
 
 
+def exact_sum(values: np.ndarray) -> float:
+    """``_exact_sum`` with scratch of its own, filled with nan: the sum writes it before it reads it."""
+    return _exact_sum(values, np.full_like(values, math.nan), np.full_like(values, math.nan))
+
+
 def reference_sum(values: np.ndarray) -> float:
     """math.fsum, or the rounded exact sum where fsum overflows in between."""
     try:
@@ -321,9 +326,9 @@ def assert_reduces_like_the_reference(values: np.ndarray) -> None:
         want = reference_sum(values)
     except OverflowError:  # the exact sum itself is too large for a float
         with pytest.raises(OverflowError):
-            _exact_sum(values)
+            exact_sum(values)
         return
-    assert _exact_sum(values).hex() == want.hex()  # bit-equal, sign of zero included
+    assert exact_sum(values).hex() == want.hex()  # bit-equal, sign of zero included
 
 
 def assert_specials_reduce_like_fsum(values: list[float]) -> None:
@@ -332,9 +337,9 @@ def assert_specials_reduce_like_fsum(values: list[float]) -> None:
         want = math.fsum(values)
     except ValueError:  # -inf + inf
         with pytest.raises(ValueError):
-            _exact_sum(array)
+            exact_sum(array)
         return
-    got = _exact_sum(array)
+    got = exact_sum(array)
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
@@ -375,11 +380,12 @@ class TestExactSum:
     def test_signed_zeros_and_tiny_values(self, values):
         assert_reduces_like_the_reference(np.array(values))
 
-    @pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1, BLOCK_SIZE])
+    # the edges of the 16384-value slices that the extraction once took
+    @pytest.mark.parametrize("size", [16383, 16384, 16385, 65536])
     def test_bit_equal_to_fsum_across_slice_edges(self, size):
         rng = np.random.default_rng(size)
         values = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1000, size))
-        assert _exact_sum(values).hex() == math.fsum(values).hex()
+        assert exact_sum(values).hex() == math.fsum(values).hex()
 
     @pytest.mark.parametrize("top", [[], [1.7e308, -1.6e308], [1.5e308, 2.0**1023, -(2.0**1023)]])
     def test_the_whole_exponent_range_in_one_sum(self, top):
@@ -390,24 +396,24 @@ class TestExactSum:
         values = np.concatenate([big, -big, tiny, [5e-324] * 7, top])
         rng.shuffle(values)
         assert_reduces_like_the_reference(values)
-        assert _exact_sum(np.array([5e-324, 1.7e308, -1.7e308])) == 5e-324
+        assert exact_sum(np.array([5e-324, 1.7e308, -1.7e308])) == 5e-324
 
     def test_intermediate_overflow_returns_the_exact_sum(self):
         big = np.finfo(np.float64).max
-        assert _exact_sum(np.array([big, big, -big])) == big
+        assert exact_sum(np.array([big, big, -big])) == big
         with pytest.raises(OverflowError):
-            _exact_sum(np.array([big, big]))
+            exact_sum(np.array([big, big]))
         # math.fsum raises OverflowError on each of these at 1e308 + 1e308
-        assert _exact_sum(np.array([1e308, 1e308, math.inf])) == math.inf
-        assert math.isnan(_exact_sum(np.array([1e308, 1e308, math.nan])))
+        assert exact_sum(np.array([1e308, 1e308, math.inf])) == math.inf
+        assert math.isnan(exact_sum(np.array([1e308, 1e308, math.nan])))
         with pytest.raises(ValueError):
-            _exact_sum(np.array([1e308, 1e308, -math.inf, math.inf]))
+            exact_sum(np.array([1e308, 1e308, -math.inf, math.inf]))
 
     def test_intermediate_overflow_of_fsum_in_the_fallback(self, fallbacks):
         # the bracket's candidates differ in sign, and math.fsum overflows
         # at big + big, so the fallback sums the block in Fraction
         big = np.finfo(np.float64).max
-        assert _exact_sum(np.array([big, big, -big, -big, 5e-324])) == 5e-324
+        assert exact_sum(np.array([big, big, -big, -big, 5e-324])) == 5e-324
         assert fallbacks == [5]
 
     @pytest.mark.parametrize(
@@ -465,13 +471,16 @@ class TestCertificate:
         [([1.0, 2.0**-53], 1.0), ([1.0, 3 * 2.0**-53], 1.0000000000000004), ([2.0**-53, 1.0], 1.0)],
     )
     def test_ties_round_to_even_through_the_fallback(self, fallbacks, values, want):
-        assert _exact_sum(np.array(values)) == want == math.fsum(values)
+        assert exact_sum(np.array(values)) == want == math.fsum(values)
         assert fallbacks == [len(values)]
 
     def test_a_block_on_a_halfway_point_rounds_to_even_through_the_fallback(self, fallbacks):
+        # the extraction writes only its scratch, so the fallback sums the block as given
         values = halfway_block()
-        assert _exact_sum(values).hex() == math.fsum(values).hex()
+        given = values.copy()
+        assert exact_sum(values).hex() == math.fsum(given).hex()
         assert fallbacks == [BLOCK_SIZE]
+        assert np.array_equal(values, given)
 
     @pytest.mark.parametrize("zeros", [[], [-0.0], [-0.0, 0.0]])
     @pytest.mark.parametrize("size", [1, 7, BLOCK_SIZE // 2])
@@ -480,7 +489,7 @@ class TestCertificate:
         half = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1000, size))
         values = np.concatenate([half, zeros, -half])
         rng.shuffle(values)
-        assert _exact_sum(values).hex() == math.fsum(values).hex()
+        assert exact_sum(values).hex() == math.fsum(values).hex()
         assert fallbacks == [values.size]
 
     def test_small_negative_values_after_a_cancellation(self):
@@ -492,13 +501,13 @@ class TestCertificate:
             small = np.ldexp(-1.0 - rng.integers(1, 2**52, 20) * 2.0**-52, rng.integers(-70, -36, 20))
             values = np.concatenate([big, -big, small])
             rng.shuffle(values)
-            assert _exact_sum(values).hex() == math.fsum(values).hex()
+            assert exact_sum(values).hex() == math.fsum(values).hex()
 
     def test_squares_are_certified_without_the_fallback(self, fallbacks):
         rng = np.random.default_rng(5)
         for scale in (1e-140, 1.0, 1e150):  # squares from 1e-280 up, inside the scaling window
             values = np.square(rng.standard_normal(BLOCK_SIZE) * scale)
-            assert _exact_sum(values).hex() == math.fsum(values).hex()
+            assert exact_sum(values).hex() == math.fsum(values).hex()
         assert fallbacks == []
 
     def test_the_fallback_never_runs_in_a_seeded_simulate(self, fallbacks):
@@ -509,29 +518,33 @@ class TestCertificate:
 
 
 class TestScratch:
+    @pytest.mark.parametrize("gains", [None, (0.3, -0.2)])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_never_share_a_buffer(self, monkeypatch, workers):
+    def test_workers_never_share_a_buffer(self, monkeypatch, workers, gains):
+        # each worker thread writes its blocks into five buffers of its own
+        config = SimulationConfig(7 * BLOCK_SIZE + 11, 23, UncodedCoeffs(0.3, 0.7))
+        fixed_workers(monkeypatch, 1)
+        want = simulate(DESK_SOURCE, DESK_CHANNEL, config, decode_gains=gains)
         fixed_workers(monkeypatch, workers)
-        rng = np.random.default_rng(21)
-        arrays = [rng.standard_normal(BLOCK_SIZE - k) ** 2 * 2.0**k for k in range(32)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads between numpy passes
         try:
-            sums = _map_blocks(lambda i: _exact_sum(arrays[i]), len(arrays))
+            got = simulate(DESK_SOURCE, DESK_CHANNEL, config, decode_gains=gains)
         finally:
             sys.setswitchinterval(interval)
-        assert [x.hex() for x in sums] == [math.fsum(a).hex() for a in arrays]
+        assert repr(got) == repr(want)
 
-    def test_a_warm_sum_allocates_less_than_one_slice(self):
-        values = np.square(np.random.default_rng(8).standard_normal(BLOCK_SIZE))
-        _exact_sum(values)  # this thread's scratch
+    def test_a_warm_run_allocates_no_block_sized_array(self, monkeypatch):
+        fixed_workers(monkeypatch, 1)
+        config = SimulationConfig(4 * BLOCK_SIZE, 8, MIDPOINT)
+        simulate(DESK_SOURCE, DESK_CHANNEL, config)  # this thread's block buffers
         tracemalloc.start()
         try:
-            _exact_sum(values)
+            simulate(DESK_SOURCE, DESK_CHANNEL, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < _SLICE * values.itemsize
+        assert peak < BLOCK_SIZE * 8
 
 
 class TestSampleStatistics:

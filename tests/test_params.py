@@ -13,6 +13,7 @@ from gaussian_bc import (
     BoundWitness,
     ChannelParams,
     DistortionPair,
+    DistortionRangeError,
     OutOfRangeError,
     ParameterError,
     SourceParams,
@@ -163,6 +164,43 @@ _BIG = 10**400
 )
 def test_an_int_past_the_float_range_is_refused_by_name(call, error, message):
     with pytest.raises(error, match=message):
+        call()
+
+
+# An int with more digits than repr() prints (4300 by default), which the
+# messages that show the caller's value must still name.
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: rate_distortion.r_scalar(_HUGE, 1.0),
+                     OutOfRangeError, "variance must be", id="r_scalar"),
+        pytest.param(lambda: rate_distortion.channel_capacity(_HUGE, 1),
+                     OutOfRangeError, "power must be", id="channel_capacity-power"),
+        pytest.param(lambda: rate_distortion.channel_capacity(1, _HUGE),
+                     OutOfRangeError, "noise must be", id="channel_capacity-noise"),
+        pytest.param(lambda: rate_distortion.conditional_info_bound(DESK_SOURCE, DESK_CHANNEL, -_HUGE),
+                     OutOfRangeError, "delta2 must be", id="conditional_info_bound"),
+        pytest.param(lambda: closed_forms.solve_alpha_for_d1(DESK_SOURCE, DESK_CHANNEL, _HUGE),
+                     OutOfRangeError, "d1_target must lie in", id="solve_alpha_for_d1"),
+        pytest.param(lambda: closed_forms.d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, _HUGE),
+                     DistortionRangeError, "d1 must be <", id="d2_min_at_rx1-above"),
+        pytest.param(lambda: closed_forms.d2_min_at_rx1(DESK_SOURCE, DESK_CHANNEL, -_HUGE),
+                     DistortionRangeError, "d1 must be >=", id="d2_min_at_rx1-below"),
+        pytest.param(lambda: closed_forms.combiner_mse_bound(DESK_SOURCE, DESK_CHANNEL, _HUGE, BoundWitness(1.0, 1.0)),
+                     DistortionRangeError, "d1 must be <", id="combiner_mse_bound"),
+        pytest.param(lambda: closed_forms.d2_converse_bound(DESK_SOURCE, DESK_CHANNEL, -_HUGE, BoundWitness(1.0, 1.0)),
+                     DistortionRangeError, "d1 must be >=", id="d2_converse_bound"),
+        pytest.param(lambda: closed_forms.optimal_witness(DESK_SOURCE, DESK_CHANNEL, _HUGE),
+                     DistortionRangeError, "d1 must be <", id="optimal_witness"),
+        pytest.param(lambda: region.converse_at(DESK_SOURCE, DESK_CHANNEL, _HUGE),
+                     DistortionRangeError, "d1 must be <", id="converse_at"),
+    ],
+)
+def test_an_int_too_long_to_print_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{message}.*got an int past the float range$"):
         call()
 
 
